@@ -8,7 +8,8 @@ use aps_cost::units::MIB;
 use aps_cost::ReconfigModel;
 use aps_fabric::CircuitSwitch;
 use aps_matrix::Matching;
-use aps_sim::{run_scheduled, RunConfig};
+use aps_sim::fluid::simulate_flows_scratch;
+use aps_sim::{run_scheduled, FluidScratch, RunConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -67,6 +68,23 @@ fn sim(c: &mut Criterion) {
                 .unwrap()
                 .total_ps,
             )
+        })
+    });
+
+    // The fluid solve of one matched step at 4096 ports: 4096 disjoint
+    // one-hop circuits in a recycled scratch, as the executor runs it.
+    let n = 4096;
+    let caps = vec![cfg.params.bandwidth_bytes_per_sec(); n];
+    let mut scratch = FluidScratch::new();
+    c.bench_function("fluid_matched_step_n4096", |b| {
+        b.iter(|| {
+            scratch.start();
+            for l in 0..n {
+                scratch.push_link(l);
+                scratch.seal_flow(MIB);
+            }
+            simulate_flows_scratch(&caps, &mut scratch);
+            black_box(scratch.finish_of(n - 1))
         })
     });
 }

@@ -50,8 +50,30 @@ impl Matching {
     /// Returns an error if an endpoint is out of range, a sender or receiver
     /// appears twice, or a pair is a self-loop.
     pub fn from_pairs(n: usize, pairs: &[(usize, usize)]) -> Result<Self, MatrixError> {
-        let mut dst = vec![None; n];
-        let mut has_src = vec![false; n];
+        let mut m = Self::empty(0);
+        m.refill_from_pairs(n, pairs, &mut Vec::new())?;
+        Ok(m)
+    }
+
+    /// [`Matching::from_pairs`] in place: rebuilds `self` over `n` nodes
+    /// from `pairs`, reusing its storage, with `has_src` as caller-owned
+    /// scratch for the duplicate-receiver check. Once both buffers have
+    /// held `n` entries, a refill touches no heap.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Matching::from_pairs`]; `self` then holds the pairs
+    /// before the offending one.
+    pub fn refill_from_pairs(
+        &mut self,
+        n: usize,
+        pairs: &[(usize, usize)],
+        has_src: &mut Vec<bool>,
+    ) -> Result<(), MatrixError> {
+        self.dst.clear();
+        self.dst.resize(n, None);
+        has_src.clear();
+        has_src.resize(n, false);
         for &(s, d) in pairs {
             if s >= n {
                 return Err(MatrixError::EndpointOutOfRange { endpoint: s, n });
@@ -62,16 +84,16 @@ impl Matching {
             if s == d {
                 return Err(MatrixError::SelfLoop(s));
             }
-            if dst[s].is_some() {
+            if self.dst[s].is_some() {
                 return Err(MatrixError::DuplicateSender(s));
             }
             if has_src[d] {
                 return Err(MatrixError::DuplicateReceiver(d));
             }
-            dst[s] = Some(d);
+            self.dst[s] = Some(d);
             has_src[d] = true;
         }
-        Ok(Self { dst })
+        Ok(())
     }
 
     /// The cyclic shift `i → (i + k) mod n`, the building block of ring
@@ -255,6 +277,23 @@ mod tests {
             Matching::from_pairs(4, &[(0, 1), (2, 1)]),
             Err(MatrixError::DuplicateReceiver(1))
         );
+    }
+
+    #[test]
+    fn refill_equals_from_pairs_and_forgets_the_previous_matching() {
+        // A recycled matching, grown and shrunk across refills, must equal
+        // a fresh `from_pairs` every time — stale circuits or receiver
+        // flags from an earlier refill, even a failed one, never leak.
+        let mut m = Matching::shift(6, 1).unwrap();
+        let mut has_src = Vec::new();
+        assert_eq!(
+            m.refill_from_pairs(6, &[(0, 1), (2, 1)], &mut has_src),
+            Err(MatrixError::DuplicateReceiver(1))
+        );
+        for (n, pairs) in [(4, &[(0, 1), (2, 3)][..]), (8, &[(7, 1)]), (3, &[])] {
+            m.refill_from_pairs(n, pairs, &mut has_src).unwrap();
+            assert_eq!(m, Matching::from_pairs(n, pairs).unwrap());
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Arena-backed per-step simulator state: the zero-allocation hot path.
 //!
-//! A steady-state streaming step (the `run_workload_totals` path) must not
-//! touch the heap. Everything the step needs — matching pairs, link
-//! capacities, router scratch, flow paths, rates, remaining volumes,
-//! active sets, the max-min solver's per-component scratch and the
-//! link→flows sharing index — lives in one long-lived [`StepScratch`]
-//! owned by the executor and recycled across steps. Buffers are dense
-//! index-based SoA (flow `i`'s path is a CSR slice, not a `Vec` per flow,
-//! and there is no `Box<dyn>` anywhere per flow or per link), so a step is
-//! a handful of `clear()`s plus in-place pushes into capacity that already
-//! exists after warm-up.
+//! A steady-state step (the `run_workload_totals` path, and a
+//! `ServiceExecutor` step) must not touch the heap. Everything the step
+//! needs — matching pairs, link capacities, router scratch, flow paths,
+//! rates, remaining volumes, active sets, the component walk and max-min
+//! solver scratch and the link→flows sharing index — lives in one
+//! long-lived [`StepScratch`] owned by the executor and recycled across
+//! steps (the executors keep their reconfiguration-target buffers next to
+//! it). Buffers are dense index-based SoA (flow `i`'s path is a CSR slice,
+//! not a `Vec` per flow, and there is no `Box<dyn>` anywhere per flow or
+//! per link), so a step is a handful of `clear()`s plus in-place pushes
+//! into capacity that already exists after warm-up.
 //!
 //! ## Mutability classes
 //!
@@ -27,18 +28,22 @@
 //!   as completion rounds retire flows: rates, remaining volumes, the
 //!   ping-pong `active`/`still` generation pair (swapped each round, never
 //!   reallocated), and the link→flows index (built once per simulation,
-//!   then maintained by removal as flows depart — see
-//!   `FluidEngine::affected_by`'s old per-completion rebuild, the bug this
-//!   class exists to prevent).
+//!   then maintained by removal as flows depart — the pre-arena engine
+//!   rebuilt it on every completion, the bug this class exists to
+//!   prevent). The component walk's buffers belong here too: the per-flow
+//!   `frozen` flags and per-link `link_seen` marks are sized once per
+//!   simulation and every pass hands them back all frozen and all
+//!   unmarked, so no pass pays an O(flows + links) reset; the walked
+//!   `links` list is cleared after each pass; and the per-link `cap_left`
+//!   and `users` the filling reads are written by the walk first.
 //!
 //! The invariant is regression-tested: a counting `#[global_allocator]`
 //! test (`crates/sim/tests/zero_alloc.rs`) proves a 100k-step endless
-//! `TrainingLoop` performs zero allocations per steady-state step, and the
-//! differential suites pin that the arena engine is bit-identical to the
-//! seed oracle.
+//! `TrainingLoop`, and two such jobs on a `ServiceExecutor`, perform zero
+//! allocations per steady-state step, and the differential suites pin
+//! that the arena engine is bit-identical to the seed oracle.
 
-/// Sentinel for "link not present" in dense link-indexed maps
-/// ([`FluidScratch::slot`], [`StepScratch::link_of`]).
+/// Sentinel for "link not present" in [`StepScratch::link_of`].
 pub(crate) const UNUSED: usize = usize::MAX;
 
 /// Scratch for one fluid simulation: the CSR flow table plus every buffer
@@ -69,30 +74,25 @@ pub struct FluidScratch {
     /// Flows that completed in the current round, ascending.
     pub(crate) completed: Vec<usize>,
 
-    // --- per-component max-min solver scratch (per-round) ---
-    /// Freeze flags, indexed like the solved flow subset.
+    // --- component walk and max-min solver scratch (per-round) ---
+    /// Per flow: `true` once its rate is settled. The walk clears the flag
+    /// of every flow it reaches and the filling sets it again, so it is all
+    /// `true` between passes.
     pub(crate) frozen: Vec<bool>,
-    /// Dense ascending list of links the solved subset uses.
+    /// Links walked in the current pass, one run per component, each run
+    /// sorted ascending for the bottleneck scan; also the walk's queue.
     pub(crate) links: Vec<usize>,
-    /// Link id → dense index into `links`; [`UNUSED`] outside a solve.
-    pub(crate) slot: Vec<usize>,
-    /// Residual capacity per dense link.
+    /// Per link: walked in the current pass; all `false` between passes.
+    pub(crate) link_seen: Vec<bool>,
+    /// Residual capacity per link, valid for links walked in this pass.
     pub(crate) cap_left: Vec<f64>,
-    /// Unfrozen-user count per dense link.
+    /// Unfrozen-user count per link, valid for links walked in this pass.
     pub(crate) users: Vec<usize>,
 
     // --- link→flows sharing index (built once per simulation, then
     // --- maintained incrementally as flows complete) ---
-    /// Active flows crossing each link.
+    /// Active flows crossing each link, one entry per hop, in no order.
     pub(crate) flows_of_link: Vec<Vec<usize>>,
-    /// BFS visited flags per link.
-    pub(crate) link_seen: Vec<bool>,
-    /// BFS visited flags per flow.
-    pub(crate) affected: Vec<bool>,
-    /// BFS frontier of links to expand.
-    pub(crate) frontier: Vec<usize>,
-    /// The affected-flows closure, ascending.
-    pub(crate) affected_list: Vec<usize>,
 
     /// How many times the link→flows index was built from scratch —
     /// exactly once per simulation (static; monotone). The regression

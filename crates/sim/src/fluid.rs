@@ -12,31 +12,33 @@
 //! ## The event engine
 //!
 //! The seed engine re-ran the full progressive-filling solver over *all*
-//! links and *all* active flows after every completion —
-//! `O(completions × bottlenecks × (links + flows·hops))`. This engine is
-//! event-driven instead:
+//! links and *all* active flows after every completion. This engine is
+//! event-driven and solves one sharing component at a time:
 //!
 //! * **completion events** drive the clock: each round advances time to
-//!   the earliest candidate drain. Simultaneous completions are handled
-//!   deterministically with stable flow-id ordering — the active list is
-//!   kept ascending, completions are collected in that order, and the
-//!   per-component solver freezes flows in the same order — so results
-//!   are identical on every run and at any `APS_THREADS` setting. (A
-//!   *persistent* event queue would buy nothing here: bit-identity with
-//!   the seed arithmetic, below, requires re-materializing every flow's
-//!   remaining volume — and hence every candidate event — each round.);
-//! * rates are recomputed **incrementally**: when flows finish, only the
-//!   links whose user sets changed — the connected sharing component(s) of
-//!   the departed flows — are re-solved. Flows in untouched components keep
-//!   their cached rates and bottleneck levels. This removes the solver —
-//!   the `bottlenecks × (links + flows·hops)` factor — from the per-event
-//!   cost for everything the completion didn't touch.
+//!   the earliest candidate drain, and every flow within ε of zero then
+//!   completes in the same round. The active list is kept ascending, so
+//!   results are identical on every run and at any `APS_THREADS` setting.
+//!   (A *persistent* event queue would buy nothing: bit-identity with the
+//!   seed arithmetic requires re-materializing every flow's remaining
+//!   volume — and hence every candidate event — each round.)
+//! * a **component walk** decides what to solve. Flows and the links they
+//!   cross form a sharing graph; one breadth-first walk of the link→flows
+//!   index collects each connected component that contains a seed link.
+//!   At the start of a simulation every link is a seed; after a completion
+//!   round the departed flows' links are. Each component then runs
+//!   progressive filling alone: the bottleneck scan covers only its links,
+//!   in ascending link id, and a bottleneck freezes its flows by walking
+//!   its bucket of the index instead of testing every path. Flows in
+//!   untouched components keep their cached rates.
 //!
-//! ## Incremental-recompute invariants
+//! A matched step — n disjoint one-hop circuits — is n one-link
+//! components, so its solve costs O(n). One giant component (a ring shift
+//! by n/2) still costs a bottleneck scan of its links per bottleneck.
 //!
-//! The component-level caching is exact, not approximate, because the
-//! max-min allocation decomposes over the connected components of the
-//! flow/link sharing graph:
+//! ## Invariants
+//!
+//! The per-component solve is exact, not approximate:
 //!
 //! 1. **Isolation** — a link's residual capacity is only ever reduced by
 //!    flows crossing it, and those flows are by definition in the link's
@@ -45,10 +47,16 @@
 //! 2. **Restriction** — the global progressive-filling bottleneck sequence,
 //!    restricted to one component, equals the component-local bottleneck
 //!    sequence: picking a bottleneck in another component touches neither
-//!    this component's residual capacities nor its user counts.
-//! 3. **Stable order** — bottleneck links are scanned in ascending link id
-//!    and flows freeze in ascending flow id, in both the global and the
-//!    per-component solver, so ties break identically.
+//!    this component's residual capacities nor its user counts. Both scan
+//!    links in ascending id, so ties break identically.
+//! 3. **Equal-`fair` freezes commute** — one bottleneck round freezes every
+//!    unfrozen flow crossing the bottleneck at the same `fair`, and each
+//!    freeze applies `cap_left = max(cap_left − fair, 0)` once per hop. A
+//!    link's residual therefore sees the same sequence of identical
+//!    operations in any freeze order, so freezing in bucket order (which
+//!    `swap_remove` scrambles) gives the bits the oracle's ascending-id
+//!    order gives. Nothing in the code shows this; keep every freeze of a
+//!    round at one `fair`.
 //!
 //! Together these make the event engine **bit-identical** to the seed
 //! from-scratch engine (kept as [`mod@reference`]): per round the engine
@@ -59,7 +67,7 @@
 //! the *solver* work is skipped for untouched components, and skipped
 //! work is exactly the work whose results are unchanged.
 
-use crate::arena::{FluidScratch, UNUSED};
+use crate::arena::FluidScratch;
 
 /// One flow to simulate.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,128 +127,71 @@ pub fn max_min_rates(link_caps: &[f64], paths: &[&[usize]]) -> Vec<f64> {
     rates
 }
 
-/// Re-solves max-min progressive filling restricted to `flows` (ascending
-/// flow ids forming a union of sharing components), writing the new rates
-/// into `s.rates` in place. Only links used by these flows are scanned —
-/// by the isolation invariant the result is bitwise what a full global
-/// re-solve would assign them.
-///
-/// `flows` is passed separately (typically `mem::take`n out of the scratch)
-/// so the scratch's own buffers stay mutably borrowable; `s.slot` entries
-/// are restored to [`UNUSED`] on exit, so no O(links) reset is ever needed.
-fn solve_subset(s: &mut FluidScratch, caps: &[f64], flows: &[usize]) {
-    s.frozen.clear();
-    s.frozen.resize(flows.len(), false);
-    // Residual capacity and user count, only for links these flows use.
-    // Links are scanned in ascending id via a sorted dense list so tie
-    // breaking matches the global solver; `slot` maps link id → dense
-    // index for O(1) lookups on the freeze path.
-    if s.slot.len() < caps.len() {
-        s.slot.resize(caps.len(), UNUSED);
+/// Walks the sharing component that contains link `seed` and re-solves it
+/// by progressive filling into `s.rates`; a no-op when `seed` carries no
+/// active flow or was walked earlier in this pass. The breadth-first walk
+/// queues links in `s.links` itself, marks them in `s.link_seen` (cleared
+/// by [`end_pass`]) and thaws each flow it reaches. The filling ends with
+/// every flow frozen again: a flow's links keep a user until it freezes.
+fn solve_component(s: &mut FluidScratch, caps: &[f64], seed: usize) {
+    if s.link_seen[seed] || s.flows_of_link[seed].is_empty() {
+        return;
     }
-    s.links.clear();
-    for &i in flows {
-        for h in s.path_off[i]..s.path_off[i + 1] {
-            let l = s.path_data[h];
-            if s.slot[l] == UNUSED {
-                s.slot[l] = 0; // mark; real indices assigned after sorting
-                s.links.push(l);
-            }
-        }
-    }
-    s.links.sort_unstable();
-    for (k, &l) in s.links.iter().enumerate() {
-        s.slot[l] = k;
-    }
-    s.cap_left.clear();
-    for &l in &s.links {
-        s.cap_left.push(caps[l]);
-    }
-    s.users.clear();
-    s.users.resize(s.links.len(), 0);
-    for &i in flows {
-        for h in s.path_off[i]..s.path_off[i + 1] {
-            s.users[s.slot[s.path_data[h]]] += 1;
-        }
-    }
-    loop {
-        let mut best: Option<(usize, f64)> = None;
-        for (k, &u) in s.users.iter().enumerate() {
-            if u > 0 {
-                let fair = s.cap_left[k] / u as f64;
-                if best.is_none_or(|(_, b)| fair < b) {
-                    best = Some((k, fair));
-                }
-            }
-        }
-        let Some((bottleneck_slot, fair)) = best else {
-            break;
-        };
-        let bottleneck = s.links[bottleneck_slot];
-        for (k, &i) in flows.iter().enumerate() {
-            if !s.frozen[k] && s.path_data[s.path_off[i]..s.path_off[i + 1]].contains(&bottleneck) {
-                s.frozen[k] = true;
-                s.rates[i] = fair;
-                for h in s.path_off[i]..s.path_off[i + 1] {
-                    let d = s.slot[s.path_data[h]];
-                    s.cap_left[d] = (s.cap_left[d] - fair).max(0.0);
-                    s.users[d] -= 1;
-                }
-            }
-        }
-    }
-    // Restore the slot map's "all UNUSED" invariant for the next solve.
-    for idx in 0..s.links.len() {
-        let l = s.links[idx];
-        s.slot[l] = UNUSED;
-    }
-}
-
-/// Computes the flows whose rates may change when `s.completed` depart:
-/// the transitive closure, over the surviving active set, of link sharing
-/// with the departed flows, written ascending into `s.affected_list`. BFS
-/// over the incrementally-maintained link→flows index — the departed flows
-/// must already have been removed from the index (the closure is over
-/// survivors), which `simulate_flows_scratch` does at each round boundary.
-fn affected_by(s: &mut FluidScratch, num_links: usize) {
-    let num_flows = s.bytes.len();
-    s.link_seen.clear();
-    s.link_seen.resize(num_links, false);
-    s.affected.clear();
-    s.affected.resize(num_flows, false);
-    s.frontier.clear();
-    for idx in 0..s.completed.len() {
-        let i = s.completed[idx];
-        for h in s.path_off[i]..s.path_off[i + 1] {
-            let l = s.path_data[h];
-            if !s.link_seen[l] {
-                s.link_seen[l] = true;
-                s.frontier.push(l);
-            }
-        }
-    }
-    while let Some(l) = s.frontier.pop() {
-        for k in 0..s.flows_of_link[l].len() {
-            let i = s.flows_of_link[l][k];
-            if !s.affected[i] {
-                s.affected[i] = true;
-                for h in s.path_off[i]..s.path_off[i + 1] {
-                    let l2 = s.path_data[h];
+    let start = s.links.len();
+    s.link_seen[seed] = true;
+    s.links.push(seed);
+    let mut head = start;
+    while head < s.links.len() {
+        let l = s.links[head];
+        head += 1;
+        s.cap_left[l] = caps[l];
+        s.users[l] = s.flows_of_link[l].len();
+        for &i in &s.flows_of_link[l] {
+            if s.frozen[i] {
+                s.frozen[i] = false;
+                for &l2 in &s.path_data[s.path_off[i]..s.path_off[i + 1]] {
                     if !s.link_seen[l2] {
                         s.link_seen[l2] = true;
-                        s.frontier.push(l2);
+                        s.links.push(l2);
                     }
                 }
             }
         }
     }
-    s.affected_list.clear();
-    for idx in 0..s.active.len() {
-        let i = s.active[idx];
-        if s.affected[i] {
-            s.affected_list.push(i);
+    s.links[start..].sort_unstable();
+    loop {
+        let mut best: Option<(usize, f64)> = None;
+        for &l in &s.links[start..] {
+            if s.users[l] > 0 {
+                let fair = s.cap_left[l] / s.users[l] as f64;
+                if best.is_none_or(|(_, b)| fair < b) {
+                    best = Some((l, fair));
+                }
+            }
+        }
+        let Some((bottleneck, fair)) = best else {
+            break;
+        };
+        for &i in &s.flows_of_link[bottleneck] {
+            if !s.frozen[i] {
+                s.frozen[i] = true;
+                s.rates[i] = fair;
+                for &l in &s.path_data[s.path_off[i]..s.path_off[i + 1]] {
+                    s.cap_left[l] = (s.cap_left[l] - fair).max(0.0);
+                    s.users[l] -= 1;
+                }
+            }
         }
     }
+}
+
+/// Ends a pass of [`solve_component`] calls: unmarks the walked links, so
+/// the next pass starts with `s.link_seen` all false and `s.links` empty.
+fn end_pass(s: &mut FluidScratch) {
+    for &l in &s.links {
+        s.link_seen[l] = false;
+    }
+    s.links.clear();
 }
 
 /// Builds the link→flows sharing index from the current active set —
@@ -264,6 +215,17 @@ fn build_link_index(s: &mut FluidScratch, num_links: usize) {
     s.note_index_build();
 }
 
+/// The input checks both engines run up front. An infinite rate or volume
+/// would make `remaining` NaN, and a NaN flow never completes.
+fn check_flow(caps: &[f64], i: usize, bytes: f64, path: &[usize]) {
+    assert!(bytes.is_finite(), "flow {i} has non-finite volume");
+    for &l in path {
+        assert!(l < caps.len(), "path references unknown link {l}");
+        assert!(caps[l] > 0.0, "link {l} has no capacity");
+        assert!(caps[l].is_finite(), "link {l} has non-finite capacity");
+    }
+}
+
 /// Simulates the flows loaded in `s` (via [`FluidScratch::start`] /
 /// [`FluidScratch::push_link`] / [`FluidScratch::seal_flow`] or
 /// [`FluidScratch::load_specs`]) to completion, writing per-flow finish
@@ -281,17 +243,14 @@ fn build_link_index(s: &mut FluidScratch, num_links: usize) {
 ///
 /// # Panics
 ///
-/// Panics if a path references an out-of-range link or a link capacity is
-/// non-positive while used.
+/// Panics if a path references an out-of-range link, a link capacity is
+/// non-positive or infinite while used, or a volume is not finite.
 pub fn simulate_flows_scratch(link_caps_bytes_per_s: &[f64], s: &mut FluidScratch) {
     let caps = link_caps_bytes_per_s;
     let num_flows = s.bytes.len();
     for i in 0..num_flows {
-        for h in s.path_off[i]..s.path_off[i + 1] {
-            let l = s.path_data[h];
-            assert!(l < caps.len(), "path references unknown link {l}");
-            assert!(caps[l] > 0.0, "link {l} has no capacity");
-        }
+        let path = &s.path_data[s.path_off[i]..s.path_off[i + 1]];
+        check_flow(caps, i, s.bytes[i], path);
     }
     s.finish.clear();
     s.finish.resize(num_flows, 0.0);
@@ -307,13 +266,19 @@ pub fn simulate_flows_scratch(link_caps_bytes_per_s: &[f64], s: &mut FluidScratc
     }
     // The sharing index: built once here, maintained incrementally below.
     build_link_index(s, caps.len());
-    // Initial allocation: one full solve (all flows are "affected"). The
-    // active list is taken out and put back so the scratch stays mutably
-    // borrowable — `mem::take` swaps in an unallocated empty Vec, so this
-    // costs nothing on the heap.
-    let all = std::mem::take(&mut s.active);
-    solve_subset(s, caps, &all);
-    s.active = all;
+    // Walk state: every flow settled, no link walked. The per-link solver
+    // values are written by the walk before they are read.
+    s.frozen.clear();
+    s.frozen.resize(num_flows, true);
+    s.link_seen.clear();
+    s.link_seen.resize(caps.len(), false);
+    s.cap_left.resize(caps.len(), 0.0);
+    s.users.resize(caps.len(), 0);
+    // Initial allocation: every link seeds the walk.
+    for l in 0..caps.len() {
+        solve_component(s, caps, l);
+    }
+    end_pass(s);
 
     let mut t = 0.0f64;
     // Each round retires at least one flow: ≤ F rounds.
@@ -354,8 +319,7 @@ pub fn simulate_flows_scratch(link_caps_bytes_per_s: &[f64], s: &mut FluidScratc
         if s.active.is_empty() {
             break;
         }
-        // Retire the departures from the sharing index *before* the
-        // closure walk: `affected_by` must see exactly the survivors.
+        // Retire the departures from the index: the walk sees survivors only.
         for idx in 0..s.completed.len() {
             let i = s.completed[idx];
             for h in s.path_off[i]..s.path_off[i + 1] {
@@ -366,14 +330,16 @@ pub fn simulate_flows_scratch(link_caps_bytes_per_s: &[f64], s: &mut FluidScratc
                 }
             }
         }
-        // Incremental re-solve: only the sharing components the departures
-        // touched; everyone else keeps their cached bottleneck rate.
-        affected_by(s, caps.len());
-        if !s.affected_list.is_empty() {
-            let aff = std::mem::take(&mut s.affected_list);
-            solve_subset(s, caps, &aff);
-            s.affected_list = aff;
+        // Incremental re-solve: the departed flows' links seed the walk, so
+        // only the components they touched are solved again; everyone else
+        // keeps their cached bottleneck rate.
+        for idx in 0..s.completed.len() {
+            let i = s.completed[idx];
+            for h in s.path_off[i]..s.path_off[i + 1] {
+                solve_component(s, caps, s.path_data[h]);
+            }
         }
+        end_pass(s);
     }
 }
 
@@ -385,8 +351,8 @@ pub fn simulate_flows_scratch(link_caps_bytes_per_s: &[f64], s: &mut FluidScratc
 ///
 /// # Panics
 ///
-/// Panics if a path references an out-of-range link or a link capacity is
-/// non-positive while used.
+/// Panics if a path references an out-of-range link, a link capacity is
+/// non-positive or infinite while used, or a volume is not finite.
 pub fn simulate_flows(link_caps_bytes_per_s: &[f64], specs: &[FlowSpec]) -> Vec<f64> {
     let mut scratch = FluidScratch::new();
     scratch.load_specs(specs);
@@ -408,17 +374,11 @@ pub mod reference {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range links or non-positive used capacities,
-    /// exactly like the event engine.
+    /// Panics on out-of-range links, non-positive or infinite used
+    /// capacities and non-finite volumes, exactly like the event engine.
     pub fn simulate_flows_reference(link_caps_bytes_per_s: &[f64], specs: &[FlowSpec]) -> Vec<f64> {
-        for s in specs {
-            for &l in &s.path {
-                assert!(
-                    l < link_caps_bytes_per_s.len(),
-                    "path references unknown link {l}"
-                );
-                assert!(link_caps_bytes_per_s[l] > 0.0, "link {l} has no capacity");
-            }
+        for (i, s) in specs.iter().enumerate() {
+            super::check_flow(link_caps_bytes_per_s, i, s.bytes, &s.path);
         }
         let mut finish = vec![0.0f64; specs.len()];
         let mut remaining: Vec<f64> = specs.iter().map(|s| s.bytes).collect();
@@ -613,6 +573,39 @@ mod tests {
                 path: vec![3],
             }],
         );
+    }
+
+    /// One flow of `bytes` over link 0. Infinite inputs must panic, not
+    /// hang: see `check_flow`.
+    fn one_flow(bytes: f64) -> [FlowSpec; 1] {
+        [FlowSpec {
+            bytes,
+            path: vec![0],
+        }]
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite capacity")]
+    fn infinite_capacity_panics() {
+        simulate_flows(&[f64::INFINITY], &one_flow(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite volume")]
+    fn infinite_volume_panics() {
+        simulate_flows(&[10.0], &one_flow(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite capacity")]
+    fn reference_rejects_infinite_capacity() {
+        simulate_flows_reference(&[f64::INFINITY], &one_flow(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite volume")]
+    fn reference_rejects_infinite_volume() {
+        simulate_flows_reference(&[10.0], &one_flow(f64::INFINITY));
     }
 
     #[test]

@@ -23,13 +23,12 @@
 //!
 //! ## Steady-state allocation behavior
 //!
-//! The executor reuses the PR 8 arenas: one [`StepScratch`] for the fluid
-//! solver, one recycled scratch [`SimReport`] in totals mode
-//! (`keep_reports = false`), caller-owned `pairs`/`owned` buffers, and
-//! demand pulled through [`Workload::next_step_into`] into a per-job
-//! [`Step`] slot that is overwritten in place. The per-step heap traffic
-//! that remains is the global target [`Matching`] assembly shared with
-//! the tenant path.
+//! A steady-state step performs no heap allocation. The executor reuses
+//! the PR 8 arenas: one [`StepScratch`] for the fluid solver, one recycled
+//! scratch [`SimReport`] in totals mode (`keep_reports = false`), owned
+//! `pairs` and global-target buffers, and demand pulled through
+//! [`Workload::next_step_into`] into a per-job [`Step`] slot that is
+//! overwritten in place. `crates/sim/tests/zero_alloc.rs` pins it.
 
 use crate::arena::StepScratch;
 use crate::error::SimError;
@@ -37,7 +36,7 @@ use crate::exec::{execute_step, natural_request_at, RunConfig, StepInput};
 use crate::record::{RecordSink, StepRecord};
 use crate::report::SimReport;
 use crate::stream::{validate_step, StreamSummary};
-use crate::tenant::tenant_target;
+use crate::tenant::{tenant_target, TargetScratch};
 use aps_collectives::{Step, Workload, WorkloadCtx};
 use aps_core::{ConfigChoice, SwitchSchedule};
 use aps_cost::units::Picos;
@@ -165,6 +164,7 @@ pub struct ServiceExecutor {
     live: usize,
     scratch: StepScratch,
     pairs: Vec<(usize, usize)>,
+    targets: TargetScratch,
     owned: Vec<bool>,
     /// Recycled per-step report for totals mode.
     fold: SimReport,
@@ -187,6 +187,7 @@ impl ServiceExecutor {
             live: 0,
             scratch: StepScratch::new(),
             pairs: Vec::new(),
+            targets: TargetScratch::default(),
             owned: Vec::new(),
             fold: SimReport::default(),
             summary: StreamSummary::default(),
@@ -344,7 +345,6 @@ impl ServiceExecutor {
         sink: Option<&mut dyn RecordSink>,
     ) -> Option<Departure> {
         let (request_at, slot) = self.next_request_at()?;
-        let n = self.n;
         let st = self.slots[slot].as_mut().expect("scheduled slot is live");
         let i = st.executed;
         // A failing step departs at its request instant: `gpu_free` alone
@@ -381,11 +381,14 @@ impl ServiceExecutor {
         } else {
             &st.base_config
         };
-        self.owned.clear();
-        for p in 0..n {
-            self.owned.push(self.owner[p] == Some(slot));
-        }
-        let target = tenant_target(fabric.current(), &st.ports, local_target, &self.owned);
+        let target = tenant_target(
+            fabric.current(),
+            &st.ports,
+            local_target,
+            &self.owner,
+            slot,
+            &mut self.targets,
+        );
         self.pairs.clear();
         self.pairs.extend(
             st.pending
@@ -396,7 +399,7 @@ impl ServiceExecutor {
         let input = StepInput {
             step: i,
             matched,
-            target: &target,
+            target,
             pairs: &self.pairs,
             bytes_per_pair: st.pending.bytes_per_pair,
             barrier_n: st.ports.len(),

@@ -122,30 +122,58 @@ pub(crate) fn map_matching(local: &Matching, ports: &[usize]) -> Result<Matching
         .map_err(|source| SimError::ConfigConflict { source })
 }
 
-/// Builds the global reconfiguration target for one tenant: the tenant's
-/// desired circuits on its own ports, everything else kept as-is. Foreign
-/// circuits landing on an RX port the tenant claims are dropped (they can
-/// only exist if the initial configuration crossed partitions).
-pub(crate) fn tenant_target(
+/// Executor-owned buffers for [`tenant_target`], recycled every step so
+/// the target assembly touches no heap once warm.
+#[derive(Debug)]
+pub(crate) struct TargetScratch {
+    pairs: Vec<(usize, usize)>,
+    rx_claimed: Vec<bool>,
+    has_src: Vec<bool>,
+    target: Matching,
+}
+
+impl Default for TargetScratch {
+    fn default() -> Self {
+        Self {
+            pairs: Vec::new(),
+            rx_claimed: Vec::new(),
+            has_src: Vec::new(),
+            target: Matching::empty(0),
+        }
+    }
+}
+
+/// Builds the global reconfiguration target for tenant `me` (the owner of
+/// `ports` in `owner`) into `buf`: the tenant's desired circuits on its own
+/// ports, everything else kept as-is. Foreign circuits landing on an RX
+/// port the tenant claims are dropped (they can only exist if the initial
+/// configuration crossed partitions).
+pub(crate) fn tenant_target<'a>(
     current: &Matching,
     ports: &[usize],
     local_target: &Matching,
-    owned: &[bool],
-) -> Matching {
+    owner: &[Option<usize>],
+    me: usize,
+    buf: &'a mut TargetScratch,
+) -> &'a Matching {
     let n = current.n();
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(n);
-    let mut rx_claimed = vec![false; n];
+    buf.pairs.clear();
+    buf.rx_claimed.clear();
+    buf.rx_claimed.resize(n, false);
     for (s, d) in local_target.pairs() {
         let (gs, gd) = (ports[s], ports[d]);
-        pairs.push((gs, gd));
-        rx_claimed[gd] = true;
+        buf.pairs.push((gs, gd));
+        buf.rx_claimed[gd] = true;
     }
     for (s, d) in current.pairs() {
-        if !owned[s] && !rx_claimed[d] {
-            pairs.push((s, d));
+        if owner[s] != Some(me) && !buf.rx_claimed[d] {
+            buf.pairs.push((s, d));
         }
     }
-    Matching::from_pairs(n, &pairs).expect("disjoint tenant circuits form a matching")
+    buf.target
+        .refill_from_pairs(n, &buf.pairs, &mut buf.has_src)
+        .expect("disjoint tenant circuits form a matching");
+    &buf.target
 }
 
 /// Per-tenant progress while the run interleaves steps. Demand is pulled
@@ -263,6 +291,7 @@ pub fn execute_tenants_recorded(
     // the controller in nondecreasing time order — first come, first
     // served.
     let mut scratch = crate::arena::StepScratch::new();
+    let mut targets = TargetScratch::default();
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     loop {
         let mut next: Option<(Picos, usize)> = None;
@@ -298,8 +327,14 @@ pub fn execute_tenants_recorded(
         } else {
             &spec.base_config
         };
-        let owned: Vec<bool> = (0..n).map(|p| owner[p] == Some(t)).collect();
-        let target = tenant_target(fabric.current(), &spec.ports, local_target, &owned);
+        let target = tenant_target(
+            fabric.current(),
+            &spec.ports,
+            local_target,
+            &owner,
+            t,
+            &mut targets,
+        );
         pairs.clear();
         pairs.extend(
             step.matching
@@ -309,7 +344,7 @@ pub fn execute_tenants_recorded(
         let input = StepInput {
             step: i,
             matched,
-            target: &target,
+            target,
             pairs: &pairs,
             bytes_per_pair: step.bytes_per_pair,
             barrier_n: spec.ports.len(),

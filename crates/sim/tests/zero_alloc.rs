@@ -10,6 +10,10 @@
 //! allocation counts is exactly the heap traffic of the `EXTRA`
 //! steady-state steps — which must be zero.
 //!
+//! The open-system [`ServiceExecutor`] is measured the same way: two
+//! endless training jobs admitted side by side, stepped `K` and
+//! `K + EXTRA` times.
+//!
 //! Everything lives in one `#[test]` so no concurrent test can perturb
 //! the counter, and the counter itself is *thread-scoped*: only the test
 //! thread opts in, so allocations made by libtest's harness machinery on
@@ -22,10 +26,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use aps_collectives::workload::generators::TrainingLoop;
 use aps_core::controller::{AlwaysReconfigure, Controller, Greedy, Static};
+use aps_core::ConfigChoice;
 use aps_cost::units::MIB;
 use aps_cost::ReconfigModel;
 use aps_fabric::CircuitSwitch;
 use aps_matrix::Matching;
+use aps_sim::service::{ServiceExecutor, ServiceJobSpec, ServiceSwitching};
 use aps_sim::stream::{run_workload_totals, StreamPricing, StreamSummary};
 use aps_sim::RunConfig;
 use aps_topology::builders;
@@ -113,6 +119,35 @@ fn run(steps: usize, controller: &dyn Controller) -> (StreamSummary, u64) {
     (summary, allocs() - before)
 }
 
+/// Executes `steps` service steps of two endless matched training jobs,
+/// each on its own `N`-port half of a `2N`-port fabric, returning the
+/// summary and the allocation count the steps spent. Set-up and admission
+/// stay outside the counted region.
+fn run_service(steps: usize) -> (StreamSummary, u64) {
+    let rings: Vec<(usize, usize)> = (0..2 * N).map(|p| (p, p - p % N + (p + 1) % N)).collect();
+    let base = Matching::from_pairs(2 * N, &rings).unwrap();
+    let mut fabric = CircuitSwitch::new(base, ReconfigModel::constant(5e-6).unwrap());
+    let mut exec = ServiceExecutor::new(2 * N, RunConfig::paper_defaults(), false);
+    for job in 0..2 {
+        let spec = ServiceJobSpec {
+            name: format!("train-{job}"),
+            ports: (job * N..(job + 1) * N).collect(),
+            base_config: Matching::shift(N, 1).unwrap(),
+            workload: Box::new(TrainingLoop::new(N, 4, MIB, 4.0 * MIB, None).unwrap()),
+            switching: ServiceSwitching::Uniform(ConfigChoice::Matched),
+        };
+        exec.admit(job as u64, spec, 0).unwrap();
+    }
+    let before = allocs();
+    for _ in 0..steps {
+        assert!(
+            exec.execute_next(&mut fabric, None).is_none(),
+            "endless jobs never depart"
+        );
+    }
+    (exec.stream_summary(), allocs() - before)
+}
+
 #[test]
 fn steady_state_step_allocates_nothing() {
     // One test fn, and only this thread feeds the counter.
@@ -135,4 +170,15 @@ fn steady_state_step_allocates_nothing() {
              allocations (want 0); warm-up spent {allocs_short}"
         );
     }
+    let (short, allocs_short) = run_service(WARMUP);
+    let (long, allocs_long) = run_service(WARMUP + EXTRA);
+    assert_eq!(short.steps, WARMUP, "service: short run executed");
+    assert_eq!(long.steps, WARMUP + EXTRA, "service: long run executed");
+    assert!(long.total_ps > short.total_ps, "service: clocks advanced");
+    let delta = allocs_long - allocs_short;
+    assert_eq!(
+        delta, 0,
+        "service: {EXTRA} steady-state steps performed {delta} heap \
+         allocations (want 0); warm-up spent {allocs_short}"
+    );
 }

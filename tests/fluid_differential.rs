@@ -16,11 +16,56 @@ use aps_sim::fluid::reference::simulate_flows_reference;
 use aps_sim::fluid::{max_min_rates, simulate_flows, FlowSpec};
 use proptest::prelude::*;
 
-/// Strategy: link capacities plus a set of flows over them. Paths are
-/// random in-order link subsequences, so sharing components of every shape
-/// appear: disjoint singletons, chains, and fully merged sets. A slice of
-/// degenerate flows (zero bytes / empty path) rides along.
+/// Strategy: link capacities plus a set of flows over them — one case in
+/// four shaped like an executor step ([`arb_step`]), the rest small random
+/// networks ([`arb_random`]).
 fn arb_network() -> impl Strategy<Value = (Vec<f64>, Vec<FlowSpec>)> {
+    (0usize..4).prop_flat_map(|shape| match shape {
+        0 => arb_step().boxed(),
+        _ => arb_random().boxed(),
+    })
+}
+
+/// Strategy: one step as the executor produces it — hundreds of
+/// equal-capacity links, one-hop flows on many of them, and a few ring arcs
+/// over the first `ring` links placed among the one-hop flows. Volumes are
+/// one to three multiples of a shared `m`, so bottleneck ties span
+/// components and completions come in a few rounds.
+fn arb_step() -> impl Strategy<Value = (Vec<f64>, Vec<FlowSpec>)> {
+    (100usize..300, 3usize..12).prop_flat_map(|(links, ring)| {
+        let hops = proptest::collection::vec((any::<bool>(), 1usize..4), links - ring);
+        let arcs = proptest::collection::vec((0..ring, 2..=ring, 1usize..4, 0..links), 1..6);
+        (1.0f64..1e3, 1.0f64..1e6, hops, arcs).prop_map(move |(cap, m, hops, arcs)| {
+            let mut specs: Vec<FlowSpec> = hops
+                .into_iter()
+                .enumerate()
+                .filter(|(_, (used, _))| *used)
+                .map(|(l, (_, k))| FlowSpec {
+                    bytes: m * k as f64,
+                    path: vec![ring + l],
+                })
+                .collect();
+            for (start, len, k, at) in arcs {
+                let path = (0..len).map(|h| (start + h) % ring).collect();
+                let at = at % (specs.len() + 1);
+                specs.insert(
+                    at,
+                    FlowSpec {
+                        bytes: m * k as f64,
+                        path,
+                    },
+                );
+            }
+            (vec![cap; links], specs)
+        })
+    })
+}
+
+/// Strategy: a small random network. Paths are random in-order link
+/// subsequences, so sharing components of every shape appear: disjoint
+/// singletons, chains, and fully merged sets. A slice of degenerate flows
+/// (zero bytes / empty path) rides along.
+fn arb_random() -> impl Strategy<Value = (Vec<f64>, Vec<FlowSpec>)> {
     (2usize..10).prop_flat_map(|links| {
         let caps = proptest::collection::vec(0.5f64..100.0, links);
         let flows = proptest::collection::vec(
@@ -117,7 +162,7 @@ proptest! {
         // across an arbitrary sequence of simulations (the executor's
         // steady-state pattern) is bit-identical to a fresh scratch per
         // call — no state leaks across steps of any shape sequence
-        // (growing, shrinking, degenerate).
+        // (growing, shrinking, degenerate, hundreds of links then a few).
         use aps_sim::fluid::simulate_flows_scratch;
         use aps_sim::FluidScratch;
 

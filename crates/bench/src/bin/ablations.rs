@@ -1,5 +1,4 @@
-//! Research-agenda ablations (A1–A7 and A9 in DESIGN.md; A8, the multi-port
-//! extension, lives in `aps-core::multiport` and its property tests).
+//! Research-agenda ablations A1–A7 and A9, one panel each.
 //!
 //! ```text
 //! cargo run -p aps-bench --release --bin ablations -- <which>

@@ -39,7 +39,6 @@ pub mod collective;
 pub mod dataflow;
 pub mod error;
 pub mod gather;
-pub mod multiport;
 pub mod reduce_scatter;
 pub mod scatter;
 pub mod schedule;

@@ -45,7 +45,6 @@ pub mod dp;
 pub mod error;
 pub mod explain;
 pub mod multibase;
-pub mod multiport;
 pub mod objective;
 pub mod policies;
 pub mod problem;

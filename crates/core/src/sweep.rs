@@ -113,35 +113,6 @@ impl SweepResult {
     }
 }
 
-/// Runs the sweep on a pool sized from `APS_THREADS` (see
-/// [`aps_par::Pool::from_env`]); identical to [`run_sweep_on`] otherwise.
-///
-/// # Errors
-///
-/// Propagates collective construction and routing errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `adaptive_photonics::Experiment::…::sweep(grid)` or `run_sweep_on` with an explicit pool"
-)]
-pub fn run_sweep(
-    base: &Topology,
-    build: impl Fn(f64) -> Result<Collective, CollectiveError> + Sync,
-    params: CostParams,
-    grid: &SweepGrid,
-    accounting: ReconfigAccounting,
-    solver: ThroughputSolver,
-) -> Result<SweepResult, CoreError> {
-    run_sweep_on(
-        &Pool::from_env(),
-        base,
-        build,
-        params,
-        grid,
-        accounting,
-        solver,
-    )
-}
-
 /// Runs the sweep on `pool` in two parallel phases:
 ///
 /// 1. **θ pricing** — the collectives of all rows are built, their step
@@ -234,7 +205,7 @@ pub fn run_sweep_on(
     })
 }
 
-/// One independent planning job for [`plan_schedules_on`]: a collective
+/// One independent planning job for [`plan_jobs_on`]: a collective
 /// bound to the base topology it would run on (jobs may differ in size —
 /// e.g. the tenants of a partitioned fabric).
 #[derive(Debug, Clone)]
@@ -294,34 +265,6 @@ pub fn plan_jobs_on(
             .with_accounting(accounting);
         domain.plan_with(&job.schedule, controller)
     })
-}
-
-/// Plans the eq. (7) optimum for every job on `pool` —
-/// [`plan_jobs_on`] under the [`crate::controller::DpPlanned`] controller.
-///
-/// # Errors
-///
-/// All jobs are evaluated; when several fail, the error of the lowest job
-/// index is returned.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `plan_jobs_on` with an explicit controller (e.g. `&DpPlanned`)"
-)]
-pub fn plan_schedules_on(
-    pool: &Pool,
-    jobs: &[PlanJob],
-    params: CostParams,
-    reconfig: ReconfigModel,
-) -> Result<Vec<(crate::SwitchSchedule, crate::CostReport)>, CoreError> {
-    plan_jobs_on(
-        pool,
-        jobs,
-        &crate::controller::DpPlanned,
-        params,
-        reconfig,
-        ReconfigAccounting::PaperConservative,
-        ThroughputSolver::ForcedPath,
-    )
 }
 
 #[cfg(test)]

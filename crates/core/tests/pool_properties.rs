@@ -1,13 +1,11 @@
-//! Property-based tests for the multi-base and multi-port extensions.
+//! Property-based tests for the multi-base extension.
 
-use aps_collectives::multiport::mirrored_ring_allreduce;
 use aps_core::multibase::build_multibase;
-use aps_core::multiport::build_multiport;
 use aps_core::objective::ReconfigAccounting;
 use aps_cost::{CostParams, ReconfigModel};
 use aps_flow::solver::ThroughputSolver;
 use aps_matrix::Matching;
-use aps_topology::{builders, Topology};
+use aps_topology::builders;
 use proptest::prelude::*;
 
 fn random_shift_schedule(n: usize, shifts: &[usize], bytes: &[f64]) -> aps_collectives::Schedule {
@@ -58,65 +56,5 @@ proptest! {
             prop_assert!((priced - cost).abs() < 1e-12 * (1.0 + cost));
             last = cost;
         }
-    }
-
-    #[test]
-    fn multiport_optimum_dominates_pure_policies(
-        m in 1e3f64..1e9,
-        alpha_r in 1e-7f64..1e-3,
-    ) {
-        let n = 8;
-        let mut base = Topology::new(n, "dual-ring");
-        for i in 0..n {
-            base.add_link(i, (i + 1) % n, 0.5).unwrap();
-            base.add_link(i, (i + n - 1) % n, 0.5).unwrap();
-        }
-        let mp = mirrored_ring_allreduce(n, m).unwrap();
-        let p = build_multiport(
-            &base,
-            &mp,
-            ThroughputSolver::ForcedPath,
-            CostParams::paper_defaults(),
-            ReconfigModel::constant(alpha_r).unwrap(),
-        )
-        .unwrap();
-        let s = p.num_steps();
-        let (flags, opt) = p.optimize(ReconfigAccounting::PaperConservative);
-        let all_base = p.evaluate(&vec![false; s]).unwrap();
-        let all_matched = p.evaluate(&vec![true; s]).unwrap();
-        prop_assert!(opt <= all_base + 1e-12);
-        prop_assert!(opt <= all_matched + 1e-12);
-        prop_assert!((p.evaluate(&flags).unwrap() - opt).abs() < 1e-12 * (1.0 + opt));
-    }
-
-    #[test]
-    fn multiport_and_singleport_agree_for_one_plane(
-        shifts in proptest::collection::vec(1usize..7, 1..8),
-        bytes in proptest::collection::vec(1e3f64..1e7, 8),
-        alpha_r in 1e-7f64..1e-4,
-    ) {
-        // A 1-plane multi-port problem is the ordinary problem: the DP
-        // optima must coincide.
-        let n = 8;
-        let schedule = random_shift_schedule(n, &shifts, &bytes[..shifts.len()]);
-        let base = builders::ring_unidirectional(n).unwrap();
-        let params = CostParams::paper_defaults();
-        let reconfig = ReconfigModel::constant(alpha_r).unwrap();
-        let mp = aps_collectives::multiport::MultiPortSchedule::mirrored(
-            std::slice::from_ref(&schedule),
-        ).unwrap();
-        let mpp = build_multiport(&base, &mp, ThroughputSolver::ForcedPath, params, reconfig)
-            .unwrap();
-        let (_, mp_cost) = mpp.optimize(ReconfigAccounting::PaperConservative);
-
-        let mut cache = aps_flow::solver::ThetaCache::new(&base, ThroughputSolver::ForcedPath);
-        let sp = aps_core::SwitchingProblem::build(&base, &schedule, &mut cache, params, reconfig)
-            .unwrap();
-        let (_, sp_report) =
-            aps_core::dp::optimize(&sp, ReconfigAccounting::PaperConservative).unwrap();
-        prop_assert!(
-            (mp_cost - sp_report.total_s()).abs() < 1e-12 * (1.0 + mp_cost),
-            "multiport {mp_cost} vs single {}", sp_report.total_s()
-        );
     }
 }

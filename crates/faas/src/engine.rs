@@ -15,7 +15,7 @@
 //! freed at instant *t* is visible to an arrival at *t*, and a job
 //! admitted at *t* joins the scheduler before any step at *t* commits —
 //! which is exactly what makes an all-arrive-at-t0 trace reproduce the
-//! closed-system tenant executor byte for byte.
+//! closed-system tenant run byte for byte.
 //!
 //! Everything folds into the O(1) [`ServiceSummary`]: per-class SLO
 //! counters and histograms, the global [`StreamSummary`](aps_sim::StreamSummary) step
@@ -178,7 +178,7 @@ struct LiveJob {
 /// Structural problems only ([`FaasError::NoClasses`],
 /// [`FaasError::BadClass`]). Per-job failures — stuck ports, unroutable
 /// pairs, malformed demand — are isolated into the SLO accounting
-/// (`failed` counts) exactly like the tenant executor isolates tenant
+/// (`failed` counts) exactly like the tenant run isolates tenant
 /// errors.
 pub fn run_service(
     fabric: &mut dyn Fabric,

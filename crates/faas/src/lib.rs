@@ -2,7 +2,7 @@
 //! where jobs arrive, are admitted onto a port partition, run their
 //! collective workload on the shared photonic fabric, and depart.
 //!
-//! The closed-system executors in `aps-sim` answer "how long does this
+//! The closed-system entry points in `aps-sim` answer "how long does this
 //! fixed tenant mix take?". This crate answers the operator's question:
 //! "what service does a *stream* of jobs get?" — goodput under an
 //! admission policy, p50/p99 job-completion latency per tenant class,

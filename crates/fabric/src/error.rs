@@ -29,6 +29,14 @@ pub enum FabricError {
     BadTuningDelay(f64),
     /// A wavelength-bank fabric was built with zero wavelength bands.
     EmptyWavelengthBank,
+    /// A reconfiguration requested at `now` would finish past the end of
+    /// the picosecond clock. The fabric is left as it was.
+    ClockOverflow {
+        /// When the reconfiguration was requested.
+        now: Picos,
+        /// How long it would take.
+        delay: Picos,
+    },
 }
 
 impl fmt::Display for FabricError {
@@ -51,6 +59,12 @@ impl fmt::Display for FabricError {
             }
             Self::EmptyWavelengthBank => {
                 write!(f, "wavelength bank needs at least one band")
+            }
+            Self::ClockOverflow { now, delay } => {
+                write!(
+                    f,
+                    "reconfiguration at t={now} ps taking {delay} ps runs past the end of the clock"
+                )
             }
         }
     }

@@ -42,7 +42,7 @@
 
 use crate::error::FabricError;
 use crate::switch::FabricStats;
-use crate::{Fabric, FabricState, ReconfigOutcome};
+use crate::{checked_ready_at, Fabric, FabricState, ReconfigOutcome};
 use aps_cost::units::{secs_to_picos, Picos};
 use aps_cost::ReconfigModel;
 use aps_matrix::Matching;
@@ -275,12 +275,12 @@ impl Fabric for HybridFabric {
         } else {
             0
         };
+        let ready_at = checked_ready_at(now, delay)?;
         if self.stuck.is_empty() {
             self.current.clone_from(&achieved);
         } else {
             self.current = achieved;
         }
-        let ready_at = now + delay;
         if ports_changed > 0 {
             self.stats.reconfigurations += 1;
             self.stats.busy_ps += delay;
@@ -322,6 +322,25 @@ mod tests {
         let opt = Matching::from_pairs(8, &[(4, 6), (6, 4)]).unwrap();
         let out = f.request(&opt, 0).unwrap();
         assert_eq!(out.ready_at, 5_000_000);
+    }
+
+    #[test]
+    fn an_optical_reconfiguration_past_the_clock_end_changes_nothing() {
+        let mut f = HybridFabric::split(Matching::empty(8), 4, model()).unwrap();
+        let now = Picos::MAX - 1;
+        let opt = Matching::from_pairs(8, &[(4, 6), (6, 4)]).unwrap();
+        assert_eq!(
+            f.request(&opt, now),
+            Err(FabricError::ClockOverflow {
+                now,
+                delay: 5_000_000
+            })
+        );
+        assert_eq!(f.current(), &Matching::empty(8));
+        assert_eq!(f.busy_until(), 0);
+        // The crossbar is instantaneous, so an electrical move still fits.
+        let elec = Matching::from_pairs(8, &[(0, 2), (2, 0)]).unwrap();
+        assert_eq!(f.request(&elec, now).unwrap().ready_at, now);
     }
 
     #[test]

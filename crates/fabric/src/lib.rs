@@ -76,6 +76,14 @@ pub struct ReconfigOutcome {
     pub ports_changed: usize,
 }
 
+/// When a reconfiguration requested at `now` and taking `delay` is ready.
+/// Device models compute this before touching their state, so a request
+/// that would run past the end of the clock leaves the fabric unchanged.
+fn checked_ready_at(now: Picos, delay: Picos) -> Result<Picos, FabricError> {
+    now.checked_add(delay)
+        .ok_or(FabricError::ClockOverflow { now, delay })
+}
+
 /// A reconfigurable photonic interconnect.
 pub trait Fabric {
     /// Port count.
@@ -89,7 +97,9 @@ pub trait Fabric {
     ///
     /// # Errors
     ///
-    /// Implementations reject dimension mismatches and overlapping requests.
+    /// Implementations reject dimension mismatches, overlapping requests,
+    /// and requests that would finish past the end of the picosecond clock
+    /// ([`FabricError::ClockOverflow`]); a rejected request changes nothing.
     fn request(&mut self, target: &Matching, now: Picos) -> Result<ReconfigOutcome, FabricError>;
 
     /// When the controller is free again: requests before this instant are

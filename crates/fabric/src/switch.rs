@@ -1,7 +1,7 @@
 //! Centrally-programmed photonic circuit switch.
 
 use crate::error::FabricError;
-use crate::{Fabric, FabricState, ReconfigOutcome};
+use crate::{checked_ready_at, Fabric, FabricState, ReconfigOutcome};
 use aps_cost::units::{secs_to_picos, Picos};
 use aps_cost::ReconfigModel;
 use aps_matrix::Matching;
@@ -162,18 +162,16 @@ impl Fabric for CircuitSwitch {
         }
         // Fault-free requests (the hot path) adopt the target in place via
         // `clone_from`, so a steady-state reconfiguration allocates nothing.
-        let ports_changed = if self.stuck.is_empty() {
-            let ports_changed = self.current.tx_ports_changed(target);
-            self.current.clone_from(target);
-            ports_changed
-        } else {
-            let achieved = self.achievable(target);
-            let ports_changed = self.current.tx_ports_changed(&achieved);
-            self.current = achieved;
-            ports_changed
-        };
+        let achieved = (!self.stuck.is_empty()).then(|| self.achievable(target));
+        let ports_changed = self
+            .current
+            .tx_ports_changed(achieved.as_ref().unwrap_or(target));
         let delay = secs_to_picos(self.model.delay_s(ports_changed) * self.slowdown);
-        let ready_at = now + delay;
+        let ready_at = checked_ready_at(now, delay)?;
+        match achieved {
+            Some(achieved) => self.current = achieved,
+            None => self.current.clone_from(target),
+        }
         if ports_changed > 0 {
             self.stats.reconfigurations += 1;
             self.stats.busy_ps += delay;
@@ -286,6 +284,29 @@ mod tests {
             .request_when_free(&shift(8, 4), out2.ready_at + 7)
             .unwrap();
         assert_eq!(granted, out2.ready_at + 7);
+    }
+
+    #[test]
+    fn a_reconfiguration_past_the_clock_end_changes_nothing() {
+        for stuck in [None, Some(0)] {
+            let mut sw = CircuitSwitch::new(shift(8, 1), ReconfigModel::constant(1e-6).unwrap());
+            if let Some(p) = stuck {
+                sw.stick_port(p).unwrap();
+            }
+            let now = Picos::MAX - 500_000;
+            assert_eq!(
+                sw.request(&shift(8, 3), now),
+                Err(FabricError::ClockOverflow {
+                    now,
+                    delay: 1_000_000
+                })
+            );
+            assert_eq!(sw.current(), &shift(8, 1));
+            assert_eq!(sw.busy_until(), 0);
+            assert_eq!(sw.stats().reconfigurations, 0);
+            // A no-op takes no time, so it still fits.
+            assert_eq!(sw.request(&shift(8, 1), now).unwrap().ready_at, now);
+        }
     }
 
     #[test]

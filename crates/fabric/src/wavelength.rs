@@ -9,7 +9,7 @@
 //! controller overhead.
 
 use crate::error::FabricError;
-use crate::{Fabric, FabricState, ReconfigOutcome};
+use crate::{checked_ready_at, Fabric, FabricState, ReconfigOutcome};
 use aps_cost::units::{secs_to_picos, Picos};
 use aps_matrix::Matching;
 
@@ -128,7 +128,7 @@ impl Fabric for WavelengthFabric {
             .map(|p| self.tuning_s[p])
             .fold(0.0f64, f64::max);
         let ports_changed = self.current.tx_ports_changed(target);
-        let ready_at = now + secs_to_picos(slowest);
+        let ready_at = checked_ready_at(now, secs_to_picos(slowest))?;
         self.current.clone_from(target);
         self.busy_until = ready_at;
         Ok(ReconfigOutcome {
@@ -181,6 +181,21 @@ mod tests {
         let out = f.request(&shift(8, 1), 7).unwrap();
         assert_eq!(out.ready_at, 7);
         assert_eq!(out.ports_changed, 0);
+    }
+
+    #[test]
+    fn a_retune_past_the_clock_end_changes_nothing() {
+        let mut f = WavelengthFabric::uniform(shift(8, 1), 2e-6).unwrap();
+        let now = Picos::MAX - 1;
+        assert_eq!(
+            f.request(&shift(8, 3), now),
+            Err(FabricError::ClockOverflow {
+                now,
+                delay: 2_000_000
+            })
+        );
+        assert_eq!(f.current(), &shift(8, 1));
+        assert_eq!(f.busy_until(), 0);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! ```
 
 use crate::error::FabricError;
-use crate::{Fabric, FabricState, ReconfigOutcome};
+use crate::{checked_ready_at, Fabric, FabricState, ReconfigOutcome};
 use aps_cost::units::{secs_to_picos, Picos};
 use aps_matrix::Matching;
 
@@ -209,7 +209,7 @@ impl Fabric for WavelengthBankFabric {
             .map(|p| self.port_settle_s(p, target.dst_of(p)))
             .fold(0.0f64, f64::max);
         let ports_changed = self.current.tx_ports_changed(target);
-        let ready_at = now + secs_to_picos(slowest);
+        let ready_at = checked_ready_at(now, secs_to_picos(slowest))?;
         self.current.clone_from(target);
         self.busy_until = ready_at;
         Ok(ReconfigOutcome {
@@ -238,6 +238,21 @@ mod tests {
         let out = f.request(&shift(8, 3), 0).unwrap();
         assert_eq!(out.ready_at, secs_to_picos(4e-6));
         assert_eq!(out.ports_changed, 8);
+    }
+
+    #[test]
+    fn a_band_hop_past_the_clock_end_changes_nothing() {
+        let mut f = bank(8);
+        let now = Picos::MAX - 1;
+        assert_eq!(
+            f.request(&shift(8, 3), now),
+            Err(FabricError::ClockOverflow {
+                now,
+                delay: secs_to_picos(4e-6)
+            })
+        );
+        assert_eq!(f.current(), &shift(8, 1));
+        assert_eq!(f.busy_until(), 0);
     }
 
     #[test]

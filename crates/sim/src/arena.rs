@@ -6,7 +6,7 @@
 //! rates, remaining volumes, active sets, the component walk and max-min
 //! solver scratch and the link→flows sharing index — lives in one
 //! long-lived [`StepScratch`] owned by the executor and recycled across
-//! steps (the executors keep their reconfiguration-target buffers next to
+//! steps (the executor keeps its reconfiguration-target buffers next to
 //! it). Buffers are dense index-based SoA (flow `i`'s path is a CSR slice,
 //! not a `Vec` per flow, and there is no `Box<dyn>` anywhere per flow or
 //! per link), so a step is a handful of `clear()`s plus in-place pushes

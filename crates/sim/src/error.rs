@@ -40,7 +40,7 @@ pub enum SimError {
         port: usize,
     },
     /// The base topology is not realizable as a single circuit
-    /// configuration, so a streaming executor cannot derive the fabric
+    /// configuration, so a streaming run cannot derive the fabric
     /// state `ConfigChoice::Base` steps target.
     BaseNotACircuit,
     /// Assembling a global circuit configuration from tenant-local pieces
@@ -51,9 +51,9 @@ pub enum SimError {
         /// The underlying matching-construction failure.
         source: aps_matrix::MatrixError,
     },
-    /// θ pricing of a streamed step failed on the base topology (the
-    /// streaming executors price each pulled step for the controller's
-    /// observation window).
+    /// θ pricing of a streamed step failed on the base topology (streaming
+    /// runs price each pulled step for the controller's observation
+    /// window).
     Pricing {
         /// Global stream index of the step.
         step: usize,
@@ -61,19 +61,31 @@ pub enum SimError {
         source: aps_flow::FlowError,
     },
     /// A streamed step carried a negative or non-finite volume. Workloads
-    /// are trusted streams, not validated schedules, so the executors
-    /// check each pulled step.
+    /// are trusted streams, not validated schedules, so the step engine
+    /// checks each pulled step.
     BadStepVolume {
         /// Global stream index of the step.
         step: usize,
         /// The offending volume.
         bytes: f64,
     },
+    /// A tenant's arrival time is negative, not finite, or past the end of
+    /// the picosecond clock.
+    BadArrival {
+        /// The offending arrival, in seconds.
+        seconds: f64,
+    },
+    /// A simulated clock would run past the end of the `u64` picosecond
+    /// range while executing a step.
+    ClockOverflow {
+        /// Index of the step within its stream.
+        step: usize,
+    },
     /// A simulation error attributed to one tenant of a multi-tenant run.
     /// Other tenants sharing the fabric are unaffected and complete
     /// normally.
     Tenant {
-        /// Tenant index in the `run_tenants` input.
+        /// Tenant index in the `execute_tenants` input.
         tenant: usize,
         /// Tenant name, for log triage.
         name: String,
@@ -125,6 +137,15 @@ impl fmt::Display for SimError {
                     f,
                     "step {step}: streamed volume {bytes} must be finite and non-negative"
                 )
+            }
+            Self::BadArrival { seconds } => {
+                write!(
+                    f,
+                    "arrival at {seconds} s is not a time on the picosecond clock"
+                )
+            }
+            Self::ClockOverflow { step } => {
+                write!(f, "step {step}: the simulated clock overflowed")
             }
             Self::Tenant {
                 tenant,

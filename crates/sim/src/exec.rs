@@ -1,7 +1,10 @@
-//! Collective execution on a reconfigurable fabric.
+//! Collective execution on a reconfigurable fabric: the step engine and
+//! the single-collective entry points.
 //!
-//! Two single-collective entrypoints share one step engine
-//! (the private `execute_step`):
+//! `execute_step` (crate-private) runs one step's timeline; the only
+//! caller is [`crate::service::ServiceExecutor::execute_next`]. The
+//! entry points here admit one job that owns every fabric port and drain
+//! it through that executor:
 //!
 //! * [`run_scheduled`] executes a *precomputed* [`SwitchSchedule`] (e.g.
 //!   a controller's plan, or a hand-written decision vector);
@@ -16,17 +19,16 @@ use crate::arena::{StepScratch, UNUSED};
 use crate::error::SimError;
 use crate::fluid::simulate_flows_scratch;
 use crate::report::{SimReport, StepReport};
+use crate::service::{Decider, Demand, Job, ServiceExecutor};
 use crate::trace::{TraceEvent, TraceKind};
 use aps_collectives::Schedule;
-use aps_core::controller::{Controller, StepObservation};
-use aps_core::{ConfigChoice, ReconfigAccounting, SwitchSchedule, SwitchingProblem};
+use aps_core::controller::Controller;
+use aps_core::{ReconfigAccounting, SwitchSchedule, SwitchingProblem};
 use aps_cost::units::{secs_to_picos, Picos};
 use aps_cost::CostParams;
-use aps_fabric::{BarrierModel, Fabric, ReconfigOutcome};
+use aps_fabric::{BarrierModel, Fabric, FabricError, ReconfigOutcome};
 use aps_matrix::Matching;
 
-#[allow(deprecated)]
-pub use crate::tenant::run_tenants;
 pub use crate::tenant::{execute_tenants, TenantReport, TenantSpec};
 
 /// Reduction compute following each step's communication.
@@ -100,9 +102,11 @@ pub(crate) struct StepInput<'a> {
 
 /// When the step's reconfiguration request would reach the fabric: with
 /// overlap enabled, as soon as the previous step's flows drain; otherwise
-/// once the control path (barrier + α) arrives. The tenant scheduler
-/// orders tenants by exactly this instant, so it must stay the single
-/// source of truth for both executors.
+/// once the control path (barrier + α) arrives. The executor orders jobs
+/// and stamps decisions by exactly this instant, and [`execute_step`]
+/// requests at it, so it must stay their single source of truth. It
+/// saturates at the end of the clock, which only orders a job last:
+/// [`execute_step`] reports the overflow.
 pub(crate) fn natural_request_at(
     cfg: &RunConfig,
     barrier_n: usize,
@@ -111,8 +115,8 @@ pub(crate) fn natural_request_at(
     gpu_free: Picos,
 ) -> Picos {
     let control_ready = gpu_free
-        + secs_to_picos(cfg.barrier.latency_s(barrier_n))
-        + secs_to_picos(cfg.params.alpha_s);
+        .saturating_add(secs_to_picos(cfg.barrier.latency_s(barrier_n)))
+        .saturating_add(secs_to_picos(cfg.params.alpha_s));
     if cfg.overlap_reconfig_with_compute && !first {
         comm_end.min(control_ready)
     } else {
@@ -126,43 +130,45 @@ pub(crate) fn natural_request_at(
 ///
 /// A step whose target is already the fabric's current configuration never
 /// touches the controller: its circuits are in place, so it neither waits
-/// for nor contends with other tenants' reconfigurations. Every other
-/// request depends on `arbitrate`: the multi-tenant executor passes `true`
-/// and the request queues behind an in-flight reconfiguration via
-/// [`Fabric::request_when_free`], recording the wait as `arbitration_ps`;
-/// a collective running a fabric alone passes `false` and a busy fabric is
-/// a hard [`aps_fabric::FabricError::Busy`] error, exactly as in the seed
-/// executor.
-#[allow(clippy::too_many_arguments)] // internal engine entry: clocks + buffers are deliberately explicit
+/// for nor contends with other jobs' reconfigurations. Every other request
+/// queues behind an in-flight reconfiguration via
+/// [`Fabric::request_when_free`], and the wait is recorded as
+/// `arbitration_ps`.
+///
+/// Every clock addition is checked, the fabric's reconfiguration included:
+/// a step that would run past the end of the picosecond clock fails with
+/// [`SimError::ClockOverflow`].
 pub(crate) fn execute_step(
     fabric: &mut dyn Fabric,
     input: &StepInput<'_>,
     cfg: &RunConfig,
-    arbitrate: bool,
     comm_end: Picos,
     gpu_free: Picos,
     report: &mut SimReport,
     scratch: &mut StepScratch,
 ) -> Result<(Picos, Picos), SimError> {
+    let clock = |t: Option<Picos>| t.ok_or(SimError::ClockOverflow { step: input.step });
     let bandwidth = cfg.params.bandwidth_bytes_per_sec();
     let barrier_ps = secs_to_picos(cfg.barrier.latency_s(input.barrier_n));
     let alpha_ps = secs_to_picos(cfg.params.alpha_s);
 
     // Control path: compute → barrier → α.
+    let barrier_done = clock(gpu_free.checked_add(barrier_ps))?;
     if barrier_ps > 0 {
         report.trace.push(TraceEvent {
-            at: gpu_free + barrier_ps,
+            at: barrier_done,
             kind: TraceKind::Barrier,
         });
     }
-    let control_ready = gpu_free + barrier_ps + alpha_ps;
+    let control_ready = clock(barrier_done.checked_add(alpha_ps))?;
 
     // Reconfiguration path: overlapped requests start as soon as the
     // previous step's flows drain (the fabric is idle while GPUs
     // compute); otherwise the fabric is asked only once control
     // arrives. A request queues behind an in-flight reconfiguration by
-    // another tenant — unless the circuits are already in place, in which
-    // case the controller is never involved.
+    // another job — unless the circuits are already in place, in which
+    // case the controller is never involved. The control path fits the
+    // clock, so the natural request does not saturate.
     let natural_request = natural_request_at(cfg, input.barrier_n, input.first, comm_end, gpu_free);
     let (request_at, outcome) = if fabric.current() == input.target {
         let outcome = ReconfigOutcome {
@@ -170,11 +176,13 @@ pub(crate) fn execute_step(
             ports_changed: 0,
         };
         (natural_request, outcome)
-    } else if arbitrate {
-        fabric.request_when_free(input.target, natural_request)?
     } else {
-        let outcome = fabric.request(input.target, natural_request)?;
-        (natural_request, outcome)
+        fabric
+            .request_when_free(input.target, natural_request)
+            .map_err(|e| match e {
+                FabricError::ClockOverflow { .. } => SimError::ClockOverflow { step: input.step },
+                e => SimError::Fabric(e),
+            })?
     };
     let arbitration_ps = request_at - natural_request;
     if arbitration_ps > 0 {
@@ -275,7 +283,7 @@ pub(crate) fn execute_step(
         }
         secs_to_picos(worst_s)
     };
-    let comm_end = flows_start + transfer_ps;
+    let comm_end = clock(flows_start.checked_add(transfer_ps))?;
     report.trace.push(TraceEvent {
         at: comm_end,
         kind: TraceKind::StepDone { step: input.step },
@@ -283,23 +291,20 @@ pub(crate) fn execute_step(
 
     // Compute phase on the received data.
     let compute_ps = match cfg.compute {
-        Some(c) if !input.pairs.is_empty() => {
-            let d = secs_to_picos(c.per_byte_s * input.bytes_per_pair);
-            if d > 0 {
-                report.trace.push(TraceEvent {
-                    at: comm_end,
-                    kind: TraceKind::ComputeStart,
-                });
-                report.trace.push(TraceEvent {
-                    at: comm_end + d,
-                    kind: TraceKind::ComputeDone,
-                });
-            }
-            d
-        }
+        Some(c) if !input.pairs.is_empty() => secs_to_picos(c.per_byte_s * input.bytes_per_pair),
         _ => 0,
     };
-    let gpu_free = comm_end + compute_ps;
+    let gpu_free = clock(comm_end.checked_add(compute_ps))?;
+    if compute_ps > 0 {
+        report.trace.push(TraceEvent {
+            at: comm_end,
+            kind: TraceKind::ComputeStart,
+        });
+        report.trace.push(TraceEvent {
+            at: gpu_free,
+            kind: TraceKind::ComputeDone,
+        });
+    }
 
     report.steps.push(StepReport {
         barrier_ps,
@@ -324,9 +329,12 @@ pub(crate) fn execute_step(
 /// For per-step online decisions see [`run_adaptive`]; for several jobs
 /// sharing one fabric see [`crate::tenant::execute_tenants`].
 ///
+/// [`ConfigChoice::Base`]: aps_core::ConfigChoice::Base
+/// [`ConfigChoice::Matched`]: aps_core::ConfigChoice::Matched
+///
 /// # Errors
 ///
-/// Fails on dimension/length mismatches, fabric refusals, or a pair that
+/// Fails on dimension/length mismatches, fabric errors, or a pair that
 /// cannot be routed on the achieved circuit topology (possible under fault
 /// injection).
 pub fn run_scheduled(
@@ -343,7 +351,7 @@ pub fn run_scheduled(
         });
     }
     // The materialized path is the trivial stream: a cursor over the
-    // schedule's steps, pulled on demand by the shared streaming core.
+    // schedule's steps, pulled on demand.
     crate::stream::run_scheduled_workload(
         fabric,
         base_config,
@@ -366,7 +374,7 @@ pub fn run_scheduled(
 ///
 /// # Errors
 ///
-/// Fails on dimension mismatches, fabric refusals, or unroutable pairs,
+/// Fails on dimension mismatches, fabric errors, or unroutable pairs,
 /// exactly like [`run_scheduled`].
 pub fn run_adaptive(
     fabric: &mut dyn Fabric,
@@ -382,78 +390,18 @@ pub fn run_adaptive(
             collective: problem.n,
         });
     }
-
-    let mut report = SimReport::default();
-    let mut comm_end: Picos = 0;
-    let mut gpu_free: Picos = 0;
-    let mut prev = ConfigChoice::Base;
-    let mut choices = Vec::with_capacity(problem.num_steps());
-    let mut scratch = StepScratch::new();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-
-    for (i, step) in problem.steps.iter().enumerate() {
-        let obs = StepObservation::new(problem, accounting, i, prev);
-        let choice = controller.decide(&obs);
-        let matched = choice == ConfigChoice::Matched;
-        // Stamp the decision no later than the step's natural fabric
-        // request: under reconfigure/compute overlap that request fires
-        // when the previous step's flows drain (before the GPUs are
-        // free), and the decision must precede its own ReconfigStart.
-        let decided_at =
-            natural_request_at(cfg, problem.n, i == 0, comm_end, gpu_free).min(gpu_free);
-        report.trace.push(TraceEvent {
-            at: decided_at,
-            kind: TraceKind::Decision {
-                step: i,
-                matched,
-                why: controller.explain(&obs, choice),
-            },
-        });
-        pairs.clear();
-        pairs.extend(step.matching.pairs());
-        let input = StepInput {
-            step: i,
-            matched,
-            target: if matched { &step.matching } else { base_config },
-            pairs: &pairs,
-            bytes_per_pair: step.bytes,
-            barrier_n: problem.n,
-            first: i == 0,
-        };
-        (comm_end, gpu_free) = execute_step(
-            fabric,
-            &input,
-            cfg,
-            false,
-            comm_end,
-            gpu_free,
-            &mut report,
-            &mut scratch,
-        )?;
-        choices.push(choice);
-        prev = choice;
-    }
-    report.total_ps = gpu_free;
-    Ok((SwitchSchedule::new(choices), report))
-}
-
-/// Executes `schedule` under `switch_schedule` against the fabric.
-///
-/// # Errors
-///
-/// See [`run_scheduled`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `adaptive_photonics::Experiment::…::simulate()` or `run_scheduled`"
-)]
-pub fn run_collective(
-    fabric: &mut dyn Fabric,
-    base_config: &Matching,
-    schedule: &Schedule,
-    switch_schedule: &SwitchSchedule,
-    cfg: &RunConfig,
-) -> Result<SimReport, SimError> {
-    run_scheduled(fabric, base_config, schedule, switch_schedule, cfg)
+    let job = Job::lone(
+        problem.n,
+        base_config.clone(),
+        Demand::Problem(problem),
+        Decider::Problem {
+            problem,
+            controller,
+            accounting,
+        },
+    );
+    let run = ServiceExecutor::run_alone(fabric, cfg, true, job, None)?;
+    Ok((SwitchSchedule::new(run.choices), run.report))
 }
 
 #[cfg(test)]

@@ -64,16 +64,6 @@ pub fn run_trial_batch(pool: &Pool, trials: &[Trial]) -> Result<Vec<SimReport>, 
     pool.try_map(trials, |_, trial| trial.run())
 }
 
-/// Runs every trial on `pool`; `reports[i]` corresponds to `trials[i]`.
-///
-/// # Errors
-///
-/// See [`run_trial_batch`].
-#[deprecated(since = "0.2.0", note = "use `run_trial_batch`")]
-pub fn run_trials(pool: &Pool, trials: &[Trial]) -> Result<Vec<SimReport>, SimError> {
-    run_trial_batch(pool, trials)
-}
-
 /// One multi-tenant simulator run: a [`crate::Scenario`] on a fresh fabric with
 /// `reconfig` pricing (see [`crate::scenarios`]).
 #[derive(Debug, Clone)]

@@ -27,21 +27,27 @@
 //! root).
 
 //!
-//! Two single-collective executors share the step engine:
-//! [`exec::run_scheduled`] replays a precomputed switch schedule, and
-//! [`exec::run_adaptive`] consults an [`aps_core::controller::Controller`]
-//! step by step, tagging the trace with each decision's rationale
-//! ([`TraceKind::Decision`]). Both have streaming faces in [`stream`]:
-//! demand is pulled lazily from any [`aps_collectives::Workload`]
-//! ([`stream::run_scheduled_workload`], [`stream::run_workload`]), so
-//! open-ended training loops and traffic generators execute in O(1)
-//! schedule memory — [`stream::run_workload_totals`] keeps even the
-//! report O(1) for million-step runs. Beyond single collectives, the
-//! [`tenant`] module executes several jobs sharing one fabric (disjoint
-//! port partitions, arbitrated controller, per-tenant demand pulled
-//! through the same workload cursors) and [`scenarios`] packages named
-//! multi-tenant workload mixes — plannable under any controller via
-//! [`Scenario::plan_with`] — for the bench harness.
+//! One step loop executes every run:
+//! [`service::ServiceExecutor::execute_next`]. Each entry point admits
+//! one or more jobs into a [`ServiceExecutor`] and drains it, each job
+//! with its own decision source:
+//!
+//! * [`exec::run_scheduled`] replays a precomputed switch schedule and
+//!   [`exec::run_adaptive`] consults an
+//!   [`aps_core::controller::Controller`] step by step, tagging the trace
+//!   with each decision's rationale ([`TraceKind::Decision`]);
+//! * their streaming faces in [`stream`] pull demand lazily from any
+//!   [`aps_collectives::Workload`] ([`stream::run_scheduled_workload`],
+//!   [`stream::run_workload`]), so open-ended training loops and traffic
+//!   generators execute in O(1) schedule memory —
+//!   [`stream::run_workload_totals`] keeps even the report O(1) for
+//!   million-step runs;
+//! * [`tenant::execute_tenants`] runs several jobs sharing one fabric
+//!   (disjoint port partitions, arbitrated controller), and [`scenarios`]
+//!   packages named multi-tenant workload mixes — plannable under any
+//!   controller via [`Scenario::plan_with`] — for the bench harness;
+//! * the `aps-faas` service engine admits and removes jobs as they arrive
+//!   and depart.
 //!
 //! All of this is normally reached through the
 //! `adaptive_photonics::Experiment` facade at the workspace root.
@@ -71,16 +77,8 @@ pub use service::{
     Admission, Departure, JobOutcome, ServiceExecutor, ServiceJobSpec, ServiceSwitching,
 };
 pub use stream::{
-    run_scheduled_workload, run_scheduled_workload_recorded, run_workload, run_workload_recorded,
-    run_workload_segment, run_workload_totals, StreamCheckpoint, StreamPricing, StreamSummary,
+    run_scheduled_workload, run_workload, run_workload_recorded, run_workload_segment,
+    run_workload_totals, StreamCheckpoint, StreamPricing, StreamSummary,
 };
 pub use tenant::{execute_tenants, execute_tenants_recorded, TenantReport, TenantSpec};
 pub use trace::{TraceEvent, TraceKind};
-
-// Deprecated shims, re-exported for downstream compatibility.
-#[allow(deprecated)]
-pub use exec::run_collective;
-#[allow(deprecated)]
-pub use harness::run_trials;
-#[allow(deprecated)]
-pub use tenant::run_tenants;

@@ -1,27 +1,29 @@
-//! The recording hook the executors call after every committed step.
+//! The recording hook the step engine calls after every committed step.
 //!
 //! Deterministic replay (the `aps-replay` crate) needs to observe each
 //! step exactly as it was executed: the controller's decision, the timing
 //! report, the trace events the step emitted, and the fabric state left
 //! behind. Rather than coupling the simulator to a record format, the
-//! executors accept an optional [`RecordSink`] — `None` costs nothing
-//! (the hot loops never build a [`StepRecord`] without a sink), and any
-//! implementation sees a faithful per-step feed:
+//! entry points accept an optional [`RecordSink`] — `None` costs nothing
+//! (the step never builds a [`StepRecord`] without a sink), and any
+//! implementation sees a faithful per-step feed from
+//! [`crate::service::ServiceExecutor::execute_next`]:
 //!
-//! * [`crate::stream::run_scheduled_workload_recorded`] and
-//!   [`crate::stream::run_workload_recorded`] deliver one record per
+//! * [`crate::stream::run_workload_recorded`] delivers one record per
 //!   streamed step (`tenant: None`);
 //! * [`crate::stream::run_workload_segment`] does the same for the O(1)
 //!   totals path, including resumed segments;
 //! * [`crate::tenant::execute_tenants_recorded`] delivers records in
-//!   global execution order, tagged with the tenant index.
+//!   global execution order, tagged with the tenant index;
+//! * a [`crate::service::ServiceExecutor`] driven directly (the `aps-faas`
+//!   engine) tags each record with the executing job's slot.
 //!
 //! The trace slice contains exactly the events the step appended, in
 //! order — for adaptive runs that includes the step's
 //! [`crate::trace::TraceKind::Decision`] event, even on the totals path
 //! (which otherwise keeps no trace): recording synthesizes it so a record
 //! taken through `run_workload_segment` is bit-identical to one taken
-//! through the full-report executor.
+//! through the full-report run.
 
 use crate::report::StepReport;
 use crate::trace::TraceEvent;
@@ -50,7 +52,7 @@ pub struct StepRecord<'a> {
 /// A per-step recording hook; see the [module docs](self).
 ///
 /// Implementations must be infallible and side-effect-free with respect
-/// to the simulation: the executors call them *after* a step commits, and
+/// to the simulation: the step engine calls them *after* a step commits, and
 /// nothing the sink does can alter the run.
 pub trait RecordSink {
     /// Observes one committed step.

@@ -1,25 +1,38 @@
-//! Open-system execution: jobs admitted, executed, and removed over
-//! simulated time.
+//! The step engine: jobs admitted, executed, and removed over simulated
+//! time on one shared fabric.
 //!
-//! [`crate::tenant::execute_tenants`] drains a *closed* job set — every
-//! tenant is known up front and runs to completion. This module is its
-//! open-system face: a [`ServiceExecutor`] holds a mutable population of
-//! jobs over slot-indexed state, so a caller (the `aps-faas` engine) can
-//! [`admit`](ServiceExecutor::admit) a job when it arrives, interleave
-//! everyone's steps in deterministic earliest-request order, and
-//! [`remove`](ServiceExecutor::remove) the job when its demand stream
-//! runs dry — reclaiming its fabric ports for the next arrival.
+//! A [`ServiceExecutor`] holds a mutable population of jobs over
+//! slot-indexed state, and every simulator entry point runs through it:
 //!
-//! ## Lockstep parity
+//! * the `aps-faas` engine [`admit`](ServiceExecutor::admit)s a job when it
+//!   arrives, interleaves everyone's steps in deterministic
+//!   earliest-request order, and [`remove`](ServiceExecutor::remove)s the
+//!   job when its demand stream runs dry — reclaiming its fabric ports for
+//!   the next arrival;
+//! * [`execute_tenants`](crate::tenant::execute_tenants) admits a closed
+//!   tenant set, each tenant at its arrival, and drains it;
+//! * the single-collective entry points of [`crate::exec`] and
+//!   [`crate::stream`] admit one job that owns every port and drain it.
 //!
-//! The step engine is byte-for-byte the tenant executor's: the same
-//! `execute_step` core, the same `natural_request_at` scheduler
-//! instant, the same `tenant_target` overlay assembly, the same
-//! per-job clock seeding. A service run whose jobs are all admitted at
-//! t = 0 and never depart mid-run therefore reproduces
-//! [`execute_tenants`](crate::tenant::execute_tenants) **bit-identically**
-//! — per-step reports, traces, record frames, and finish times — which
-//! the workspace's differential suite pins at `APS_THREADS` 1 and 4.
+//! ## One step loop
+//!
+//! [`ServiceExecutor::execute_next`] is the only place a step runs: it
+//! picks the job whose next fabric request is earliest, asks the job's
+//! decision source for the step's [`ConfigChoice`], builds the
+//! reconfiguration target, executes the step's timeline, folds the report,
+//! records the step, and pulls the job's next step. A decision source is
+//! one of
+//!
+//! * a [`ServiceSwitching`]: a precomputed schedule or one uniform choice;
+//! * a controller observing the full eq. (7) problem
+//!   ([`run_adaptive`](crate::exec::run_adaptive));
+//! * a controller observing the two-step priced window of a streamed
+//!   workload, with its θ cache
+//!   ([`run_workload`](crate::stream::run_workload)).
+//!
+//! A controller's decision lands in the trace as a
+//! [`TraceKind::Decision`] event, rationale attached, whenever the
+//! executor keeps full reports or a [`RecordSink`] is attached.
 //!
 //! ## Steady-state allocation behavior
 //!
@@ -35,13 +48,18 @@ use crate::error::SimError;
 use crate::exec::{execute_step, natural_request_at, RunConfig, StepInput};
 use crate::record::{RecordSink, StepRecord};
 use crate::report::SimReport;
-use crate::stream::{validate_step, StreamSummary};
+use crate::stream::{validate_step, StreamCheckpoint, StreamPricing, StreamSummary};
 use crate::tenant::{tenant_target, TargetScratch};
+use crate::trace::{TraceEvent, TraceKind};
 use aps_collectives::{Step, Workload, WorkloadCtx};
-use aps_core::{ConfigChoice, SwitchSchedule};
+use aps_core::controller::{Controller, StepObservation};
+use aps_core::{ConfigChoice, ReconfigAccounting, SwitchSchedule, SwitchingProblem};
+use aps_cost::steptable::StepCosts;
 use aps_cost::units::Picos;
 use aps_fabric::Fabric;
+use aps_flow::solver::ThetaCache;
 use aps_matrix::Matching;
+use aps_topology::Topology;
 
 /// Per-step base/matched choices for a service job: either a precomputed
 /// per-step schedule (must cover the job's whole stream) or one uniform
@@ -79,6 +97,253 @@ pub struct ServiceJobSpec {
     pub workload: Box<dyn Workload>,
     /// Per-step base/matched choices.
     pub switching: ServiceSwitching,
+}
+
+/// Where a job's steps come from.
+pub(crate) enum Demand<'a> {
+    /// A workload the job owns. Reached through `as_ref`/`as_mut`: the
+    /// box itself implements [`Workload`] only when `'a` is `'static`.
+    Owned(Box<dyn Workload + 'a>),
+    /// A caller's workload, borrowed for the run.
+    Borrowed(&'a mut dyn Workload),
+    /// The steps of a materialized eq. (7) problem.
+    Problem(&'a SwitchingProblem),
+}
+
+impl Demand<'_> {
+    fn n(&self) -> usize {
+        match self {
+            Self::Owned(w) => w.as_ref().n(),
+            Self::Borrowed(w) => w.n(),
+            Self::Problem(p) => p.n,
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Self::Owned(w) => w.as_ref().size_hint(),
+            Self::Borrowed(w) => w.size_hint(),
+            Self::Problem(p) => (p.steps.len(), Some(p.steps.len())),
+        }
+    }
+
+    /// Pulls step `i` into `out`; `false` once the demand is exhausted.
+    fn pull(&mut self, i: usize, out: &mut Step) -> bool {
+        let ctx = WorkloadCtx::at(i);
+        match self {
+            Self::Owned(w) => w.as_mut().next_step_into(&ctx, out),
+            Self::Borrowed(w) => w.next_step_into(&ctx, out),
+            Self::Problem(p) => match p.steps.get(i) {
+                Some(s) => {
+                    out.matching.clone_from(&s.matching);
+                    out.bytes_per_pair = s.bytes;
+                    true
+                }
+                None => false,
+            },
+        }
+    }
+
+    /// Rewinds the demand and pulls its first `steps` steps, the last one
+    /// into `out` — the [`Workload::reset`] replay contract that restores a
+    /// checkpointed stream's cursor.
+    fn replay(&mut self, steps: usize, out: &mut Step) -> Result<(), SimError> {
+        match self {
+            Self::Owned(w) => w.as_mut().reset(),
+            Self::Borrowed(w) => w.reset(),
+            Self::Problem(_) => {}
+        }
+        for j in 0..steps {
+            if !self.pull(j, out) {
+                // The stream replayed shorter than the checkpoint claims:
+                // the reset contract was violated, or the checkpoint
+                // belongs to a different workload.
+                return Err(SimError::ScheduleLengthMismatch {
+                    expected: steps,
+                    got: j,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A controller's view of a streamed workload: the current and the
+/// previous step, priced on the base topology. The previous step lets
+/// transition charges see the real previous matching.
+pub(crate) struct PricedWindow<'a> {
+    base: &'a Topology,
+    cache: ThetaCache,
+    /// At most two steps, the newest last; also carries the base circuit
+    /// configuration.
+    window: SwitchingProblem,
+    controller: &'a dyn Controller,
+    accounting: ReconfigAccounting,
+}
+
+impl<'a> PricedWindow<'a> {
+    /// An empty window over `base`, realized as `base_config`.
+    pub(crate) fn new(
+        base: &'a Topology,
+        base_config: Matching,
+        controller: &'a dyn Controller,
+        pricing: &StreamPricing,
+        cfg: &RunConfig,
+    ) -> Self {
+        Self {
+            base,
+            cache: ThetaCache::new(base, pricing.solver),
+            window: SwitchingProblem {
+                n: base.n(),
+                params: cfg.params,
+                reconfig: pricing.reconfig,
+                base_config: Some(base_config),
+                steps: Vec::with_capacity(2),
+            },
+            controller,
+            accounting: pricing.accounting,
+        }
+    }
+
+    /// Prices step `i` and slides it into the window as the newest step.
+    fn push(&mut self, i: usize, step: &Step) -> Result<(), SimError> {
+        validate_step(i, self.window.n, step)?;
+        let t = self
+            .cache
+            .get(self.base, &step.matching)
+            .map_err(|source| SimError::Pricing { step: i, source })?;
+        // Two-slot sliding window: once warm, recycle the oldest slot in
+        // place (`clone_from` reuses the matching's buffer).
+        if self.window.steps.len() < 2 {
+            self.window.steps.push(StepCosts {
+                matching: step.matching.clone(),
+                bytes: step.bytes_per_pair,
+                theta_base: t.theta,
+                ell_base: t.max_hops,
+            });
+        } else {
+            self.window.steps.swap(0, 1);
+            let slot = &mut self.window.steps[1];
+            slot.matching.clone_from(&step.matching);
+            slot.bytes = step.bytes_per_pair;
+            slot.theta_base = t.theta;
+            slot.ell_base = t.max_hops;
+        }
+        Ok(())
+    }
+
+    fn decide(
+        &mut self,
+        i: usize,
+        step: &Step,
+        prev: ConfigChoice,
+        explain: bool,
+    ) -> Result<Decision, SimError> {
+        self.push(i, step)?;
+        let newest = self.window.steps.len() - 1;
+        let obs =
+            StepObservation::new(&self.window, self.accounting, newest, prev).at_stream_step(i);
+        let choice = self.controller.decide(&obs);
+        Ok((
+            choice,
+            explain.then(|| self.controller.explain(&obs, choice)),
+        ))
+    }
+}
+
+/// A decided step: its configuration and, when asked for, the
+/// controller's rationale.
+type Decision = (ConfigChoice, Option<String>);
+
+/// How a job chooses each step's configuration.
+pub(crate) enum Decider<'a> {
+    /// Precomputed or uniform choices.
+    Switching(ServiceSwitching),
+    /// A controller observing the full eq. (7) problem.
+    Problem {
+        problem: &'a SwitchingProblem,
+        controller: &'a dyn Controller,
+        accounting: ReconfigAccounting,
+    },
+    /// A controller observing the two-step priced window of a stream.
+    Window(Box<PricedWindow<'a>>),
+}
+
+impl Decider<'_> {
+    /// Validates step `i` of an `n`-rank job and decides it, from the
+    /// previous step's choice `prev`; the rationale is built only when
+    /// `explain` asks for it.
+    fn decide(
+        &mut self,
+        i: usize,
+        step: &Step,
+        n: usize,
+        prev: ConfigChoice,
+        explain: bool,
+    ) -> Result<Decision, SimError> {
+        match self {
+            Self::Switching(switching) => {
+                let choice = switching
+                    .choice(i)
+                    .ok_or(SimError::ScheduleLengthMismatch {
+                        expected: i + 1,
+                        got: i,
+                    })?;
+                validate_step(i, n, step)?;
+                Ok((choice, None))
+            }
+            Self::Problem {
+                problem,
+                controller,
+                accounting,
+            } => {
+                validate_step(i, n, step)?;
+                let obs = StepObservation::new(problem, *accounting, i, prev);
+                let choice = controller.decide(&obs);
+                Ok((choice, explain.then(|| controller.explain(&obs, choice))))
+            }
+            Self::Window(window) => window.decide(i, step, prev, explain),
+        }
+    }
+}
+
+/// A job as the crate's entry points admit it: a [`ServiceJobSpec`] plus
+/// the controller decision sources, the record tag, a step bound and a
+/// resume point.
+pub(crate) struct Job<'a> {
+    pub(crate) name: String,
+    pub(crate) ports: Vec<usize>,
+    pub(crate) base_config: Matching,
+    pub(crate) demand: Demand<'a>,
+    pub(crate) decider: Decider<'a>,
+    /// The `tenant` tag of the job's step records.
+    pub(crate) tag: Option<usize>,
+    /// No step at or past this stream index is pulled.
+    pub(crate) bound: usize,
+    /// Continue a checkpointed run instead of starting at step 0.
+    pub(crate) resume: Option<&'a StreamCheckpoint>,
+}
+
+impl<'a> Job<'a> {
+    /// A lone, unbounded job on every port of an `n`-port fabric; its
+    /// records carry no tenant tag.
+    pub(crate) fn lone(
+        n: usize,
+        base_config: Matching,
+        demand: Demand<'a>,
+        decider: Decider<'a>,
+    ) -> Self {
+        Self {
+            name: String::new(),
+            ports: (0..n).collect(),
+            base_config,
+            demand,
+            decider,
+            tag: None,
+            bound: usize::MAX,
+            resume: None,
+        }
+    }
 }
 
 /// Receipt for an admitted job.
@@ -128,19 +393,26 @@ pub struct JobOutcome {
     pub report: Option<SimReport>,
 }
 
+/// What a lone job leaves behind: its full report and choices (both
+/// empty in totals mode) and its end state as a resumable checkpoint.
+pub(crate) struct LoneRun {
+    pub(crate) report: SimReport,
+    pub(crate) choices: Vec<ConfigChoice>,
+    pub(crate) end: StreamCheckpoint,
+}
+
 /// Slot-resident state of one live job.
-struct JobState {
+struct JobState<'a> {
     id: u64,
-    name: String,
-    ports: Vec<usize>,
-    base_config: Matching,
-    workload: Box<dyn Workload>,
-    switching: ServiceSwitching,
-    /// The next step to execute, pulled in place via
-    /// [`Workload::next_step_into`]; valid only when `has_pending`.
+    job: Job<'a>,
+    /// The next step to execute, pulled in place; valid only when
+    /// `has_pending`.
     pending: Step,
     has_pending: bool,
     executed: usize,
+    prev: ConfigChoice,
+    /// Every step's choice, kept alongside the full report.
+    choices: Vec<ConfigChoice>,
     start_ps: Picos,
     comm_end: Picos,
     gpu_free: Picos,
@@ -148,16 +420,39 @@ struct JobState {
     error: Option<SimError>,
 }
 
-/// The open-system step engine: a mutable population of jobs sharing one
-/// fabric, executed in deterministic earliest-request order.
+impl JobState<'_> {
+    /// Stops the job on `error` at `finish_ps` and returns its departure.
+    fn fail(&mut self, slot: usize, error: SimError, finish_ps: Picos) -> Departure {
+        self.error = Some(error);
+        self.has_pending = false;
+        self.gpu_free = finish_ps;
+        Departure {
+            slot,
+            finish_ps,
+            failed: true,
+        }
+    }
+
+    /// The job's full report, when kept and the job did not fail.
+    fn final_report(&mut self, keep_reports: bool) -> Option<SimReport> {
+        (keep_reports && self.error.is_none()).then(|| SimReport {
+            total_ps: self.gpu_free,
+            ..std::mem::take(&mut self.report)
+        })
+    }
+}
+
+/// The step engine: a mutable population of jobs sharing one fabric,
+/// executed in deterministic earliest-request order. Jobs may borrow
+/// their demand and decision source for `'a`.
 ///
 /// The executor owns *execution*; admission policy, port-partition
 /// allocation, and SLO accounting live in `aps-faas` on top of this API.
-pub struct ServiceExecutor {
+pub struct ServiceExecutor<'a> {
     n: usize,
     cfg: RunConfig,
     keep_reports: bool,
-    slots: Vec<Option<JobState>>,
+    slots: Vec<Option<JobState<'a>>>,
     free_slots: Vec<usize>,
     /// `owner[p]` = slot currently owning global port `p`.
     owner: Vec<Option<usize>>,
@@ -171,7 +466,7 @@ pub struct ServiceExecutor {
     summary: StreamSummary,
 }
 
-impl ServiceExecutor {
+impl<'a> ServiceExecutor<'a> {
     /// An empty executor over an `n`-port fabric. With
     /// `keep_reports = false` (totals mode) per-step reports fold into
     /// the O(1) [`StreamSummary`] and are recycled — a million-job trace
@@ -226,19 +521,53 @@ impl ServiceExecutor {
     pub fn admit(
         &mut self,
         id: u64,
-        mut spec: ServiceJobSpec,
+        spec: ServiceJobSpec,
         start_ps: Picos,
     ) -> Result<Admission, SimError> {
-        let slot = self.free_slots.last().copied().unwrap_or(self.slots.len());
-        let n_j = spec.ports.len();
-        if spec.workload.n() != n_j || spec.base_config.n() != n_j {
+        let job = Job {
+            name: spec.name,
+            ports: spec.ports,
+            base_config: spec.base_config,
+            demand: Demand::Owned(spec.workload),
+            decider: Decider::Switching(spec.switching),
+            tag: Some(self.next_slot()),
+            bound: usize::MAX,
+            resume: None,
+        };
+        self.admit_job(id, job, start_ps)
+    }
+
+    /// The slot the next admission takes.
+    fn next_slot(&self) -> usize {
+        self.free_slots.last().copied().unwrap_or(self.slots.len())
+    }
+
+    /// [`admit`](Self::admit) for any [`Job`]. A job resuming from a
+    /// checkpoint replays its demand up to the checkpoint, reprices the
+    /// last replayed step into a priced window, and takes the checkpoint's
+    /// clocks, previous choice and totals instead of `start_ps`'s.
+    ///
+    /// # Errors
+    ///
+    /// See [`admit`](Self::admit); a resumed job also fails when its
+    /// demand replays shorter than the checkpoint or the replayed step
+    /// fails pricing.
+    pub(crate) fn admit_job(
+        &mut self,
+        id: u64,
+        mut job: Job<'a>,
+        start_ps: Picos,
+    ) -> Result<Admission, SimError> {
+        let slot = self.next_slot();
+        let n_j = job.ports.len();
+        if job.demand.n() != n_j || job.base_config.n() != n_j {
             return Err(SimError::DimensionMismatch {
                 fabric: n_j,
-                collective: spec.workload.n().max(spec.base_config.n()),
+                collective: job.demand.n().max(job.base_config.n()),
             });
         }
-        if let ServiceSwitching::Schedule(sw) = &spec.switching {
-            let (lo, hi) = spec.workload.size_hint();
+        if let Decider::Switching(ServiceSwitching::Schedule(sw)) = &job.decider {
+            let (lo, hi) = job.demand.size_hint();
             if hi == Some(lo) && sw.len() != lo {
                 return Err(SimError::ScheduleLengthMismatch {
                     expected: lo,
@@ -246,7 +575,7 @@ impl ServiceExecutor {
                 });
             }
         }
-        for &p in &spec.ports {
+        for &p in &job.ports {
             if p >= self.n || self.owner[p].is_some() {
                 return Err(SimError::BadTenantPorts {
                     tenant: slot,
@@ -254,10 +583,10 @@ impl ServiceExecutor {
                 });
             }
         }
-        // Duplicate ports within the spec itself.
+        // Duplicate ports within the job itself.
         self.owned.clear();
         self.owned.resize(self.n, false);
-        for &p in &spec.ports {
+        for &p in &job.ports {
             if self.owned[p] {
                 return Err(SimError::BadTenantPorts {
                     tenant: slot,
@@ -267,29 +596,40 @@ impl ServiceExecutor {
             self.owned[p] = true;
         }
         let mut pending = Step::empty();
-        let has_pending = spec
-            .workload
-            .next_step_into(&WorkloadCtx::at(0), &mut pending);
+        let (mut executed, mut prev, mut comm_end, mut gpu_free) =
+            (0, ConfigChoice::Base, start_ps, start_ps);
+        if let Some(cp) = job.resume {
+            job.demand.replay(cp.steps_done, &mut pending)?;
+            if let (Some(last), Decider::Window(window)) =
+                (cp.steps_done.checked_sub(1), &mut job.decider)
+            {
+                window.push(last, &pending)?;
+            }
+            (executed, prev, comm_end, gpu_free) =
+                (cp.steps_done, cp.prev, cp.comm_end, cp.gpu_free);
+        }
+        let has_pending = executed < job.bound && job.demand.pull(executed, &mut pending);
         if has_pending {
-            validate_step(0, n_j, &pending)?;
+            validate_step(executed, n_j, &pending)?;
         }
         // All checks passed: claim ports and take residence.
-        for &p in &spec.ports {
+        for &p in &job.ports {
             self.owner[p] = Some(slot);
+        }
+        if let Some(cp) = job.resume {
+            self.summary = self.summary.merge(cp.summary);
         }
         let state = JobState {
             id,
-            name: spec.name,
-            ports: spec.ports,
-            base_config: spec.base_config,
-            workload: spec.workload,
-            switching: spec.switching,
+            job,
             pending,
             has_pending,
-            executed: 0,
+            executed,
+            prev,
+            choices: Vec::new(),
             start_ps,
-            comm_end: start_ps,
-            gpu_free: start_ps,
+            comm_end,
+            gpu_free,
             report: SimReport::default(),
             error: None,
         };
@@ -307,9 +647,9 @@ impl ServiceExecutor {
     }
 
     /// The earliest instant any live job will next touch the fabric, and
-    /// that job's slot — the same `natural_request_at` instant the
-    /// tenant scheduler uses, ties broken by lowest job id (admission
-    /// order). `None` when no job has runnable work.
+    /// that job's slot — each job's `natural_request_at` instant, ties
+    /// broken by lowest job id (admission order). `None` when no job has
+    /// runnable work.
     pub fn next_request_at(&self) -> Option<(Picos, usize)> {
         let mut best: Option<(Picos, u64, usize)> = None;
         for (slot, st) in self.slots.iter().enumerate() {
@@ -319,7 +659,7 @@ impl ServiceExecutor {
             }
             let natural = natural_request_at(
                 &self.cfg,
-                st.ports.len(),
+                st.job.ports.len(),
                 st.executed == 0,
                 st.comm_end,
                 st.gpu_free,
@@ -336,9 +676,8 @@ impl ServiceExecutor {
     /// job's [`Departure`] when this step exhausted its demand stream or
     /// failed it, `None` otherwise (including when no job has work).
     ///
-    /// Step errors are isolated exactly like the tenant executor's: the
-    /// failing job departs carrying the error in its [`JobOutcome`];
-    /// other jobs keep running.
+    /// Step errors are isolated: the failing job departs carrying the
+    /// error in its [`JobOutcome`]; other jobs keep running.
     pub fn execute_next(
         &mut self,
         fabric: &mut dyn Fabric,
@@ -352,49 +691,36 @@ impl ServiceExecutor {
         // adds barrier + α), and a departure in the caller's past would
         // run its event clock backwards.
         let fail_ps = request_at.max(st.gpu_free);
-        let Some(choice) = st.switching.choice(i) else {
-            st.error = Some(SimError::ScheduleLengthMismatch {
-                expected: i + 1,
-                got: i,
-            });
-            st.has_pending = false;
-            st.gpu_free = fail_ps;
-            return Some(Departure {
-                slot,
-                finish_ps: fail_ps,
-                failed: true,
-            });
-        };
-        if let Err(e) = validate_step(i, st.ports.len(), &st.pending) {
-            st.error = Some(e);
-            st.has_pending = false;
-            st.gpu_free = fail_ps;
-            return Some(Departure {
-                slot,
-                finish_ps: fail_ps,
-                failed: true,
-            });
-        }
+        let explain = self.keep_reports || sink.is_some();
+        let (choice, why) =
+            match st
+                .job
+                .decider
+                .decide(i, &st.pending, st.job.ports.len(), st.prev, explain)
+            {
+                Ok(decision) => decision,
+                Err(e) => return Some(st.fail(slot, e, fail_ps)),
+            };
         let matched = choice == ConfigChoice::Matched;
         let local_target = if matched {
             &st.pending.matching
         } else {
-            &st.base_config
+            &st.job.base_config
         };
-        let target = tenant_target(
-            fabric.current(),
-            &st.ports,
-            local_target,
-            &self.owner,
-            slot,
-            &mut self.targets,
-        );
         self.pairs.clear();
         self.pairs.extend(
             st.pending
                 .matching
                 .pairs()
-                .map(|(s, d)| (st.ports[s], st.ports[d])),
+                .map(|(s, d)| (st.job.ports[s], st.job.ports[d])),
+        );
+        let target = tenant_target(
+            fabric.current(),
+            &st.job.ports,
+            local_target,
+            &self.owner,
+            slot,
+            &mut self.targets,
         );
         let input = StepInput {
             step: i,
@@ -402,7 +728,7 @@ impl ServiceExecutor {
             target,
             pairs: &self.pairs,
             bytes_per_pair: st.pending.bytes_per_pair,
-            barrier_n: st.ports.len(),
+            barrier_n: st.job.ports.len(),
             first: i == 0,
         };
         let dest: &mut SimReport = if self.keep_reports {
@@ -414,34 +740,38 @@ impl ServiceExecutor {
         };
         let step_idx = dest.steps.len();
         let trace_before = dest.trace.len();
+        if let Some(why) = why {
+            // Stamped no later than the step's natural fabric request:
+            // under reconfigure/compute overlap that request fires when
+            // the previous step's flows drain, before the GPUs are free,
+            // and the decision must precede its own ReconfigStart.
+            dest.trace.push(TraceEvent {
+                at: request_at.min(st.gpu_free),
+                kind: TraceKind::Decision {
+                    step: i,
+                    matched,
+                    why,
+                },
+            });
+        }
         let (comm_end, gpu_free) = match execute_step(
             fabric,
             &input,
             &self.cfg,
-            true,
             st.comm_end,
             st.gpu_free,
             dest,
             &mut self.scratch,
         ) {
             Ok(clocks) => clocks,
-            Err(e) => {
-                st.error = Some(e);
-                st.has_pending = false;
-                st.gpu_free = fail_ps;
-                return Some(Departure {
-                    slot,
-                    finish_ps: fail_ps,
-                    failed: true,
-                });
-            }
+            Err(e) => return Some(st.fail(slot, e, fail_ps)),
         };
         self.summary.absorb(&dest.steps[step_idx], matched);
         self.summary.total_ps = self.summary.total_ps.max(gpu_free).max(comm_end);
         if let Some(s) = sink {
             s.record_step(&StepRecord {
                 step: i,
-                tenant: Some(slot),
+                tenant: st.job.tag,
                 matched,
                 report: &dest.steps[step_idx],
                 events: &dest.trace[trace_before..],
@@ -451,10 +781,13 @@ impl ServiceExecutor {
         }
         st.comm_end = comm_end;
         st.gpu_free = gpu_free;
+        st.prev = choice;
+        if self.keep_reports {
+            st.choices.push(choice);
+        }
         st.executed += 1;
-        st.has_pending = st
-            .workload
-            .next_step_into(&WorkloadCtx::at(st.executed), &mut st.pending);
+        st.has_pending =
+            st.executed < st.job.bound && st.job.demand.pull(st.executed, &mut st.pending);
         if st.has_pending {
             None
         } else {
@@ -466,35 +799,85 @@ impl ServiceExecutor {
         }
     }
 
+    /// Executes steps until no resident job has work left; departed jobs
+    /// stay resident until removed.
+    pub(crate) fn drain(&mut self, fabric: &mut dyn Fabric, mut sink: Option<&mut dyn RecordSink>) {
+        while self.next_request_at().is_some() {
+            // Reborrow through the blanket `impl RecordSink for &mut S` so
+            // the sink is not held across iterations.
+            self.execute_next(fabric, sink.as_mut().map(|s| s as &mut dyn RecordSink));
+        }
+    }
+
     /// Evicts a departed job and releases its ports for the next arrival.
     /// Returns `None` when the slot is vacant (already removed). The job
     /// must have departed — removing a job with runnable work would
     /// corrupt the interleaving, so that is a debug-mode panic.
     pub fn remove(&mut self, slot: usize) -> Option<JobOutcome> {
-        let mut st = self.slots.get_mut(slot)?.take()?;
-        debug_assert!(
-            !st.has_pending || st.error.is_some(),
-            "removed a job that still has work"
-        );
-        for &p in &st.ports {
-            self.owner[p] = None;
-        }
-        self.free_slots.push(slot);
-        self.live -= 1;
-        let report = if self.keep_reports && st.error.is_none() {
-            st.report.total_ps = st.gpu_free;
-            Some(st.report)
-        } else {
-            None
-        };
+        let mut st = self.take(slot)?;
+        let report = st.final_report(self.keep_reports);
         Some(JobOutcome {
             id: st.id,
-            name: st.name,
+            name: st.job.name,
             start_ps: st.start_ps,
             finish_ps: st.gpu_free,
             steps: st.executed,
             error: st.error,
             report,
+        })
+    }
+
+    fn take(&mut self, slot: usize) -> Option<JobState<'a>> {
+        let st = self.slots.get_mut(slot)?.take()?;
+        debug_assert!(
+            !st.has_pending || st.error.is_some(),
+            "removed a job that still has work"
+        );
+        for &p in &st.job.ports {
+            self.owner[p] = None;
+        }
+        self.free_slots.push(slot);
+        self.live -= 1;
+        Some(st)
+    }
+
+    /// Runs `job` alone on `fabric` from t = 0 (or from its checkpoint,
+    /// whose fabric state is restored first) until its demand or step
+    /// bound runs out — the engine of the single-collective entry points.
+    ///
+    /// # Errors
+    ///
+    /// The admission error, the error that stopped the job, or the
+    /// fabric's refusal of the checkpointed state.
+    pub(crate) fn run_alone(
+        fabric: &mut dyn Fabric,
+        cfg: &RunConfig,
+        keep_reports: bool,
+        job: Job<'a>,
+        sink: Option<&mut dyn RecordSink>,
+    ) -> Result<LoneRun, SimError> {
+        if let Some(cp) = job.resume {
+            fabric.load_state(&cp.fabric)?;
+        }
+        let mut exec = Self::new(fabric.n(), *cfg, keep_reports);
+        let slot = exec.admit_job(0, job, 0)?.slot;
+        exec.drain(fabric, sink);
+        let mut st = exec.take(slot).expect("the lone job is resident");
+        let report = st.final_report(keep_reports);
+        if let Some(e) = st.error {
+            return Err(e);
+        }
+        Ok(LoneRun {
+            report: report.unwrap_or_default(),
+            choices: st.choices,
+            end: StreamCheckpoint {
+                steps_done: st.executed,
+                prev: st.prev,
+                comm_end: st.comm_end,
+                gpu_free: st.gpu_free,
+                summary: exec.summary,
+                fabric: fabric.save_state(),
+            },
         })
     }
 }

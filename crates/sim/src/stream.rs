@@ -1,35 +1,30 @@
 //! Streaming execution: pull demand lazily from a [`Workload`].
 //!
-//! The scheduled/adaptive executors in [`crate::exec`] consume
-//! *materialized* demand — every step resident before the run starts.
-//! This module is their lazy face: steps are pulled one at a time from
-//! any [`aps_collectives::Workload`], priced on demand, decided online,
-//! and executed — **O(1) schedule memory** regardless of stream length,
+//! The entry points here take their demand from any
+//! [`aps_collectives::Workload`], one step at a time, priced on demand and
+//! decided online — **O(1) schedule memory** regardless of stream length,
 //! so million-step training loops and endless traffic generators run
-//! without ever materializing a step vector.
-//!
-//! Three entrypoints:
+//! without ever materializing a step vector. Each admits one job that owns
+//! every fabric port into a [`crate::service::ServiceExecutor`] and drains
+//! it, so they share the one step loop with every other entry point:
 //!
 //! * [`run_scheduled_workload`] — replay a precomputed
 //!   [`SwitchSchedule`] against a streamed workload (the streaming
-//!   [`crate::exec::run_scheduled`], which now delegates here).
-//! * [`run_workload`] — the streaming adaptive executor: a
-//!   [`Controller`] decides each pulled step online from a **two-step
-//!   observation window** (the current step plus the previous one, so
-//!   transition charges see the real previous matching), and every
-//!   decision lands in the trace exactly like
-//!   [`crate::exec::run_adaptive`]'s.
-//! * [`run_workload_totals`] — the same adaptive loop with O(1) *report*
+//!   [`crate::exec::run_scheduled`], which delegates here).
+//! * [`run_workload`] — the streaming adaptive run: a [`Controller`]
+//!   decides each pulled step online from a **two-step observation
+//!   window** (the current step plus the previous one, so transition
+//!   charges see the real previous matching), and every decision lands in
+//!   the trace exactly like [`crate::exec::run_adaptive`]'s.
+//!   [`run_workload_recorded`] adds an optional [`RecordSink`] (see
+//!   [`crate::record`]) that observes each committed step — the hook
+//!   deterministic replay (`aps-replay`) is built on.
+//! * [`run_workload_totals`] — the same adaptive run with O(1) *report*
 //!   memory too: per-step reports and trace events fold into a
 //!   [`StreamSummary`] instead of accumulating, so a ≥10⁶-step run holds
-//!   constant memory end to end.
-//!
-//! Every entrypoint has a `_recorded` face taking an optional
-//! [`RecordSink`] (see [`crate::record`]) that observes each committed
-//! step — the hook deterministic replay (`aps-replay`) is built on — and
-//! [`run_workload_segment`] adds [`StreamCheckpoint`] capture/resume on
-//! top of the totals loop, so endless runs can be checkpointed mid-stream
-//! and continued bit-identically.
+//!   constant memory end to end. [`run_workload_segment`] adds a record
+//!   sink and [`StreamCheckpoint`] capture/resume, so endless runs can be
+//!   checkpointed mid-stream and continued bit-identically.
 //!
 //! ## Windowed observations and controller parity
 //!
@@ -47,24 +42,24 @@
 //! streaming — by construction: an unbounded stream has no suffix to
 //! solve.
 
-use crate::arena::StepScratch;
 use crate::error::SimError;
-use crate::exec::{execute_step, natural_request_at, RunConfig, StepInput};
-use crate::record::{RecordSink, StepRecord};
+use crate::exec::RunConfig;
+use crate::record::RecordSink;
 use crate::report::{SimReport, StepReport};
-use crate::trace::{TraceEvent, TraceKind};
-use aps_collectives::{Step, Workload, WorkloadCtx};
-use aps_core::controller::{Controller, StepObservation};
+use crate::service::{
+    Decider, Demand, Job, LoneRun, PricedWindow, ServiceExecutor, ServiceSwitching,
+};
+use aps_collectives::{Step, Workload};
+use aps_core::controller::Controller;
 use aps_core::problem::config_of_topology;
-use aps_core::{ConfigChoice, ReconfigAccounting, SwitchSchedule, SwitchingProblem};
-use aps_cost::steptable::StepCosts;
+use aps_core::{ConfigChoice, ReconfigAccounting, SwitchSchedule};
 use aps_cost::units::Picos;
 use aps_cost::ReconfigModel;
 use aps_fabric::{Fabric, FabricState};
-use aps_flow::solver::{ThetaCache, ThroughputSolver};
+use aps_flow::solver::ThroughputSolver;
 use aps_topology::Topology;
 
-/// How the streaming adaptive executors price a pulled step for the
+/// How the streaming adaptive runs price a pulled step for the
 /// controller's observation window: the reconfiguration delay model, the
 /// accounting rule, and the θ solver — the same three knobs a
 /// [`aps_core::ScaleupDomain`] carries for materialized planning.
@@ -155,7 +150,7 @@ impl StreamSummary {
     }
 }
 
-/// A point-in-time capture of the streaming adaptive executor: everything
+/// A point-in-time capture of a streaming adaptive run: everything
 /// [`run_workload_segment`] needs to continue a run bit-identically on a
 /// fresh fabric and a rewound workload. The workload *cursor* is not
 /// stored — it is re-derived through the [`Workload::reset`] replay
@@ -206,32 +201,13 @@ pub(crate) fn validate_step(i: usize, n: usize, step: &Step) -> Result<(), SimEr
 ///
 /// Fails on dimension mismatches (fabric vs workload, or a malformed
 /// streamed step), a stream length that disagrees with the switch
-/// schedule, fabric refusals, or unroutable pairs.
+/// schedule, fabric errors, or unroutable pairs.
 pub fn run_scheduled_workload(
     fabric: &mut dyn Fabric,
     base_config: &aps_matrix::Matching,
     workload: &mut dyn Workload,
     switch_schedule: &SwitchSchedule,
     cfg: &RunConfig,
-) -> Result<SimReport, SimError> {
-    run_scheduled_workload_recorded(fabric, base_config, workload, switch_schedule, cfg, None)
-}
-
-/// [`run_scheduled_workload`] with an optional [`RecordSink`] observing
-/// every committed step (decision, timing, trace slice, fabric state).
-/// `None` records nothing and costs nothing — the unrecorded entrypoint
-/// delegates here.
-///
-/// # Errors
-///
-/// See [`run_scheduled_workload`].
-pub fn run_scheduled_workload_recorded(
-    fabric: &mut dyn Fabric,
-    base_config: &aps_matrix::Matching,
-    workload: &mut dyn Workload,
-    switch_schedule: &SwitchSchedule,
-    cfg: &RunConfig,
-    mut sink: Option<&mut dyn RecordSink>,
 ) -> Result<SimReport, SimError> {
     let n = workload.n();
     if fabric.n() != n {
@@ -240,259 +216,26 @@ pub fn run_scheduled_workload_recorded(
             collective: n,
         });
     }
-
-    let mut report = SimReport::default();
-    let mut comm_end: Picos = 0;
-    let mut gpu_free: Picos = 0;
-    let mut i = 0usize;
-    let mut step = Step::empty();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let mut scratch = StepScratch::new();
-    while workload.next_step_into(&WorkloadCtx::at(i), &mut step) {
-        if i >= switch_schedule.len() {
-            return Err(SimError::ScheduleLengthMismatch {
-                expected: i + 1,
-                got: switch_schedule.len(),
-            });
-        }
-        validate_step(i, n, &step)?;
-        let matched = switch_schedule.choice(i) == ConfigChoice::Matched;
-        pairs.clear();
-        pairs.extend(step.matching.pairs());
-        let input = StepInput {
-            step: i,
-            matched,
-            target: if matched { &step.matching } else { base_config },
-            pairs: &pairs,
-            bytes_per_pair: step.bytes_per_pair,
-            barrier_n: n,
-            first: i == 0,
-        };
-        let trace_before = report.trace.len();
-        let step_idx = report.steps.len();
-        (comm_end, gpu_free) = execute_step(
-            fabric,
-            &input,
-            cfg,
-            false,
-            comm_end,
-            gpu_free,
-            &mut report,
-            &mut scratch,
-        )?;
-        if let Some(s) = sink.as_deref_mut() {
-            s.record_step(&StepRecord {
-                step: i,
-                tenant: None,
-                matched,
-                report: &report.steps[step_idx],
-                events: &report.trace[trace_before..],
-                config: fabric.current(),
-                busy_until: fabric.busy_until(),
-            });
-        }
-        i += 1;
-    }
-    if i != switch_schedule.len() {
+    let job = Job::lone(
+        n,
+        base_config.clone(),
+        Demand::Borrowed(workload),
+        Decider::Switching(ServiceSwitching::Schedule(switch_schedule.clone())),
+    );
+    let run = ServiceExecutor::run_alone(fabric, cfg, true, job, None)?;
+    if run.end.steps_done != switch_schedule.len() {
         return Err(SimError::ScheduleLengthMismatch {
-            expected: i,
+            expected: run.end.steps_done,
             got: switch_schedule.len(),
         });
     }
-    report.total_ps = gpu_free;
-    Ok(report)
-}
-
-/// The per-step state the streaming adaptive executors thread through
-/// the pull loop: the two-step observation window, the θ memo, and the
-/// simulation clocks.
-struct AdaptiveStream<'a> {
-    base: &'a Topology,
-    cache: ThetaCache,
-    /// The observation window; also the single owner of the base circuit
-    /// configuration (`window.base_config`, always `Some` here — the old
-    /// duplicate field cloned the matching a second time for nothing).
-    window: SwitchingProblem,
-    prev: ConfigChoice,
-    comm_end: Picos,
-    gpu_free: Picos,
-    /// Persistent pair buffer, refilled per step (zero-alloc hot path).
-    pairs: Vec<(usize, usize)>,
-    /// Arena-backed per-step simulator state, recycled every step.
-    scratch: StepScratch,
-}
-
-impl<'a> AdaptiveStream<'a> {
-    fn new(
-        fabric: &dyn Fabric,
-        base: &'a Topology,
-        workload: &dyn Workload,
-        pricing: &StreamPricing,
-        cfg: &RunConfig,
-    ) -> Result<Self, SimError> {
-        let n = base.n();
-        if fabric.n() != n || workload.n() != n {
-            return Err(SimError::DimensionMismatch {
-                fabric: fabric.n(),
-                collective: if workload.n() != n { workload.n() } else { n },
-            });
-        }
-        let base_config = config_of_topology(base).ok_or(SimError::BaseNotACircuit)?;
-        let window = SwitchingProblem {
-            n,
-            params: cfg.params,
-            reconfig: pricing.reconfig,
-            base_config: Some(base_config),
-            steps: Vec::with_capacity(2),
-        };
-        Ok(Self {
-            base,
-            cache: ThetaCache::new(base, pricing.solver),
-            window,
-            prev: ConfigChoice::Base,
-            comm_end: 0,
-            gpu_free: 0,
-            pairs: Vec::new(),
-            scratch: StepScratch::new(),
-        })
-    }
-
-    /// Prices the pulled step, slides the window, and lets the
-    /// controller decide; returns the choice and its observation-window
-    /// index.
-    fn observe(
-        &mut self,
-        i: usize,
-        step: &Step,
-        controller: &dyn Controller,
-        accounting: ReconfigAccounting,
-    ) -> Result<(ConfigChoice, usize), SimError> {
-        validate_step(i, self.window.n, step)?;
-        let t = self
-            .cache
-            .get(self.base, &step.matching)
-            .map_err(|source| SimError::Pricing { step: i, source })?;
-        // Two-slot sliding window: once warm, recycle the oldest slot
-        // in place (`clone_from` reuses the matching's buffer) instead of
-        // `remove(0)` + pushing a freshly-cloned `StepCosts` every step.
-        if self.window.steps.len() < 2 {
-            self.window.steps.push(StepCosts {
-                matching: step.matching.clone(),
-                bytes: step.bytes_per_pair,
-                theta_base: t.theta,
-                ell_base: t.max_hops,
-            });
-        } else {
-            self.window.steps.swap(0, 1);
-            let slot = &mut self.window.steps[1];
-            slot.matching.clone_from(&step.matching);
-            slot.bytes = step.bytes_per_pair;
-            slot.theta_base = t.theta;
-            slot.ell_base = t.max_hops;
-        }
-        let wi = self.window.steps.len() - 1;
-        let obs = StepObservation::new(&self.window, accounting, wi, self.prev).at_stream_step(i);
-        Ok((controller.decide(&obs), wi))
-    }
-
-    /// Executes the decided step, advancing the clocks.
-    fn execute(
-        &mut self,
-        fabric: &mut dyn Fabric,
-        i: usize,
-        step: &Step,
-        matched: bool,
-        cfg: &RunConfig,
-        report: &mut SimReport,
-    ) -> Result<(), SimError> {
-        self.pairs.clear();
-        self.pairs.extend(step.matching.pairs());
-        let target = if matched {
-            &step.matching
-        } else {
-            // `new` always seeds the window with the base circuit; a
-            // missing one is a construction bug surfaced as a typed error.
-            self.window
-                .base_config
-                .as_ref()
-                .ok_or(SimError::BaseNotACircuit)?
-        };
-        let input = StepInput {
-            step: i,
-            matched,
-            target,
-            pairs: &self.pairs,
-            bytes_per_pair: step.bytes_per_pair,
-            barrier_n: self.window.n,
-            first: i == 0,
-        };
-        (self.comm_end, self.gpu_free) = execute_step(
-            fabric,
-            &input,
-            cfg,
-            false,
-            self.comm_end,
-            self.gpu_free,
-            report,
-            &mut self.scratch,
-        )?;
-        self.prev = if matched {
-            ConfigChoice::Matched
-        } else {
-            ConfigChoice::Base
-        };
-        Ok(())
-    }
-
-    /// Rewinds the workload and fast-forwards it past the checkpoint's
-    /// executed steps (the [`Workload::reset`] replay contract), repricing
-    /// the last consumed step so the resumed step's transition charge sees
-    /// the true previous matching in the observation window.
-    fn restore(
-        &mut self,
-        checkpoint: &StreamCheckpoint,
-        workload: &mut dyn Workload,
-    ) -> Result<(), SimError> {
-        workload.reset();
-        let mut step = Step::empty();
-        let mut any = false;
-        for j in 0..checkpoint.steps_done {
-            if !workload.next_step_into(&WorkloadCtx::at(j), &mut step) {
-                // The stream replayed shorter than the checkpoint claims —
-                // the reset contract was violated (or the checkpoint
-                // belongs to a different workload).
-                return Err(SimError::ScheduleLengthMismatch {
-                    expected: checkpoint.steps_done,
-                    got: j,
-                });
-            }
-            any = true;
-        }
-        if any {
-            let i = checkpoint.steps_done - 1;
-            validate_step(i, self.window.n, &step)?;
-            let t = self
-                .cache
-                .get(self.base, &step.matching)
-                .map_err(|source| SimError::Pricing { step: i, source })?;
-            self.window.steps.push(StepCosts {
-                matching: step.matching.clone(),
-                bytes: step.bytes_per_pair,
-                theta_base: t.theta,
-                ell_base: t.max_hops,
-            });
-        }
-        self.prev = checkpoint.prev;
-        self.comm_end = checkpoint.comm_end;
-        self.gpu_free = checkpoint.gpu_free;
-        Ok(())
-    }
+    Ok(run.report)
 }
 
 /// Executes a streamed workload with `controller` deciding each pulled
 /// step online — the lazy [`crate::exec::run_adaptive`]. Decisions are
 /// tagged in the trace with the controller's rationale, exactly like the
-/// materialized executor; see the [module docs](self) for the
+/// materialized run; see the [module docs](self) for the
 /// observation-window semantics. The workload must be finite (the run
 /// returns when the stream exhausts); use [`run_workload_totals`] with a
 /// step budget for unbounded streams.
@@ -501,7 +244,7 @@ impl<'a> AdaptiveStream<'a> {
 ///
 /// Fails on dimension mismatches, a base topology that is not a circuit
 /// configuration, θ pricing failures, malformed streamed steps, fabric
-/// refusals, or unroutable pairs.
+/// errors, or unroutable pairs.
 pub fn run_workload(
     fabric: &mut dyn Fabric,
     base: &Topology,
@@ -529,8 +272,7 @@ pub fn run_workload_recorded(
     cfg: &RunConfig,
     sink: Option<&mut dyn RecordSink>,
 ) -> Result<(SwitchSchedule, SimReport), SimError> {
-    let mut report = SimReport::default();
-    let (_, _, choices) = run_stream_core(
+    let run = run_windowed(
         fabric,
         base,
         workload,
@@ -539,114 +281,10 @@ pub fn run_workload_recorded(
         cfg,
         None,
         usize::MAX,
-        Some(&mut report),
+        true,
         sink,
     )?;
-    Ok((SwitchSchedule::new(choices), report))
-}
-
-/// The one streaming adaptive loop behind [`run_workload`],
-/// [`run_workload_totals`] and [`run_workload_segment`]: pull → observe →
-/// decide → execute, folding every step into a [`StreamSummary`] and
-/// optionally accumulating a full report (`full`) and/or feeding a
-/// [`RecordSink`]. The per-step decision trace event is synthesized
-/// whenever either consumer is present, so records are bit-identical
-/// regardless of which entrypoint produced them.
-#[allow(clippy::too_many_arguments)]
-fn run_stream_core(
-    fabric: &mut dyn Fabric,
-    base: &Topology,
-    workload: &mut dyn Workload,
-    controller: &dyn Controller,
-    pricing: StreamPricing,
-    cfg: &RunConfig,
-    resume: Option<&StreamCheckpoint>,
-    max_steps: usize,
-    mut full: Option<&mut SimReport>,
-    mut sink: Option<&mut dyn RecordSink>,
-) -> Result<(StreamSummary, StreamCheckpoint, Vec<ConfigChoice>), SimError> {
-    let mut stream = AdaptiveStream::new(fabric, base, workload, &pricing, cfg)?;
-    let mut summary = StreamSummary::default();
-    let mut i = 0usize;
-    if let Some(cp) = resume {
-        fabric.load_state(&cp.fabric)?;
-        stream.restore(cp, workload)?;
-        summary = cp.summary;
-        i = cp.steps_done;
-    }
-    let mut choices = Vec::new();
-    if full.is_some() {
-        choices.reserve(workload.size_hint().0);
-    }
-    let mut scratch = SimReport::default();
-    let mut step = Step::empty();
-    while i < max_steps {
-        if !workload.next_step_into(&WorkloadCtx::at(i), &mut step) {
-            break;
-        }
-        let (choice, wi) = stream.observe(i, &step, controller, pricing.accounting)?;
-        let matched = choice == ConfigChoice::Matched;
-        if full.is_some() || sink.is_some() {
-            // Stamp the decision no later than the step's natural fabric
-            // request, mirroring `run_adaptive` (the window observation is
-            // rebuilt only for the rationale string).
-            let decided_at = natural_request_at(
-                cfg,
-                stream.window.n,
-                i == 0,
-                stream.comm_end,
-                stream.gpu_free,
-            )
-            .min(stream.gpu_free);
-            let why = controller.explain(
-                &StepObservation::new(&stream.window, pricing.accounting, wi, stream.prev)
-                    .at_stream_step(i),
-                choice,
-            );
-            scratch.trace.push(TraceEvent {
-                at: decided_at,
-                kind: TraceKind::Decision {
-                    step: i,
-                    matched,
-                    why,
-                },
-            });
-        }
-        stream.execute(fabric, i, &step, matched, cfg, &mut scratch)?;
-        summary.absorb(&scratch.steps[0], matched);
-        if let Some(s) = sink.as_deref_mut() {
-            s.record_step(&StepRecord {
-                step: i,
-                tenant: None,
-                matched,
-                report: &scratch.steps[0],
-                events: &scratch.trace,
-                config: fabric.current(),
-                busy_until: fabric.busy_until(),
-            });
-        }
-        if let Some(r) = full.as_deref_mut() {
-            r.steps.push(scratch.steps[0]);
-            r.trace.append(&mut scratch.trace);
-            choices.push(choice);
-        }
-        scratch.steps.clear();
-        scratch.trace.clear();
-        i += 1;
-    }
-    summary.total_ps = stream.gpu_free;
-    if let Some(r) = full {
-        r.total_ps = stream.gpu_free;
-    }
-    let checkpoint = StreamCheckpoint {
-        steps_done: i,
-        prev: stream.prev,
-        comm_end: stream.comm_end,
-        gpu_free: stream.gpu_free,
-        summary,
-        fabric: fabric.save_state(),
-    };
-    Ok((summary, checkpoint, choices))
+    Ok((SwitchSchedule::new(run.choices), run.report))
 }
 
 /// [`run_workload`] with O(1) report memory: per-step timing folds into
@@ -666,10 +304,10 @@ pub fn run_workload_totals(
     cfg: &RunConfig,
     max_steps: usize,
 ) -> Result<StreamSummary, SimError> {
-    run_stream_core(
-        fabric, base, workload, controller, pricing, cfg, None, max_steps, None, None,
+    run_windowed(
+        fabric, base, workload, controller, pricing, cfg, None, max_steps, false, None,
     )
-    .map(|(summary, _, _)| summary)
+    .map(|run| run.end.summary)
 }
 
 /// [`run_workload_totals`] as a *resumable segment*: optionally restores a
@@ -699,21 +337,61 @@ pub fn run_workload_segment(
     max_steps: usize,
     sink: Option<&mut dyn RecordSink>,
 ) -> Result<(StreamSummary, StreamCheckpoint), SimError> {
-    run_stream_core(
-        fabric, base, workload, controller, pricing, cfg, resume, max_steps, None, sink,
+    run_windowed(
+        fabric, base, workload, controller, pricing, cfg, resume, max_steps, false, sink,
     )
-    .map(|(summary, checkpoint, _)| (summary, checkpoint))
+    .map(|run| (run.end.summary, run.end))
+}
+
+/// Runs `workload` alone on `fabric` under `controller`'s two-step window
+/// — the job behind the streaming adaptive entry points. `keep_reports`
+/// chooses the full report over the O(1) summary alone.
+#[allow(clippy::too_many_arguments)]
+fn run_windowed(
+    fabric: &mut dyn Fabric,
+    base: &Topology,
+    workload: &mut dyn Workload,
+    controller: &dyn Controller,
+    pricing: StreamPricing,
+    cfg: &RunConfig,
+    resume: Option<&StreamCheckpoint>,
+    max_steps: usize,
+    keep_reports: bool,
+    sink: Option<&mut dyn RecordSink>,
+) -> Result<LoneRun, SimError> {
+    let n = base.n();
+    if fabric.n() != n || workload.n() != n {
+        return Err(SimError::DimensionMismatch {
+            fabric: fabric.n(),
+            collective: if workload.n() != n { workload.n() } else { n },
+        });
+    }
+    let base_config = config_of_topology(base).ok_or(SimError::BaseNotACircuit)?;
+    let window = PricedWindow::new(base, base_config.clone(), controller, &pricing, cfg);
+    let job = Job {
+        bound: max_steps,
+        resume,
+        ..Job::lone(
+            n,
+            base_config,
+            Demand::Borrowed(workload),
+            Decider::Window(Box::new(window)),
+        )
+    };
+    ServiceExecutor::run_alone(fabric, cfg, keep_reports, job, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{run_adaptive, run_scheduled};
-    use aps_collectives::{allreduce, alltoall};
+    use aps_collectives::{allreduce, alltoall, WorkloadCtx};
     use aps_core::controller::{AlwaysReconfigure, DpPlanned, Greedy, Static, Threshold};
+    use aps_core::SwitchingProblem;
     use aps_cost::units::MIB;
     use aps_cost::CostParams;
     use aps_fabric::CircuitSwitch;
+    use aps_flow::solver::ThetaCache;
     use aps_matrix::Matching;
     use aps_topology::builders;
 

@@ -7,6 +7,10 @@
 //! exchange. This module executes such mixes: every [`TenantSpec`] owns a
 //! disjoint set of the fabric's ports and runs its own collective schedule
 //! there, while all tenants contend for the **one** fabric controller.
+//! [`execute_tenants`] admits each tenant into a
+//! [`crate::service::ServiceExecutor`] at its arrival and drains the
+//! executor, so tenants run through the same step loop as every other
+//! entry point.
 //!
 //! ## Model
 //!
@@ -33,12 +37,11 @@
 //! randomness, no wall-clock, bit-identical results at any `APS_THREADS`.
 
 use crate::error::SimError;
-use crate::exec::{execute_step, RunConfig, StepInput};
-use crate::record::{RecordSink, StepRecord};
+use crate::exec::RunConfig;
+use crate::record::RecordSink;
 use crate::report::SimReport;
-use aps_collectives::{Schedule, ScheduleStream, Step, Workload, WorkloadCtx};
-use aps_core::ConfigChoice;
-use aps_cost::units::{secs_to_picos, Picos};
+use crate::service::{Decider, Demand, Job, ServiceExecutor, ServiceSwitching};
+use aps_cost::units::{secs_to_picos, Picos, PICOS_PER_SEC};
 use aps_fabric::Fabric;
 use aps_matrix::Matching;
 
@@ -176,24 +179,6 @@ pub(crate) fn tenant_target<'a>(
     &buf.target
 }
 
-/// Per-tenant progress while the run interleaves steps. Demand is pulled
-/// through the tenant schedule's [`Workload`] cursor, one pending step
-/// per tenant — the same pull interface the streaming executors use, so
-/// tenants are ready for genuinely lazy demand sources (the spec's own
-/// schedule is still materialized today).
-struct TenantState<'a> {
-    stream: ScheduleStream<&'a Schedule>,
-    /// The next step to execute, pre-pulled so the scheduler can see
-    /// which tenants still have work.
-    pending: Option<Step>,
-    /// Steps executed so far (the pending step's index).
-    executed: usize,
-    comm_end: Picos,
-    gpu_free: Picos,
-    report: SimReport,
-    failed: Option<SimError>,
-}
-
 /// Executes every tenant's schedule on the shared `fabric`.
 ///
 /// Returns one result per tenant, in input order: a completed
@@ -211,8 +196,8 @@ struct TenantState<'a> {
 ///
 /// Returns a top-level error only for structural problems: overlapping or
 /// out-of-range tenant ports ([`SimError::BadTenantPorts`]). Everything
-/// else — length mismatches, unroutable pairs, fabric refusals — is
-/// attributed to its tenant in the per-tenant results.
+/// else — arrivals off the clock, length mismatches, unroutable pairs,
+/// fabric errors — is attributed to its tenant in the per-tenant results.
 pub fn execute_tenants(
     fabric: &mut dyn Fabric,
     tenants: &[TenantSpec],
@@ -234,195 +219,72 @@ pub fn execute_tenants_recorded(
     fabric: &mut dyn Fabric,
     tenants: &[TenantSpec],
     cfg: &RunConfig,
-    mut sink: Option<&mut dyn RecordSink>,
+    sink: Option<&mut dyn RecordSink>,
 ) -> Result<Vec<Result<TenantReport, SimError>>, SimError> {
     let n = fabric.n();
     // Structural validation: the port partition must be sound before any
     // tenant touches the fabric.
-    let mut owner: Vec<Option<usize>> = vec![None; n];
+    let mut owned = vec![false; n];
     for (t, spec) in tenants.iter().enumerate() {
         for &p in &spec.ports {
-            if p >= n || owner[p].is_some() {
+            if p >= n || owned[p] {
                 return Err(SimError::BadTenantPorts { tenant: t, port: p });
             }
-            owner[p] = Some(t);
+            owned[p] = true;
         }
     }
 
-    let mut states: Vec<TenantState<'_>> = Vec::with_capacity(tenants.len());
-    for (t, spec) in tenants.iter().enumerate() {
-        let arrival = secs_to_picos(spec.arrival_s);
-        let mut state = TenantState {
-            pending: None,
-            stream: spec.schedule.stream(),
-            executed: 0,
-            comm_end: arrival,
-            gpu_free: arrival,
-            report: SimReport::default(),
-            failed: None,
-        };
-        let n_t = spec.ports.len();
-        if spec.schedule.n() != n_t || spec.base_config.n() != n_t {
-            state.failed = Some(tenant_err(
-                t,
-                spec,
-                SimError::DimensionMismatch {
-                    fabric: n_t,
-                    collective: spec.schedule.n().max(spec.base_config.n()),
-                },
-            ));
-        } else if spec.switch_schedule.len() != spec.schedule.num_steps() {
-            state.failed = Some(tenant_err(
-                t,
-                spec,
-                SimError::ScheduleLengthMismatch {
-                    expected: spec.schedule.num_steps(),
-                    got: spec.switch_schedule.len(),
-                },
-            ));
-        } else {
-            state.pending = state.stream.next_step(&WorkloadCtx::at(0));
-        }
-        states.push(state);
-    }
+    let mut exec = ServiceExecutor::new(n, *cfg, true);
+    let slots: Vec<Result<usize, SimError>> = tenants
+        .iter()
+        .enumerate()
+        .map(|(t, spec)| {
+            let arrival = arrival_ps(spec.arrival_s).ok_or(SimError::BadArrival {
+                seconds: spec.arrival_s,
+            })?;
+            let job = Job {
+                name: spec.name.clone(),
+                ports: spec.ports.clone(),
+                base_config: spec.base_config.clone(),
+                demand: Demand::Owned(Box::new(spec.schedule.stream())),
+                decider: Decider::Switching(ServiceSwitching::Schedule(
+                    spec.switch_schedule.clone(),
+                )),
+                tag: Some(t),
+                bound: usize::MAX,
+                resume: None,
+            };
+            Ok(exec.admit_job(t as u64, job, arrival)?.slot)
+        })
+        .collect();
+    exec.drain(fabric, sink);
 
-    // Interleave: always advance the tenant whose next fabric request is
-    // earliest (ties to the lowest tenant index). Requests therefore reach
-    // the controller in nondecreasing time order — first come, first
-    // served.
-    let mut scratch = crate::arena::StepScratch::new();
-    let mut targets = TargetScratch::default();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    loop {
-        let mut next: Option<(Picos, usize)> = None;
-        for (t, spec) in tenants.iter().enumerate() {
-            let st = &states[t];
-            if st.failed.is_some() || st.pending.is_none() {
-                continue;
-            }
-            // The same instant execute_step will request at — computed by
-            // the shared helper so scheduler order and request order can
-            // never drift apart.
-            let natural = crate::exec::natural_request_at(
-                cfg,
-                spec.ports.len(),
-                st.executed == 0,
-                st.comm_end,
-                st.gpu_free,
-            );
-            if next.is_none_or(|(at, _)| natural < at) {
-                next = Some((natural, t));
-            }
-        }
-        let Some((_, t)) = next else {
-            break; // every tenant finished or failed
-        };
-
-        let spec = &tenants[t];
-        let i = states[t].executed;
-        let step = states[t].pending.take().expect("scheduled tenant has work");
-        let matched = spec.switch_schedule.choice(i) == ConfigChoice::Matched;
-        let local_target = if matched {
-            &step.matching
-        } else {
-            &spec.base_config
-        };
-        let target = tenant_target(
-            fabric.current(),
-            &spec.ports,
-            local_target,
-            &owner,
-            t,
-            &mut targets,
-        );
-        pairs.clear();
-        pairs.extend(
-            step.matching
-                .pairs()
-                .map(|(s, d)| (spec.ports[s], spec.ports[d])),
-        );
-        let input = StepInput {
-            step: i,
-            matched,
-            target,
-            pairs: &pairs,
-            bytes_per_pair: step.bytes_per_pair,
-            barrier_n: spec.ports.len(),
-            first: i == 0,
-        };
-        let trace_before = states[t].report.trace.len();
-        let step_idx = states[t].report.steps.len();
-        let (comm_end, gpu_free) = {
-            let st = &mut states[t];
-            match execute_step(
-                fabric,
-                &input,
-                cfg,
-                true,
-                st.comm_end,
-                st.gpu_free,
-                &mut st.report,
-                &mut scratch,
-            ) {
-                Ok(clocks) => clocks,
-                Err(e) => {
-                    st.failed = Some(tenant_err(t, spec, e));
-                    continue;
-                }
-            }
-        };
-        if let Some(s) = sink.as_deref_mut() {
-            let st = &states[t];
-            s.record_step(&StepRecord {
-                step: i,
-                tenant: Some(t),
-                matched,
-                report: &st.report.steps[step_idx],
-                events: &st.report.trace[trace_before..],
-                config: fabric.current(),
-                busy_until: fabric.busy_until(),
-            });
-        }
-        let st = &mut states[t];
-        st.comm_end = comm_end;
-        st.gpu_free = gpu_free;
-        st.executed += 1;
-        st.pending = st.stream.next_step(&WorkloadCtx::at(st.executed));
-    }
-
-    Ok(states
+    Ok(slots
         .into_iter()
         .zip(tenants)
-        .map(|(mut st, spec)| match st.failed.take() {
-            Some(e) => Err(e),
-            None => {
-                st.report.total_ps = st.gpu_free;
-                Ok(TenantReport {
-                    name: spec.name.clone(),
-                    arrival_ps: secs_to_picos(spec.arrival_s),
-                    finish_ps: st.gpu_free,
-                    report: st.report,
-                })
+        .enumerate()
+        .map(|(t, (slot, spec))| {
+            let out = exec
+                .remove(slot.map_err(|e| tenant_err(t, spec, e))?)
+                .expect("admitted tenants stay resident until removed");
+            match out.error {
+                Some(e) => Err(tenant_err(t, spec, e)),
+                None => Ok(TenantReport {
+                    name: out.name,
+                    arrival_ps: out.start_ps,
+                    finish_ps: out.finish_ps,
+                    report: out.report.expect("the executor keeps reports"),
+                }),
             }
         })
         .collect())
 }
 
-/// Executes every tenant's schedule on the shared `fabric`.
-///
-/// # Errors
-///
-/// See [`execute_tenants`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `adaptive_photonics::Experiment::…::simulate()` or `execute_tenants`"
-)]
-pub fn run_tenants(
-    fabric: &mut dyn Fabric,
-    tenants: &[TenantSpec],
-    cfg: &RunConfig,
-) -> Result<Vec<Result<TenantReport, SimError>>, SimError> {
-    execute_tenants(fabric, tenants, cfg)
+/// A tenant's arrival on the picosecond clock; `None` when `arrival_s` is
+/// negative, not finite, or past the end of the clock.
+fn arrival_ps(arrival_s: f64) -> Option<Picos> {
+    (arrival_s >= 0.0 && arrival_s * PICOS_PER_SEC < Picos::MAX as f64)
+        .then(|| secs_to_picos(arrival_s))
 }
 
 fn tenant_err(t: usize, spec: &TenantSpec, source: SimError) -> SimError {
@@ -477,7 +339,7 @@ mod tests {
     #[test]
     fn lone_tenant_matches_run_collective() {
         // A single tenant occupying the whole fabric must behave exactly
-        // like run_collective on a dedicated fabric.
+        // like run_scheduled on a dedicated fabric.
         let t = tenant("solo", (0..8).collect(), MIB, true);
         let mut fab = fabric_for(8, std::slice::from_ref(&t));
         let cfg = RunConfig::paper_defaults();
@@ -575,6 +437,31 @@ mod tests {
             err,
             SimError::BadTenantPorts { tenant: 1, port: 7 }
         ));
+    }
+
+    #[test]
+    fn records_keep_the_tenant_index_after_a_failed_admission() {
+        // Tenant 0 fails admission, so tenant 1 runs in executor slot 0;
+        // its records must still carry tenant index 1.
+        struct Tags(Vec<Option<usize>>);
+        impl RecordSink for Tags {
+            fn record_step(&mut self, record: &crate::record::StepRecord<'_>) {
+                self.0.push(record.tenant);
+            }
+        }
+        let mut a = tenant("bad", (0..8).collect(), MIB, true);
+        a.switch_schedule = SwitchSchedule::all_base(1);
+        let b = tenant("good", (8..16).collect(), MIB, true);
+        let mut fab = fabric_for(16, &[a.clone(), b.clone()]);
+        let mut tags = Tags(Vec::new());
+        let cfg = RunConfig::paper_defaults();
+        let reports = execute_tenants_recorded(&mut fab, &[a, b], &cfg, Some(&mut tags)).unwrap();
+        assert!(reports[0].is_err() && reports[1].is_ok());
+        assert_eq!(
+            tags.0.len(),
+            reports[1].as_ref().unwrap().report.steps.len()
+        );
+        assert!(tags.0.iter().all(|&t| t == Some(1)));
     }
 
     #[test]

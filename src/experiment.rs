@@ -153,7 +153,7 @@ pub struct Unbound(());
 /// Workload state: one fixed collective schedule. The schedule is held
 /// through its [`Workload`] face ([`ScheduleStream`]), so the single-
 /// collective path and the streaming path share one demand
-/// representation (pinned bit-equivalent by `tests/deprecated_compat.rs`).
+/// representation (pinned bit-equivalent by `tests/workload_stream.rs`).
 pub struct Single {
     stream: ScheduleStream,
 }

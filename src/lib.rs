@@ -294,10 +294,6 @@ pub mod prelude {
         run_workload, run_workload_totals, scenarios, RunConfig, Scenario, SimReport,
         StreamPricing, StreamSummary, TenantReport, TenantSpec, Trial,
     };
-    // Deprecated free-function shims, kept importable for downstream code
-    // that still `#[allow(deprecated)]`s its way through a migration.
-    #[allow(deprecated)]
-    pub use aps_sim::{run_collective, run_tenants, run_trials};
 }
 
 #[cfg(test)]

@@ -217,6 +217,35 @@ fn decisions_precede_reconfigs_on_a_degraded_laser_under_overlap() {
     assert_eq!(decisions, coll.schedule.num_steps());
 }
 
+#[test]
+fn a_lone_run_on_a_busy_controller_queues_for_it() {
+    // The controller is still reconfiguring until 5 µs when the run
+    // starts. Step 0's request (at α = 100 ns) waits for it, exactly as a
+    // tenant's would, and reports the wait as arbitration.
+    let n = 8;
+    let coll = collectives::allreduce::halving_doubling::build(n, MIB).unwrap();
+    let ss = SwitchSchedule::all_base(coll.schedule.num_steps());
+    let mut f = CircuitSwitch::new(ring(n), ReconfigModel::constant(5e-6).unwrap());
+    f.request(&Matching::shift(n, 3).unwrap(), 0).unwrap();
+    assert_eq!(f.busy_until(), 5_000_000);
+    let report = run_scheduled(
+        &mut f,
+        &ring(n),
+        &coll.schedule,
+        &ss,
+        &RunConfig::paper_defaults(),
+    )
+    .unwrap();
+    let alpha_ps = 100_000;
+    assert_eq!(report.steps[0].arbitration_ps, 5_000_000 - alpha_ps);
+    assert!(report.trace.iter().any(|ev| ev.at == alpha_ps
+        && ev.kind
+            == TraceKind::ArbitrationWait {
+                granted_at: 5_000_000
+            }));
+    assert!(report.steps[1..].iter().all(|s| s.arbitration_ps == 0));
+}
+
 // ---------------------------------------------------------------------
 // Multi-tenant fault isolation: a degraded partition must stay contained.
 // ---------------------------------------------------------------------
@@ -313,6 +342,47 @@ fn stuck_port_on_an_idle_partition_is_harmless_to_all_tenants() {
     for (h, d) in healthy.iter().zip(degraded.iter()) {
         assert_eq!(h.as_ref().unwrap(), d.as_ref().unwrap());
     }
+}
+
+#[test]
+fn a_partition_next_to_a_stuck_idle_port_runs_as_on_a_dedicated_fabric() {
+    // The same job twice: alone on a dedicated 8-port fabric, where its
+    // local and global ports coincide, and as the only tenant on ports
+    // 8..16 of a 16-port fabric, next to a stuck port on the idle half
+    // that the target overlay must leave alone. Mixed base/matched steps
+    // exercise remapped multi-hop routes and partial retargets.
+    let n = 8;
+    let coll = collectives::allreduce::halving_doubling::build(n, MIB).unwrap();
+    let ss = SwitchSchedule::new(
+        (0..coll.schedule.num_steps())
+            .map(|i| {
+                if i % 2 == 0 {
+                    aps_core::ConfigChoice::Matched
+                } else {
+                    aps_core::ConfigChoice::Base
+                }
+            })
+            .collect(),
+    );
+    let cfg = RunConfig::paper_defaults();
+    let mut dedicated = CircuitSwitch::new(ring(n), ReconfigModel::constant(1e-6).unwrap());
+    let alone = run_scheduled(&mut dedicated, &ring(n), &coll.schedule, &ss, &cfg).unwrap();
+    assert!(alone.reconfig_events() > 0);
+
+    let tenant = TenantSpec {
+        name: "upper".into(),
+        ports: (n..2 * n).collect(),
+        base_config: ring(n),
+        schedule: coll.schedule,
+        switch_schedule: ss,
+        arrival_s: 0.0,
+    };
+    let mut fab = tenant_fabric(2 * n, std::slice::from_ref(&tenant), 1e-6);
+    fab.stick_port(3).unwrap();
+    let reports = execute_tenants(&mut fab, &[tenant], &cfg).unwrap();
+    let partitioned = reports[0].as_ref().unwrap();
+    assert_eq!(partitioned.report, alone);
+    assert_eq!(partitioned.finish_ps, alone.total_ps);
 }
 
 #[test]
@@ -630,4 +700,95 @@ fn overlapping_tenant_bases_error_instead_of_panicking() {
         ),
         Err(SimError::ConfigConflict { .. })
     ));
+}
+
+// ---------------------------------------------------------------------
+// Arrivals and clocks: every instant off the picosecond clock is a typed
+// error, never a panic or a silent wrap.
+// ---------------------------------------------------------------------
+
+/// Runs `a` next to a healthy tenant `b`, returning both results.
+fn run_with_arrival(arrival_s: f64) -> Vec<Result<TenantReport, SimError>> {
+    let mut a = matched_tenant("late", (0..4).collect(), MIB);
+    a.arrival_s = arrival_s;
+    let b = matched_tenant("on-time", (4..8).collect(), MIB);
+    let mut fab = tenant_fabric(8, &[a.clone(), b.clone()], 1e-6);
+    execute_tenants(&mut fab, &[a, b], &RunConfig::paper_defaults()).unwrap()
+}
+
+#[test]
+fn arrivals_off_the_clock_are_tenant_tagged_errors() {
+    for arrival_s in [f64::NAN, -1.0, f64::INFINITY, 1e300] {
+        let reports = run_with_arrival(arrival_s);
+        match reports[0].as_ref().unwrap_err() {
+            SimError::Tenant {
+                tenant: 0, source, ..
+            } => assert!(
+                matches!(**source, SimError::BadArrival { .. }),
+                "{arrival_s}: {source}"
+            ),
+            other => panic!("{arrival_s}: expected a tenant-tagged BadArrival, got {other}"),
+        }
+        assert!(reports[1].is_ok(), "{arrival_s}: the other tenant runs");
+    }
+}
+
+#[test]
+fn a_tenant_running_past_the_clock_end_fails_with_clock_overflow() {
+    // Arrives 1.55 µs before the end of the u64 picosecond clock: its
+    // first step's transfer would wrap the clock.
+    let reports = run_with_arrival(18_446_744.073_708);
+    match reports[0].as_ref().unwrap_err() {
+        SimError::Tenant { source, .. } => {
+            assert_eq!(**source, SimError::ClockOverflow { step: 0 });
+        }
+        other => panic!("expected a tenant-tagged ClockOverflow, got {other}"),
+    }
+    assert!(reports[1].is_ok());
+}
+
+#[test]
+fn a_reconfiguration_past_the_clock_end_fails_with_clock_overflow() {
+    // Arrives 0.55 µs before the end of the clock: its control path
+    // (α = 0.1 µs) fits, its first step's 1 µs reconfiguration does not.
+    // The fabric refuses the request and keeps the tenant's base ring.
+    let mut late = matched_tenant("late", (0..4).collect(), MIB);
+    late.arrival_s = 18_446_744.073_709;
+    let tenants = [late, matched_tenant("on-time", (4..8).collect(), MIB)];
+    let mut fab = tenant_fabric(8, &tenants, 1e-6);
+    let reports = execute_tenants(&mut fab, &tenants, &RunConfig::paper_defaults()).unwrap();
+    match reports[0].as_ref().unwrap_err() {
+        SimError::Tenant { source, .. } => {
+            assert_eq!(**source, SimError::ClockOverflow { step: 0 });
+        }
+        other => panic!("expected a tenant-tagged ClockOverflow, got {other}"),
+    }
+    let survivor = reports[1].as_ref().unwrap();
+    assert!((0..4).all(|p| fab.current().dst_of(p) == Some((p + 1) % 4)));
+    assert_eq!(
+        fab.stats().reconfigurations,
+        survivor.report.reconfig_events()
+    );
+}
+
+#[test]
+fn a_service_job_admitted_at_the_clock_end_departs_with_clock_overflow() {
+    use aps_sim::{ServiceExecutor, ServiceJobSpec, ServiceSwitching};
+    let n = 4;
+    let coll = collectives::allreduce::ring::build(n, MIB).unwrap();
+    let mut exec = ServiceExecutor::new(n, RunConfig::paper_defaults(), false);
+    let spec = ServiceJobSpec {
+        name: "doomed".into(),
+        ports: (0..n).collect(),
+        base_config: ring(n),
+        workload: Box::new(coll.schedule.into_workload()),
+        switching: ServiceSwitching::Uniform(aps_core::ConfigChoice::Base),
+    };
+    exec.admit(0, spec, u64::MAX - 1).unwrap();
+    let mut fab = CircuitSwitch::new(ring(n), ReconfigModel::constant(1e-6).unwrap());
+    let dep = exec.execute_next(&mut fab, None).unwrap();
+    assert!(dep.failed);
+    assert_eq!(dep.finish_ps, u64::MAX);
+    let out = exec.remove(dep.slot).unwrap();
+    assert_eq!(out.error, Some(SimError::ClockOverflow { step: 0 }));
 }

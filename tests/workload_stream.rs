@@ -15,6 +15,7 @@
 
 use adaptive_photonics::prelude::*;
 use aps_collectives::workload::generators::{OnOffBursty, RandomPermutations, TrainingLoop};
+use aps_cost::units::MIB;
 
 fn domain(n: usize) -> Experiment<adaptive_photonics::experiment::Unbound> {
     Experiment::domain(topology::builders::ring_unidirectional(n).unwrap())
@@ -82,6 +83,44 @@ fn streaming_plan_matches_schedule_plan() {
     ));
     let summary = endless.simulate_summary(64).unwrap();
     assert_eq!(summary.steps, 64);
+}
+
+#[test]
+fn experiment_schedule_is_bit_equivalent_to_its_workload_route() {
+    // `Experiment::schedule` stays, but its demand now lives behind the
+    // schedule's `Workload` impl. This pins the two front-door routes —
+    // the materialized `.schedule(&s)` binder and the streaming
+    // `.workload(s.into_workload())` binder — bit-equivalent: same plan,
+    // and (for an online controller) the same simulated run byte for
+    // byte.
+    let n = 16;
+    let s = collectives::allreduce::halving_doubling::build(n, 8.0 * MIB)
+        .unwrap()
+        .schedule;
+    let base = || topology::builders::ring_unidirectional(n).unwrap();
+    let reconfig = ReconfigModel::constant(10e-6).unwrap();
+
+    let mut via_schedule = Experiment::domain(base()).reconfig(reconfig).schedule(&s);
+    let mut via_workload = Experiment::domain(base())
+        .reconfig(reconfig)
+        .workload(s.clone().into_workload());
+    let plan_a = via_schedule.plan().unwrap();
+    let plan_b = via_workload.plan().unwrap();
+    assert_eq!(plan_a.switches, plan_b.switches);
+    assert_eq!(plan_a.report, plan_b.report);
+
+    let mut sim_a = Experiment::domain(base())
+        .reconfig(reconfig)
+        .schedule(&s)
+        .controller(Greedy);
+    let mut sim_b = Experiment::domain(base())
+        .reconfig(reconfig)
+        .workload(s.into_workload())
+        .controller(Greedy);
+    let run_a = sim_a.simulate().unwrap();
+    let run_b = sim_b.simulate().unwrap();
+    assert_eq!(run_a.switches, run_b.switches);
+    assert_eq!(run_a.report, run_b.report);
 }
 
 /// Wraps a workload and counts every pull, so tests can assert demand is

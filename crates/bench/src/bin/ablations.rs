@@ -26,10 +26,11 @@ use aps_core::sweep::{SweepCell, SweepGrid};
 use aps_core::{SwitchSchedule, SwitchingProblem};
 use aps_cost::units::{format_bytes, format_time, MIB, NANOS};
 use aps_cost::{CostParams, ReconfigModel};
+use aps_fabric::CircuitSwitch;
 use aps_flow::solver::{ThetaCache, ThroughputSolver};
 use aps_matrix::Matching;
 use aps_par::Pool;
-use aps_sim::{run_trial_batch, ComputeModel, RunConfig, Trial};
+use aps_sim::{run_scheduled, ComputeModel, RunConfig};
 use aps_topology::builders;
 
 /// Headline metrics one panel contributes to the ablation registry and
@@ -454,26 +455,28 @@ fn overlap() -> PanelSummary {
         "compute/byte", "serial", "overlap", "saved"
     );
     let compute_models = [0.0, 0.1, 0.5, 2.0];
-    // Serial/overlapped pairs as one trial batch on the pool.
-    let trials: Vec<Trial> = compute_models
+    // Serial/overlapped pairs as one batch on the pool, each run on a
+    // fresh fabric.
+    let configs: Vec<RunConfig> = compute_models
         .iter()
         .flat_map(|&per_byte_ns| {
-            [false, true].map(|overlap_flag| Trial {
-                base_config: ring.clone(),
-                reconfig: ReconfigModel::constant(10e-6).unwrap(),
-                schedule: c.schedule.clone(),
-                switch_schedule: SwitchSchedule::all_matched(s),
-                config: RunConfig {
-                    compute: (per_byte_ns > 0.0).then_some(ComputeModel {
-                        per_byte_s: per_byte_ns * 1e-9,
-                    }),
-                    overlap_reconfig_with_compute: overlap_flag,
-                    ..RunConfig::paper_defaults()
-                },
+            [false, true].map(|overlap_flag| RunConfig {
+                compute: (per_byte_ns > 0.0).then_some(ComputeModel {
+                    per_byte_s: per_byte_ns * 1e-9,
+                }),
+                overlap_reconfig_with_compute: overlap_flag,
+                ..RunConfig::paper_defaults()
             })
         })
         .collect();
-    let reports = run_trial_batch(&Pool::from_env(), &trials).expect("sim");
+    let switches = SwitchSchedule::all_matched(s);
+    let reports = Pool::from_env()
+        .try_map(&configs, |_, cfg| {
+            let mut fabric =
+                CircuitSwitch::new(ring.clone(), ReconfigModel::constant(10e-6).unwrap());
+            run_scheduled(&mut fabric, &ring, &c.schedule, &switches, cfg)
+        })
+        .expect("sim");
     let mut s = PanelSummary::new("a5-overlap");
     for (pi, &per_byte_ns) in compute_models.iter().enumerate() {
         let serial = reports[2 * pi].total_s();
@@ -539,21 +542,30 @@ fn sim_validate() -> PanelSummary {
             })
             .to_vec()
     });
-    // Phase 2 — one simulator trial per workload × policy, batched.
-    let trials: Vec<Trial> = workloads
+    // Phase 2 — one simulator run per workload × policy, batched, each on
+    // a fresh fabric.
+    let runs: Vec<_> = workloads
         .iter()
         .zip(&analytic)
         .flat_map(|((_, c), per_policy)| {
-            per_policy.iter().map(|(schedule, _)| Trial {
-                base_config: ring.clone(),
-                reconfig: ReconfigModel::constant(5e-6).unwrap(),
-                schedule: c.schedule.clone(),
-                switch_schedule: schedule.clone(),
-                config: RunConfig::paper_defaults(),
-            })
+            per_policy
+                .iter()
+                .map(move |(switches, _)| (&c.schedule, switches))
         })
         .collect();
-    let reports = run_trial_batch(&pool, &trials).expect("sim");
+    let reports = pool
+        .try_map(&runs, |_, &(schedule, switches)| {
+            let mut fabric =
+                CircuitSwitch::new(ring.clone(), ReconfigModel::constant(5e-6).unwrap());
+            run_scheduled(
+                &mut fabric,
+                &ring,
+                schedule,
+                switches,
+                &RunConfig::paper_defaults(),
+            )
+        })
+        .expect("sim");
     let mut s = PanelSummary::new("a6-sim-validate");
     for (wi, (name, _)) in workloads.iter().enumerate() {
         for (pi, policy) in policies.iter().enumerate() {

@@ -23,18 +23,20 @@
 use aps_bench::cli::{emit_bench_report, parse_flags};
 use aps_bench::output::Json;
 use aps_core::controller::{Controller, DpPlanned, Greedy};
+use aps_core::ReconfigAccounting;
 use aps_cost::units::{format_time, MIB};
 use aps_cost::{CostParams, ReconfigModel};
+use aps_flow::ThroughputSolver;
 use aps_par::Pool;
-use aps_sim::harness::{run_scenario_trials, ScenarioTrial};
-use aps_sim::{scenarios, RunConfig};
+use aps_sim::{scenarios, RunConfig, Scenario};
 
 /// One benchmark cell: a scenario at one reconfiguration delay under one
 /// switch-schedule policy family.
 struct Cell {
     policy: &'static str,
     alpha_r_s: f64,
-    trial: ScenarioTrial,
+    reconfig: ReconfigModel,
+    scenario: Scenario,
 }
 
 /// The controller-planned cell families: every tenant's switch schedule
@@ -65,44 +67,49 @@ fn main() {
             cells.push(Cell {
                 policy: "static",
                 alpha_r_s: alpha_r,
-                trial: ScenarioTrial {
-                    scenario: scenario.clone(),
-                    reconfig,
-                    config: cfg,
-                },
+                reconfig,
+                scenario: scenario.clone(),
             });
             for (label, controller) in CONTROLLER_FAMILIES {
                 let mut planned = scenario.clone();
                 planned
-                    .plan_with(&pool, controller, params, reconfig)
+                    .plan(
+                        &pool,
+                        controller,
+                        params,
+                        reconfig,
+                        ReconfigAccounting::PaperConservative,
+                        ThroughputSolver::ForcedPath,
+                    )
                     .unwrap_or_else(|e| panic!("tenant planning ({label}) failed: {e}"));
                 cells.push(Cell {
                     policy: label,
                     alpha_r_s: alpha_r,
-                    trial: ScenarioTrial {
-                        scenario: planned,
-                        reconfig,
-                        config: cfg,
-                    },
+                    reconfig,
+                    scenario: planned,
                 });
             }
         }
     }
 
-    let trials: Vec<ScenarioTrial> = cells.iter().map(|c| c.trial.clone()).collect();
-    let outcomes = run_scenario_trials(&pool, &trials).expect("scenario batch failed");
+    let outcomes = pool
+        .try_map(&cells, |_, cell| {
+            let mut fabric = cell.scenario.fabric(cell.reconfig)?;
+            cell.scenario.run_on(&mut fabric, &cfg)
+        })
+        .expect("scenario batch failed");
     let wall_s = started.elapsed().as_secs_f64();
 
     let mut cell_reports = Vec::with_capacity(cells.len());
     for (cell, outcome) in cells.iter().zip(&outcomes) {
         println!(
             "── {} · α_r = {} · {} policy",
-            cell.trial.scenario.name,
+            cell.scenario.name,
             format_time(cell.alpha_r_s),
             cell.policy
         );
         let mut tenant_reports = Vec::with_capacity(outcome.len());
-        for (spec, result) in cell.trial.scenario.tenants.iter().zip(outcome) {
+        for (spec, result) in cell.scenario.tenants.iter().zip(outcome) {
             let r = result
                 .as_ref()
                 .unwrap_or_else(|e| panic!("tenant '{}' failed: {e}", spec.name));
@@ -128,7 +135,7 @@ fn main() {
             ]));
         }
         cell_reports.push(Json::obj([
-            ("scenario", Json::Str(cell.trial.scenario.name.clone())),
+            ("scenario", Json::Str(cell.scenario.name.clone())),
             ("policy", Json::Str(cell.policy.into())),
             ("alpha_r_s", Json::Num(cell.alpha_r_s)),
             ("tenants", Json::Arr(tenant_reports)),

@@ -22,6 +22,7 @@
 use aps_bench::cli::{emit_bench_report, parse_flags};
 use aps_bench::output::Json;
 use aps_collectives::workload::generators::{OnOffBursty, RandomPermutations, TrainingLoop};
+use aps_collectives::workload::materialize;
 use aps_collectives::Workload;
 use aps_core::controller::{DpPlanned, Greedy, Static};
 use aps_core::ScaleupDomain;
@@ -30,7 +31,7 @@ use aps_cost::{CostParams, ReconfigModel};
 use aps_fabric::CircuitSwitch;
 use aps_matrix::Matching;
 use aps_par::Pool;
-use aps_sim::{run_scheduled_workload, run_workload, RunConfig, SimReport, StreamPricing};
+use aps_sim::{run_scheduled, run_workload, RunConfig, SimReport, StreamPricing};
 use aps_topology::builders;
 
 const N: usize = 16;
@@ -75,23 +76,25 @@ fn run_cell(policy: &str, workload: &mut dyn Workload, alpha_r: f64) -> SimRepor
                 ctl,
                 StreamPricing::new(reconfig),
                 &cfg,
+                None,
             )
             .expect("streaming run");
             report
         }
         // DP optimum: plan over the materialized stream, then replay the
-        // switch schedule against the (rewound) stream.
+        // switch schedule against the (rewound, materialized) stream.
         "planned" => {
             let mut domain = ScaleupDomain::new(base, CostParams::paper_defaults(), reconfig);
             let (switches, _) = domain
                 .plan_workload(workload, usize::MAX, &DpPlanned)
                 .expect("plan");
             workload.reset();
+            let schedule = materialize(workload, usize::MAX).expect("finite stream");
             let mut fabric = CircuitSwitch::new(Matching::shift(N, 1).unwrap(), reconfig);
-            run_scheduled_workload(
+            run_scheduled(
                 &mut fabric,
                 &Matching::shift(N, 1).unwrap(),
-                workload,
+                &schedule,
                 &switches,
                 &cfg,
             )

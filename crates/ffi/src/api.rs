@@ -845,7 +845,7 @@ pub extern "C" fn aps_experiment_plan(experiment: u64, out: *mut ApsPlanSummary)
         };
         let plan = match single.plan() {
             Ok(p) => p,
-            Err(e) => return fail(ApsStatus::Core, &format!("planning failed: {e}")),
+            Err(e) => return fail(ApsStatus::Core, &e.to_string()),
         };
         let matched = (0..plan.switches.len())
             .filter(|&i| plan.switches.choice(i) == ConfigChoice::Matched)
@@ -876,64 +876,99 @@ fn snapshot(experiment: u64) -> Result<FfiExperiment, ApsStatus> {
         .map_err(|e| fail(e.into(), "experiment handle is stale"))
 }
 
-/// One collective run of `exp` under `controller`, on the configured
-/// medium.
-fn run_collective_once(
+/// One run of the bound collective or scenario under `controller`, on the
+/// configured medium: its completion instant, its physical
+/// reconfiguration events, and its detail rows — one per collective
+/// step, or one per tenant. A scenario's tenants are planned by the
+/// controller first.
+fn run_once(
     exp: &FfiExperiment,
-    family: &str,
-    bytes: f64,
     controller: &'static dyn aps_core::controller::Controller,
-) -> Result<adaptive_photonics::experiment::SimRun, ApsStatus> {
-    let collective = match collective_by_name(family, exp.ports, bytes) {
-        Some(Ok(c)) => c,
-        Some(Err(e)) => return Err(fail(ApsStatus::Collective, &format!("{e}"))),
-        None => {
-            return Err(fail(
-                ApsStatus::UnknownWorkload,
-                "collective family vanished",
+) -> Result<(u64, u64, Vec<ApsRunRow>), ApsStatus> {
+    let fabric = |n: usize| {
+        exp.fabric(n)
+            .map_err(|e| fail(ApsStatus::Fabric, &format!("cannot build fabric: {e}")))
+    };
+    match &exp.binding {
+        Binding::Collective { family, bytes } => {
+            let collective = match collective_by_name(family, exp.ports, *bytes) {
+                Some(Ok(c)) => c,
+                Some(Err(e)) => return Err(fail(ApsStatus::Collective, &format!("{e}"))),
+                None => {
+                    return Err(fail(
+                        ApsStatus::UnknownWorkload,
+                        "collective family vanished",
+                    ))
+                }
+            };
+            let mut single = exp
+                .experiment(exp.ports, controller)?
+                .collective(&collective);
+            let report = single
+                .simulate_on(fabric(exp.ports)?.as_mut())
+                .map_err(|e| fail(ApsStatus::Sim, &e.to_string()))?
+                .report;
+            let rows = report
+                .steps
+                .iter()
+                .enumerate()
+                .map(|(i, s)| ApsRunRow {
+                    index: i as u64,
+                    total_ps: s.total_ps(),
+                    reconfig_ps: s.reconfig_ps,
+                    transfer_ps: s.transfer_ps,
+                    arbitration_ps: s.arbitration_ps,
+                })
+                .collect();
+            Ok((report.total_ps, report.reconfig_events() as u64, rows))
+        }
+        Binding::Scenario { name, bytes } => {
+            let scenario = hetero::by_name(name, *bytes).ok_or_else(|| {
+                fail(
+                    ApsStatus::UnknownScenario,
+                    &format!("unknown scenario '{name}'"),
+                )
+            })?;
+            let n = scenario.n;
+            let mut shared = exp.experiment(n, controller)?.scenario(scenario);
+            shared
+                .plan()
+                .map_err(|e| fail(ApsStatus::Core, &e.to_string()))?;
+            let tenants = shared
+                .simulate_on(fabric(n)?.as_mut())
+                .map_err(|e| fail(ApsStatus::Sim, &format!("scenario failed: {e}")))?
+                .into_iter()
+                .map(|r| r.map_err(|e| fail(ApsStatus::Sim, &format!("tenant failed: {e}"))))
+                .collect::<Result<Vec<TenantReport>, ApsStatus>>()?;
+            let rows = tenants
+                .iter()
+                .enumerate()
+                .map(|(i, t)| ApsRunRow {
+                    index: i as u64,
+                    total_ps: t.finish_ps,
+                    reconfig_ps: t.report.steps.iter().map(|s| s.reconfig_ps).sum(),
+                    transfer_ps: t.report.steps.iter().map(|s| s.transfer_ps).sum(),
+                    arbitration_ps: t.arbitration_ps(),
+                })
+                .collect();
+            Ok((
+                tenants.iter().map(|t| t.finish_ps).max().unwrap_or(0),
+                tenants
+                    .iter()
+                    .map(|t| t.report.reconfig_events() as u64)
+                    .sum(),
+                rows,
             ))
         }
-    };
-    let mut single = exp
-        .experiment(exp.ports, controller)?
-        .collective(&collective);
-    let mut fabric = exp
-        .fabric(exp.ports)
-        .map_err(|e| fail(ApsStatus::Fabric, &format!("cannot build fabric: {e}")))?;
-    single
-        .simulate_on(fabric.as_mut())
-        .map_err(|e| fail(ApsStatus::Sim, &format!("simulation failed: {e}")))
-}
-
-/// One scenario run of `exp` under `controller`: plan every tenant with
-/// the controller, execute on the configured medium.
-fn run_scenario_once(
-    exp: &FfiExperiment,
-    name: &str,
-    bytes: f64,
-    controller: &'static dyn aps_core::controller::Controller,
-) -> Result<Vec<TenantReport>, ApsStatus> {
-    let scenario = hetero::by_name(name, bytes).ok_or_else(|| {
-        fail(
-            ApsStatus::UnknownScenario,
-            &format!("unknown scenario '{name}'"),
-        )
-    })?;
-    let n = scenario.n;
-    let mut shared = exp.experiment(n, controller)?.scenario(scenario);
-    shared
-        .plan()
-        .map_err(|e| fail(ApsStatus::Core, &format!("planning failed: {e}")))?;
-    let mut fabric = exp
-        .fabric(n)
-        .map_err(|e| fail(ApsStatus::Fabric, &format!("cannot build fabric: {e}")))?;
-    let reports = shared
-        .simulate_on(fabric.as_mut())
-        .map_err(|e| fail(ApsStatus::Sim, &format!("scenario failed: {e}")))?;
-    reports
-        .into_iter()
-        .map(|r| r.map_err(|e| fail(ApsStatus::Sim, &format!("tenant failed: {e}"))))
-        .collect()
+        Binding::Service { .. } => Err(fail(
+            ApsStatus::WorkloadUnbound,
+            "service experiments run via aps_experiment_run_service",
+        )),
+        Binding::None => Err(fail(
+            ApsStatus::WorkloadUnbound,
+            "bind a collective or scenario before simulating",
+        )),
+    }
 }
 
 /// Simulates the bound workload (collective or scenario) under the
@@ -954,109 +989,30 @@ pub extern "C" fn aps_experiment_simulate(experiment: u64, out_run: *mut u64) ->
             Ok(c) => c,
             Err(status) => return status,
         };
-        let run = match &exp.binding {
-            Binding::Collective { family, bytes } => {
-                let adapted = match run_collective_once(&exp, family, *bytes, controller) {
-                    Ok(r) => r,
-                    Err(status) => return status,
-                };
-                let completion = adapted.report.total_ps;
-                let speedup = if exp.controller == "static" {
-                    1.0
-                } else {
-                    match run_collective_once(&exp, family, *bytes, &Static) {
-                        Ok(s) => s.report.total_ps as f64 / completion.max(1) as f64,
-                        Err(status) => return status,
-                    }
-                };
-                let rows: Vec<ApsRunRow> = adapted
-                    .report
-                    .steps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| ApsRunRow {
-                        index: i as u64,
-                        total_ps: s.total_ps(),
-                        reconfig_ps: s.reconfig_ps,
-                        transfer_ps: s.transfer_ps,
-                        arbitration_ps: s.arbitration_ps,
-                    })
-                    .collect();
-                FfiRun {
-                    summary: ApsSimSummary {
-                        struct_size: std::mem::size_of::<ApsSimSummary>(),
-                        completion_ps: completion,
-                        completion_s: picos_to_secs(completion),
-                        speedup_vs_static: speedup,
-                        rows: rows.len() as u64,
-                        reconfig_events: adapted.report.reconfig_events() as u64,
-                        reconfig_ps: adapted.report.steps.iter().map(|s| s.reconfig_ps).sum(),
-                        transfer_ps: adapted.report.steps.iter().map(|s| s.transfer_ps).sum(),
-                        arbitration_ps: adapted.report.steps.iter().map(|s| s.arbitration_ps).sum(),
-                    },
-                    rows,
-                }
-            }
-            Binding::Scenario { name, bytes } => {
-                let adapted = match run_scenario_once(&exp, name, *bytes, controller) {
-                    Ok(r) => r,
-                    Err(status) => return status,
-                };
-                let completion = adapted.iter().map(|t| t.finish_ps).max().unwrap_or(0);
-                let speedup = if exp.controller == "static" {
-                    1.0
-                } else {
-                    match run_scenario_once(&exp, name, *bytes, &Static) {
-                        Ok(s) => {
-                            let base = s.iter().map(|t| t.finish_ps).max().unwrap_or(0);
-                            base as f64 / completion.max(1) as f64
-                        }
-                        Err(status) => return status,
-                    }
-                };
-                let rows: Vec<ApsRunRow> = adapted
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| ApsRunRow {
-                        index: i as u64,
-                        total_ps: t.finish_ps,
-                        reconfig_ps: t.report.steps.iter().map(|s| s.reconfig_ps).sum(),
-                        transfer_ps: t.report.steps.iter().map(|s| s.transfer_ps).sum(),
-                        arbitration_ps: t.arbitration_ps(),
-                    })
-                    .collect();
-                FfiRun {
-                    summary: ApsSimSummary {
-                        struct_size: std::mem::size_of::<ApsSimSummary>(),
-                        completion_ps: completion,
-                        completion_s: picos_to_secs(completion),
-                        speedup_vs_static: speedup,
-                        rows: rows.len() as u64,
-                        reconfig_events: adapted
-                            .iter()
-                            .map(|t| t.report.reconfig_events() as u64)
-                            .sum(),
-                        reconfig_ps: rows.iter().map(|r| r.reconfig_ps).sum(),
-                        transfer_ps: rows.iter().map(|r| r.transfer_ps).sum(),
-                        arbitration_ps: rows.iter().map(|r| r.arbitration_ps).sum(),
-                    },
-                    rows,
-                }
-            }
-            Binding::Service { .. } => {
-                return fail(
-                    ApsStatus::WorkloadUnbound,
-                    "service experiments run via aps_experiment_run_service",
-                )
-            }
-            Binding::None => {
-                return fail(
-                    ApsStatus::WorkloadUnbound,
-                    "bind a collective or scenario before simulating",
-                )
+        let (completion, reconfig_events, rows) = match run_once(&exp, controller) {
+            Ok(r) => r,
+            Err(status) => return status,
+        };
+        let speedup = if exp.controller == "static" {
+            1.0
+        } else {
+            match run_once(&exp, &Static) {
+                Ok((base, _, _)) => base as f64 / completion.max(1) as f64,
+                Err(status) => return status,
             }
         };
-        match lock(&RUNS).insert(run) {
+        let summary = ApsSimSummary {
+            struct_size: std::mem::size_of::<ApsSimSummary>(),
+            completion_ps: completion,
+            completion_s: picos_to_secs(completion),
+            speedup_vs_static: speedup,
+            rows: rows.len() as u64,
+            reconfig_events,
+            reconfig_ps: rows.iter().map(|r| r.reconfig_ps).sum(),
+            transfer_ps: rows.iter().map(|r| r.transfer_ps).sum(),
+            arbitration_ps: rows.iter().map(|r| r.arbitration_ps).sum(),
+        };
+        match lock(&RUNS).insert(FfiRun { summary, rows }) {
             Ok(handle) => {
                 unsafe { *out_run = handle };
                 ApsStatus::Ok
@@ -1229,7 +1185,7 @@ pub extern "C" fn aps_experiment_run_service(experiment: u64, out_service: *mut 
         };
         let report = match service.run_on(fabric.as_mut()) {
             Ok(r) => r,
-            Err(e) => return fail(ApsStatus::Service, &format!("service failed: {e}")),
+            Err(e) => return fail(ApsStatus::Service, &e.to_string()),
         };
         match lock(&SERVICES).insert(report.summary) {
             Ok(handle) => {

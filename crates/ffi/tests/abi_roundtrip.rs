@@ -512,6 +512,27 @@ fn every_failure_is_typed_and_explained() {
 }
 
 #[test]
+fn a_failed_simulation_names_its_stage_once() {
+    // A volume no picosecond clock can hold: the first step's transfer
+    // overflows. The engine's error already names the stage; the ABI
+    // passes it through instead of prefixing it again.
+    let controller = CString::new("opt").unwrap();
+    let family = CString::new("hd-allreduce").unwrap();
+    let cfg = domain_config(8, &controller, ApsFabricKind::Optical as i32, None);
+    let exp = new_experiment(&cfg);
+    assert_eq!(
+        aps_experiment_bind_collective(exp, family.as_ptr(), 1e300),
+        ApsStatus::Ok
+    );
+    let mut run = 0u64;
+    assert_eq!(aps_experiment_simulate(exp, &mut run), ApsStatus::Sim);
+    let message = last_error();
+    assert_eq!(message.matches("simulation failed").count(), 1, "{message}");
+    assert!(message.contains("clock overflowed"), "{message}");
+    assert_eq!(aps_experiment_destroy(exp), ApsStatus::Ok);
+}
+
+#[test]
 fn wavelength_bank_runs_through_the_abi() {
     let controller = CString::new("opt").unwrap();
     let name = CString::new("multi-wavelength").unwrap();

@@ -12,7 +12,7 @@ use aps_matrix::Matching;
 use aps_replay::{
     diff_records, Frame, Recorder, ReplayError, ReplayReader, ReplayRecord, StateHash, NO_TENANT,
 };
-use aps_sim::{run_workload_recorded, RunConfig, StreamPricing};
+use aps_sim::{run_workload, RunConfig, StreamPricing};
 use proptest::prelude::*;
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -169,7 +169,7 @@ fn full_report_and_totals_paths_record_identically() {
     let mut full_rec = Recorder::new(n, "greedy", "training-loop");
     let mut fabric = CircuitSwitch::new(base_config.clone(), reconfig);
     let mut workload = TrainingLoop::new(n, 2, 1e6, 8e6, Some(4)).unwrap();
-    run_workload_recorded(
+    run_workload(
         &mut fabric,
         &base,
         &mut workload,

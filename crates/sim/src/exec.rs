@@ -7,19 +7,19 @@
 //! it through that executor:
 //!
 //! * [`run_scheduled`] executes a *precomputed* [`SwitchSchedule`] (e.g.
-//!   a controller's plan, or a hand-written decision vector);
+//!   a controller's plan, or a hand-written decision vector) over a
+//!   materialized [`Schedule`] — a switch schedule holds one entry per
+//!   step anyway, so streaming the demand beside it would save nothing;
 //! * [`run_adaptive`] consults a [`Controller`] step by step, so the
 //!   decision rationale lands in the trace as
 //!   [`TraceKind::Decision`] events — the simulator face of the paper's
-//!   adaptive vision.
-//!
-//! Both are normally reached through `adaptive_photonics::Experiment`.
+//!   adaptive vision, and what `adaptive_photonics::Experiment` runs.
 
 use crate::arena::{StepScratch, UNUSED};
 use crate::error::SimError;
 use crate::fluid::simulate_flows_scratch;
 use crate::report::{SimReport, StepReport};
-use crate::service::{Decider, Demand, Job, ServiceExecutor};
+use crate::service::{Decider, Demand, Job, ServiceExecutor, ServiceSwitching};
 use crate::trace::{TraceEvent, TraceKind};
 use aps_collectives::Schedule;
 use aps_core::controller::Controller;
@@ -28,8 +28,6 @@ use aps_cost::units::{secs_to_picos, Picos};
 use aps_cost::CostParams;
 use aps_fabric::{BarrierModel, Fabric, FabricError, ReconfigOutcome};
 use aps_matrix::Matching;
-
-pub use crate::tenant::{execute_tenants, TenantReport, TenantSpec};
 
 /// Reduction compute following each step's communication.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -350,15 +348,20 @@ pub fn run_scheduled(
             got: switch_schedule.len(),
         });
     }
-    // The materialized path is the trivial stream: a cursor over the
-    // schedule's steps, pulled on demand.
-    crate::stream::run_scheduled_workload(
-        fabric,
-        base_config,
-        &mut schedule.stream(),
-        switch_schedule,
-        cfg,
-    )
+    if fabric.n() != schedule.n() {
+        return Err(SimError::DimensionMismatch {
+            fabric: fabric.n(),
+            collective: schedule.n(),
+        });
+    }
+    let mut steps = schedule.stream();
+    let job = Job::lone(
+        schedule.n(),
+        base_config.clone(),
+        Demand::Borrowed(&mut steps),
+        Decider::Switching(ServiceSwitching::Schedule(switch_schedule.clone())),
+    );
+    Ok(ServiceExecutor::run_alone(fabric, cfg, true, job, None)?.report)
 }
 
 /// Executes an eq. (7) problem instance against the fabric with
@@ -578,16 +581,23 @@ mod tests {
         let c = allreduce::ring::build(n, 1e3).unwrap();
         let mut fab = switch(n, 1e-6);
         let cfg = RunConfig::paper_defaults();
-        assert!(matches!(
-            run_scheduled(
-                &mut fab,
-                &ring_config(n),
-                &c.schedule,
-                &SwitchSchedule::all_base(1),
-                &cfg
-            ),
-            Err(SimError::ScheduleLengthMismatch { .. })
-        ));
+        let steps = c.schedule.num_steps();
+        // Too short and too long.
+        for got in [1, steps + 3] {
+            assert_eq!(
+                run_scheduled(
+                    &mut fab,
+                    &ring_config(n),
+                    &c.schedule,
+                    &SwitchSchedule::all_base(got),
+                    &cfg
+                ),
+                Err(SimError::ScheduleLengthMismatch {
+                    expected: steps,
+                    got
+                })
+            );
+        }
         let mut small = switch(8, 1e-6);
         assert!(matches!(
             run_scheduled(

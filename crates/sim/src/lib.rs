@@ -29,34 +29,35 @@
 //!
 //! One step loop executes every run:
 //! [`service::ServiceExecutor::execute_next`]. Each entry point admits
-//! one or more jobs into a [`ServiceExecutor`] and drains it, each job
-//! with its own decision source:
+//! one or more jobs into a [`ServiceExecutor`] and drains it. There is one
+//! entry point per kind of job, named after where the job's decisions
+//! come from:
 //!
-//! * [`exec::run_scheduled`] replays a precomputed switch schedule and
-//!   [`exec::run_adaptive`] consults an
-//!   [`aps_core::controller::Controller`] step by step, tagging the trace
-//!   with each decision's rationale ([`TraceKind::Decision`]);
-//! * their streaming faces in [`stream`] pull demand lazily from any
-//!   [`aps_collectives::Workload`] ([`stream::run_scheduled_workload`],
-//!   [`stream::run_workload`]), so open-ended training loops and traffic
-//!   generators execute in O(1) schedule memory —
-//!   [`stream::run_workload_totals`] keeps even the report O(1) for
-//!   million-step runs;
-//! * [`tenant::execute_tenants`] runs several jobs sharing one fabric
-//!   (disjoint port partitions, arbitrated controller), and [`scenarios`]
-//!   packages named multi-tenant workload mixes — plannable under any
-//!   controller via [`Scenario::plan_with`] — for the bench harness;
-//! * the `aps-faas` service engine admits and removes jobs as they arrive
-//!   and depart.
+//! * a fixed switch schedule — [`exec::run_scheduled`];
+//! * a [`aps_core::controller::Controller`] that observes the whole
+//!   eq. (7) problem — [`exec::run_adaptive`], which tags the trace with
+//!   each decision's rationale ([`TraceKind::Decision`]);
+//! * a controller that observes a two-step priced window of a lazily
+//!   pulled [`aps_collectives::Workload`], in O(1) schedule memory —
+//!   [`stream::run_workload`] keeps the full report,
+//!   [`stream::run_workload_totals`] keeps an O(1) summary for
+//!   million-step runs, and [`stream::run_workload_segment`] adds
+//!   checkpoint and resume to it;
+//! * several tenants sharing one fabric (disjoint port partitions,
+//!   arbitrated controller) — [`tenant::execute_tenants`];
+//!   [`Scenario::run_on`] runs the named mixes of [`scenarios`], each
+//!   tenant plannable under any controller via [`Scenario::plan`].
 //!
-//! All of this is normally reached through the
-//! `adaptive_photonics::Experiment` facade at the workspace root.
+//! The `aps-faas` service engine drives a [`ServiceExecutor`] directly,
+//! admitting and removing jobs as they arrive and depart. Batches of
+//! independent runs go through [`aps_par::Pool::try_map`]. All of this is
+//! normally reached through the `adaptive_photonics::Experiment` facade
+//! at the workspace root.
 
 pub mod arena;
 pub mod error;
 pub mod exec;
 pub mod fluid;
-pub mod harness;
 pub mod record;
 pub mod report;
 pub mod scenarios;
@@ -69,7 +70,6 @@ pub use arena::{FluidScratch, StepScratch};
 pub use error::SimError;
 pub use exec::{run_adaptive, run_scheduled, ComputeModel, RunConfig};
 pub use fluid::{max_min_rates, simulate_flows, simulate_flows_scratch, FlowSpec};
-pub use harness::{run_trial_batch, Trial};
 pub use record::{RecordSink, StepRecord};
 pub use report::{SimReport, StepReport};
 pub use scenarios::Scenario;
@@ -77,8 +77,8 @@ pub use service::{
     Admission, Departure, JobOutcome, ServiceExecutor, ServiceJobSpec, ServiceSwitching,
 };
 pub use stream::{
-    run_scheduled_workload, run_workload, run_workload_recorded, run_workload_segment,
-    run_workload_totals, StreamCheckpoint, StreamPricing, StreamSummary,
+    run_workload, run_workload_segment, run_workload_totals, StreamCheckpoint, StreamPricing,
+    StreamSummary,
 };
-pub use tenant::{execute_tenants, execute_tenants_recorded, TenantReport, TenantSpec};
+pub use tenant::{execute_tenants, TenantReport, TenantSpec};
 pub use trace::{TraceEvent, TraceKind};

@@ -9,12 +9,12 @@
 //! implementation sees a faithful per-step feed from
 //! [`crate::service::ServiceExecutor::execute_next`]:
 //!
-//! * [`crate::stream::run_workload_recorded`] delivers one record per
-//!   streamed step (`tenant: None`);
+//! * [`crate::stream::run_workload`] delivers one record per streamed
+//!   step (`tenant: None`);
 //! * [`crate::stream::run_workload_segment`] does the same for the O(1)
 //!   totals path, including resumed segments;
-//! * [`crate::tenant::execute_tenants_recorded`] delivers records in
-//!   global execution order, tagged with the tenant index;
+//! * [`crate::tenant::execute_tenants`] delivers records in global
+//!   execution order, tagged with the tenant index;
 //! * a [`crate::service::ServiceExecutor`] driven directly (the `aps-faas`
 //!   engine) tags each record with the executing job's slot.
 //!

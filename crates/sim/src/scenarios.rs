@@ -22,10 +22,10 @@
 //!
 //! Tenant switch schedules default to simple static policies
 //! (reconfiguration-heavy jobs matched, ring-friendly jobs on base); use
-//! [`Scenario::plan_with`] to hand each tenant's decisions to any
-//! [`aps_core::controller::Controller`] — [`Scenario::plan`] is the DP
-//! optimum shorthand, the same eq. (7) machinery the single-tenant sweeps
-//! use.
+//! [`Scenario::plan`] to hand each tenant's decisions to any
+//! [`aps_core::controller::Controller`] — the same eq. (7) machinery the
+//! single-tenant sweeps use. [`Scenario::run_on`] executes the mix on a
+//! fabric, e.g. the fresh circuit switch [`Scenario::fabric`] builds.
 
 pub mod hetero;
 
@@ -33,7 +33,7 @@ use crate::error::SimError;
 use crate::exec::RunConfig;
 use crate::tenant::{execute_tenants, TenantReport, TenantSpec};
 use aps_collectives::{allreduce, alltoall, stencil, Collective};
-use aps_core::controller::{Controller, DpPlanned};
+use aps_core::controller::Controller;
 use aps_core::sweep::{plan_jobs_on, PlanJob};
 use aps_core::{CoreError, ReconfigAccounting, SwitchSchedule};
 use aps_cost::{CostParams, ReconfigModel};
@@ -84,42 +84,17 @@ impl Scenario {
 
     /// Replaces every tenant's switch schedule with the one `controller`
     /// chooses for its own partition — planned against the circuit
-    /// topology its `base_config` actually realizes — in parallel on
-    /// `pool` via [`plan_jobs_on`], with the paper's conservative
-    /// accounting and the exact forced-path θ solver. This is the
-    /// multi-tenant face of the controller abstraction: each job adapts
-    /// independently; the fabric arbitrates the shared controller.
+    /// topology its `base_config` actually realizes, under `accounting`
+    /// and the θ `solver` — in parallel on `pool` via [`plan_jobs_on`].
+    /// This is the multi-tenant face of the controller abstraction: each
+    /// job adapts independently; the fabric arbitrates the shared
+    /// controller.
     ///
     /// # Errors
     ///
     /// Propagates planning errors (steps unroutable on the tenant's base,
     /// bad parameters).
-    pub fn plan_with(
-        &mut self,
-        pool: &Pool,
-        controller: &dyn Controller,
-        params: CostParams,
-        reconfig: ReconfigModel,
-    ) -> Result<(), CoreError> {
-        self.plan_configured(
-            pool,
-            controller,
-            params,
-            reconfig,
-            ReconfigAccounting::PaperConservative,
-            ThroughputSolver::ForcedPath,
-        )
-    }
-
-    /// [`Scenario::plan_with`] with an explicit accounting rule and θ
-    /// solver (the variant `Experiment` routes through, so overrides of
-    /// either setting reach per-tenant planning).
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning errors (steps unroutable on the tenant's base,
-    /// bad parameters).
-    pub fn plan_configured(
+    pub fn plan(
         &mut self,
         pool: &Pool,
         controller: &dyn Controller,
@@ -145,40 +120,8 @@ impl Scenario {
         Ok(())
     }
 
-    /// [`Scenario::plan_with`] under the eq. (7) DP optimum
-    /// ([`DpPlanned`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning errors (steps unroutable on the tenant's base,
-    /// bad parameters).
-    pub fn plan(
-        &mut self,
-        pool: &Pool,
-        params: CostParams,
-        reconfig: ReconfigModel,
-    ) -> Result<(), CoreError> {
-        self.plan_with(pool, &DpPlanned, params, reconfig)
-    }
-
-    /// Runs the scenario on a fresh fabric with `reconfig` pricing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates structural errors from [`Scenario::fabric`] and
-    /// [`execute_tenants`]; per-tenant failures land in the returned
-    /// per-tenant results.
-    pub fn run(
-        &self,
-        reconfig: ReconfigModel,
-        cfg: &RunConfig,
-    ) -> Result<Vec<Result<TenantReport, SimError>>, SimError> {
-        let mut fabric = self.fabric(reconfig)?;
-        execute_tenants(&mut fabric, &self.tenants, cfg)
-    }
-
-    /// Runs the scenario on a caller-supplied fabric — the door to
-    /// heterogeneous media ([`hetero`]) and pre-faulted devices. The
+    /// Runs the scenario on `fabric` — a fresh [`Scenario::fabric`], a
+    /// heterogeneous medium ([`hetero`]) or a pre-faulted device. The
     /// fabric's configuration is first reset to
     /// [`Scenario::initial_config`]; its device clock, faults and
     /// statistics are left as the caller set them (rewind with the
@@ -187,7 +130,10 @@ impl Scenario {
     /// # Errors
     ///
     /// [`SimError::DimensionMismatch`] when the fabric's port count
-    /// differs from the scenario's; otherwise as [`Scenario::run`].
+    /// differs from the scenario's, the errors of
+    /// [`Scenario::initial_config`], and the structural errors of
+    /// [`execute_tenants`]; per-tenant failures land in the returned
+    /// per-tenant results.
     pub fn run_on(
         &self,
         fabric: &mut dyn Fabric,
@@ -204,7 +150,7 @@ impl Scenario {
             busy_until: fabric.busy_until(),
         };
         fabric.load_state(&state).map_err(SimError::Fabric)?;
-        execute_tenants(fabric, &self.tenants, cfg)
+        execute_tenants(fabric, &self.tenants, cfg, None)
     }
 }
 
@@ -366,16 +312,33 @@ pub fn by_name(name: &str, bytes: f64) -> Option<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aps_core::controller::DpPlanned;
     use aps_cost::units::MIB;
+
+    fn run(s: &Scenario, reconfig: ReconfigModel) -> Vec<Result<TenantReport, SimError>> {
+        let mut fabric = s.fabric(reconfig).unwrap();
+        s.run_on(&mut fabric, &RunConfig::paper_defaults()).unwrap()
+    }
+
+    fn plan(s: &mut Scenario, controller: &dyn Controller, reconfig: ReconfigModel) {
+        s.plan(
+            &Pool::serial(),
+            controller,
+            CostParams::paper_defaults(),
+            reconfig,
+            ReconfigAccounting::PaperConservative,
+            ThroughputSolver::ForcedPath,
+        )
+        .unwrap();
+    }
 
     #[test]
     fn scenarios_are_well_formed_and_run() {
-        let cfg = RunConfig::paper_defaults();
         let reconfig = ReconfigModel::constant(5e-6).unwrap();
         for scenario in all(MIB) {
             let config = scenario.initial_config().unwrap();
             assert_eq!(config.n(), scenario.n);
-            let reports = scenario.run(reconfig, &cfg).unwrap();
+            let reports = run(&scenario, reconfig);
             assert_eq!(reports.len(), scenario.tenants.len());
             for (t, r) in scenario.tenants.iter().zip(&reports) {
                 let r = r.as_ref().unwrap_or_else(|e| panic!("{}: {e}", t.name));
@@ -387,11 +350,10 @@ mod tests {
 
     #[test]
     fn scenarios_are_deterministic() {
-        let cfg = RunConfig::paper_defaults();
         let reconfig = ReconfigModel::constant(5e-6).unwrap();
         for (a, b) in all(4.0 * MIB).into_iter().zip(all(4.0 * MIB)) {
-            let ra = a.run(reconfig, &cfg).unwrap();
-            let rb = b.run(reconfig, &cfg).unwrap();
+            let ra = run(&a, reconfig);
+            let rb = run(&b, reconfig);
             for (x, y) in ra.iter().zip(&rb) {
                 assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
             }
@@ -409,23 +371,19 @@ mod tests {
     #[test]
     fn controllers_plan_scenarios_and_opt_dominates() {
         use aps_core::controller::{shipped, AlwaysReconfigure, Static};
-        let cfg = RunConfig::paper_defaults();
         let reconfig = ReconfigModel::constant(10e-6).unwrap();
-        let params = CostParams::paper_defaults();
-        let pool = Pool::serial();
 
-        // plan_with(Static/AlwaysReconfigure) produce the trivial
+        // Planning with Static/AlwaysReconfigure produces the trivial
         // schedules on every tenant.
         let mut s = skewed_tenants(4.0 * MIB);
-        s.plan_with(&pool, &Static, params, reconfig).unwrap();
+        plan(&mut s, &Static, reconfig);
         for t in &s.tenants {
             assert_eq!(
                 t.switch_schedule,
                 SwitchSchedule::all_base(t.schedule.num_steps())
             );
         }
-        s.plan_with(&pool, &AlwaysReconfigure, params, reconfig)
-            .unwrap();
+        plan(&mut s, &AlwaysReconfigure, reconfig);
         for t in &s.tenants {
             assert_eq!(
                 t.switch_schedule,
@@ -436,18 +394,16 @@ mod tests {
         // The DP plan's total makespan is never beaten by any other
         // shipped controller on the same (contention-free) mix.
         let mut planned = mixed_collectives(4.0 * MIB);
-        planned.plan(&pool, params, reconfig).unwrap();
-        let opt_worst = planned
-            .run(reconfig, &cfg)
-            .unwrap()
+        plan(&mut planned, &DpPlanned, reconfig);
+        let opt_worst = run(&planned, reconfig)
             .into_iter()
             .map(|r| r.unwrap().makespan_s())
             .fold(0.0f64, f64::max);
         assert!(opt_worst > 0.0);
         for ctl in shipped() {
             let mut alt = mixed_collectives(4.0 * MIB);
-            alt.plan_with(&pool, ctl, params, reconfig).unwrap();
-            let reports = alt.run(reconfig, &cfg).unwrap();
+            plan(&mut alt, ctl, reconfig);
+            let reports = run(&alt, reconfig);
             assert_eq!(reports.len(), alt.tenants.len(), "{}", ctl.name());
             for r in reports {
                 assert!(r.is_ok(), "{}", ctl.name());
@@ -457,15 +413,13 @@ mod tests {
 
     #[test]
     fn planning_adapts_to_the_message_size_regime() {
-        let cfg = RunConfig::paper_defaults();
         let reconfig = ReconfigModel::constant(10e-6).unwrap();
-        let params = CostParams::paper_defaults();
 
         // Tiny volumes: α_r dwarfs every transfer, the DP keeps all
         // tenants on base — no reconfiguration events at all.
         let mut small = mixed_collectives(8.0 * 1024.0);
-        small.plan(&Pool::serial(), params, reconfig).unwrap();
-        for (t, r) in small.tenants.iter().zip(small.run(reconfig, &cfg).unwrap()) {
+        plan(&mut small, &DpPlanned, reconfig);
+        for (t, r) in small.tenants.iter().zip(run(&small, reconfig)) {
             let r = r.unwrap();
             assert_eq!(r.report.reconfig_events(), 0, "{}", t.name);
             assert_eq!(r.arbitration_ps(), 0, "{}", t.name);
@@ -474,8 +428,8 @@ mod tests {
         // Huge volumes: congestion on the base ring dominates and the
         // long-distance steps reconfigure again.
         let mut big = mixed_collectives(64.0 * MIB);
-        big.plan(&Pool::serial(), params, reconfig).unwrap();
-        let reports = big.run(reconfig, &cfg).unwrap();
+        plan(&mut big, &DpPlanned, reconfig);
+        let reports = run(&big, reconfig);
         let stencil = reports[2].as_ref().unwrap();
         assert!(stencil.report.reconfig_events() > 0);
     }

@@ -943,7 +943,7 @@ mod tests {
         ];
         let cfg = RunConfig::paper_defaults();
         let mut fab_t = fabric_for(16, &tenants);
-        let want = execute_tenants(&mut fab_t, &tenants, &cfg).unwrap();
+        let want = execute_tenants(&mut fab_t, &tenants, &cfg, None).unwrap();
 
         let mut fab_s = fabric_for(16, &tenants);
         let mut exec = ServiceExecutor::new(16, cfg, true);

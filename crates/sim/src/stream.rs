@@ -8,23 +8,22 @@
 //! every fabric port into a [`crate::service::ServiceExecutor`] and drains
 //! it, so they share the one step loop with every other entry point:
 //!
-//! * [`run_scheduled_workload`] — replay a precomputed
-//!   [`SwitchSchedule`] against a streamed workload (the streaming
-//!   [`crate::exec::run_scheduled`], which delegates here).
 //! * [`run_workload`] — the streaming adaptive run: a [`Controller`]
 //!   decides each pulled step online from a **two-step observation
 //!   window** (the current step plus the previous one, so transition
 //!   charges see the real previous matching), and every decision lands in
-//!   the trace exactly like [`crate::exec::run_adaptive`]'s.
-//!   [`run_workload_recorded`] adds an optional [`RecordSink`] (see
-//!   [`crate::record`]) that observes each committed step — the hook
-//!   deterministic replay (`aps-replay`) is built on.
+//!   the trace exactly like [`crate::exec::run_adaptive`]'s. An optional
+//!   [`RecordSink`] (see [`crate::record`]) observes each committed step —
+//!   the hook deterministic replay (`aps-replay`) is built on.
 //! * [`run_workload_totals`] — the same adaptive run with O(1) *report*
 //!   memory too: per-step reports and trace events fold into a
 //!   [`StreamSummary`] instead of accumulating, so a ≥10⁶-step run holds
 //!   constant memory end to end. [`run_workload_segment`] adds a record
 //!   sink and [`StreamCheckpoint`] capture/resume, so endless runs can be
 //!   checkpointed mid-stream and continued bit-identically.
+//!
+//! A precomputed [`SwitchSchedule`] replays over a materialized schedule
+//! through [`crate::exec::run_scheduled`].
 //!
 //! ## Windowed observations and controller parity
 //!
@@ -46,9 +45,7 @@ use crate::error::SimError;
 use crate::exec::RunConfig;
 use crate::record::RecordSink;
 use crate::report::{SimReport, StepReport};
-use crate::service::{
-    Decider, Demand, Job, LoneRun, PricedWindow, ServiceExecutor, ServiceSwitching,
-};
+use crate::service::{Decider, Demand, Job, LoneRun, PricedWindow, ServiceExecutor};
 use aps_collectives::{Step, Workload};
 use aps_core::controller::Controller;
 use aps_core::problem::config_of_topology;
@@ -193,52 +190,15 @@ pub(crate) fn validate_step(i: usize, n: usize, step: &Step) -> Result<(), SimEr
     Ok(())
 }
 
-/// Executes a streamed workload under a precomputed `switch_schedule` —
-/// the lazy [`crate::exec::run_scheduled`]. The workload must yield
-/// exactly `switch_schedule.len()` steps.
-///
-/// # Errors
-///
-/// Fails on dimension mismatches (fabric vs workload, or a malformed
-/// streamed step), a stream length that disagrees with the switch
-/// schedule, fabric errors, or unroutable pairs.
-pub fn run_scheduled_workload(
-    fabric: &mut dyn Fabric,
-    base_config: &aps_matrix::Matching,
-    workload: &mut dyn Workload,
-    switch_schedule: &SwitchSchedule,
-    cfg: &RunConfig,
-) -> Result<SimReport, SimError> {
-    let n = workload.n();
-    if fabric.n() != n {
-        return Err(SimError::DimensionMismatch {
-            fabric: fabric.n(),
-            collective: n,
-        });
-    }
-    let job = Job::lone(
-        n,
-        base_config.clone(),
-        Demand::Borrowed(workload),
-        Decider::Switching(ServiceSwitching::Schedule(switch_schedule.clone())),
-    );
-    let run = ServiceExecutor::run_alone(fabric, cfg, true, job, None)?;
-    if run.end.steps_done != switch_schedule.len() {
-        return Err(SimError::ScheduleLengthMismatch {
-            expected: run.end.steps_done,
-            got: switch_schedule.len(),
-        });
-    }
-    Ok(run.report)
-}
-
 /// Executes a streamed workload with `controller` deciding each pulled
 /// step online — the lazy [`crate::exec::run_adaptive`]. Decisions are
 /// tagged in the trace with the controller's rationale, exactly like the
 /// materialized run; see the [module docs](self) for the
 /// observation-window semantics. The workload must be finite (the run
 /// returns when the stream exhausts); use [`run_workload_totals`] with a
-/// step budget for unbounded streams.
+/// step budget for unbounded streams. An optional [`RecordSink`]
+/// observes every committed step; `None` records nothing and costs
+/// nothing.
 ///
 /// # Errors
 ///
@@ -246,24 +206,6 @@ pub fn run_scheduled_workload(
 /// configuration, θ pricing failures, malformed streamed steps, fabric
 /// errors, or unroutable pairs.
 pub fn run_workload(
-    fabric: &mut dyn Fabric,
-    base: &Topology,
-    workload: &mut dyn Workload,
-    controller: &dyn Controller,
-    pricing: StreamPricing,
-    cfg: &RunConfig,
-) -> Result<(SwitchSchedule, SimReport), SimError> {
-    run_workload_recorded(fabric, base, workload, controller, pricing, cfg, None)
-}
-
-/// [`run_workload`] with an optional [`RecordSink`] observing every
-/// committed step. `None` records nothing and costs nothing — the
-/// unrecorded entrypoint delegates here.
-///
-/// # Errors
-///
-/// See [`run_workload`].
-pub fn run_workload_recorded(
     fabric: &mut dyn Fabric,
     base: &Topology,
     workload: &mut dyn Workload,
@@ -318,7 +260,7 @@ pub fn run_workload_totals(
 /// cumulative summary together with the checkpoint at exit, so a
 /// million-step endless stream can be checkpointed mid-run and continued
 /// bit-identically. An optional [`RecordSink`] observes the segment's
-/// steps exactly as [`run_workload_recorded`] would.
+/// steps exactly as [`run_workload`]'s would.
 ///
 /// # Errors
 ///
@@ -384,7 +326,7 @@ fn run_windowed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_adaptive, run_scheduled};
+    use crate::exec::run_adaptive;
     use aps_collectives::{allreduce, alltoall, WorkloadCtx};
     use aps_core::controller::{AlwaysReconfigure, DpPlanned, Greedy, Static, Threshold};
     use aps_core::SwitchingProblem;
@@ -401,55 +343,6 @@ mod tests {
 
     fn switch(n: usize, alpha_r: f64) -> CircuitSwitch {
         CircuitSwitch::new(ring_config(n), ReconfigModel::constant(alpha_r).unwrap())
-    }
-
-    #[test]
-    fn scheduled_stream_is_bit_identical_to_materialized() {
-        let n = 8;
-        let c = allreduce::halving_doubling::build(n, 4.0 * MIB).unwrap();
-        let s = c.schedule.num_steps();
-        let cfg = RunConfig::paper_defaults();
-        for switches in [SwitchSchedule::all_base(s), SwitchSchedule::all_matched(s)] {
-            let mut f1 = switch(n, 5e-6);
-            let want =
-                run_scheduled(&mut f1, &ring_config(n), &c.schedule, &switches, &cfg).unwrap();
-            let mut f2 = switch(n, 5e-6);
-            let mut w = c.schedule.stream();
-            let got =
-                run_scheduled_workload(&mut f2, &ring_config(n), &mut w, &switches, &cfg).unwrap();
-            assert_eq!(want, got);
-        }
-    }
-
-    #[test]
-    fn scheduled_stream_rejects_length_mismatch_both_ways() {
-        let n = 4;
-        let c = allreduce::ring::build(n, 1e3).unwrap();
-        let cfg = RunConfig::paper_defaults();
-        let mut fab = switch(n, 1e-6);
-        let mut w = c.schedule.stream();
-        assert!(matches!(
-            run_scheduled_workload(
-                &mut fab,
-                &ring_config(n),
-                &mut w,
-                &SwitchSchedule::all_base(1),
-                &cfg
-            ),
-            Err(SimError::ScheduleLengthMismatch { .. })
-        ));
-        let mut fab = switch(n, 1e-6);
-        let mut w = c.schedule.stream();
-        assert!(matches!(
-            run_scheduled_workload(
-                &mut fab,
-                &ring_config(n),
-                &mut w,
-                &SwitchSchedule::all_base(c.schedule.num_steps() + 3),
-                &cfg
-            ),
-            Err(SimError::ScheduleLengthMismatch { .. })
-        ));
     }
 
     #[test]
@@ -497,6 +390,7 @@ mod tests {
                     ctl,
                     StreamPricing::new(reconfig),
                     &cfg,
+                    None,
                 )
                 .unwrap();
                 assert_eq!(want_sw, got_sw, "{}", ctl.name());
@@ -523,6 +417,7 @@ mod tests {
             &Greedy,
             StreamPricing::new(reconfig),
             &cfg,
+            None,
         )
         .unwrap();
         let mut f2 = switch(n, 5e-6);
@@ -582,6 +477,7 @@ mod tests {
             &DpPlanned,
             StreamPricing::new(reconfig),
             &cfg,
+            None,
         )
         .unwrap();
         let mut f2 = switch(n, 1e-5);
@@ -593,6 +489,7 @@ mod tests {
             &Greedy,
             StreamPricing::new(reconfig),
             &cfg,
+            None,
         )
         .unwrap();
         assert_eq!(dp_sw, greedy_sw);
@@ -616,7 +513,8 @@ mod tests {
                 &mut w,
                 &Static,
                 StreamPricing::new(reconfig),
-                &cfg
+                &cfg,
+                None
             ),
             Err(SimError::DimensionMismatch { .. })
         ));
@@ -632,7 +530,8 @@ mod tests {
                 &mut w,
                 &Static,
                 StreamPricing::new(reconfig),
-                &cfg
+                &cfg,
+                None
             ),
             Err(SimError::BaseNotACircuit)
         ));
@@ -662,7 +561,8 @@ mod tests {
                 &mut BadVolume(n),
                 &Static,
                 StreamPricing::new(reconfig),
-                &cfg
+                &cfg,
+                None
             ),
             Err(SimError::BadStepVolume { step: 0, .. })
         ));

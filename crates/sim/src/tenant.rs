@@ -186,8 +186,13 @@ pub(crate) fn tenant_target<'a>(
 /// A failing tenant never corrupts another tenant's report — the survivors
 /// keep executing on their own partitions.
 ///
+/// An optional [`RecordSink`] observes every committed step in **global
+/// execution order** (the deterministic earliest-request interleaving),
+/// each record tagged with its tenant index; `None` records nothing and
+/// costs nothing.
+///
 /// Tenant switch schedules come from controllers: see
-/// [`crate::scenarios::Scenario::plan_with`] (or
+/// [`crate::scenarios::Scenario::plan`] (or
 /// `adaptive_photonics::Experiment::…::plan()`), which lets any
 /// [`aps_core::controller::Controller`] choose each tenant's per-step
 /// decisions before the mix is executed here.
@@ -199,23 +204,6 @@ pub(crate) fn tenant_target<'a>(
 /// else — arrivals off the clock, length mismatches, unroutable pairs,
 /// fabric errors — is attributed to its tenant in the per-tenant results.
 pub fn execute_tenants(
-    fabric: &mut dyn Fabric,
-    tenants: &[TenantSpec],
-    cfg: &RunConfig,
-) -> Result<Vec<Result<TenantReport, SimError>>, SimError> {
-    execute_tenants_recorded(fabric, tenants, cfg, None)
-}
-
-/// [`execute_tenants`] with an optional [`RecordSink`] observing every
-/// committed step in **global execution order** (the deterministic
-/// earliest-request interleaving), each record tagged with its tenant
-/// index. `None` records nothing and costs nothing — the unrecorded
-/// entrypoint delegates here.
-///
-/// # Errors
-///
-/// See [`execute_tenants`].
-pub fn execute_tenants_recorded(
     fabric: &mut dyn Fabric,
     tenants: &[TenantSpec],
     cfg: &RunConfig,
@@ -343,7 +331,7 @@ mod tests {
         let t = tenant("solo", (0..8).collect(), MIB, true);
         let mut fab = fabric_for(8, std::slice::from_ref(&t));
         let cfg = RunConfig::paper_defaults();
-        let reports = execute_tenants(&mut fab, std::slice::from_ref(&t), &cfg).unwrap();
+        let reports = execute_tenants(&mut fab, std::slice::from_ref(&t), &cfg, None).unwrap();
         let got = reports[0].as_ref().unwrap();
 
         let mut solo = CircuitSwitch::new(
@@ -371,12 +359,13 @@ mod tests {
         let b = tenant("b", (8..16).collect(), 4.0 * MIB, false);
         let cfg = RunConfig::paper_defaults();
         let mut fab = fabric_for(16, &[a.clone(), b.clone()]);
-        let reports = execute_tenants(&mut fab, &[a.clone(), b.clone()], &cfg).unwrap();
+        let reports = execute_tenants(&mut fab, &[a.clone(), b.clone()], &cfg, None).unwrap();
         for (spec, rep) in [a, b].iter().zip(&reports) {
             let rep = rep.as_ref().unwrap();
             // Each tenant alone on the same fabric produces the same report.
             let mut solo_fab = fabric_for(16, std::slice::from_ref(spec));
-            let solo = execute_tenants(&mut solo_fab, std::slice::from_ref(spec), &cfg).unwrap();
+            let solo =
+                execute_tenants(&mut solo_fab, std::slice::from_ref(spec), &cfg, None).unwrap();
             assert_eq!(rep, solo[0].as_ref().unwrap(), "{}", rep.name);
             assert_eq!(rep.arbitration_ps(), 0, "{}", rep.name);
             assert_eq!(rep.report.reconfig_events(), 0);
@@ -393,7 +382,7 @@ mod tests {
         let b = tenant("b", (8..16).collect(), MIB, true);
         let cfg = RunConfig::paper_defaults();
         let mut fab = fabric_for(16, &[a.clone(), b.clone()]);
-        let reports = execute_tenants(&mut fab, &[a, b], &cfg).unwrap();
+        let reports = execute_tenants(&mut fab, &[a, b], &cfg, None).unwrap();
         let ra = reports[0].as_ref().unwrap();
         let rb = reports[1].as_ref().unwrap();
         // Step 0: identical request instants, tenant 0 wins the tie and
@@ -417,7 +406,7 @@ mod tests {
         b.arrival_s = 10e-3; // long after `early` finished: no contention
         let cfg = RunConfig::paper_defaults();
         let mut fab = fabric_for(16, &[a.clone(), b.clone()]);
-        let reports = execute_tenants(&mut fab, &[a, b], &cfg).unwrap();
+        let reports = execute_tenants(&mut fab, &[a, b], &cfg, None).unwrap();
         let ra = reports[0].as_ref().unwrap();
         let rb = reports[1].as_ref().unwrap();
         assert_eq!(rb.arrival_ps, secs_to_picos(10e-3));
@@ -432,7 +421,8 @@ mod tests {
         let a = tenant("a", (0..8).collect(), MIB, true);
         let b = tenant("b", (7..15).collect(), MIB, true);
         let mut fab = fabric_for(16, std::slice::from_ref(&a));
-        let err = execute_tenants(&mut fab, &[a, b], &RunConfig::paper_defaults()).unwrap_err();
+        let err =
+            execute_tenants(&mut fab, &[a, b], &RunConfig::paper_defaults(), None).unwrap_err();
         assert!(matches!(
             err,
             SimError::BadTenantPorts { tenant: 1, port: 7 }
@@ -455,7 +445,7 @@ mod tests {
         let mut fab = fabric_for(16, &[a.clone(), b.clone()]);
         let mut tags = Tags(Vec::new());
         let cfg = RunConfig::paper_defaults();
-        let reports = execute_tenants_recorded(&mut fab, &[a, b], &cfg, Some(&mut tags)).unwrap();
+        let reports = execute_tenants(&mut fab, &[a, b], &cfg, Some(&mut tags)).unwrap();
         assert!(reports[0].is_err() && reports[1].is_ok());
         assert_eq!(
             tags.0.len(),
@@ -471,7 +461,7 @@ mod tests {
         b.switch_schedule = SwitchSchedule::all_base(1);
         let cfg = RunConfig::paper_defaults();
         let mut fab = fabric_for(16, &[a.clone(), b.clone()]);
-        let reports = execute_tenants(&mut fab, &[a, b], &cfg).unwrap();
+        let reports = execute_tenants(&mut fab, &[a, b], &cfg, None).unwrap();
         assert!(reports[0].is_ok());
         match reports[1].as_ref().unwrap_err() {
             SimError::Tenant {

@@ -9,7 +9,6 @@
 use aps_cost::units::MIB;
 use aps_cost::ReconfigModel;
 use aps_par::Pool;
-use aps_sim::harness::{run_scenario_trials, ScenarioTrial};
 use aps_sim::{scenarios, RunConfig, Scenario, TenantSpec};
 
 fn assert_tenants_identical(a: &TenantSpec, b: &TenantSpec) {
@@ -38,21 +37,16 @@ fn generators_are_deterministic_across_invocations() {
 
 #[test]
 fn identical_trial_sets_produce_identical_outcomes() {
-    // The full path the bench takes: same volume → same ScenarioTrial set
-    // → byte-identical tenant reports, at several thread counts.
-    let trials = |bytes: f64| -> Vec<ScenarioTrial> {
-        scenarios::all(bytes)
-            .into_iter()
-            .map(|scenario| ScenarioTrial {
-                scenario,
-                reconfig: ReconfigModel::constant(5e-6).unwrap(),
-                config: RunConfig::paper_defaults(),
-            })
-            .collect()
+    // The full path the bench takes: same volume → same scenario set, each
+    // run on a fresh fabric across the pool → byte-identical tenant
+    // reports, at several thread counts.
+    let run = |_: usize, scenario: &Scenario| {
+        let mut fabric = scenario.fabric(ReconfigModel::constant(5e-6).unwrap())?;
+        scenario.run_on(&mut fabric, &RunConfig::paper_defaults())
     };
-    let first = run_scenario_trials(&Pool::serial(), &trials(MIB)).unwrap();
+    let first = Pool::serial().try_map(&scenarios::all(MIB), run).unwrap();
     for pool in [Pool::serial(), Pool::new(2), Pool::new(4)] {
-        let again = run_scenario_trials(&pool, &trials(MIB)).unwrap();
+        let again = pool.try_map(&scenarios::all(MIB), run).unwrap();
         assert_eq!(first.len(), again.len());
         for (a, b) in first.iter().zip(&again) {
             for (x, y) in a.iter().zip(b) {
@@ -150,12 +144,21 @@ fn shapes_survive_controller_planning() {
     // Planning replaces switch schedules; the structural invariants must
     // hold afterwards for every shipped controller.
     use aps_core::controller::shipped;
+    use aps_core::ReconfigAccounting;
     use aps_cost::CostParams;
+    use aps_flow::ThroughputSolver;
     let reconfig = ReconfigModel::constant(10e-6).unwrap();
     for ctl in shipped() {
         for mut s in scenarios::all(MIB) {
-            s.plan_with(&Pool::serial(), ctl, CostParams::paper_defaults(), reconfig)
-                .unwrap();
+            s.plan(
+                &Pool::serial(),
+                ctl,
+                CostParams::paper_defaults(),
+                reconfig,
+                ReconfigAccounting::PaperConservative,
+                ThroughputSolver::ForcedPath,
+            )
+            .unwrap();
             check_shape(&s);
         }
     }

@@ -8,7 +8,7 @@
 //! Experiment::domain(base)          one fixed collective:  .collective(&c)
 //!     .reconfig(model)              a size-parameterized   .collective_family(build)
 //!     .controller(Greedy)           family (sweeps):
-//!     .…                            a shared fabric:       .scenario(s) / .tenants(n, v)
+//!     .…                            a shared fabric:       .scenario(s)
 //!                                   a lazy demand stream:  .workload(w)
 //! ```
 //!
@@ -19,7 +19,7 @@
 //! |---|---|---|
 //! | [`Experiment<Single>`] | [`Experiment::collective`] | [`plan`](Experiment::plan), [`compare`](Experiment::compare), [`simulate`](Experiment::simulate) |
 //! | [`Experiment<Family>`] | [`Experiment::collective_family`] | [`sweep`](Experiment::sweep) |
-//! | [`Experiment<Shared>`] | [`Experiment::scenario`] / [`Experiment::tenants`] | [`plan`](Experiment::<Shared>::plan), [`simulate`](Experiment::<Shared>::simulate) |
+//! | [`Experiment<Shared>`] | [`Experiment::scenario`] | [`plan`](Experiment::<Shared>::plan), [`simulate`](Experiment::<Shared>::simulate) |
 //! | [`Experiment<Streaming>`] | [`Experiment::workload`] | [`plan`](Experiment::<Streaming>::plan) (finite), [`simulate`](Experiment::<Streaming>::simulate), [`simulate_summary`](Experiment::<Streaming>::simulate_summary) |
 //! | [`Experiment<Service>`] | [`Experiment::service`] | [`run`](Experiment::<Service>::run), [`run_on`](Experiment::<Service>::run_on) |
 //!
@@ -30,7 +30,6 @@
 //! `APS_THREADS` setting.
 
 use aps_ablate::{AblateError, AblationPlan, AblationReport, Cell, FactorKey, KpiValues};
-use aps_collectives::workload::materialize;
 use aps_collectives::{
     allreduce, alltoall, broadcast, Collective, CollectiveError, Schedule, ScheduleStream, Workload,
 };
@@ -41,14 +40,14 @@ use aps_core::{
     SwitchingProblem,
 };
 use aps_cost::{CostParams, ReconfigModel};
-use aps_faas::{run_service_recorded, AdmissionPolicy, FaasError, ServiceReport, TenantClass};
+use aps_faas::{run_service, AdmissionPolicy, FaasError, ServiceReport, TenantClass};
 use aps_fabric::{CircuitSwitch, Fabric};
 use aps_flow::ThroughputSolver;
 use aps_matrix::Matching;
 use aps_par::Pool;
 use aps_replay::{diff_records, DivergenceReport, Recorder, ReplayRecord, Snapshot};
 use aps_sim::record::RecordSink;
-use aps_sim::{run_adaptive, RunConfig, Scenario, SimError, SimReport, TenantReport, TenantSpec};
+use aps_sim::{run_adaptive, RunConfig, Scenario, SimError, SimReport, TenantReport};
 use aps_topology::Topology;
 use std::fmt;
 
@@ -221,7 +220,6 @@ pub struct SimRun {
 /// A configured experiment; see the [module docs](self) for the grammar.
 pub struct Experiment<W> {
     base: Topology,
-    params: CostParams,
     reconfig: ReconfigModel,
     accounting: ReconfigAccounting,
     solver: ThroughputSolver,
@@ -239,14 +237,12 @@ impl Experiment<Unbound> {
     /// forced-path θ solver, the [`DpPlanned`] controller and an
     /// `APS_THREADS`-sized pool — override any of them with the setters.
     pub fn domain(base: Topology) -> Self {
-        let params = CostParams::paper_defaults();
         Experiment {
             base,
-            params,
             reconfig: ReconfigModel::constant(10e-6).expect("valid default delay"),
             accounting: ReconfigAccounting::PaperConservative,
             solver: ThroughputSolver::ForcedPath,
-            sim: RunConfig::with_params(params),
+            sim: RunConfig::paper_defaults(),
             pool: Pool::from_env(),
             controller: Box::new(DpPlanned),
             domain: None,
@@ -317,21 +313,9 @@ impl Experiment<Unbound> {
         self.with_workload(Shared { scenario })
     }
 
-    /// Binds an ad-hoc tenant mix on an `n`-port fabric.
-    pub fn tenants(self, n: usize, tenants: Vec<TenantSpec>) -> Experiment<Shared> {
-        self.with_workload(Shared {
-            scenario: Scenario {
-                name: "custom".into(),
-                n,
-                tenants,
-            },
-        })
-    }
-
     fn with_workload<W>(self, workload: W) -> Experiment<W> {
         Experiment {
             base: self.base,
-            params: self.params,
             reconfig: self.reconfig,
             accounting: self.accounting,
             solver: self.solver,
@@ -347,7 +331,6 @@ impl Experiment<Unbound> {
 impl<W> Experiment<W> {
     /// Sets the α–β–δ cost parameters (also used by the simulator).
     pub fn params(mut self, params: CostParams) -> Self {
-        self.params = params;
         self.sim.params = params;
         self.domain = None;
         self
@@ -378,7 +361,6 @@ impl<W> Experiment<W> {
     /// reconfigure/compute overlap). Its embedded cost parameters become
     /// the experiment's.
     pub fn sim_config(mut self, cfg: RunConfig) -> Self {
-        self.params = cfg.params;
         self.sim = cfg;
         self.domain = None;
         self
@@ -408,7 +390,7 @@ impl<W> Experiment<W> {
     fn ensure_domain(&mut self) -> &mut ScaleupDomain {
         if self.domain.is_none() {
             self.domain = Some(
-                ScaleupDomain::new(self.base.clone(), self.params, self.reconfig)
+                ScaleupDomain::new(self.base.clone(), self.sim.params, self.reconfig)
                     .with_solver(self.solver)
                     .with_accounting(self.accounting),
             );
@@ -583,18 +565,6 @@ impl Experiment<Streaming> {
         Ok(diff_records(record, &recorder.into_record()))
     }
 
-    /// Rewinds and drains the stream (≤ `limit` steps) into a
-    /// materialized [`Schedule`] — the bridge to offline analyses.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the stream exceeds `limit` steps or yields a malformed
-    /// step.
-    pub fn materialize(&mut self, limit: usize) -> Result<Schedule, ExperimentError> {
-        self.workload.workload.reset();
-        Ok(materialize(&mut *self.workload.workload, limit)?)
-    }
-
     /// Materializes the (finite) stream and lets the experiment's
     /// controller choose and price a switch schedule over the whole
     /// problem — planning needs every step at once, so this is only
@@ -647,7 +617,7 @@ impl Experiment<Streaming> {
         self.workload.workload.reset();
         let pricing = self.stream_pricing();
         let mut recorder = self.recorder();
-        let (switches, report) = aps_sim::run_workload_recorded(
+        let (switches, report) = aps_sim::run_workload(
             fabric,
             &self.base,
             &mut *self.workload.workload,
@@ -748,7 +718,7 @@ impl Experiment<Family> {
             &self.pool,
             &self.base,
             |m| (self.workload.build)(m),
-            self.params,
+            self.sim.params,
             grid,
             self.accounting,
             self.solver,
@@ -771,10 +741,10 @@ impl Experiment<Shared> {
     ///
     /// Propagates planning errors.
     pub fn plan(&mut self) -> Result<&mut Self, ExperimentError> {
-        self.workload.scenario.plan_configured(
+        self.workload.scenario.plan(
             &self.pool,
             &*self.controller,
-            self.params,
+            self.sim.params,
             self.reconfig,
             self.accounting,
             self.solver,
@@ -792,7 +762,8 @@ impl Experiment<Shared> {
     /// (overlapping tenant ports); per-tenant failures land in the inner
     /// results.
     pub fn simulate(&self) -> Result<Vec<Result<TenantReport, SimError>>, ExperimentError> {
-        Ok(self.workload.scenario.run(self.reconfig, &self.sim)?)
+        let mut fabric = self.workload.scenario.fabric(self.reconfig)?;
+        self.simulate_on(&mut fabric)
     }
 
     /// [`simulate`](Experiment::<Shared>::simulate) against a
@@ -850,38 +821,19 @@ impl Experiment<Service> {
     }
 
     /// [`run`](Experiment::<Service>::run) against a caller-supplied
-    /// fabric (e.g. a switch with injected faults), with an optional
-    /// replay [`RecordSink`] observing every committed step.
+    /// fabric (e.g. a switch with injected faults).
     ///
     /// # Errors
     ///
     /// See [`run`](Experiment::<Service>::run).
     pub fn run_on(&mut self, fabric: &mut dyn Fabric) -> Result<ServiceReport, ExperimentError> {
-        self.run_recorded(fabric, None)
-    }
-
-    /// [`run_on`](Experiment::<Service>::run_on) with a replay sink.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Experiment::<Service>::run).
-    pub fn run_recorded(
-        &mut self,
-        fabric: &mut dyn Fabric,
-        sink: Option<&mut dyn RecordSink>,
-    ) -> Result<ServiceReport, ExperimentError> {
         let cfg = aps_faas::ServiceConfig {
             run: self.sim,
             admission: self.workload.admission,
             max_jobs: self.workload.max_jobs,
             keep_job_reports: self.workload.keep_job_reports,
         };
-        Ok(run_service_recorded(
-            fabric,
-            &mut self.workload.classes,
-            &cfg,
-            sink,
-        )?)
+        Ok(run_service(fabric, &mut self.workload.classes, &cfg)?)
     }
 }
 
@@ -974,8 +926,7 @@ pub fn evaluate_ablation_cell(cell: &Cell) -> Result<KpiValues, ExperimentError>
                     .scenario(scenario.clone());
                 if let Some(c) = ctl {
                     e = e.controller(c);
-                    e.plan()
-                        .map_err(|err| fail(format!("planning failed: {err}")))?;
+                    e.plan().map_err(|err| fail(err.to_string()))?;
                     return collect_tenants(e.simulate(), &fail);
                 }
                 collect_tenants(e.simulate(), &fail)
@@ -1022,7 +973,7 @@ pub fn evaluate_ablation_cell(cell: &Cell) -> Result<KpiValues, ExperimentError>
                 .controller(ctl)
                 .collective(&collective)
                 .simulate()
-                .map_err(|e| fail(format!("simulation failed: {e}")))
+                .map_err(|e| fail(e.to_string()))
         };
         let adapted = run(controller)?;
         let completion = adapted.report.total_ps as f64;
@@ -1182,15 +1133,18 @@ mod tests {
         let mut want = scenario;
         want.plan(
             &Pool::from_env(),
+            &DpPlanned,
             CostParams::paper_defaults(),
             ReconfigModel::constant(10e-6).unwrap(),
+            ReconfigAccounting::PaperConservative,
+            ThroughputSolver::ForcedPath,
         )
         .unwrap();
+        let mut fabric = want
+            .fabric(ReconfigModel::constant(10e-6).unwrap())
+            .unwrap();
         let raw = want
-            .run(
-                ReconfigModel::constant(10e-6).unwrap(),
-                &RunConfig::paper_defaults(),
-            )
+            .run_on(&mut fabric, &RunConfig::paper_defaults())
             .unwrap();
         for (a, b) in reports.iter().zip(&raw) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -1200,7 +1154,7 @@ mod tests {
     #[test]
     fn shared_plan_honors_accounting_override() {
         // The Shared path must route .accounting() into per-tenant
-        // planning exactly like plan_configured does.
+        // planning exactly like Scenario::plan does.
         let reconfig = ReconfigModel::constant(10e-6).unwrap();
         let mut e = Experiment::domain(builders::ring_unidirectional(24).unwrap())
             .reconfig(reconfig)
@@ -1209,7 +1163,7 @@ mod tests {
         e.plan().unwrap();
 
         let mut want = scenarios::skewed_tenants(4.0 * MIB);
-        want.plan_configured(
+        want.plan(
             &Pool::from_env(),
             &aps_core::controller::DpPlanned,
             CostParams::paper_defaults(),

@@ -135,10 +135,10 @@
 //! assert!(cmp.speedup_vs_static() >= 1.0 && cmp.speedup_vs_bvn() >= 1.0);
 //! ```
 //!
-//! Multi-tenant mixes bind with [`Experiment::scenario`] (or
-//! [`Experiment::tenants`]) and chain `plan()?.simulate()`; collective
-//! *families* bind with [`Experiment::collective_family`] and drive the
-//! Figure 1/2 heatmap sweeps via `sweep(grid)`.
+//! Multi-tenant mixes bind with [`Experiment::scenario`] and chain
+//! `plan()?.simulate()`; collective *families* bind with
+//! [`Experiment::collective_family`] and drive the Figure 1/2 heatmap
+//! sweeps via `sweep(grid)`.
 //!
 //! ## Streaming workloads
 //!
@@ -181,7 +181,7 @@
 //! | [`topology`] | `aps-topology` | capacitated graphs, ring/torus/hypercube/co-prime builders, routing |
 //! | [`matrix`] | `aps-matrix` | matchings, demand matrices, Hopcroft–Karp, BvN decomposition |
 //! | [`flow`] | `aps-flow` | maximum concurrent flow: exact ring forms, Garg–Könemann FPTAS, degree proxy |
-//! | [`par`] | `aps-par` | deterministic scoped worker pool (`APS_THREADS`) behind sweeps and trial batches |
+//! | [`par`] | `aps-par` | deterministic scoped worker pool (`APS_THREADS`) behind sweeps, ablations and batched runs |
 //! | [`collectives`] | `aps-collectives` | AllReduce/All-to-All/AllGather/… as matching sequences + semantic verifier |
 //! | [`cost`] | `aps-cost` | the α–β–δ cost model grounded in concurrent flow (Observation 2) |
 //! | [`core`] | `aps-core` | the eq. (7) optimization: the `Controller` trait, DP solver, policies, multi-base pools, sweeps |
@@ -290,9 +290,8 @@ pub mod prelude {
         ReplayWriter, Snapshot, StateHash,
     };
     pub use aps_sim::{
-        execute_tenants, run_adaptive, run_scheduled, run_scheduled_workload, run_trial_batch,
-        run_workload, run_workload_totals, scenarios, RunConfig, Scenario, SimReport,
-        StreamPricing, StreamSummary, TenantReport, TenantSpec, Trial,
+        execute_tenants, run_adaptive, run_scheduled, run_workload, run_workload_totals, scenarios,
+        RunConfig, Scenario, SimReport, StreamPricing, StreamSummary, TenantReport, TenantSpec,
     };
 }
 

@@ -18,7 +18,7 @@ use adaptive_photonics::prelude::*;
 use aps_cost::units::{Picos, MIB};
 use aps_faas::ServiceJobRecord;
 use aps_sim::service::{ServiceExecutor, ServiceJobSpec, ServiceSwitching};
-use aps_sim::{execute_tenants_recorded, SimError};
+use aps_sim::{execute_tenants, SimError};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -83,7 +83,7 @@ fn all_at_t0_service_matches_execute_tenants_bitwise() {
 
     let mut closed_rec = Recorder::new(16, "service", "mix");
     let mut fab = union_fabric(16, &tenants);
-    let closed = execute_tenants_recorded(&mut fab, &tenants, &cfg, Some(&mut closed_rec)).unwrap();
+    let closed = execute_tenants(&mut fab, &tenants, &cfg, Some(&mut closed_rec)).unwrap();
 
     let mut open_rec = Recorder::new(16, "service", "mix");
     let mut fab = union_fabric(16, &tenants);

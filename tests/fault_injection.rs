@@ -287,14 +287,14 @@ fn one_tenants_stuck_port_does_not_corrupt_the_other_tenants_report() {
 
     let healthy_b = {
         let mut fab = tenant_fabric(8, &[a.clone(), b.clone()], 1e-6);
-        let reports = execute_tenants(&mut fab, &[a.clone(), b.clone()], &cfg).unwrap();
+        let reports = execute_tenants(&mut fab, &[a.clone(), b.clone()], &cfg, None).unwrap();
         assert!(reports[0].is_ok() && reports[1].is_ok());
         reports[1].clone().unwrap()
     };
 
     let mut fab = tenant_fabric(8, &[a.clone(), b.clone()], 1e-6);
     fab.stick_port(0).unwrap(); // port 0 belongs to tenant A
-    let reports = execute_tenants(&mut fab, &[a, b], &cfg).unwrap();
+    let reports = execute_tenants(&mut fab, &[a, b], &cfg, None).unwrap();
 
     // The failing tenant fails loudly, tagged with its identity…
     match reports[0].as_ref().unwrap_err() {
@@ -335,7 +335,7 @@ fn stuck_port_on_an_idle_partition_is_harmless_to_all_tenants() {
         if let Some(p) = stick {
             fab.stick_port(p).unwrap();
         }
-        execute_tenants(&mut fab, &[a.clone(), b.clone()], &cfg).unwrap()
+        execute_tenants(&mut fab, &[a.clone(), b.clone()], &cfg, None).unwrap()
     };
     let healthy = run(None);
     let degraded = run(Some(9));
@@ -379,7 +379,7 @@ fn a_partition_next_to_a_stuck_idle_port_runs_as_on_a_dedicated_fabric() {
     };
     let mut fab = tenant_fabric(2 * n, std::slice::from_ref(&tenant), 1e-6);
     fab.stick_port(3).unwrap();
-    let reports = execute_tenants(&mut fab, &[tenant], &cfg).unwrap();
+    let reports = execute_tenants(&mut fab, &[tenant], &cfg, None).unwrap();
     let partitioned = reports[0].as_ref().unwrap();
     assert_eq!(partitioned.report, alone);
     assert_eq!(partitioned.finish_ps, alone.total_ps);
@@ -693,11 +693,9 @@ fn overlapping_tenant_bases_error_instead_of_panicking() {
         scenario.fabric(ReconfigModel::constant(1e-6).unwrap()),
         Err(SimError::ConfigConflict { .. })
     ));
+    let mut fabric = CircuitSwitch::new(ring(8), ReconfigModel::constant(1e-6).unwrap());
     assert!(matches!(
-        scenario.run(
-            ReconfigModel::constant(1e-6).unwrap(),
-            &RunConfig::paper_defaults()
-        ),
+        scenario.run_on(&mut fabric, &RunConfig::paper_defaults()),
         Err(SimError::ConfigConflict { .. })
     ));
 }
@@ -713,7 +711,7 @@ fn run_with_arrival(arrival_s: f64) -> Vec<Result<TenantReport, SimError>> {
     a.arrival_s = arrival_s;
     let b = matched_tenant("on-time", (4..8).collect(), MIB);
     let mut fab = tenant_fabric(8, &[a.clone(), b.clone()], 1e-6);
-    execute_tenants(&mut fab, &[a, b], &RunConfig::paper_defaults()).unwrap()
+    execute_tenants(&mut fab, &[a, b], &RunConfig::paper_defaults(), None).unwrap()
 }
 
 #[test]
@@ -756,7 +754,7 @@ fn a_reconfiguration_past_the_clock_end_fails_with_clock_overflow() {
     late.arrival_s = 18_446_744.073_709;
     let tenants = [late, matched_tenant("on-time", (4..8).collect(), MIB)];
     let mut fab = tenant_fabric(8, &tenants, 1e-6);
-    let reports = execute_tenants(&mut fab, &tenants, &RunConfig::paper_defaults()).unwrap();
+    let reports = execute_tenants(&mut fab, &tenants, &RunConfig::paper_defaults(), None).unwrap();
     match reports[0].as_ref().unwrap_err() {
         SimError::Tenant { source, .. } => {
             assert_eq!(**source, SimError::ClockOverflow { step: 0 });

@@ -230,7 +230,7 @@ fn engines_agree_through_the_executor_trial_batch() {
     use adaptive_photonics::prelude::*;
     use aps_cost::ReconfigModel;
 
-    let trials: Vec<Trial> = [8usize, 12]
+    let trials: Vec<(Matching, Schedule, SwitchSchedule)> = [8usize, 12]
         .into_iter()
         .flat_map(|n| {
             [1e3, 1e6, 64.0 * 1024.0 * 1024.0]
@@ -245,17 +245,27 @@ fn engines_agree_through_the_executor_trial_batch() {
                         SwitchSchedule::all_matched(steps),
                     ]
                     .into_iter()
-                    .map(move |switch_schedule| Trial {
-                        base_config: Matching::shift(n, 1).unwrap(),
-                        reconfig: ReconfigModel::constant(5e-6).unwrap(),
-                        schedule: schedule.clone(),
-                        switch_schedule,
-                        config: RunConfig::paper_defaults(),
+                    .map(move |switch_schedule| {
+                        (
+                            Matching::shift(n, 1).unwrap(),
+                            schedule.clone(),
+                            switch_schedule,
+                        )
                     })
                 })
         })
         .collect();
-    let from_env = run_trial_batch(&Pool::from_env(), &trials).unwrap();
-    let serial = run_trial_batch(&Pool::serial(), &trials).unwrap();
+    let run = |_: usize, (base, schedule, switches): &(Matching, Schedule, SwitchSchedule)| {
+        let mut fabric = CircuitSwitch::new(base.clone(), ReconfigModel::constant(5e-6).unwrap());
+        run_scheduled(
+            &mut fabric,
+            base,
+            schedule,
+            switches,
+            &RunConfig::paper_defaults(),
+        )
+    };
+    let from_env = Pool::from_env().try_map(&trials, run).unwrap();
+    let serial = Pool::serial().try_map(&trials, run).unwrap();
     assert_eq!(from_env, serial);
 }

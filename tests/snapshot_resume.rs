@@ -6,7 +6,7 @@
 use adaptive_photonics::collectives::workload::generators::TrainingLoop;
 use adaptive_photonics::prelude::*;
 use adaptive_photonics::replay::{diff_records, Recorder, ReplayRecord};
-use adaptive_photonics::sim::execute_tenants_recorded;
+use adaptive_photonics::sim::execute_tenants;
 
 const N: usize = 8;
 const TOTAL: usize = 10_000;
@@ -97,7 +97,7 @@ fn record_tenant_run() -> (ReplayRecord, Vec<String>) {
     let reconfig = ReconfigModel::constant(10e-6).unwrap();
     let mut fabric = scenario.fabric(reconfig).unwrap();
     let mut recorder = Recorder::new(scenario.n, "scheduled", &scenario.name);
-    let reports = execute_tenants_recorded(
+    let reports = execute_tenants(
         &mut fabric,
         &scenario.tenants,
         &RunConfig::paper_defaults(),

@@ -3,29 +3,30 @@
 //! The paper's architecture (§3.1): `n` GPUs, each with one
 //! electrical-to-optical transceiver, attached to an `n`-port photonic
 //! interconnect that establishes direct optical circuits between port pairs.
-//! Two realizations are modelled, matching the two designs the paper
-//! sketches:
+//! Three device models cover the paper's two designs and the mixed fabrics
+//! of its deployment sketch (§4):
 //!
 //! * [`switch::CircuitSwitch`] — a centrally-programmed circuit switch
 //!   (PipSwitch-style): reconfiguration delay follows a pluggable
 //!   [`aps_cost::ReconfigModel`] (constant `α_r` or per-port affine).
+//!   [`CircuitSwitch::split`] hangs a prefix of its ports off an
+//!   electrical crossbar as well: circuits with both ends on the crossbar
+//!   reconfigure for free, so the same type models an all-photonic
+//!   switch, a hybrid electrical + optical pod, and (every port on the
+//!   crossbar) the zero-reconfiguration electrical baseline.
 //! * [`wavelength::WavelengthFabric`] — a passive wavelength-routed fabric
 //!   with tunable transceivers: no central controller, reconfiguration time
 //!   is the slowest *retuned* port.
-//!
-//! Two heterogeneous variants extend them for the paper's mixed-fabric
-//! scenarios:
-//!
-//! * [`hybrid::HybridFabric`] — a composite fabric routing a designated
-//!   port subset through a zero-reconfiguration electrical crossbar while
-//!   the rest pays full photonic switching cost.
 //! * [`wavelength_bank::WavelengthBankFabric`] — a dense-WDM bank of
 //!   discrete wavelength bands with per-λ lock-on costs and fast
 //!   intra-band hops.
 //!
-//! Both implement the [`Fabric`] trait the simulator drives. Fault injection
-//! (stuck ports, slow tuning) lets tests exercise degraded-fabric behavior,
-//! mirroring smoltcp-style fault options.
+//! All three implement the [`Fabric`] trait the simulator drives, and all
+//! three admit and commit requests through the same [`FabricState`]
+//! bookkeeping, so a rejected request changes nothing on any device. Fault
+//! injection (stuck ports, slow controllers, slow lasers) lets tests
+//! exercise degraded-fabric behavior, mirroring smoltcp-style fault
+//! options.
 //!
 //! A fabric configuration is simply an [`aps_matrix::Matching`] over ports:
 //! TX port `i` lights a circuit to RX port `j`. The same type describes
@@ -33,15 +34,12 @@
 
 pub mod barrier;
 pub mod error;
-pub mod hybrid;
 pub mod switch;
-pub mod transceiver;
 pub mod wavelength;
 pub mod wavelength_bank;
 
 pub use barrier::BarrierModel;
 pub use error::FabricError;
-pub use hybrid::HybridFabric;
 pub use switch::CircuitSwitch;
 pub use wavelength::WavelengthFabric;
 pub use wavelength_bank::WavelengthBankFabric;
@@ -76,12 +74,80 @@ pub struct ReconfigOutcome {
     pub ports_changed: usize,
 }
 
-/// When a reconfiguration requested at `now` and taking `delay` is ready.
-/// Device models compute this before touching their state, so a request
-/// that would run past the end of the clock leaves the fabric unchanged.
-fn checked_ready_at(now: Picos, delay: Picos) -> Result<Picos, FabricError> {
-    now.checked_add(delay)
-        .ok_or(FabricError::ClockOverflow { now, delay })
+impl FabricState {
+    /// A device's state before its first request: `config` carries
+    /// traffic and the controller is free.
+    fn idle(config: Matching) -> Self {
+        Self {
+            config,
+            busy_until: 0,
+        }
+    }
+
+    /// Rejects a configuration whose port count differs from the device's.
+    fn check_dims(&self, other: &Matching) -> Result<(), FabricError> {
+        if other.n() != self.config.n() {
+            return Err(FabricError::DimensionMismatch {
+                fabric: self.config.n(),
+                target: other.n(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Rejects a fault-injection hook aimed at a port the device lacks.
+    fn check_port(&self, port: usize) -> Result<(), FabricError> {
+        let n = self.config.n();
+        if port >= n {
+            return Err(FabricError::PortOutOfRange { port, n });
+        }
+        Ok(())
+    }
+
+    /// The admission rule every device applies before pricing a request:
+    /// `target` spans the device's ports and the controller is free at
+    /// `now`.
+    fn admit(&self, target: &Matching, now: Picos) -> Result<(), FabricError> {
+        self.check_dims(target)?;
+        if now < self.busy_until {
+            return Err(FabricError::Busy {
+                until: self.busy_until,
+            });
+        }
+        Ok(())
+    }
+
+    /// Adopts `next`, ready `delay` after `now`. The clock is checked
+    /// before anything moves, so a request that would finish past its end
+    /// ([`FabricError::ClockOverflow`]) leaves the device as it was.
+    /// `clone_from` reuses the configuration's buffer, so a steady-state
+    /// reconfiguration allocates nothing.
+    fn commit(
+        &mut self,
+        next: &Matching,
+        now: Picos,
+        delay: Picos,
+        ports_changed: usize,
+    ) -> Result<ReconfigOutcome, FabricError> {
+        let ready_at = now
+            .checked_add(delay)
+            .ok_or(FabricError::ClockOverflow { now, delay })?;
+        self.config.clone_from(next);
+        self.busy_until = ready_at;
+        Ok(ReconfigOutcome {
+            ready_at,
+            ports_changed,
+        })
+    }
+
+    /// Every device's [`Fabric::load_state`]: adopts a captured state of
+    /// the same port count.
+    fn load(&mut self, state: &FabricState) -> Result<(), FabricError> {
+        self.check_dims(&state.config)?;
+        self.config.clone_from(&state.config);
+        self.busy_until = state.busy_until;
+        Ok(())
+    }
 }
 
 /// A reconfigurable photonic interconnect.

@@ -1,7 +1,39 @@
-//! Centrally-programmed photonic circuit switch.
+//! Centrally-programmed photonic circuit switch, optionally next to an
+//! electrical crossbar.
+//!
+//! The paper's heterogeneous-deployment sketch (§4): a scale-up domain
+//! will not be all-optical on day one — a pod keeps a conventional
+//! electrical crossbar next to the photonic core, and circuits land on
+//! whichever medium serves them. [`CircuitSwitch::split`] models that
+//! pod: a changed circuit whose **both** endpoints hang off the crossbar
+//! is switched there at zero reconfiguration cost, every other changed
+//! circuit goes through the photonic core priced by the attached
+//! [`ReconfigModel`], and a request that touches both media is ready when
+//! the photonic side is (the step engine's synchronous-step semantics).
+//! With no crossbar ports ([`CircuitSwitch::new`]) every circuit is
+//! photonic; with every port on the crossbar every reconfiguration is
+//! free, the zero-reconfig baseline benches compare against.
+//!
+//! ```
+//! use aps_fabric::{CircuitSwitch, Fabric};
+//! use aps_cost::ReconfigModel;
+//! use aps_matrix::Matching;
+//!
+//! // 8 ports, the lower 4 on the crossbar; 5 µs photonic reconfiguration.
+//! let model = ReconfigModel::constant(5e-6).unwrap();
+//! let mut f = CircuitSwitch::split(Matching::empty(8), 4, model).unwrap();
+//!
+//! // A retarget among crossbar ports 0–3 is free.
+//! let elec = Matching::from_pairs(8, &[(0, 2), (2, 0)]).unwrap();
+//! assert_eq!(f.request(&elec, 100).unwrap().ready_at, 100);
+//!
+//! // Touching a photonic port pays the photonic delay.
+//! let opt = Matching::from_pairs(8, &[(0, 2), (2, 0), (4, 6)]).unwrap();
+//! assert_eq!(f.request(&opt, 100).unwrap().ready_at, 100 + 5_000_000);
+//! ```
 
 use crate::error::FabricError;
-use crate::{checked_ready_at, Fabric, FabricState, ReconfigOutcome};
+use crate::{Fabric, FabricState, ReconfigOutcome};
 use aps_cost::units::{secs_to_picos, Picos};
 use aps_cost::ReconfigModel;
 use aps_matrix::Matching;
@@ -19,35 +51,65 @@ pub struct FabricStats {
 }
 
 /// A PipSwitch-style programmable circuit switch: one controller applies the
-/// whole target configuration; the delay follows the attached
-/// [`ReconfigModel`].
+/// whole target configuration; the photonic delay follows the attached
+/// [`ReconfigModel`], and circuits between crossbar ports are free (see
+/// the [module docs](self)).
 ///
 /// Fault injection: [`CircuitSwitch::stick_port`] freezes a TX port on its
-/// current circuit (the controller "fails" to move it), and
-/// [`CircuitSwitch::set_slowdown`] stretches every reconfiguration — both
-/// are observable through the post-request [`Fabric::current`]
-/// configuration and timing.
+/// current circuit (the controller "fails" to move it, or the link
+/// flapped), and [`CircuitSwitch::set_slowdown`] stretches every photonic
+/// reconfiguration — both are observable through the post-request
+/// [`Fabric::current`] configuration and timing.
 #[derive(Debug)]
 pub struct CircuitSwitch {
-    current: Matching,
+    state: FabricState,
     model: ReconfigModel,
-    busy_until: Picos,
+    /// Ports `0..crossbar_below` also hang off the electrical crossbar.
+    crossbar_below: usize,
     slowdown: f64,
     stuck: HashSet<usize>,
     stats: FabricStats,
 }
 
 impl CircuitSwitch {
-    /// Creates a switch with an initial configuration (e.g. the base ring).
+    /// Creates an all-photonic switch with an initial configuration (e.g.
+    /// the base ring).
     pub fn new(initial: Matching, model: ReconfigModel) -> Self {
         Self {
-            current: initial,
+            state: FabricState::idle(initial),
             model,
-            busy_until: 0,
+            crossbar_below: 0,
             slowdown: 1.0,
             stuck: HashSet::new(),
             stats: FabricStats::default(),
         }
+    }
+
+    /// Creates a switch whose ports `0..crossbar_below` also hang off an
+    /// electrical crossbar — the common "one crossbar next to one photonic
+    /// core" pod. `crossbar_below = 0` is [`CircuitSwitch::new`], and
+    /// `crossbar_below = n` is the all-electrical crossbar on which every
+    /// reconfiguration is free.
+    ///
+    /// # Errors
+    ///
+    /// Rejects `crossbar_below` beyond the port count.
+    pub fn split(
+        initial: Matching,
+        crossbar_below: usize,
+        model: ReconfigModel,
+    ) -> Result<Self, FabricError> {
+        let n = initial.n();
+        if crossbar_below > n {
+            return Err(FabricError::PortOutOfRange {
+                port: crossbar_below,
+                n,
+            });
+        }
+        Ok(Self {
+            crossbar_below,
+            ..Self::new(initial, model)
+        })
     }
 
     /// Freezes a TX port: subsequent reconfigurations leave its circuit
@@ -57,12 +119,7 @@ impl CircuitSwitch {
     ///
     /// Rejects out-of-range ports.
     pub fn stick_port(&mut self, port: usize) -> Result<(), FabricError> {
-        if port >= self.current.n() {
-            return Err(FabricError::PortOutOfRange {
-                port,
-                n: self.current.n(),
-            });
-        }
+        self.state.check_port(port)?;
         self.stuck.insert(port);
         Ok(())
     }
@@ -72,15 +129,19 @@ impl CircuitSwitch {
         self.stuck.remove(&port);
     }
 
-    /// Multiplies all reconfiguration delays (≥ 1.0 models a degraded
-    /// controller).
+    /// Multiplies the photonic reconfiguration delays (≥ 1.0 models a
+    /// degraded controller); the crossbar stays instantaneous.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-finite or non-positive factors.
-    pub fn set_slowdown(&mut self, factor: f64) {
-        assert!(factor.is_finite() && factor > 0.0, "bad slowdown {factor}");
+    /// Rejects non-finite or non-positive factors with
+    /// [`FabricError::BadTuningDelay`], keeping the previous slowdown.
+    pub fn set_slowdown(&mut self, factor: f64) -> Result<(), FabricError> {
+        if !factor.is_finite() || factor <= 0.0 {
+            return Err(FabricError::BadTuningDelay(factor));
+        }
         self.slowdown = factor;
+        Ok(())
     }
 
     /// Statistics so far.
@@ -92,22 +153,19 @@ impl CircuitSwitch {
     /// configuration, faults and statistics) so the same device model can
     /// serve another simulation run, which restarts its own clock.
     pub fn reset_clock(&mut self) {
-        self.busy_until = 0;
+        self.state.busy_until = 0;
     }
 
     /// Computes the configuration reachable from `current` given the stuck
     /// ports: stuck TX ports keep their circuit; any target circuit whose RX
     /// is thereby occupied is dropped.
     fn achievable(&self, target: &Matching) -> Matching {
-        if self.stuck.is_empty() {
-            return target.clone();
-        }
-        let n = self.current.n();
-        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(n);
+        let current = &self.state.config;
+        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(current.n());
         let mut used_rx: HashSet<usize> = HashSet::new();
         // Stuck ports claim their existing circuits first.
         for &p in &self.stuck {
-            if let Some(d) = self.current.dst_of(p) {
+            if let Some(d) = current.dst_of(p) {
                 pairs.push((p, d));
                 used_rx.insert(d);
             }
@@ -119,69 +177,64 @@ impl CircuitSwitch {
             pairs.push((s, d));
             used_rx.insert(d);
         }
-        Matching::from_pairs(n, &pairs).expect("achievable config is a valid matching")
+        Matching::from_pairs(current.n(), &pairs).expect("achievable config is a valid matching")
+    }
+
+    /// The TX ports whose circuit changes on the way to `next`, and how
+    /// many of them the photonic core must move: a changed port stays off
+    /// the core only if its circuits before and after (where it has one)
+    /// both join two crossbar ports. Without crossbar ports the two
+    /// counts agree, and the ports are scanned once.
+    fn ports_changed(&self, next: &Matching) -> (usize, usize) {
+        let current = &self.state.config;
+        let changed = current.tx_ports_changed(next);
+        if self.crossbar_below == 0 {
+            return (changed, changed);
+        }
+        let on_crossbar =
+            |p: usize, d: Option<usize>| d.is_none_or(|d| p.max(d) < self.crossbar_below);
+        let photonic = (0..current.n())
+            .filter(|&p| {
+                let (before, after) = (current.dst_of(p), next.dst_of(p));
+                before != after && !(on_crossbar(p, before) && on_crossbar(p, after))
+            })
+            .count();
+        (changed, photonic)
     }
 }
 
 impl Fabric for CircuitSwitch {
     fn n(&self) -> usize {
-        self.current.n()
+        self.state.config.n()
     }
 
     fn current(&self) -> &Matching {
-        &self.current
+        &self.state.config
     }
 
     fn busy_until(&self) -> Picos {
-        self.busy_until
+        self.state.busy_until
     }
 
     fn load_state(&mut self, state: &FabricState) -> Result<(), FabricError> {
-        if state.config.n() != self.current.n() {
-            return Err(FabricError::DimensionMismatch {
-                fabric: self.current.n(),
-                target: state.config.n(),
-            });
-        }
-        self.current = state.config.clone();
-        self.busy_until = state.busy_until;
-        Ok(())
+        self.state.load(state)
     }
 
     fn request(&mut self, target: &Matching, now: Picos) -> Result<ReconfigOutcome, FabricError> {
-        if target.n() != self.current.n() {
-            return Err(FabricError::DimensionMismatch {
-                fabric: self.current.n(),
-                target: target.n(),
-            });
-        }
-        if now < self.busy_until {
-            return Err(FabricError::Busy {
-                until: self.busy_until,
-            });
-        }
-        // Fault-free requests (the hot path) adopt the target in place via
-        // `clone_from`, so a steady-state reconfiguration allocates nothing.
+        self.state.admit(target, now)?;
+        // Fault-free requests (the hot path) commit the target itself, so a
+        // steady-state reconfiguration allocates nothing.
         let achieved = (!self.stuck.is_empty()).then(|| self.achievable(target));
-        let ports_changed = self
-            .current
-            .tx_ports_changed(achieved.as_ref().unwrap_or(target));
-        let delay = secs_to_picos(self.model.delay_s(ports_changed) * self.slowdown);
-        let ready_at = checked_ready_at(now, delay)?;
-        match achieved {
-            Some(achieved) => self.current = achieved,
-            None => self.current.clone_from(target),
-        }
+        let next = achieved.as_ref().unwrap_or(target);
+        let (ports_changed, photonic) = self.ports_changed(next);
+        let delay = secs_to_picos(self.model.delay_s(photonic) * self.slowdown);
+        let outcome = self.state.commit(next, now, delay, ports_changed)?;
         if ports_changed > 0 {
             self.stats.reconfigurations += 1;
             self.stats.busy_ps += delay;
             self.stats.ports_retargeted += ports_changed;
         }
-        self.busy_until = ready_at;
-        Ok(ReconfigOutcome {
-            ready_at,
-            ports_changed,
-        })
+        Ok(outcome)
     }
 }
 
@@ -233,24 +286,28 @@ mod tests {
 
     #[test]
     fn stuck_port_keeps_circuit_and_drops_conflicts() {
-        let mut sw = CircuitSwitch::new(shift(8, 1), ReconfigModel::constant(1e-6).unwrap());
-        sw.stick_port(0).unwrap();
-        // Target shift(2): port 0 should go 0→2 but stays 0→1; port 7's
-        // target 7→1 conflicts with the stuck circuit's RX 1 and is dropped.
-        let out = sw.request(&shift(8, 2), 0).unwrap();
-        assert_eq!(sw.current().dst_of(0), Some(1));
-        assert_eq!(sw.current().dst_of(7), None);
-        assert_eq!(sw.current().dst_of(3), Some(5));
-        // Recovery: unstick and reconfigure fully.
-        sw.unstick_port(0);
-        sw.request(&shift(8, 2), out.ready_at).unwrap();
-        assert_eq!(sw.current(), &shift(8, 2));
+        // Port 0 sticks on the photonic core, or on the crossbar.
+        for crossbar_below in [0, 4] {
+            let model = ReconfigModel::constant(1e-6).unwrap();
+            let mut sw = CircuitSwitch::split(shift(8, 1), crossbar_below, model).unwrap();
+            sw.stick_port(0).unwrap();
+            // Target shift(2): port 0 should go 0→2 but stays 0→1; port 7's
+            // target 7→1 conflicts with the stuck circuit's RX 1 and is dropped.
+            let out = sw.request(&shift(8, 2), 0).unwrap();
+            assert_eq!(sw.current().dst_of(0), Some(1));
+            assert_eq!(sw.current().dst_of(7), None);
+            assert_eq!(sw.current().dst_of(3), Some(5));
+            // Recovery: unstick and reconfigure fully.
+            sw.unstick_port(0);
+            sw.request(&shift(8, 2), out.ready_at).unwrap();
+            assert_eq!(sw.current(), &shift(8, 2));
+        }
     }
 
     #[test]
     fn slowdown_stretches_delay() {
         let mut sw = CircuitSwitch::new(shift(8, 1), ReconfigModel::constant(1e-6).unwrap());
-        sw.set_slowdown(3.0);
+        sw.set_slowdown(3.0).unwrap();
         let out = sw.request(&shift(8, 5), 0).unwrap();
         assert_eq!(out.ready_at, secs_to_picos(3e-6));
     }
@@ -316,5 +373,145 @@ mod tests {
             sw.stick_port(9),
             Err(FabricError::PortOutOfRange { port: 9, n: 4 })
         ));
+    }
+
+    #[test]
+    fn slowdown_validation_keeps_the_previous_factor() {
+        let mut sw = CircuitSwitch::new(shift(8, 1), ReconfigModel::constant(1e-6).unwrap());
+        sw.set_slowdown(2.0).unwrap();
+        for bad in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            assert!(matches!(
+                sw.set_slowdown(bad),
+                Err(FabricError::BadTuningDelay(f)) if f.to_bits() == bad.to_bits()
+            ));
+        }
+        let out = sw.request(&shift(8, 5), 0).unwrap();
+        assert_eq!(out.ready_at, secs_to_picos(2e-6));
+    }
+
+    #[test]
+    fn state_roundtrip() {
+        let model = ReconfigModel::constant(1e-6).unwrap();
+        let mut sw = CircuitSwitch::split(shift(8, 1), 4, model).unwrap();
+        sw.request(&shift(8, 3), 0).unwrap();
+        let state = sw.save_state();
+        let mut other = CircuitSwitch::split(shift(8, 1), 4, model).unwrap();
+        other.load_state(&state).unwrap();
+        assert_eq!(other.current(), sw.current());
+        assert_eq!(other.busy_until(), sw.busy_until());
+        // A state of another port count is rejected and changes nothing.
+        let mut small = CircuitSwitch::new(shift(4, 1), model);
+        assert_eq!(
+            small.load_state(&state),
+            Err(FabricError::DimensionMismatch {
+                fabric: 4,
+                target: 8
+            })
+        );
+        assert_eq!(small.current(), &shift(4, 1));
+        assert_eq!(small.busy_until(), 0);
+    }
+
+    /// An 8-port switch whose lower 4 ports hang off the crossbar.
+    fn half_crossbar(model: ReconfigModel) -> CircuitSwitch {
+        CircuitSwitch::split(Matching::empty(8), 4, model).unwrap()
+    }
+
+    fn five_us() -> ReconfigModel {
+        ReconfigModel::constant(5e-6).unwrap()
+    }
+
+    #[test]
+    fn crossbar_circuits_reconfigure_for_free() {
+        let mut sw = half_crossbar(five_us());
+        let elec = Matching::from_pairs(8, &[(0, 2), (2, 0), (1, 3), (3, 1)]).unwrap();
+        let out = sw.request(&elec, 1000).unwrap();
+        assert_eq!(out.ready_at, 1000);
+        assert_eq!(out.ports_changed, 4);
+        assert_eq!(sw.current(), &elec);
+        assert_eq!(sw.stats().busy_ps, 0);
+    }
+
+    #[test]
+    fn photonic_circuits_pay_the_photonic_delay() {
+        let mut sw = half_crossbar(five_us());
+        let opt = Matching::from_pairs(8, &[(4, 6), (6, 4)]).unwrap();
+        let out = sw.request(&opt, 0).unwrap();
+        assert_eq!(out.ready_at, 5_000_000);
+    }
+
+    #[test]
+    fn boundary_circuits_are_photonic() {
+        // TX on the crossbar, RX photonic: still needs the photonic core.
+        let mut sw = half_crossbar(five_us());
+        let cross = Matching::from_pairs(8, &[(0, 5)]).unwrap();
+        assert_eq!(sw.request(&cross, 0).unwrap().ready_at, 5_000_000);
+        // Tearing that circuit down again moves the photonic core too.
+        let out = sw.request(&Matching::empty(8), 5_000_000).unwrap();
+        assert_eq!(out.ready_at, 10_000_000);
+    }
+
+    #[test]
+    fn per_port_pricing_bills_only_the_photonic_side() {
+        let per_port = ReconfigModel::per_port(1e-6, 1e-6).unwrap();
+        let mut sw = half_crossbar(per_port);
+        // Two crossbar moves (free) + one photonic move (fixed + 1 port).
+        let target = Matching::from_pairs(8, &[(0, 2), (2, 0), (4, 6)]).unwrap();
+        let out = sw.request(&target, 0).unwrap();
+        assert_eq!(out.ports_changed, 3);
+        assert_eq!(out.ready_at, secs_to_picos(1e-6 + 1e-6));
+        assert_eq!(sw.stats().ports_retargeted, 3);
+    }
+
+    #[test]
+    fn slowdown_stretches_only_the_photonic_side() {
+        let mut sw = half_crossbar(five_us());
+        sw.set_slowdown(3.0).unwrap();
+        let elec = Matching::from_pairs(8, &[(0, 1), (1, 0)]).unwrap();
+        assert_eq!(sw.request(&elec, 0).unwrap().ready_at, 0);
+        let opt = Matching::from_pairs(8, &[(0, 1), (1, 0), (4, 5), (5, 4)]).unwrap();
+        let out = sw.request(&opt, 0).unwrap();
+        assert_eq!(out.ready_at, secs_to_picos(15e-6));
+    }
+
+    #[test]
+    fn an_all_crossbar_switch_is_always_free() {
+        let mut sw = CircuitSwitch::split(shift(8, 1), 8, five_us()).unwrap();
+        sw.set_slowdown(4.0).unwrap();
+        for k in 2..6 {
+            let out = sw.request(&shift(8, k), 10 * k as u64).unwrap();
+            assert_eq!(out.ready_at, 10 * k as u64);
+            assert_eq!(out.ports_changed, 8);
+        }
+        assert_eq!(sw.stats().reconfigurations, 4);
+        assert_eq!(sw.stats().busy_ps, 0);
+    }
+
+    #[test]
+    fn a_photonic_move_past_the_clock_end_changes_nothing_but_the_crossbar_still_fits() {
+        let mut sw = half_crossbar(five_us());
+        let now = Picos::MAX - 1;
+        let opt = Matching::from_pairs(8, &[(4, 6), (6, 4)]).unwrap();
+        assert_eq!(
+            sw.request(&opt, now),
+            Err(FabricError::ClockOverflow {
+                now,
+                delay: 5_000_000
+            })
+        );
+        assert_eq!(sw.current(), &Matching::empty(8));
+        assert_eq!(sw.busy_until(), 0);
+        // The crossbar is instantaneous, so a crossbar move still fits.
+        let elec = Matching::from_pairs(8, &[(0, 2), (2, 0)]).unwrap();
+        assert_eq!(sw.request(&elec, now).unwrap().ready_at, now);
+    }
+
+    #[test]
+    fn split_validation() {
+        assert!(matches!(
+            CircuitSwitch::split(shift(4, 1), 5, five_us()),
+            Err(FabricError::PortOutOfRange { port: 5, n: 4 })
+        ));
+        assert!(CircuitSwitch::split(shift(4, 1), 4, five_us()).is_ok());
     }
 }

@@ -9,7 +9,7 @@
 //! controller overhead.
 
 use crate::error::FabricError;
-use crate::{checked_ready_at, Fabric, FabricState, ReconfigOutcome};
+use crate::{Fabric, FabricState, ReconfigOutcome};
 use aps_cost::units::{secs_to_picos, Picos};
 use aps_matrix::Matching;
 
@@ -17,10 +17,9 @@ use aps_matrix::Matching;
 /// transceiver per port.
 #[derive(Debug)]
 pub struct WavelengthFabric {
-    current: Matching,
+    state: FabricState,
     /// Per-port tuning time in seconds.
     tuning_s: Vec<f64>,
-    busy_until: Picos,
 }
 
 impl WavelengthFabric {
@@ -52,9 +51,8 @@ impl WavelengthFabric {
             }
         }
         Ok(Self {
-            current: initial,
+            state: FabricState::idle(initial),
             tuning_s,
-            busy_until: 0,
         })
     }
 
@@ -64,12 +62,7 @@ impl WavelengthFabric {
     ///
     /// Rejects out-of-range ports and invalid times.
     pub fn set_port_tuning(&mut self, port: usize, tuning_s: f64) -> Result<(), FabricError> {
-        if port >= self.current.n() {
-            return Err(FabricError::PortOutOfRange {
-                port,
-                n: self.current.n(),
-            });
-        }
+        self.state.check_port(port)?;
         if !tuning_s.is_finite() || tuning_s < 0.0 {
             return Err(FabricError::BadTuningDelay(tuning_s));
         }
@@ -80,61 +73,39 @@ impl WavelengthFabric {
     /// Rewinds the device clock to `t = 0` (keeping configuration and
     /// per-port tuning times) for reuse across simulation runs.
     pub fn reset_clock(&mut self) {
-        self.busy_until = 0;
+        self.state.busy_until = 0;
     }
 }
 
 impl Fabric for WavelengthFabric {
     fn n(&self) -> usize {
-        self.current.n()
+        self.state.config.n()
     }
 
     fn current(&self) -> &Matching {
-        &self.current
+        &self.state.config
     }
 
     fn busy_until(&self) -> Picos {
-        self.busy_until
+        self.state.busy_until
     }
 
     fn load_state(&mut self, state: &FabricState) -> Result<(), FabricError> {
-        if state.config.n() != self.current.n() {
-            return Err(FabricError::DimensionMismatch {
-                fabric: self.current.n(),
-                target: state.config.n(),
-            });
-        }
-        self.current = state.config.clone();
-        self.busy_until = state.busy_until;
-        Ok(())
+        self.state.load(state)
     }
 
     fn request(&mut self, target: &Matching, now: Picos) -> Result<ReconfigOutcome, FabricError> {
-        if target.n() != self.current.n() {
-            return Err(FabricError::DimensionMismatch {
-                fabric: self.current.n(),
-                target: target.n(),
-            });
-        }
-        if now < self.busy_until {
-            return Err(FabricError::Busy {
-                until: self.busy_until,
-            });
-        }
+        self.state.admit(target, now)?;
         // Only ports whose destination wavelength changes retune; the
         // slowest retuning port gates readiness (synchronous steps).
-        let slowest = (0..self.current.n())
-            .filter(|&p| self.current.dst_of(p) != target.dst_of(p))
+        let current = &self.state.config;
+        let slowest = (0..current.n())
+            .filter(|&p| current.dst_of(p) != target.dst_of(p))
             .map(|p| self.tuning_s[p])
             .fold(0.0f64, f64::max);
-        let ports_changed = self.current.tx_ports_changed(target);
-        let ready_at = checked_ready_at(now, secs_to_picos(slowest))?;
-        self.current.clone_from(target);
-        self.busy_until = ready_at;
-        Ok(ReconfigOutcome {
-            ready_at,
-            ports_changed,
-        })
+        let ports_changed = current.tx_ports_changed(target);
+        self.state
+            .commit(target, now, secs_to_picos(slowest), ports_changed)
     }
 }
 

@@ -40,7 +40,7 @@
 //! ```
 
 use crate::error::FabricError;
-use crate::{checked_ready_at, Fabric, FabricState, ReconfigOutcome};
+use crate::{Fabric, FabricState, ReconfigOutcome};
 use aps_cost::units::{secs_to_picos, Picos};
 use aps_matrix::Matching;
 
@@ -49,14 +49,13 @@ use aps_matrix::Matching;
 /// [module docs](self) for the cost rule.
 #[derive(Debug)]
 pub struct WavelengthBankFabric {
-    current: Matching,
+    state: FabricState,
     /// Per-band lock-on cost in seconds (`len` = number of bands).
     retune_s: Vec<f64>,
     /// Cost of a destination change within the same band.
     intra_band_s: f64,
     /// Per-port retune multiplier (≥ 1.0 models an ageing laser).
     degradation: Vec<f64>,
-    busy_until: Picos,
 }
 
 impl WavelengthBankFabric {
@@ -81,11 +80,10 @@ impl WavelengthBankFabric {
         }
         let n = initial.n();
         Ok(Self {
-            current: initial,
+            state: FabricState::idle(initial),
             retune_s,
             intra_band_s,
             degradation: vec![1.0; n],
-            busy_until: 0,
         })
     }
 
@@ -118,7 +116,7 @@ impl WavelengthBankFabric {
     /// The band circuit `p → d` uses: the AWGR wavelength index
     /// `(d − p) mod n`, folded modulo the bank size.
     pub fn band_of(&self, p: usize, d: usize) -> usize {
-        let n = self.current.n();
+        let n = self.state.config.n();
         ((d + n - p) % n) % self.retune_s.len()
     }
 
@@ -129,12 +127,7 @@ impl WavelengthBankFabric {
     ///
     /// Rejects out-of-range ports and factors below 1 or non-finite.
     pub fn degrade_port(&mut self, port: usize, factor: f64) -> Result<(), FabricError> {
-        if port >= self.current.n() {
-            return Err(FabricError::PortOutOfRange {
-                port,
-                n: self.current.n(),
-            });
-        }
+        self.state.check_port(port)?;
         if !factor.is_finite() || factor < 1.0 {
             return Err(FabricError::BadTuningDelay(factor));
         }
@@ -152,14 +145,14 @@ impl WavelengthBankFabric {
     /// Rewinds the device clock to `t = 0` (keeping configuration, bank
     /// pricing and degradations) for reuse across simulation runs.
     pub fn reset_clock(&mut self) {
-        self.busy_until = 0;
+        self.state.busy_until = 0;
     }
 
     /// The settle time of port `p` moving from its current circuit to
     /// `next` (`None` = laser off, free).
     fn port_settle_s(&self, p: usize, next: Option<usize>) -> f64 {
         let Some(d_new) = next else { return 0.0 };
-        let base = match self.current.dst_of(p) {
+        let base = match self.state.config.dst_of(p) {
             Some(d_old) if self.band_of(p, d_old) == self.band_of(p, d_new) => self.intra_band_s,
             _ => self.retune_s[self.band_of(p, d_new)],
         };
@@ -169,53 +162,31 @@ impl WavelengthBankFabric {
 
 impl Fabric for WavelengthBankFabric {
     fn n(&self) -> usize {
-        self.current.n()
+        self.state.config.n()
     }
 
     fn current(&self) -> &Matching {
-        &self.current
+        &self.state.config
     }
 
     fn busy_until(&self) -> Picos {
-        self.busy_until
+        self.state.busy_until
     }
 
     fn load_state(&mut self, state: &FabricState) -> Result<(), FabricError> {
-        if state.config.n() != self.current.n() {
-            return Err(FabricError::DimensionMismatch {
-                fabric: self.current.n(),
-                target: state.config.n(),
-            });
-        }
-        self.current = state.config.clone();
-        self.busy_until = state.busy_until;
-        Ok(())
+        self.state.load(state)
     }
 
     fn request(&mut self, target: &Matching, now: Picos) -> Result<ReconfigOutcome, FabricError> {
-        if target.n() != self.current.n() {
-            return Err(FabricError::DimensionMismatch {
-                fabric: self.current.n(),
-                target: target.n(),
-            });
-        }
-        if now < self.busy_until {
-            return Err(FabricError::Busy {
-                until: self.busy_until,
-            });
-        }
-        let slowest = (0..self.current.n())
-            .filter(|&p| self.current.dst_of(p) != target.dst_of(p))
+        self.state.admit(target, now)?;
+        let current = &self.state.config;
+        let slowest = (0..current.n())
+            .filter(|&p| current.dst_of(p) != target.dst_of(p))
             .map(|p| self.port_settle_s(p, target.dst_of(p)))
             .fold(0.0f64, f64::max);
-        let ports_changed = self.current.tx_ports_changed(target);
-        let ready_at = checked_ready_at(now, secs_to_picos(slowest))?;
-        self.current.clone_from(target);
-        self.busy_until = ready_at;
-        Ok(ReconfigOutcome {
-            ready_at,
-            ports_changed,
-        })
+        let ports_changed = current.tx_ports_changed(target);
+        self.state
+            .commit(target, now, secs_to_picos(slowest), ports_changed)
     }
 }
 

@@ -149,7 +149,8 @@ pub enum ApsFabricKind {
     Optical = 0,
     /// All-electrical crossbar: zero-cost reconfiguration.
     Electrical = 1,
-    /// Half electrical, half optical composite.
+    /// Circuit switch with its lower half of ports on an electrical
+    /// crossbar.
     Hybrid = 2,
     /// Multi-wavelength bank with per-λ retune costs.
     WavelengthBank = 3,

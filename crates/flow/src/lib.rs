@@ -24,7 +24,6 @@
 //! The [`solver::ThroughputSolver`] enum and [`solver::ThetaCache`] tie these
 //! together behind one API used by `aps-cost` and `aps-core`.
 
-pub mod demand;
 pub mod dinic;
 pub mod error;
 pub mod forced;

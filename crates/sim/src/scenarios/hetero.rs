@@ -8,11 +8,12 @@
 //! [`crate::scenarios`] packages workload mixes — as fully deterministic
 //! generators the bench harness and the C ABI can both drive:
 //!
-//! * [`FabricKind`] + [`build_fabric`] — the fabric menu
-//!   (all-electrical baseline, all-optical circuit switch, half/half
-//!   [`HybridFabric`], and a 4-band [`WavelengthBankFabric`]), every
-//!   variant buildable from the same `(initial, ReconfigModel)` pair so
-//!   benches sweep media like they sweep controllers.
+//! * [`FabricKind`] + [`build_fabric`] — the fabric menu: a
+//!   [`CircuitSwitch`] with every port, no port or half the ports on its
+//!   electrical crossbar (all-electrical baseline, all-optical switch,
+//!   hybrid pod), and a 4-band [`WavelengthBankFabric`]. Every variant is
+//!   built from the same `(initial, ReconfigModel)` pair, so benches sweep
+//!   media like they sweep controllers.
 //! * [`hybrid_mix`] / [`multi_wavelength`] — tenant mixes shaped for
 //!   those fabrics: partitions pinned entirely on the crossbar, entirely
 //!   on the photonic core, and straddling the boundary.
@@ -30,7 +31,7 @@
 //! use aps_cost::ReconfigModel;
 //! use aps_matrix::Matching;
 //!
-//! // The hybrid mix on a half-electrical fabric, under a seeded storm.
+//! // The hybrid mix on a half-crossbar switch, under a seeded storm.
 //! let scenario = hetero::hybrid_mix(1024.0 * 1024.0);
 //! let mut fabric = hetero::build_fabric_stormy(
 //!     FabricKind::Hybrid,
@@ -53,22 +54,25 @@ use crate::tenant::TenantSpec;
 use aps_collectives::{allreduce, alltoall};
 use aps_core::SwitchSchedule;
 use aps_cost::ReconfigModel;
-use aps_fabric::{CircuitSwitch, Fabric, HybridFabric, WavelengthBankFabric};
+use aps_fabric::{CircuitSwitch, Fabric, WavelengthBankFabric};
 use aps_matrix::Matching;
 
 /// Number of wavelength bands the [`FabricKind::WavelengthBank`] menu
 /// entry uses (a typical CWDM grid slice).
 pub const BANK_BANDS: usize = 4;
 
-/// The fabric media menu heterogeneous benches sweep.
+/// The fabric media menu heterogeneous benches sweep. The first three
+/// kinds are one [`CircuitSwitch`] that differs only in how many ports
+/// hang off its electrical crossbar ([`CircuitSwitch::split`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricKind {
-    /// All-electrical crossbar: every reconfiguration free — the
+    /// Every port on the crossbar: every reconfiguration free — the
     /// zero-reconfig baseline.
     Electrical,
-    /// All-optical circuit switch priced by the [`ReconfigModel`].
+    /// No port on the crossbar: an all-optical circuit switch priced by
+    /// the [`ReconfigModel`].
     Optical,
-    /// Half electrical, half optical ([`HybridFabric::split`] at `n/2`).
+    /// Ports `0..n/2` on the crossbar, the rest photonic.
     Hybrid,
     /// A [`BANK_BANDS`]-band [`WavelengthBankFabric`] on the ladder
     /// pricing derived from the model's single-port delay.
@@ -103,8 +107,8 @@ impl FabricKind {
 }
 
 /// Builds the fabric a [`FabricKind`] names, initialized to `initial`
-/// and priced by `reconfig` (the electrical crossbar ignores it; the
-/// wavelength bank derives its per-λ ladder from the model's
+/// and priced by `reconfig` (circuits between crossbar ports ignore it;
+/// the wavelength bank derives its per-λ ladder from the model's
 /// single-port delay).
 ///
 /// # Errors
@@ -121,8 +125,8 @@ pub fn build_fabric(
 /// [`build_fabric`] with an optional [`FailureStorm`] applied to the
 /// freshly built device — the one constructor the C ABI and the benches
 /// share, so a storm is always laid down the same way on every medium
-/// (flaps + photonic slowdown on the switch families, transceiver
-/// ageing on the wavelength bank).
+/// (flaps + photonic slowdown on the circuit switch, transceiver ageing
+/// on the wavelength bank).
 ///
 /// # Errors
 ///
@@ -134,38 +138,25 @@ pub fn build_fabric_stormy(
     reconfig: ReconfigModel,
     storm: Option<FailureStorm>,
 ) -> Result<Box<dyn Fabric>, SimError> {
-    let n = initial.n();
-    Ok(match kind {
-        FabricKind::Electrical => {
-            let mut f = HybridFabric::electrical(initial);
-            if let Some(s) = storm {
-                s.apply_hybrid(&mut f)?;
-            }
-            Box::new(f)
-        }
-        FabricKind::Optical => {
-            let mut f = CircuitSwitch::new(initial, reconfig);
-            if let Some(s) = storm {
-                s.apply_switch(&mut f)?;
-            }
-            Box::new(f)
-        }
-        FabricKind::Hybrid => {
-            let mut f = HybridFabric::split(initial, n / 2, reconfig).map_err(SimError::Fabric)?;
-            if let Some(s) = storm {
-                s.apply_hybrid(&mut f)?;
-            }
-            Box::new(f)
-        }
+    let crossbar_below = match kind {
+        FabricKind::Electrical => initial.n(),
+        FabricKind::Optical => 0,
+        FabricKind::Hybrid => initial.n() / 2,
         FabricKind::WavelengthBank => {
             let mut f = WavelengthBankFabric::ladder(initial, reconfig.delay_s(1), BANK_BANDS)
                 .map_err(SimError::Fabric)?;
             if let Some(s) = storm {
                 s.apply_bank(&mut f)?;
             }
-            Box::new(f)
+            return Ok(Box::new(f));
         }
-    })
+    };
+    let mut f =
+        CircuitSwitch::split(initial, crossbar_below, reconfig).map_err(SimError::Fabric)?;
+    if let Some(s) = storm {
+        s.apply_switch(&mut f)?;
+    }
+    Ok(Box::new(f))
 }
 
 /// Builds one tenant on `ports` with a ring base over its partition.
@@ -291,55 +282,33 @@ impl FailureStorm {
         (0..self.flap_len.min(n)).map(|k| (start + k) % n).collect()
     }
 
-    /// Applies the storm to a hybrid fabric: victim TX ports stick
-    /// (their circuits freeze) and the photonic side degrades. Returns
-    /// the victim ports.
+    /// Applies the storm to a circuit switch: the photonic side degrades
+    /// and victim TX ports stick (their circuits freeze, on either
+    /// medium). Returns the victim ports.
     ///
     /// # Errors
     ///
-    /// Never for in-range victims (guaranteed by construction);
-    /// propagates fabric validation otherwise.
-    pub fn apply_hybrid(&self, fabric: &mut HybridFabric) -> Result<Vec<usize>, SimError> {
-        let victims = self.victims(fabric.n());
-        for &p in &victims {
-            fabric.stick_port(p).map_err(SimError::Fabric)?;
-        }
-        fabric.set_optical_slowdown(self.degrade.max(1.0));
-        Ok(victims)
-    }
-
-    /// Reverts [`FailureStorm::apply_hybrid`]: unsticks the victims and
-    /// restores nominal photonic speed.
-    pub fn heal_hybrid(&self, fabric: &mut HybridFabric) {
-        for p in self.victims(fabric.n()) {
-            fabric.unstick_port(p);
-        }
-        fabric.set_optical_slowdown(1.0);
-    }
-
-    /// Applies the storm to an all-optical circuit switch: victim TX
-    /// ports stick and the controller degrades — the same fault pair as
-    /// [`FailureStorm::apply_hybrid`], on the homogeneous device.
-    ///
-    /// # Errors
-    ///
-    /// Never for in-range victims; propagates fabric validation
-    /// otherwise.
+    /// Rejects an infinite `degrade` with
+    /// [`aps_fabric::FabricError::BadTuningDelay`] before sticking any
+    /// port; propagates fabric validation otherwise.
     pub fn apply_switch(&self, fabric: &mut CircuitSwitch) -> Result<Vec<usize>, SimError> {
+        fabric
+            .set_slowdown(self.degrade.max(1.0))
+            .map_err(SimError::Fabric)?;
         let victims = self.victims(fabric.n());
         for &p in &victims {
             fabric.stick_port(p).map_err(SimError::Fabric)?;
         }
-        fabric.set_slowdown(self.degrade.max(1.0));
         Ok(victims)
     }
 
-    /// Reverts [`FailureStorm::apply_switch`].
+    /// Reverts [`FailureStorm::apply_switch`]: unsticks the victims and
+    /// restores nominal photonic speed.
     pub fn heal_switch(&self, fabric: &mut CircuitSwitch) {
         for p in self.victims(fabric.n()) {
             fabric.unstick_port(p);
         }
-        fabric.set_slowdown(1.0);
+        fabric.set_slowdown(1.0).expect("1.0 is a valid slowdown");
     }
 
     /// Applies the storm to a wavelength bank: victim transceivers age
@@ -348,8 +317,9 @@ impl FailureStorm {
     ///
     /// # Errors
     ///
-    /// Never for in-range victims; propagates fabric validation
-    /// otherwise.
+    /// Rejects an infinite `degrade` with
+    /// [`aps_fabric::FabricError::BadTuningDelay`]; propagates fabric
+    /// validation otherwise.
     pub fn apply_bank(&self, fabric: &mut WavelengthBankFabric) -> Result<Vec<usize>, SimError> {
         let victims = self.victims(fabric.n());
         for &p in &victims {
@@ -373,6 +343,7 @@ mod tests {
     use super::*;
     use crate::exec::RunConfig;
     use aps_cost::units::MIB;
+    use aps_fabric::FabricError;
 
     fn reconfig() -> ReconfigModel {
         ReconfigModel::constant(5e-6).unwrap()
@@ -456,26 +427,26 @@ mod tests {
         let cfg = RunConfig::paper_defaults();
         let storm = FailureStorm::new(11);
 
-        let mut hybrid = HybridFabric::split(s.initial_config().unwrap(), 16, reconfig()).unwrap();
+        let mut hybrid = CircuitSwitch::split(s.initial_config().unwrap(), 16, reconfig()).unwrap();
         let baseline = {
             let mut f =
                 build_fabric(FabricKind::Hybrid, s.initial_config().unwrap(), reconfig()).unwrap();
             s.run_on(f.as_mut(), &cfg).unwrap()
         };
-        storm.apply_hybrid(&mut hybrid).unwrap();
+        storm.apply_switch(&mut hybrid).unwrap();
         let stormy = s.run_on(&mut hybrid, &cfg).unwrap();
         // Runs complete under the storm (stuck circuits may reroute or
         // relay), deterministically.
         let stormy2 = {
-            let mut f = HybridFabric::split(s.initial_config().unwrap(), 16, reconfig()).unwrap();
-            storm.apply_hybrid(&mut f).unwrap();
+            let mut f = CircuitSwitch::split(s.initial_config().unwrap(), 16, reconfig()).unwrap();
+            storm.apply_switch(&mut f).unwrap();
             s.run_on(&mut f, &cfg).unwrap()
         };
         for (x, y) in stormy.iter().zip(&stormy2) {
             assert_eq!(x.as_ref().ok(), y.as_ref().ok());
         }
         // Healing restores the fault-free timings exactly.
-        storm.heal_hybrid(&mut hybrid);
+        storm.heal_switch(&mut hybrid);
         hybrid.reset_clock();
         let healed = s.run_on(&mut hybrid, &cfg).unwrap();
         for (x, y) in healed.iter().zip(&baseline) {
@@ -509,5 +480,29 @@ mod tests {
             .map(|r| r.unwrap().finish_ps)
             .collect();
         assert_eq!(healed, clean);
+    }
+
+    #[test]
+    fn an_infinite_degrade_is_a_typed_error_on_every_kind() {
+        let storm = FailureStorm {
+            degrade: f64::INFINITY,
+            ..FailureStorm::new(3)
+        };
+        for kind in FabricKind::all() {
+            let built = build_fabric_stormy(
+                kind,
+                Matching::shift(8, 1).unwrap(),
+                reconfig(),
+                Some(storm),
+            );
+            assert!(
+                matches!(
+                    built.err(),
+                    Some(SimError::Fabric(FabricError::BadTuningDelay(f))) if f == f64::INFINITY
+                ),
+                "{}",
+                kind.name()
+            );
+        }
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! The open-system [`ServiceExecutor`] is measured the same way: two
 //! endless training jobs admitted side by side, stepped `K` and
-//! `K + EXTRA` times.
+//! `K + EXTRA` times, once on an all-photonic [`CircuitSwitch`] and once
+//! on a switch whose first job sits on the electrical crossbar.
 //!
 //! Everything lives in one `#[test]` so no concurrent test can perturb
 //! the counter, and the counter itself is *thread-scoped*: only the test
@@ -120,13 +121,15 @@ fn run(steps: usize, controller: &dyn Controller) -> (StreamSummary, u64) {
 }
 
 /// Executes `steps` service steps of two endless matched training jobs,
-/// each on its own `N`-port half of a `2N`-port fabric, returning the
+/// each on its own `N`-port half of a `2N`-port switch whose ports
+/// `0..crossbar_below` hang off the electrical crossbar, returning the
 /// summary and the allocation count the steps spent. Set-up and admission
 /// stay outside the counted region.
-fn run_service(steps: usize) -> (StreamSummary, u64) {
+fn run_service(steps: usize, crossbar_below: usize) -> (StreamSummary, u64) {
     let rings: Vec<(usize, usize)> = (0..2 * N).map(|p| (p, p - p % N + (p + 1) % N)).collect();
     let base = Matching::from_pairs(2 * N, &rings).unwrap();
-    let mut fabric = CircuitSwitch::new(base, ReconfigModel::constant(5e-6).unwrap());
+    let reconfig = ReconfigModel::constant(5e-6).unwrap();
+    let mut fabric = CircuitSwitch::split(base, crossbar_below, reconfig).unwrap();
     let mut exec = ServiceExecutor::new(2 * N, RunConfig::paper_defaults(), false);
     for job in 0..2 {
         let spec = ServiceJobSpec {
@@ -170,15 +173,17 @@ fn steady_state_step_allocates_nothing() {
              allocations (want 0); warm-up spent {allocs_short}"
         );
     }
-    let (short, allocs_short) = run_service(WARMUP);
-    let (long, allocs_long) = run_service(WARMUP + EXTRA);
-    assert_eq!(short.steps, WARMUP, "service: short run executed");
-    assert_eq!(long.steps, WARMUP + EXTRA, "service: long run executed");
-    assert!(long.total_ps > short.total_ps, "service: clocks advanced");
-    let delta = allocs_long - allocs_short;
-    assert_eq!(
-        delta, 0,
-        "service: {EXTRA} steady-state steps performed {delta} heap \
-         allocations (want 0); warm-up spent {allocs_short}"
-    );
+    for (name, crossbar_below) in [("service", 0), ("service, half crossbar", N)] {
+        let (short, allocs_short) = run_service(WARMUP, crossbar_below);
+        let (long, allocs_long) = run_service(WARMUP + EXTRA, crossbar_below);
+        assert_eq!(short.steps, WARMUP, "{name}: short run executed");
+        assert_eq!(long.steps, WARMUP + EXTRA, "{name}: long run executed");
+        assert!(long.total_ps > short.total_ps, "{name}: clocks advanced");
+        let delta = allocs_long - allocs_short;
+        assert_eq!(
+            delta, 0,
+            "{name}: {EXTRA} steady-state steps performed {delta} heap \
+             allocations (want 0); warm-up spent {allocs_short}"
+        );
+    }
 }

@@ -2,7 +2,10 @@
 # Builds the aps-ffi cdylib, compiles the C smoke client against the
 # hand-written header, and diffs its output byte-for-byte against the
 # native Rust oracle. Any divergence between the C ABI and the native
-# API fails here.
+# API fails here. The oracle is then diffed against the committed
+# tests/fixtures/ffi_smoke_golden.txt, so a change that moves the numbers
+# on both sides of the ABI fails too; run with UPDATE_GOLDEN=1 to rewrite
+# the fixture after an intentional change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,3 +36,14 @@ if ! diff -u "$OUT/oracle.txt" "$OUT/smoke.txt"; then
   exit 1
 fi
 echo "ffi smoke: C ABI output is byte-identical to the native oracle ($(wc -l < "$OUT/smoke.txt") lines)"
+
+GOLDEN=tests/fixtures/ffi_smoke_golden.txt
+if [ -n "${UPDATE_GOLDEN:-}" ]; then
+  cp "$OUT/oracle.txt" "$GOLDEN"
+  echo "ffi smoke: rewrote $GOLDEN"
+elif ! diff -u "$GOLDEN" "$OUT/oracle.txt"; then
+  echo "FFI smoke output drifted from $GOLDEN; if intentional, rerun with UPDATE_GOLDEN=1" >&2
+  exit 1
+else
+  echo "ffi smoke: native oracle matches $GOLDEN"
+fi

@@ -112,7 +112,7 @@ fn controller_slowdown_scales_reconfig_time_only() {
     let cfg = RunConfig::paper_defaults();
     let run_with = |slow: f64| {
         let mut f = CircuitSwitch::new(ring(n), ReconfigModel::constant(2e-6).unwrap());
-        f.set_slowdown(slow);
+        f.set_slowdown(slow).unwrap();
         run_scheduled(&mut f, &ring(n), &coll.schedule, &ss, &cfg).unwrap()
     };
     let fast = run_with(1.0);
@@ -171,7 +171,7 @@ fn decisions_precede_reconfigs_on_a_repaired_switch_under_overlap() {
         ..RunConfig::paper_defaults()
     };
     let mut f = CircuitSwitch::new(ring(n), ReconfigModel::constant(5e-6).unwrap());
-    f.set_slowdown(4.0);
+    f.set_slowdown(4.0).unwrap();
     f.stick_port(2).unwrap();
     f.unstick_port(2);
     let run = Experiment::domain(topology::builders::ring_unidirectional(n).unwrap())
@@ -540,13 +540,12 @@ fn correlated_flap_storm_isolates_victims_per_tenant() {
 
 #[test]
 fn healed_storm_fabric_reruns_to_goodput_one() {
-    // Fabric-as-a-service on a stormy hybrid device: while the storm
+    // Fabric-as-a-service on a stormy half-crossbar switch: while the storm
     // holds, matched jobs crossing the flapped ports fail and goodput
     // drops below one. Heal the storm, rewind the clock, rerun the same
     // offered load — every job completes.
     use aps_core::ConfigChoice;
     use aps_faas::{AdmissionPolicy, PoissonArrivals, TenantClass};
-    use aps_fabric::HybridFabric;
     use aps_sim::ServiceSwitching;
 
     let n = 16;
@@ -577,8 +576,8 @@ fn healed_storm_fabric_reruns_to_goodput_one() {
         .service(vec![class(schedule)])
         .admission(AdmissionPolicy::Queue { capacity: 16 });
 
-    let mut fabric = HybridFabric::split(initial.clone(), n / 2, reconfig).unwrap();
-    storm.apply_hybrid(&mut fabric).unwrap();
+    let mut fabric = CircuitSwitch::split(initial.clone(), n / 2, reconfig).unwrap();
+    storm.apply_switch(&mut fabric).unwrap();
     let stormy = service.run_on(&mut fabric).unwrap().summary;
     let t = &stormy.tenants[0];
     assert_eq!(t.offered, 12);
@@ -587,7 +586,7 @@ fn healed_storm_fabric_reruns_to_goodput_one() {
 
     // Heal: unstick the flapped ports, lift the slowdown, restore the
     // base configuration and rewind the device clock.
-    storm.heal_hybrid(&mut fabric);
+    storm.heal_switch(&mut fabric);
     fabric
         .load_state(&aps_fabric::FabricState {
             config: initial,

@@ -16,7 +16,8 @@ use crate::verify::verify_dataflow;
 pub struct Collective {
     /// The matching/volume view consumed by the cost model and scheduler.
     pub schedule: Schedule,
-    /// The chunk-level view consumed by the verifier and the simulator.
+    /// The chunk-level view, read by the semantic verifier in
+    /// [`Collective::check`].
     pub dataflow: DataFlow,
 }
 

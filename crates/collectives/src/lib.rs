@@ -20,9 +20,8 @@
 //! that records exactly which data moves where. Beyond materialized
 //! schedules, the [`workload`] module streams demand lazily: the
 //! [`Workload`] trait unifies schedules, seeded traffic generators and
-//! training loops behind one pull-based interface, with combinators
-//! (`then`, `repeat`, `interleave`, `scaled`, `Overlay`) for composing
-//! open-ended demand without materializing it. The [`verify`] module
+//! training loops behind one pull-based interface, so open-ended demand
+//! runs without ever being materialized. The [`verify`] module
 //! executes the data flow symbolically — tracking the set of GPU
 //! contributions folded into every chunk — and checks the collective's
 //! semantics (e.g. "after AllReduce every GPU's every chunk contains every

@@ -1,24 +1,23 @@
 //! Shipped lazy demand sources.
 //!
-//! Four generators cover the open-ended workload shapes the photonic
+//! Three generators cover the open-ended workload shapes the photonic
 //! scale-up literature anticipates (cf. the training-loop workloads of
 //! "Novel High-Scalability Architecture for Photonic Deep Learning"):
 //!
 //! | generator | shape |
 //! |---|---|
 //! | [`TrainingLoop`] | pipeline-parallel DNN epochs: fwd → bwd → gradient AllReduce |
-//! | [`ParameterServer`] | parameter-server rounds: worker→server incast waves, then server→worker pull waves |
 //! | [`RandomPermutations`] | seeded random derangement per step (adversarial permutation traffic) |
 //! | [`OnOffBursty`] | seeded on/off bursts of uniform shift traffic with idle gaps |
 //!
-//! All four are pure functions of their constructor arguments (including
+//! All three are pure functions of their constructor arguments (including
 //! the RNG seed): replaying after [`Workload::reset`] is bit-identical on
 //! any machine and at any `APS_THREADS` setting.
 
 use super::{Workload, WorkloadCtx};
 use crate::allreduce;
 use crate::error::CollectiveError;
-use crate::schedule::{CollectiveKind, Schedule, Step};
+use crate::schedule::Step;
 use aps_matrix::Matching;
 use rand::prelude::*;
 
@@ -232,132 +231,6 @@ impl Workload for TrainingLoop {
         self.epoch = 0;
         self.phase = Phase::Fwd;
         self.idx = 0;
-    }
-}
-
-/// Parameter-server rounds: each round pushes `bytes` from every worker
-/// to a server (incast serialized into waves of at most `servers`
-/// concurrent transfers — a receiver accepts one flow per step), then
-/// pulls the updated model back in mirrored waves. Ports `0..servers`
-/// are the servers, the rest are workers. `rounds: None` streams forever.
-///
-/// ```
-/// use aps_collectives::workload::{generators::ParameterServer, materialize, Workload};
-///
-/// let mut ps = ParameterServer::new(8, 2, 4e6, Some(1)).unwrap();
-/// // 6 workers over 2 servers: 3 push waves + 3 pull waves per round.
-/// assert_eq!(ps.size_hint(), (6, Some(6)));
-/// let round = materialize(&mut ps, 100).unwrap();
-/// // Every wave is a 2-pair matching (one flow per server).
-/// assert!(round.steps().iter().all(|s| s.matching.len() == 2));
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParameterServer {
-    n: usize,
-    servers: usize,
-    bytes: f64,
-    rounds: Option<usize>,
-    round: usize,
-    wave: usize,
-    name: String,
-}
-
-impl ParameterServer {
-    /// An `n`-port domain with `servers` parameter servers; every round
-    /// moves `bytes` per worker each way.
-    ///
-    /// # Errors
-    ///
-    /// Rejects `servers == 0`, `servers ≥ n` (no workers), and bad
-    /// volumes.
-    pub fn new(
-        n: usize,
-        servers: usize,
-        bytes: f64,
-        rounds: Option<usize>,
-    ) -> Result<Self, CollectiveError> {
-        check(n, bytes)?;
-        if servers == 0 || servers >= n {
-            return Err(CollectiveError::TooFewNodes {
-                n: n.saturating_sub(servers),
-                min: 1,
-            });
-        }
-        Ok(Self {
-            n,
-            servers,
-            bytes,
-            rounds,
-            round: 0,
-            wave: 0,
-            name: "param-server".into(),
-        })
-    }
-
-    /// Push waves per round (pull waves mirror them).
-    fn waves(&self) -> usize {
-        let workers = self.n - self.servers;
-        workers.div_ceil(self.servers)
-    }
-
-    /// The matching of wave `w` (push waves first, then pull waves).
-    fn wave_matching(&self, w: usize) -> Matching {
-        let waves = self.waves();
-        let (pull, wave) = if w < waves {
-            (false, w)
-        } else {
-            (true, w - waves)
-        };
-        let mut pairs = Vec::with_capacity(self.servers);
-        for j in 0..self.servers {
-            let worker = self.servers + wave * self.servers + j;
-            if worker < self.n {
-                pairs.push(if pull { (j, worker) } else { (worker, j) });
-            }
-        }
-        Matching::from_pairs(self.n, &pairs).expect("one flow per server is a matching")
-    }
-}
-
-impl Workload for ParameterServer {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next_step(&mut self, _ctx: &WorkloadCtx) -> Option<Step> {
-        if self.rounds.is_some_and(|k| self.round >= k) {
-            return None;
-        }
-        let step = Step {
-            matching: self.wave_matching(self.wave),
-            bytes_per_pair: self.bytes,
-        };
-        self.wave += 1;
-        if self.wave == 2 * self.waves() {
-            self.wave = 0;
-            self.round += 1;
-        }
-        Some(step)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self.rounds {
-            None => (0, None),
-            Some(k) => {
-                let left = k.saturating_sub(self.round) * 2 * self.waves();
-                let left = left.saturating_sub(self.wave.min(left));
-                (left, Some(left))
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.round = 0;
-        self.wave = 0;
     }
 }
 
@@ -582,28 +455,6 @@ impl Workload for OnOffBursty {
     }
 }
 
-/// Materialized one-epoch view used by verification-style tests.
-///
-/// # Errors
-///
-/// Propagates construction and materialization errors.
-pub fn training_epoch(
-    n: usize,
-    microbatches: usize,
-    activation_bytes: f64,
-    grad_bytes: f64,
-) -> Result<Schedule, CollectiveError> {
-    let mut w = TrainingLoop::new(n, microbatches, activation_bytes, grad_bytes, Some(1))?;
-    let mut s = super::materialize(&mut w, usize::MAX)?;
-    s = Schedule::new(
-        n,
-        CollectiveKind::Composite,
-        "training-epoch",
-        s.steps().to_vec(),
-    )?;
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,26 +482,6 @@ mod tests {
         for i in 0..100 {
             assert!(inf.next_step(&WorkloadCtx::at(i)).is_some());
         }
-    }
-
-    #[test]
-    fn parameter_server_serializes_the_incast() {
-        let mut w = ParameterServer::new(10, 3, 1e6, Some(2)).unwrap();
-        // 7 workers / 3 servers → 3 push + 3 pull waves per round.
-        assert_eq!(w.size_hint(), (12, Some(12)));
-        let s = materialize(&mut w, 100).unwrap();
-        assert_eq!(s.num_steps(), 12);
-        for (i, st) in s.steps().iter().enumerate() {
-            // No wave exceeds one flow per server, and the last wave of
-            // each direction carries the 7th worker alone.
-            assert!(st.matching.len() <= 3, "wave {i}");
-            assert!(!st.matching.is_empty(), "wave {i}");
-        }
-        // Push wave 0 targets the servers; pull wave 0 sources them.
-        assert!(s.steps()[0].matching.pairs().all(|(_, d)| d < 3));
-        assert!(s.steps()[3].matching.pairs().all(|(sr, _)| sr < 3));
-        assert!(ParameterServer::new(4, 0, 1e3, None).is_err());
-        assert!(ParameterServer::new(4, 4, 1e3, None).is_err());
     }
 
     #[test]
@@ -694,18 +525,5 @@ mod tests {
             }
         }
         assert!(OnOffBursty::new(8, 1e6, 0, 2, None, 0).is_err());
-    }
-
-    #[test]
-    fn training_epoch_materializes_one_epoch() {
-        let s = training_epoch(8, 2, 1e5, 1e6).unwrap();
-        assert_eq!(s.kind(), CollectiveKind::Composite);
-        assert_eq!(
-            s.num_steps(),
-            4 + allreduce::any_n::build(8, 1e6)
-                .unwrap()
-                .schedule
-                .num_steps()
-        );
     }
 }

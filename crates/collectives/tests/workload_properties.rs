@@ -1,119 +1,56 @@
-//! Property tests for the streaming workload combinators and generators:
-//! conservation laws under composition and seed-replayable determinism.
+//! Property tests for the streaming workload sources: seed-replayable
+//! determinism, exact size hints, and agreement between the two pull
+//! paths.
 //!
 //! The PR 2 determinism guarantee extends to workloads: a stream is a
 //! pure function of its construction arguments (including RNG seeds), so
 //! replaying after `reset()` — or constructing an identical instance on
 //! any other thread — yields bit-identical steps. The cross-thread half
 //! of that guarantee is pinned at the workspace root
-//! (`tests/workload_stream.rs`); this suite pins the algebra.
+//! (`tests/workload_stream.rs`); this suite pins the single-thread half.
 
-use aps_collectives::workload::generators::{
-    OnOffBursty, ParameterServer, RandomPermutations, TrainingLoop,
-};
-use aps_collectives::workload::{materialize, Overlay, Workload};
-use aps_collectives::{allreduce, alltoall, Schedule};
+use aps_collectives::workload::generators::{OnOffBursty, RandomPermutations, TrainingLoop};
+use aps_collectives::workload::{materialize, Workload};
+use aps_collectives::{allreduce, alltoall, Schedule, Step, WorkloadCtx};
+use aps_matrix::Matching;
 use proptest::prelude::*;
-
-/// Σ over steps of `bytes_per_pair · |pairs|` — the conserved quantity of
-/// every rearranging combinator.
-fn total_pair_bytes(s: &Schedule) -> f64 {
-    s.steps()
-        .iter()
-        .map(|st| st.bytes_per_pair * st.matching.len() as f64)
-        .sum()
-}
 
 fn drain(w: &mut dyn Workload) -> Schedule {
     materialize(w, 1_000_000).expect("bounded test workloads materialize")
 }
 
+/// Drains `w` through `next_step` (the planners' path), rewinds it, then
+/// drains it through `next_step_into` into one reused `Step` (the
+/// executors' path). Both drains must yield the same steps, and the call
+/// that finds the stream exhausted must leave `out` untouched.
+fn pull_paths_agree<W: Workload>(w: &mut W) {
+    let mut by_value = Vec::new();
+    while let Some(step) = w.next_step(&WorkloadCtx::at(by_value.len())) {
+        by_value.push(step);
+    }
+    w.reset();
+    let sentinel = Step {
+        matching: Matching::empty(w.n()),
+        bytes_per_pair: -1.0,
+    };
+    let mut out = sentinel.clone();
+    let mut by_buffer = Vec::new();
+    while w.next_step_into(&WorkloadCtx::at(by_buffer.len()), &mut out) {
+        by_buffer.push(out.clone());
+    }
+    assert_eq!(by_value, by_buffer, "{}", w.name());
+    assert_eq!(&out, by_value.last().unwrap_or(&sentinel), "{}", w.name());
+}
+
+/// [`pull_paths_agree`] on `w` itself and on `w` behind a
+/// `Box<dyn Workload>`.
+fn plain_and_boxed<W: Workload + Clone + 'static>(w: W) {
+    pull_paths_agree(&mut w.clone());
+    pull_paths_agree(&mut (Box::new(w) as Box<dyn Workload>));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn then_conserves_steps_and_bytes(exp in 1u32..5, m in 1.0f64..1e8) {
-        let n = 1usize << exp;
-        let a = allreduce::halving_doubling::build(n, m).unwrap().schedule;
-        let b = alltoall::linear_shift(n, 2.0 * m).unwrap().schedule;
-        let mut w = a.clone().into_workload().then(b.clone().into_workload()).unwrap();
-        let got = drain(&mut w);
-        prop_assert_eq!(got.num_steps(), a.num_steps() + b.num_steps());
-        let diff = total_pair_bytes(&got) - total_pair_bytes(&a) - total_pair_bytes(&b);
-        prop_assert!(diff.abs() <= 1e-9 * total_pair_bytes(&got));
-        // The lazy composition agrees with the materialized Schedule::then.
-        let eager = a.then(b).unwrap();
-        prop_assert_eq!(got.steps(), eager.steps());
-    }
-
-    #[test]
-    fn repeat_conserves_steps_and_bytes(exp in 1u32..5, m in 1.0f64..1e8, epochs in 1usize..6) {
-        let n = 1usize << exp;
-        let a = allreduce::halving_doubling::build(n, m).unwrap().schedule;
-        let mut w = a.clone().into_workload().repeat(epochs);
-        let got = drain(&mut w);
-        prop_assert_eq!(got.num_steps(), epochs * a.num_steps());
-        let want = epochs as f64 * total_pair_bytes(&a);
-        prop_assert!((total_pair_bytes(&got) - want).abs() <= 1e-9 * want);
-        // Every epoch replays the same steps.
-        for e in 0..epochs {
-            let chunk = &got.steps()[e * a.num_steps()..(e + 1) * a.num_steps()];
-            prop_assert_eq!(chunk, a.steps());
-        }
-    }
-
-    #[test]
-    fn interleave_conserves_steps_and_bytes(exp in 1u32..5, m in 1.0f64..1e8) {
-        let n = 1usize << exp;
-        let a = allreduce::halving_doubling::build(n, m).unwrap().schedule;
-        let b = alltoall::linear_shift(n, m / 2.0).unwrap().schedule;
-        let mut w = a.clone().into_workload().interleave(b.clone().into_workload()).unwrap();
-        let got = drain(&mut w);
-        prop_assert_eq!(got.num_steps(), a.num_steps() + b.num_steps());
-        let want = total_pair_bytes(&a) + total_pair_bytes(&b);
-        prop_assert!((total_pair_bytes(&got) - want).abs() <= 1e-9 * want);
-        // Interleaving is a permutation of the constituent steps: each
-        // constituent's steps appear in order.
-        let mut ai = a.steps().iter();
-        let mut bi = b.steps().iter();
-        for st in got.steps() {
-            let from_a = ai.clone().next() == Some(st);
-            if from_a { ai.next(); } else {
-                prop_assert_eq!(bi.next(), Some(st));
-            }
-        }
-    }
-
-    #[test]
-    fn scaled_conserves_steps_and_scales_bytes(exp in 1u32..5, m in 1.0f64..1e6, f in 0.25f64..8.0) {
-        let n = 1usize << exp;
-        let a = allreduce::halving_doubling::build(n, m).unwrap().schedule;
-        let mut w = a.clone().into_workload().scaled(f).unwrap();
-        let got = drain(&mut w);
-        prop_assert_eq!(got.num_steps(), a.num_steps());
-        let want = f * total_pair_bytes(&a);
-        prop_assert!((total_pair_bytes(&got) - want).abs() <= 1e-9 * want.max(1.0));
-    }
-
-    #[test]
-    fn overlay_conserves_pair_bytes(exp in 1u32..4, m in 1.0f64..1e8) {
-        let k = 1usize << exp; // per-job size
-        let a = allreduce::halving_doubling::build(k, m).unwrap().schedule;
-        let b = alltoall::linear_shift(k, m).unwrap().schedule;
-        let want = total_pair_bytes(&a) + total_pair_bytes(&b);
-        let mut w = Overlay::new(
-            2 * k,
-            vec![
-                ((0..k).collect(), Box::new(a.into_workload()) as Box<dyn Workload>),
-                ((k..2 * k).collect(), Box::new(b.into_workload())),
-            ],
-        )
-        .unwrap();
-        let got = drain(&mut w);
-        prop_assert!((total_pair_bytes(&got) - want).abs() <= 1e-9 * want);
-        // Merging never grows the step count beyond the constituents'.
-        prop_assert!(got.num_steps() <= 1_000_000);
-    }
 
     #[test]
     fn random_generators_replay_bit_identically(seed in any::<u64>(), exp in 1u32..5) {
@@ -135,27 +72,19 @@ proptest! {
     }
 
     #[test]
-    fn deterministic_generators_replay_after_partial_drain(
-        micro in 1usize..5, servers in 1usize..4, pulls in 1usize..10,
-    ) {
+    fn deterministic_generators_replay_after_partial_drain(micro in 1usize..5, pulls in 1usize..10) {
         let n = 8;
         let mut train = TrainingLoop::new(n, micro, 1e5, 1e6, Some(2)).unwrap();
         let full = drain(&mut train);
         train.reset();
         for i in 0..pulls.min(full.num_steps()) {
             // Partial drains never desynchronize the stream …
-            let s = train.next_step(&aps_collectives::WorkloadCtx::at(i)).unwrap();
+            let s = train.next_step(&WorkloadCtx::at(i)).unwrap();
             prop_assert_eq!(&s, &full.steps()[i]);
         }
         // … and reset always restarts from step 0.
         train.reset();
         prop_assert_eq!(drain(&mut train).steps(), full.steps());
-
-        let mut ps = ParameterServer::new(n, servers, 2e5, Some(3)).unwrap();
-        let full = drain(&mut ps);
-        ps.reset();
-        prop_assert_eq!(drain(&mut ps).steps(), full.steps());
-        prop_assert_eq!(full.num_steps(), 3 * 2 * (n - servers).div_ceil(servers));
     }
 
     #[test]
@@ -165,7 +94,6 @@ proptest! {
             Box::new(RandomPermutations::new(n, 1e5, Some(steps), 7).unwrap()) as Box<dyn Workload>,
             Box::new(OnOffBursty::new(n, 1e5, 2, 2, Some(steps), 7).unwrap()),
             Box::new(TrainingLoop::new(n, 2, 1e5, 1e6, Some(epochs)).unwrap()),
-            Box::new(ParameterServer::new(n, 2, 1e5, Some(epochs)).unwrap()),
         ] {
             let mut w = w;
             let (lo, hi) = w.size_hint();
@@ -174,5 +102,21 @@ proptest! {
             prop_assert_eq!(got.num_steps(), lo);
             prop_assert_eq!(w.size_hint(), (0, Some(0)));
         }
+    }
+
+    #[test]
+    fn both_pull_paths_yield_the_same_steps(
+        seed in any::<u64>(), exp in 1u32..5, micro in 0usize..4, len in 0usize..40,
+    ) {
+        let n = 1usize << exp;
+        let schedule = allreduce::halving_doubling::build(n, 1e6)
+            .unwrap()
+            .schedule
+            .then(alltoall::linear_shift(n, 5e5).unwrap().schedule)
+            .unwrap();
+        plain_and_boxed(schedule.into_workload());
+        plain_and_boxed(TrainingLoop::new(n, micro, 1e5, 1e6, Some(len % 4)).unwrap());
+        plain_and_boxed(RandomPermutations::new(n, 1e5, Some(len), seed).unwrap());
+        plain_and_boxed(OnOffBursty::new(n, 1e5, 3, 2, Some(len), seed).unwrap());
     }
 }

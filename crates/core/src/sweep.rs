@@ -216,26 +216,6 @@ pub struct PlanJob {
     pub schedule: aps_collectives::Schedule,
 }
 
-impl PlanJob {
-    /// A planning job over workload-derived demand: drains up to `limit`
-    /// steps of `workload` (from its current position) into the job's
-    /// schedule.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the workload exceeds `limit` steps or yields a
-    /// malformed step.
-    pub fn from_workload(
-        base: Topology,
-        workload: &mut dyn aps_collectives::Workload,
-        limit: usize,
-    ) -> Result<Self, CoreError> {
-        let schedule = aps_collectives::workload::materialize(workload, limit)
-            .map_err(CoreError::Collective)?;
-        Ok(Self { base, schedule })
-    }
-}
-
 /// Lets `controller` plan every job on `pool`, one independent
 /// [`crate::ScaleupDomain`] per job, under the given accounting rule and
 /// θ solver. `plans[i]` belongs to `jobs[i]` at any thread count —

@@ -23,7 +23,8 @@ pub struct CostParams {
 /// Errors from parameter validation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamError {
-    /// A parameter was negative or non-finite.
+    /// A parameter was negative or non-finite, or a bandwidth gives no
+    /// finite, positive byte rate and β.
     Invalid {
         /// Which parameter.
         name: &'static str,
@@ -36,10 +37,12 @@ impl fmt::Display for ParamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Invalid { name, value } => {
-                write!(
-                    f,
-                    "cost parameter {name} = {value} must be finite and non-negative"
-                )
+                let rule = if *name == "bandwidth_gbps" {
+                    "give a finite, positive byte rate and β"
+                } else {
+                    "be finite and non-negative"
+                };
+                write!(f, "cost parameter {name} = {value} must {rule}")
             }
         }
     }
@@ -53,7 +56,8 @@ impl CostParams {
     ///
     /// # Errors
     ///
-    /// Rejects negative or non-finite values and non-positive bandwidth.
+    /// Rejects negative or non-finite values, and a bandwidth whose byte
+    /// rate or β is not finite and positive.
     pub fn new(alpha_s: f64, bandwidth_gbps: f64, delta_s: f64) -> Result<Self, ParamError> {
         let check = |name: &'static str, v: f64| -> Result<(), ParamError> {
             if !v.is_finite() || v < 0.0 {
@@ -63,7 +67,14 @@ impl CostParams {
         };
         check("alpha", alpha_s)?;
         check("delta", delta_s)?;
-        if bandwidth_gbps <= 0.0 || !bandwidth_gbps.is_finite() {
+        // The simulator runs on β and on the byte rate 1/β, so both must
+        // be finite and positive; this also refuses NaN, zero and negative
+        // rates.
+        let beta_s_per_byte = 1.0 / gbps_to_bytes_per_sec(bandwidth_gbps);
+        if !(beta_s_per_byte > 0.0
+            && beta_s_per_byte.is_finite()
+            && (1.0 / beta_s_per_byte).is_finite())
+        {
             return Err(ParamError::Invalid {
                 name: "bandwidth_gbps",
                 value: bandwidth_gbps,
@@ -71,7 +82,7 @@ impl CostParams {
         }
         Ok(Self {
             alpha_s,
-            beta_s_per_byte: 1.0 / gbps_to_bytes_per_sec(bandwidth_gbps),
+            beta_s_per_byte,
             delta_s,
         })
     }
@@ -113,6 +124,14 @@ mod tests {
         assert!(CostParams::new(0.0, 0.0, 0.0).is_err());
         assert!(CostParams::new(0.0, -5.0, 0.0).is_err());
         assert!(CostParams::new(0.0, 800.0, f64::NAN).is_err());
+        assert!(CostParams::new(f64::NAN, 800.0, 0.0).is_err());
+        assert!(CostParams::new(0.0, f64::NAN, 0.0).is_err());
+        assert!(CostParams::new(0.0, f64::INFINITY, 0.0).is_err());
+        // The byte rate overflows to +∞ (β = 0) ...
+        assert!(CostParams::new(0.0, 1e300, 0.0).is_err());
+        // ... or underflows so far that β overflows to +∞.
+        assert!(CostParams::new(0.0, 1e-320, 0.0).is_err());
         assert!(CostParams::new(0.0, 800.0, 0.0).is_ok());
+        assert!(CostParams::new(0.0, 1e-300, 0.0).is_ok());
     }
 }

@@ -122,11 +122,14 @@ pub struct ApsDomainConfig {
     /// Fabric port count (the domain is a unidirectional ring of this
     /// size; scenario bindings override it with the scenario's own).
     pub ports: u32,
-    /// Fixed per-step latency α in seconds (`<= 0` → paper default).
+    /// Fixed per-step latency α in seconds (`<= 0` → paper default; NaN
+    /// and +∞ are refused).
     pub alpha_s: f64,
-    /// Line rate in Gbps (`<= 0` → paper default).
+    /// Line rate in Gbps (`<= 0` → paper default; NaN, and a rate too
+    /// large for a finite byte rate, are refused).
     pub bandwidth_gbps: f64,
-    /// Per-hop propagation δ in seconds (`< 0` → paper default).
+    /// Per-hop propagation δ in seconds (`< 0` → paper default; NaN and
+    /// +∞ are refused).
     pub delta_s: f64,
     /// Reconfiguration delay α_r in seconds.
     pub alpha_r_s: f64,
@@ -518,23 +521,26 @@ pub extern "C" fn aps_experiment_new(cfg: *const ApsDomainConfig, out: *mut u64)
         if cfg.ports < 2 {
             return fail(ApsStatus::InvalidArgument, "ports must be >= 2");
         }
+        // A non-positive α or line rate, or a negative δ, selects the paper
+        // default. NaN fails every comparison, so it passes through to
+        // `CostParams::new`, which refuses it.
         let defaults = CostParams::paper_defaults();
-        let alpha_s = if cfg.alpha_s > 0.0 {
-            cfg.alpha_s
-        } else {
+        let alpha_s = if cfg.alpha_s <= 0.0 {
             defaults.alpha_s
+        } else {
+            cfg.alpha_s
         };
         // The paper's §3.4 line rate; kept literal because CostParams
         // only exposes the derived β.
-        let bandwidth_gbps = if cfg.bandwidth_gbps > 0.0 {
-            cfg.bandwidth_gbps
-        } else {
+        let bandwidth_gbps = if cfg.bandwidth_gbps <= 0.0 {
             800.0
-        };
-        let delta_s = if cfg.delta_s >= 0.0 {
-            cfg.delta_s
         } else {
+            cfg.bandwidth_gbps
+        };
+        let delta_s = if cfg.delta_s < 0.0 {
             defaults.delta_s
+        } else {
+            cfg.delta_s
         };
         let params = match CostParams::new(alpha_s, bandwidth_gbps, delta_s) {
             Ok(p) => p,

@@ -508,28 +508,61 @@ fn every_failure_is_typed_and_explained() {
         ApsStatus::InvalidArgument
     );
 
+    // Cost parameters the engine cannot run: NaN is refused instead of
+    // standing in for the paper default, and a line rate whose byte rate
+    // overflows to +∞ is refused instead of pricing transfers at β = 0.
+    for (alpha_s, bandwidth_gbps, delta_s) in [
+        (f64::NAN, BANDWIDTH_GBPS, DELTA_S),
+        (ALPHA_S, f64::NAN, DELTA_S),
+        (ALPHA_S, BANDWIDTH_GBPS, f64::NAN),
+        (ALPHA_S, 1e300, DELTA_S),
+    ] {
+        let bad_params = ApsDomainConfig {
+            alpha_s,
+            bandwidth_gbps,
+            delta_s,
+            ..good
+        };
+        assert_eq!(
+            aps_experiment_new(&bad_params, &mut out),
+            ApsStatus::InvalidArgument,
+            "α = {alpha_s:e}, b = {bandwidth_gbps:e}, δ = {delta_s:e}"
+        );
+        assert!(last_error().contains("bad cost params"), "{}", last_error());
+    }
+
     assert_eq!(aps_experiment_destroy(exp), ApsStatus::Ok);
 }
 
 #[test]
 fn a_failed_simulation_names_its_stage_once() {
     // A volume no picosecond clock can hold: the first step's transfer
-    // overflows. The engine's error already names the stage; the ABI
-    // passes it through instead of prefixing it again.
+    // overflows — past the end of the clock at the paper's line rate, and
+    // to +∞ seconds at 1e-300 Gbps. The engine's error already names the
+    // stage; the ABI passes it through instead of prefixing it again.
     let controller = CString::new("opt").unwrap();
     let family = CString::new("hd-allreduce").unwrap();
-    let cfg = domain_config(8, &controller, ApsFabricKind::Optical as i32, None);
-    let exp = new_experiment(&cfg);
-    assert_eq!(
-        aps_experiment_bind_collective(exp, family.as_ptr(), 1e300),
-        ApsStatus::Ok
-    );
-    let mut run = 0u64;
-    assert_eq!(aps_experiment_simulate(exp, &mut run), ApsStatus::Sim);
-    let message = last_error();
-    assert_eq!(message.matches("simulation failed").count(), 1, "{message}");
-    assert!(message.contains("clock overflowed"), "{message}");
-    assert_eq!(aps_experiment_destroy(exp), ApsStatus::Ok);
+    for bandwidth_gbps in [BANDWIDTH_GBPS, 1e-300] {
+        let cfg = ApsDomainConfig {
+            bandwidth_gbps,
+            ..domain_config(8, &controller, ApsFabricKind::Optical as i32, None)
+        };
+        let exp = new_experiment(&cfg);
+        assert_eq!(
+            aps_experiment_bind_collective(exp, family.as_ptr(), 1e300),
+            ApsStatus::Ok
+        );
+        let mut run = 0u64;
+        assert_eq!(
+            aps_experiment_simulate(exp, &mut run),
+            ApsStatus::Sim,
+            "{bandwidth_gbps:e} Gbps"
+        );
+        let message = last_error();
+        assert_eq!(message.matches("simulation failed").count(), 1, "{message}");
+        assert!(message.contains("clock overflowed"), "{message}");
+        assert_eq!(aps_experiment_destroy(exp), ApsStatus::Ok);
+    }
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //!   bound the paper's research agenda suggests as a runtime-friendly
 //!   congestion proxy (§4 "Simplifying the congestion factor").
 //! * [`ring`] — closed forms for ring topologies, used as oracles in tests
-//!   and as fast paths in sweeps.
+//!   and by the `theta` microbenchmark.
 //! * [`dinic`] — single-commodity max-flow, used for feasibility checks and
 //!   as a test oracle.
 //!

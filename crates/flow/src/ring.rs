@@ -2,9 +2,8 @@
 //!
 //! Rings are the paper's base topology of choice ("a common choice for
 //! scale-up photonic interconnects", §3.4). For uniform-shift patterns the
-//! maximum concurrent flow has exact closed forms which serve as
-//! (a) fast paths in parameter sweeps and (b) oracles for testing the
-//! general solvers.
+//! maximum concurrent flow has exact closed forms, which serve as oracles
+//! for testing the general solvers.
 
 use aps_matrix::Matching;
 

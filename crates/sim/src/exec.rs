@@ -24,7 +24,7 @@ use crate::trace::{TraceEvent, TraceKind};
 use aps_collectives::Schedule;
 use aps_core::controller::Controller;
 use aps_core::{ReconfigAccounting, SwitchSchedule, SwitchingProblem};
-use aps_cost::units::{secs_to_picos, Picos};
+use aps_cost::units::{secs_to_picos, Picos, PICOS_PER_SEC};
 use aps_cost::CostParams;
 use aps_fabric::{BarrierModel, Fabric, FabricError, ReconfigOutcome};
 use aps_matrix::Matching;
@@ -122,6 +122,12 @@ pub(crate) fn natural_request_at(
     }
 }
 
+/// `secs` on the picosecond clock; `None` when it is negative, not
+/// finite, or past the end of the clock.
+pub(crate) fn checked_picos(secs: f64) -> Option<Picos> {
+    (secs >= 0.0 && secs * PICOS_PER_SEC < Picos::MAX as f64).then(|| secs_to_picos(secs))
+}
+
 /// Executes one step's timeline — barrier → α → (arbitrated)
 /// reconfiguration → routed max-min transfer → compute — appending to
 /// `report` and returning the updated `(comm_end, gpu_free)` clocks.
@@ -133,9 +139,10 @@ pub(crate) fn natural_request_at(
 /// [`Fabric::request_when_free`], and the wait is recorded as
 /// `arbitration_ps`.
 ///
-/// Every clock addition is checked, the fabric's reconfiguration included:
-/// a step that would run past the end of the picosecond clock fails with
-/// [`SimError::ClockOverflow`].
+/// Every clock addition is checked, the fabric's reconfiguration included,
+/// and so is the conversion of the transfer and compute times: a step that
+/// would run past the end of the picosecond clock, or whose time is not
+/// finite, fails with [`SimError::ClockOverflow`].
 pub(crate) fn execute_step(
     fabric: &mut dyn Fabric,
     input: &StepInput<'_>,
@@ -279,7 +286,7 @@ pub(crate) fn execute_step(
                 scratch.fluid.finish_of(i) + cfg.params.delta_s * scratch.fluid.path_len(i) as f64;
             worst_s = worst_s.max(total);
         }
-        secs_to_picos(worst_s)
+        clock(checked_picos(worst_s))?
     };
     let comm_end = clock(flows_start.checked_add(transfer_ps))?;
     report.trace.push(TraceEvent {
@@ -289,7 +296,9 @@ pub(crate) fn execute_step(
 
     // Compute phase on the received data.
     let compute_ps = match cfg.compute {
-        Some(c) if !input.pairs.is_empty() => secs_to_picos(c.per_byte_s * input.bytes_per_pair),
+        Some(c) if !input.pairs.is_empty() => {
+            clock(checked_picos(c.per_byte_s * input.bytes_per_pair))?
+        }
         _ => 0,
     };
     let gpu_free = clock(comm_end.checked_add(compute_ps))?;
@@ -573,6 +582,35 @@ mod tests {
         let diff = b.total_s() - a.total_s();
         let expect = c.schedule.num_steps() as f64 * 1e-6;
         assert!((diff - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_step_time_the_clock_cannot_hold_is_a_clock_overflow() {
+        let n = 4;
+        let run = |bytes: f64, cfg: &RunConfig| {
+            let c = allreduce::ring::build(n, bytes).unwrap();
+            let ss = SwitchSchedule::all_base(c.schedule.num_steps());
+            run_scheduled(&mut switch(n, 1e-6), &ring_config(n), &c.schedule, &ss, cfg)
+        };
+        // 1e300 bytes at 1e-300 Gbps take +∞ seconds to transfer.
+        let slow = CostParams::new(100.0 * NANOS, 1e-300, 100.0 * NANOS).unwrap();
+        assert_eq!(
+            run(1e300, &RunConfig::with_params(slow)),
+            Err(SimError::ClockOverflow { step: 0 })
+        );
+        // A compute time that is not finite, or is past the end of the
+        // clock, fails the same way.
+        for per_byte_s in [f64::INFINITY, f64::NAN, 1e10] {
+            let cfg = RunConfig {
+                compute: Some(ComputeModel { per_byte_s }),
+                ..RunConfig::paper_defaults()
+            };
+            assert_eq!(
+                run(MIB, &cfg),
+                Err(SimError::ClockOverflow { step: 0 }),
+                "{per_byte_s}"
+            );
+        }
     }
 
     #[test]

@@ -37,11 +37,11 @@
 //! randomness, no wall-clock, bit-identical results at any `APS_THREADS`.
 
 use crate::error::SimError;
-use crate::exec::RunConfig;
+use crate::exec::{checked_picos, RunConfig};
 use crate::record::RecordSink;
 use crate::report::SimReport;
 use crate::service::{Decider, Demand, Job, ServiceExecutor, ServiceSwitching};
-use aps_cost::units::{secs_to_picos, Picos, PICOS_PER_SEC};
+use aps_cost::units::Picos;
 use aps_fabric::Fabric;
 use aps_matrix::Matching;
 
@@ -227,7 +227,7 @@ pub fn execute_tenants(
         .iter()
         .enumerate()
         .map(|(t, spec)| {
-            let arrival = arrival_ps(spec.arrival_s).ok_or(SimError::BadArrival {
+            let arrival = checked_picos(spec.arrival_s).ok_or(SimError::BadArrival {
                 seconds: spec.arrival_s,
             })?;
             let job = Job {
@@ -268,13 +268,6 @@ pub fn execute_tenants(
         .collect())
 }
 
-/// A tenant's arrival on the picosecond clock; `None` when `arrival_s` is
-/// negative, not finite, or past the end of the clock.
-fn arrival_ps(arrival_s: f64) -> Option<Picos> {
-    (arrival_s >= 0.0 && arrival_s * PICOS_PER_SEC < Picos::MAX as f64)
-        .then(|| secs_to_picos(arrival_s))
-}
-
 fn tenant_err(t: usize, spec: &TenantSpec, source: SimError) -> SimError {
     SimError::Tenant {
         tenant: t,
@@ -288,7 +281,7 @@ mod tests {
     use super::*;
     use aps_collectives::allreduce;
     use aps_core::SwitchSchedule;
-    use aps_cost::units::MIB;
+    use aps_cost::units::{secs_to_picos, MIB};
     use aps_cost::ReconfigModel;
     use aps_fabric::CircuitSwitch;
 

@@ -3,9 +3,10 @@
 //!
 //! Tie-breaking is deterministic: BFS and Dijkstra explore out-links in link
 //! insertion order, so two runs on the same topology always return the same
-//! paths. Determinism matters because path choices feed both the cost model
-//! (`ℓᵢ`, the propagation hop count of eq. (3)) and the flow-level simulator;
-//! nondeterministic routing would make experiments unreproducible.
+//! paths. Determinism matters because path choices feed the cost model
+//! through `aps-flow`'s θ solvers (and `ℓᵢ`, the propagation hop count of
+//! eq. (3)); nondeterministic routing would make experiments
+//! unreproducible.
 
 use crate::graph::{LinkId, Topology};
 

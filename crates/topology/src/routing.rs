@@ -4,8 +4,8 @@
 //! traffic is relayed through intermediate GPUs over multiple photonic hops.
 //! This module computes deterministic shortest-path routes for every pair of
 //! a matching and the per-link loads those routes induce — the inputs to the
-//! forced-path throughput solver in `aps-flow` and to the flow-level
-//! simulator in `aps-sim`.
+//! forced-path throughput solver in `aps-flow`. (The simulator in `aps-sim`
+//! does not use them: it walks each circuit's successor chain itself.)
 
 use crate::error::TopologyError;
 use crate::graph::Topology;

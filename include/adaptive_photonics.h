@@ -110,9 +110,13 @@ typedef enum {
 typedef struct aps_domain_config_t {
   size_t struct_size;     /* = sizeof(aps_domain_config_t)             */
   uint32_t ports;         /* fabric port count (>= 2)                  */
-  double alpha_s;         /* per-step latency α; <= 0 → paper default  */
-  double bandwidth_gbps;  /* line rate; <= 0 → paper default (800)     */
-  double delta_s;         /* per-hop propagation δ; < 0 → default      */
+  double alpha_s;         /* per-step latency α; <= 0 → paper default;
+                             NaN or +inf → APS_STATUS_INVALID_ARGUMENT */
+  double bandwidth_gbps;  /* line rate; <= 0 → paper default (800);
+                             NaN, or too large for a finite byte rate,
+                             → APS_STATUS_INVALID_ARGUMENT             */
+  double delta_s;         /* per-hop propagation δ; < 0 → default;
+                             NaN or +inf → APS_STATUS_INVALID_ARGUMENT */
   double alpha_r_s;       /* reconfiguration delay α_r                 */
   const char *controller; /* "static"|"bvn"|"threshold"|"opt"|"greedy";
                              NULL → "opt"                              */

@@ -70,9 +70,9 @@ pub enum ExperimentError {
     /// work; only `simulate()` needs a circuit base.
     BaseNotACircuit,
     /// A planning operation needs the whole demand stream, but the bound
-    /// workload reports no upper size bound (e.g.
-    /// [`aps_collectives::workload::Workload::repeat_forever`]). Streaming
-    /// simulation (`simulate`/`simulate_summary`) still works.
+    /// workload reports no upper size bound (e.g. a generator built with
+    /// `epochs`/`steps` set to `None`). Streaming simulation
+    /// (`simulate`/`simulate_summary`) still works.
     UnboundedWorkload,
     /// An ablation-plan error: invalid plan/sampling, a cell naming an
     /// unknown controller or workload, or registry I/O.
@@ -95,7 +95,8 @@ impl fmt::Display for ExperimentError {
             Self::UnboundedWorkload => write!(
                 f,
                 "planning needs a finite workload, but the bound stream reports no upper \
-                 size bound (simulate it instead, or bound it with repeat(n))"
+                 size bound (simulate it instead, or give its generator a finite \
+                 epochs/steps count)"
             ),
             Self::Ablation(e) => write!(f, "ablation failed: {e}"),
             Self::Service(e) => write!(f, "service run failed: {e}"),
@@ -267,12 +268,11 @@ impl Experiment<Unbound> {
     }
 
     /// Binds a lazily-pulled demand stream — any [`Workload`]: a seeded
-    /// traffic generator, a training loop, a combinator chain, or a
-    /// materialized schedule's cursor. Streaming experiments simulate
-    /// online (the controller observes a two-step window; see
-    /// [`aps_sim::stream`]) and never materialize the step vector, so
-    /// unbounded workloads are fine; only [`Experiment::<Streaming>::plan`]
-    /// requires a finite stream.
+    /// traffic generator, a training loop, or a materialized schedule's
+    /// cursor. Streaming experiments simulate online (the controller
+    /// observes a two-step window; see [`aps_sim::stream`]) and never
+    /// materialize the step vector, so unbounded workloads are fine; only
+    /// [`Experiment::<Streaming>::plan`] requires a finite stream.
     pub fn workload(self, workload: impl Workload + 'static) -> Experiment<Streaming> {
         self.with_workload(Streaming {
             workload: Box::new(workload),

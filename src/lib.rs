@@ -144,11 +144,10 @@
 //!
 //! Demand need not be materialized: anything implementing
 //! [`collectives::Workload`] — a seeded traffic generator, an epoch-looped
-//! training loop, a combinator chain, or a [`collectives::Schedule`]
-//! cursor — binds
-//! with [`Experiment::workload`] and streams its steps one at a time into
-//! the adaptive executor, in O(1) schedule memory even for million-step
-//! (or endless) runs:
+//! training loop, or a [`collectives::Schedule`] cursor — binds with
+//! [`Experiment::workload`] and streams its steps one at a time into the
+//! adaptive executor, in O(1) schedule memory even for million-step (or
+//! endless) runs:
 //!
 //! ```
 //! use adaptive_photonics::prelude::*;
@@ -166,10 +165,9 @@
 //! ```
 //!
 //! Shipped generators ([`collectives::workload::generators`]): a
-//! pipeline-parallel `TrainingLoop`, `ParameterServer` incast rounds,
-//! seeded `RandomPermutations`, and `OnOffBursty` uniform traffic.
-//! Combinators (`then`, `repeat`/`loop_epochs`, `interleave`, `scaled`,
-//! `Overlay`) compose streams lazily. Online controllers stream
+//! pipeline-parallel `TrainingLoop`, seeded `RandomPermutations`, and
+//! `OnOffBursty` uniform traffic, each bounded or endless through its own
+//! `epochs`/`steps` argument. Online controllers stream
 //! bit-identically to the materialized adaptive path (the controller
 //! observes a two-step window); planning controllers degenerate to their
 //! myopic window rule — `plan()` (finite streams) recovers the optimum.
@@ -264,7 +262,7 @@ pub mod prelude {
         FactorKey, FactorValue, KpiSpec, KpiValues, RegistryRow, Sampling, Tolerance, Verdict,
     };
     pub use aps_collectives::workload::{
-        generators, materialize, Overlay, ScheduleStream, Workload, WorkloadCtx,
+        generators, materialize, ScheduleStream, Workload, WorkloadCtx,
     };
     pub use aps_collectives::{Collective, CollectiveKind, Schedule, Step};
     pub use aps_core::controller::{
@@ -294,6 +292,12 @@ pub mod prelude {
         RunConfig, Scenario, SimReport, StreamPricing, StreamSummary, TenantReport, TenantSpec,
     };
 }
+
+/// The README's Rust examples, compiled and run as doctests so they
+/// cannot drift from the API they show.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeExamples;
 
 #[cfg(test)]
 mod tests {

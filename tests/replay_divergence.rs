@@ -3,7 +3,7 @@
 //! verify clean for every shipped controller × every shipped generator.
 
 use adaptive_photonics::collectives::workload::generators::{
-    OnOffBursty, ParameterServer, RandomPermutations, TrainingLoop,
+    OnOffBursty, RandomPermutations, TrainingLoop,
 };
 use adaptive_photonics::prelude::*;
 use adaptive_photonics::replay::{Frame, ReplayRecord};
@@ -102,10 +102,6 @@ fn every_controller_and_generator_verifies_clean() {
     type WorkloadFactory = Box<dyn Fn() -> Box<dyn Workload>>;
     let workloads: Vec<(&str, WorkloadFactory)> = vec![
         ("training-loop", Box::new(|| Box::new(training()))),
-        (
-            "parameter-server",
-            Box::new(|| Box::new(ParameterServer::new(N, 2, 2e6, Some(6)).unwrap())),
-        ),
         (
             "random-permutations",
             Box::new(|| Box::new(RandomPermutations::new(N, 4e6, Some(10), 7).unwrap())),

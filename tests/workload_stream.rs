@@ -5,7 +5,7 @@
 //! 1. **Parity** — simulating a `Schedule` through its `Workload` impl is
 //!    bit-identical to the materialized adaptive path for every online
 //!    controller (decisions, rationales, trace, timing).
-//! 2. **Scale** — a ≥1,000,000-step repeated workload runs under the
+//! 2. **Scale** — a 1,000,000-step training loop runs under the
 //!    streaming adaptive executor without materializing the step vector:
 //!    a counting wrapper shows steps are pulled one at a time, exactly as
 //!    demanded, and the O(1) `StreamSummary` report carries the totals.
@@ -69,14 +69,11 @@ fn streaming_plan_matches_schedule_plan() {
         .unwrap()
         .schedule;
     let want = domain(n).schedule(&schedule).plan().unwrap();
-    let got = domain(n)
-        .workload(schedule.clone().into_workload())
-        .plan()
-        .unwrap();
+    let got = domain(n).workload(schedule.into_workload()).plan().unwrap();
     assert_eq!(want.switches, got.switches);
     assert_eq!(want.report, got.report);
     // Unbounded streams refuse to plan but still simulate.
-    let mut endless = domain(n).workload(schedule.into_workload().repeat_forever());
+    let mut endless = domain(n).workload(TrainingLoop::new(n, 2, 1e6, 8e6, None).unwrap());
     assert!(matches!(
         endless.plan(),
         Err(ExperimentError::UnboundedWorkload)
@@ -152,26 +149,15 @@ impl<W: Workload> Workload for Counting<W> {
 
 #[test]
 fn million_step_workload_streams_without_materializing() {
-    // 500,000 epochs of a 2-step schedule: 1,000,000 steps. The schedule
-    // allocation is the 2-step epoch alone — the stream holds O(1) state
-    // (a cursor + epoch counter) no matter how long it runs — and the
+    // 100,000 epochs of a 4-port training loop, each 3 forward, 3
+    // backward and 4 AllReduce steps: 1,000,000 steps. The loop holds one
+    // epoch's steps and a position no matter how long it runs, and the
     // totals runner keeps the report O(1) too (a single StepReport
     // scratch folded into a StreamSummary).
     let n = 4;
-    let step = Step {
-        matching: Matching::shift(n, 1).unwrap(),
-        bytes_per_pair: 1024.0,
-    };
-    let epoch = Schedule::new(
-        n,
-        CollectiveKind::Composite,
-        "micro-epoch",
-        vec![step.clone(), step],
-    )
-    .unwrap();
     let total_steps = 1_000_000usize;
     let mut counting = Counting {
-        inner: epoch.into_workload().repeat(total_steps / 2),
+        inner: TrainingLoop::new(n, 3, 1024.0, 4096.0, Some(total_steps / 10)).unwrap(),
         pulled: 0,
     };
     assert_eq!(counting.size_hint(), (total_steps, Some(total_steps)));

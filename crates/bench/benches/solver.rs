@@ -65,12 +65,11 @@ fn solvers(c: &mut Criterion) {
         &sched,
         CostParams::paper_defaults(),
         ReconfigModel::constant(10e-6).unwrap(),
-        ThroughputSolver::ForcedPath,
         0,
     )
     .unwrap();
     c.bench_function("multibase_dp_3bases_s63_n64", |b| {
-        b.iter(|| black_box(mb.optimize(acc).unwrap().1))
+        b.iter(|| black_box(mb.optimize().unwrap().1))
     });
 }
 

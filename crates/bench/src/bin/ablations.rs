@@ -255,13 +255,10 @@ fn multibase() -> PanelSummary {
             &c.schedule,
             CostParams::paper_defaults(),
             ReconfigModel::constant(alpha_r).expect("α_r"),
-            ThroughputSolver::ForcedPath,
             0,
         )
         .expect("multibase");
-        let (_, t) = mb
-            .optimize(ReconfigAccounting::PaperConservative)
-            .expect("opt");
+        let (_, t) = mb.optimize().expect("opt");
         t
     });
     let mut s = PanelSummary::new("a2-multibase");

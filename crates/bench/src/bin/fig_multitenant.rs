@@ -23,10 +23,8 @@
 use aps_bench::cli::{emit_bench_report, parse_flags};
 use aps_bench::output::Json;
 use aps_core::controller::{Controller, DpPlanned, Greedy};
-use aps_core::ReconfigAccounting;
 use aps_cost::units::{format_time, MIB};
 use aps_cost::{CostParams, ReconfigModel};
-use aps_flow::ThroughputSolver;
 use aps_par::Pool;
 use aps_sim::{scenarios, RunConfig, Scenario};
 
@@ -73,14 +71,7 @@ fn main() {
             for (label, controller) in CONTROLLER_FAMILIES {
                 let mut planned = scenario.clone();
                 planned
-                    .plan(
-                        &pool,
-                        controller,
-                        params,
-                        reconfig,
-                        ReconfigAccounting::PaperConservative,
-                        ThroughputSolver::ForcedPath,
-                    )
+                    .plan(&pool, controller, params, reconfig)
                     .unwrap_or_else(|e| panic!("tenant planning ({label}) failed: {e}"));
                 cells.push(Cell {
                     policy: label,

@@ -24,11 +24,12 @@ use aps_bench::output::Json;
 use aps_collectives::workload::generators::{OnOffBursty, RandomPermutations, TrainingLoop};
 use aps_collectives::workload::materialize;
 use aps_collectives::Workload;
-use aps_core::controller::{DpPlanned, Greedy, Static};
-use aps_core::ScaleupDomain;
+use aps_core::controller::{Controller, DpPlanned, Greedy, Static};
+use aps_core::{ReconfigAccounting, SwitchingProblem};
 use aps_cost::units::{format_time, MIB};
 use aps_cost::{CostParams, ReconfigModel};
 use aps_fabric::CircuitSwitch;
+use aps_flow::{ThetaCache, ThroughputSolver};
 use aps_matrix::Matching;
 use aps_par::Pool;
 use aps_sim::{run_scheduled, run_workload, RunConfig, SimReport, StreamPricing};
@@ -67,8 +68,7 @@ fn run_cell(policy: &str, workload: &mut dyn Workload, alpha_r: f64) -> SimRepor
         // Streaming adaptive runs: the controller decides each pulled step.
         "static" | "greedy" => {
             let mut fabric = CircuitSwitch::new(Matching::shift(N, 1).unwrap(), reconfig);
-            let ctl: &dyn aps_core::controller::Controller =
-                if policy == "static" { &Static } else { &Greedy };
+            let ctl: &dyn Controller = if policy == "static" { &Static } else { &Greedy };
             let (_, report) = run_workload(
                 &mut fabric,
                 &base,
@@ -84,9 +84,18 @@ fn run_cell(policy: &str, workload: &mut dyn Workload, alpha_r: f64) -> SimRepor
         // DP optimum: plan over the materialized stream, then replay the
         // switch schedule against the (rewound, materialized) stream.
         "planned" => {
-            let mut domain = ScaleupDomain::new(base, CostParams::paper_defaults(), reconfig);
-            let (switches, _) = domain
-                .plan_workload(workload, usize::MAX, &DpPlanned)
+            let mut cache = ThetaCache::new(&base, ThroughputSolver::ForcedPath);
+            let problem = SwitchingProblem::from_workload(
+                &base,
+                workload,
+                usize::MAX,
+                &mut cache,
+                CostParams::paper_defaults(),
+                reconfig,
+            )
+            .expect("problem");
+            let switches = DpPlanned
+                .plan(&problem, ReconfigAccounting::PaperConservative)
                 .expect("plan");
             workload.reset();
             let schedule = materialize(workload, usize::MAX).expect("finite stream");

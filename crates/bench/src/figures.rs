@@ -7,11 +7,9 @@
 
 use crate::output::Json;
 use aps_collectives::{allreduce, alltoall, Collective, CollectiveError};
-use aps_core::objective::ReconfigAccounting;
 use aps_core::sweep::{run_sweep_on, SweepGrid, SweepResult};
 use aps_core::CoreError;
 use aps_cost::CostParams;
-use aps_flow::solver::ThroughputSolver;
 use aps_par::Pool;
 use aps_topology::builders;
 
@@ -233,8 +231,6 @@ pub fn run_panel_on(
         |m| spec.workload.build(n, m),
         spec.params,
         grid,
-        ReconfigAccounting::PaperConservative,
-        ThroughputSolver::ForcedPath,
     )
 }
 

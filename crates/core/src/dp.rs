@@ -103,6 +103,7 @@ mod tests {
     use super::*;
     use crate::brute::optimize_exhaustive;
     use aps_collectives::{allreduce, alltoall};
+    use aps_cost::units::MIB;
     use aps_cost::{CostParams, ReconfigModel};
     use aps_flow::solver::{ThetaCache, ThroughputSolver};
     use aps_topology::builders;
@@ -176,6 +177,41 @@ mod tests {
         // whose base θ < 1; halving-doubling on a uni ring always has
         // θ < 1, so all steps reconfigure.
         assert_eq!(s.compact(), "MMMMMM");
+    }
+
+    #[test]
+    fn large_messages_prefer_reconfiguration() {
+        let hd = |n, m| allreduce::halving_doubling::build(n, m).unwrap();
+        let big = problem_for(16, 256.0 * MIB, 1e-6, hd);
+        assert!(
+            optimize(&big, Default::default())
+                .unwrap()
+                .0
+                .matched_steps()
+                > 0
+        );
+        // A 64-byte message stays static once α_r dwarfs the propagation
+        // savings (on a 16-ring the longest path saves only ~1.4 µs of δ).
+        let small = problem_for(16, 64.0, 1e-4, hd);
+        assert_eq!(
+            optimize(&small, Default::default())
+                .unwrap()
+                .0
+                .matched_steps(),
+            0
+        );
+    }
+
+    #[test]
+    fn tiny_alpha_r_lets_propagation_savings_justify_reconfig() {
+        // With α_r = 1 µs and δ = 100 ns, steps with ring paths ≥ 11 hops
+        // save more propagation than the reconfiguration costs — so even a
+        // 64-byte collective reconfigures its long-distance steps. This is
+        // the §4 "deeper understanding of the propagation delays" effect.
+        let p = problem_for(16, 64.0, 1e-6, |n, m| {
+            allreduce::halving_doubling::build(n, m).unwrap()
+        });
+        assert!(optimize(&p, Default::default()).unwrap().0.matched_steps() > 0);
     }
 
     #[test]

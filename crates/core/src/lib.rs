@@ -30,17 +30,18 @@
 //! decides whether the fabric bends ([`ConfigChoice::Matched`], pay `α_r`)
 //! or stays put ([`ConfigChoice::Base`]). The baselines (static base,
 //! per-step BvN), the threshold heuristic, an online greedy rule and the
-//! DP optimum all ship as controllers; [`ScaleupDomain::plan_with`],
-//! [`sweep::plan_jobs_on`] and the simulator's adaptive executor accept
-//! any `&dyn Controller`. Multi-base-topology pools and the
-//! `α_r × message-size` sweep that regenerates the paper's heatmaps
+//! DP optimum all ship as controllers. Planning is one path: build the
+//! eq. (7) instance with [`SwitchingProblem::build`], let a controller
+//! choose with [`Controller::plan`], and price the choice with
+//! [`evaluate`]; [`sweep::plan_jobs_on`] and the simulator's adaptive
+//! executor accept any `&dyn Controller`. Multi-base-topology pools and
+//! the `α_r × message-size` sweep that regenerates the paper's heatmaps
 //! complete the picture.
 
 pub mod analysis;
 pub mod assignment;
 pub mod brute;
 pub mod controller;
-pub mod domain;
 pub mod dp;
 pub mod error;
 pub mod explain;
@@ -52,7 +53,6 @@ pub mod sweep;
 
 pub use assignment::{ConfigChoice, SwitchSchedule};
 pub use controller::{Controller, StepObservation};
-pub use domain::{PolicyComparison, ScaleupDomain};
 pub use error::CoreError;
 pub use objective::{evaluate, CostReport, ReconfigAccounting};
 pub use problem::SwitchingProblem;

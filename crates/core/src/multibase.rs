@@ -4,10 +4,12 @@
 //! pool of base topologies instead of a single base topology G … e.g.,
 //! using multiple co-prime rings as base topologies." The DP state simply
 //! grows from `{base, matched}` to `{base₁, …, base_k, matched}`: still a
-//! trellis shortest path, `O(s·(k+1)²)`.
+//! trellis shortest path, `O(s·(k+1)²)`. Every base is priced with the
+//! exact forced-path θ, and every reconfiguration with the paper's
+//! conservative accounting: a move between configurations costs the
+//! delay model applied to at least one changed port.
 
 use crate::error::CoreError;
-use crate::objective::ReconfigAccounting;
 use crate::problem::config_of_topology;
 use aps_collectives::Schedule;
 use aps_cost::steptable::step_cost_table;
@@ -67,7 +69,6 @@ pub fn build_multibase(
     schedule: &Schedule,
     params: CostParams,
     reconfig: ReconfigModel,
-    solver: ThroughputSolver,
     start_base: usize,
 ) -> Result<MultiBaseProblem, CoreError> {
     if pool.is_empty() {
@@ -81,7 +82,7 @@ pub fn build_multibase(
     }
     let mut bases = Vec::with_capacity(pool.len());
     for topo in pool {
-        let mut cache = ThetaCache::new(topo, solver);
+        let mut cache = ThetaCache::new(topo, ThroughputSolver::ForcedPath);
         let table = step_cost_table(topo, schedule, &mut cache)?;
         bases.push(BaseOption {
             name: topo.name().to_string(),
@@ -142,7 +143,6 @@ impl MultiBaseProblem {
         prev: MultiChoice,
         i: usize,
         cur: MultiChoice,
-        accounting: ReconfigAccounting,
     ) -> f64 {
         // Staying on the *same* base never reconfigures (generalized z).
         if let (MultiChoice::Base(a), MultiChoice::Base(b)) = (prev, cur) {
@@ -156,10 +156,7 @@ impl MultiBaseProblem {
             (Some(a), Some(b)) => a.tx_ports_changed(b),
             _ => self.n,
         };
-        match accounting {
-            ReconfigAccounting::PaperConservative => self.reconfig.delay_s(diff.max(1)),
-            ReconfigAccounting::PhysicalDiff => self.reconfig.delay_s(diff),
-        }
+        self.reconfig.delay_s(diff.max(1))
     }
 
     /// Prices an explicit multi-base schedule.
@@ -167,11 +164,7 @@ impl MultiBaseProblem {
     /// # Errors
     ///
     /// Fails on length mismatch.
-    pub fn evaluate(
-        &self,
-        choices: &[MultiChoice],
-        accounting: ReconfigAccounting,
-    ) -> Result<f64, CoreError> {
+    pub fn evaluate(&self, choices: &[MultiChoice]) -> Result<f64, CoreError> {
         if choices.len() != self.num_steps() {
             return Err(CoreError::ScheduleLengthMismatch {
                 expected: self.num_steps(),
@@ -182,8 +175,7 @@ impl MultiBaseProblem {
         let mut prev = MultiChoice::Base(self.start_base);
         let mut prev_step = None;
         for (i, &cur) in choices.iter().enumerate() {
-            total +=
-                self.run_cost(i, cur) + self.transition_cost(prev_step, prev, i, cur, accounting);
+            total += self.run_cost(i, cur) + self.transition_cost(prev_step, prev, i, cur);
             prev = cur;
             prev_step = Some(i);
         }
@@ -195,10 +187,7 @@ impl MultiBaseProblem {
     /// # Errors
     ///
     /// Propagates evaluation errors (none for well-formed problems).
-    pub fn optimize(
-        &self,
-        accounting: ReconfigAccounting,
-    ) -> Result<(Vec<MultiChoice>, f64), CoreError> {
+    pub fn optimize(&self) -> Result<(Vec<MultiChoice>, f64), CoreError> {
         let s = self.num_steps();
         let k = self.bases.len();
         let states: Vec<MultiChoice> = (0..k)
@@ -212,21 +201,14 @@ impl MultiBaseProblem {
         let mut parent = vec![vec![0usize; states.len()]; s];
         for (ci, &cur) in states.iter().enumerate() {
             best[0][ci] = self.run_cost(0, cur)
-                + self.transition_cost(
-                    None,
-                    MultiChoice::Base(self.start_base),
-                    0,
-                    cur,
-                    accounting,
-                );
+                + self.transition_cost(None, MultiChoice::Base(self.start_base), 0, cur);
         }
         for i in 1..s {
             for (ci, &cur) in states.iter().enumerate() {
                 let run = self.run_cost(i, cur);
                 for (pi, &prev) in states.iter().enumerate() {
-                    let cand = best[i - 1][pi]
-                        + run
-                        + self.transition_cost(Some(i - 1), prev, i, cur, accounting);
+                    let cand =
+                        best[i - 1][pi] + run + self.transition_cost(Some(i - 1), prev, i, cur);
                     if cand < best[i][ci] {
                         best[i][ci] = cand;
                         parent[i][ci] = pi;
@@ -268,16 +250,8 @@ mod tests {
         let topo = builders::ring_unidirectional(n).unwrap();
         let c = alltoall::linear_shift(n, 1e6).unwrap();
         let reconfig = ReconfigModel::constant(2e-6).unwrap();
-        let mb = build_multibase(
-            &[&topo],
-            &c.schedule,
-            params(),
-            reconfig,
-            ThroughputSolver::ForcedPath,
-            0,
-        )
-        .unwrap();
-        let (_, mb_cost) = mb.optimize(Default::default()).unwrap();
+        let mb = build_multibase(&[&topo], &c.schedule, params(), reconfig, 0).unwrap();
+        let (_, mb_cost) = mb.optimize().unwrap();
         let mut cache = ThetaCache::new(&topo, ThroughputSolver::ForcedPath);
         let p =
             SwitchingProblem::build(&topo, &c.schedule, &mut cache, params(), reconfig).unwrap();
@@ -300,26 +274,10 @@ mod tests {
         };
         let c = alltoall::linear_shift(n, 1e7).unwrap();
         let reconfig = ReconfigModel::constant(50e-6).unwrap();
-        let single = build_multibase(
-            &[&ring1],
-            &c.schedule,
-            params(),
-            reconfig,
-            ThroughputSolver::ForcedPath,
-            0,
-        )
-        .unwrap();
-        let pool = build_multibase(
-            &[&ring1, &ring7],
-            &c.schedule,
-            params(),
-            reconfig,
-            ThroughputSolver::ForcedPath,
-            0,
-        )
-        .unwrap();
-        let (_, t_single) = single.optimize(Default::default()).unwrap();
-        let (choices, t_pool) = pool.optimize(Default::default()).unwrap();
+        let single = build_multibase(&[&ring1], &c.schedule, params(), reconfig, 0).unwrap();
+        let pool = build_multibase(&[&ring1, &ring7], &c.schedule, params(), reconfig, 0).unwrap();
+        let (_, t_single) = single.optimize().unwrap();
+        let (choices, t_pool) = pool.optimize().unwrap();
         assert!(
             t_pool < t_single,
             "pool {t_pool} should beat single {t_single}"
@@ -335,30 +293,15 @@ mod tests {
         let c = alltoall::linear_shift(n, 1e6).unwrap();
         let reconfig = ReconfigModel::constant(1e-6).unwrap();
         assert!(matches!(
-            build_multibase(&[], &c.schedule, params(), reconfig, Default::default(), 0),
+            build_multibase(&[], &c.schedule, params(), reconfig, 0),
             Err(CoreError::NoBases)
         ));
         assert!(matches!(
-            build_multibase(
-                &[&topo],
-                &c.schedule,
-                params(),
-                reconfig,
-                Default::default(),
-                3
-            ),
+            build_multibase(&[&topo], &c.schedule, params(), reconfig, 3),
             Err(CoreError::StartBaseOutOfRange { start: 3, bases: 1 })
         ));
-        let mb = build_multibase(
-            &[&topo],
-            &c.schedule,
-            params(),
-            reconfig,
-            Default::default(),
-            0,
-        )
-        .unwrap();
-        assert!(mb.evaluate(&[], Default::default()).is_err());
+        let mb = build_multibase(&[&topo], &c.schedule, params(), reconfig, 0).unwrap();
+        assert!(mb.evaluate(&[]).is_err());
     }
 
     #[test]
@@ -372,12 +315,11 @@ mod tests {
             &c.schedule,
             params(),
             ReconfigModel::constant(1e-6).unwrap(),
-            ThroughputSolver::ForcedPath,
             0,
         )
         .unwrap();
-        let (choices, total) = mb.optimize(Default::default()).unwrap();
-        let priced = mb.evaluate(&choices, Default::default()).unwrap();
+        let (choices, total) = mb.optimize().unwrap();
+        let priced = mb.evaluate(&choices).unwrap();
         assert!((total - priced).abs() < 1e-12 * (1.0 + total));
     }
 }

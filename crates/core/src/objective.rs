@@ -234,6 +234,10 @@ mod tests {
         let phys = evaluate(&p, &s, ReconfigAccounting::PhysicalDiff).unwrap();
         assert!(paper.reconfig_s > 0.0);
         assert_eq!(phys.reconfig_s, 0.0);
+        // So per-step BvN costs exactly what never reconfiguring costs.
+        let all_base = SwitchSchedule::all_base(p.num_steps());
+        let st = evaluate(&p, &all_base, ReconfigAccounting::PhysicalDiff).unwrap();
+        assert!((phys.total_s() - st.total_s()).abs() < 1e-12);
     }
 
     #[test]

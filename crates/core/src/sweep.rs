@@ -1,11 +1,13 @@
 //! Parameter sweeps over `α_r × message size` — the grid behind every
 //! heatmap in the paper's Figure 1 and Figure 2.
 
+use crate::assignment::SwitchSchedule;
+use crate::controller::Controller;
 use crate::error::CoreError;
-use crate::objective::ReconfigAccounting;
+use crate::objective::{evaluate, CostReport, ReconfigAccounting};
 use crate::policies::{evaluate_policy, Policy};
 use crate::problem::SwitchingProblem;
-use aps_collectives::{Collective, CollectiveError};
+use aps_collectives::{Collective, CollectiveError, Schedule};
 use aps_cost::steptable::step_cost_table;
 use aps_cost::units::{GIB, KIB, MICROS, MILLIS, NANOS};
 use aps_cost::{CostParams, ReconfigModel};
@@ -56,7 +58,9 @@ impl SweepGrid {
     }
 }
 
-/// Completion times of the four policies at one grid cell.
+/// Completion times of the four policies on one eq. (7) instance — a
+/// sweep grid cell, or one collective priced by
+/// `Experiment::compare`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepCell {
     /// Static base topology (never reconfigure).
@@ -70,6 +74,25 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
+    /// Prices the four policies on `problem` under the paper's
+    /// conservative reconfiguration accounting.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver errors.
+    pub fn price(problem: &SwitchingProblem) -> Result<Self, CoreError> {
+        let t = |policy| {
+            evaluate_policy(problem, policy, ReconfigAccounting::PaperConservative)
+                .map(|r| r.total_s())
+        };
+        Ok(Self {
+            t_static_s: t(Policy::StaticBase)?,
+            t_bvn_s: t(Policy::AlwaysMatched)?,
+            t_opt_s: t(Policy::Optimal)?,
+            t_threshold_s: t(Policy::Threshold)?,
+        })
+    }
+
     /// `t_static / t_opt` — Figure 1 bottom row.
     pub fn speedup_vs_static(&self) -> f64 {
         self.t_static_s / self.t_opt_s
@@ -139,8 +162,6 @@ pub fn run_sweep_on(
     build: impl Fn(f64) -> Result<Collective, CollectiveError> + Sync,
     params: CostParams,
     grid: &SweepGrid,
-    accounting: ReconfigAccounting,
-    solver: ThroughputSolver,
 ) -> Result<SweepResult, CoreError> {
     // Phase 1: build each row's collective, then price the union of their
     // step matchings across the pool.
@@ -152,35 +173,29 @@ pub fn run_sweep_on(
     let warm = ThetaCache::warm(
         pool,
         base,
-        solver,
+        ThroughputSolver::ForcedPath,
         collectives
             .iter()
             .flat_map(|c| c.schedule.steps().iter().map(|s| &s.matching)),
     )?;
 
     // Phase 2: evaluate rows; every θ lookup hits the warmed cache.
-    let sweep_row = |cache: &mut ThetaCache,
-                     collective: &Collective|
-     -> Result<Vec<SweepCell>, CoreError> {
-        let table = step_cost_table(base, &collective.schedule, cache)?;
-        let mut row = Vec::with_capacity(grid.reconf_delays_s.len());
-        for &alpha_r in &grid.reconf_delays_s {
-            let problem = SwitchingProblem {
-                n: base.n(),
-                params,
-                reconfig: ReconfigModel::constant(alpha_r)?,
-                base_config: crate::problem::config_of_topology(base),
-                steps: table.clone(),
-            };
-            row.push(SweepCell {
-                t_static_s: evaluate_policy(&problem, Policy::StaticBase, accounting)?.total_s(),
-                t_bvn_s: evaluate_policy(&problem, Policy::AlwaysMatched, accounting)?.total_s(),
-                t_opt_s: evaluate_policy(&problem, Policy::Optimal, accounting)?.total_s(),
-                t_threshold_s: evaluate_policy(&problem, Policy::Threshold, accounting)?.total_s(),
-            });
-        }
-        Ok(row)
-    };
+    let sweep_row =
+        |cache: &mut ThetaCache, collective: &Collective| -> Result<Vec<SweepCell>, CoreError> {
+            let table = step_cost_table(base, &collective.schedule, cache)?;
+            let mut row = Vec::with_capacity(grid.reconf_delays_s.len());
+            for &alpha_r in &grid.reconf_delays_s {
+                let problem = SwitchingProblem {
+                    n: base.n(),
+                    params,
+                    reconfig: ReconfigModel::constant(alpha_r)?,
+                    base_config: crate::problem::config_of_topology(base),
+                    steps: table.clone(),
+                };
+                row.push(SweepCell::price(&problem)?);
+            }
+            Ok(row)
+        };
     let (rows, worker_caches) = pool.map_with(
         &collectives,
         || {
@@ -213,14 +228,16 @@ pub struct PlanJob {
     /// Base topology of the job's domain (or partition).
     pub base: Topology,
     /// The collective to plan.
-    pub schedule: aps_collectives::Schedule,
+    pub schedule: Schedule,
 }
 
-/// Lets `controller` plan every job on `pool`, one independent
-/// [`crate::ScaleupDomain`] per job, under the given accounting rule and
-/// θ solver. `plans[i]` belongs to `jobs[i]` at any thread count —
-/// controllers are required to be deterministic and jobs share no state,
-/// so the batch is bit-identical at any `APS_THREADS` setting.
+/// Lets `controller` plan every job on `pool` and prices each plan: per
+/// job, the eq. (7) instance is built on the job's own base with the
+/// exact forced-path θ, and both the plan and its price use the paper's
+/// conservative reconfiguration accounting. `plans[i]` belongs to
+/// `jobs[i]` at any thread count — controllers are required to be
+/// deterministic and jobs share no state, so the batch is bit-identical
+/// at any `APS_THREADS` setting.
 ///
 /// This is the sweep engine's integration point for multi-tenant
 /// scenarios: `aps-sim`'s scenario generator plans each tenant's switch
@@ -233,17 +250,17 @@ pub struct PlanJob {
 pub fn plan_jobs_on(
     pool: &Pool,
     jobs: &[PlanJob],
-    controller: &dyn crate::controller::Controller,
+    controller: &dyn Controller,
     params: CostParams,
     reconfig: ReconfigModel,
-    accounting: ReconfigAccounting,
-    solver: ThroughputSolver,
-) -> Result<Vec<(crate::SwitchSchedule, crate::CostReport)>, CoreError> {
+) -> Result<Vec<(SwitchSchedule, CostReport)>, CoreError> {
+    let accounting = ReconfigAccounting::PaperConservative;
     pool.try_map(jobs, |_, job| {
-        let mut domain = crate::ScaleupDomain::new(job.base.clone(), params, reconfig)
-            .with_solver(solver)
-            .with_accounting(accounting);
-        domain.plan_with(&job.schedule, controller)
+        let mut cache = ThetaCache::new(&job.base, ThroughputSolver::ForcedPath);
+        let p = SwitchingProblem::build(&job.base, &job.schedule, &mut cache, params, reconfig)?;
+        let switches = controller.plan(&p, accounting)?;
+        let report = evaluate(&p, &switches, accounting)?;
+        Ok((switches, report))
     })
 }
 
@@ -261,8 +278,6 @@ mod tests {
             |m| allreduce::halving_doubling::build(n, m),
             CostParams::paper_defaults(),
             &SweepGrid::small(),
-            Default::default(),
-            ThroughputSolver::ForcedPath,
         )
         .unwrap()
     }
@@ -319,8 +334,6 @@ mod tests {
                 |m| allreduce::halving_doubling::build(16, m),
                 CostParams::paper_defaults(),
                 &SweepGrid::small(),
-                Default::default(),
-                ThroughputSolver::ForcedPath,
             )
             .unwrap()
         };
@@ -351,34 +364,20 @@ mod tests {
         let params = CostParams::paper_defaults();
         let reconfig = ReconfigModel::constant(10e-6).unwrap();
         let ctl = crate::controller::DpPlanned;
-        let serial = plan_jobs_on(
-            &Pool::serial(),
-            &jobs,
-            &ctl,
-            params,
-            reconfig,
-            Default::default(),
-            ThroughputSolver::ForcedPath,
-        )
-        .unwrap();
+        let serial = plan_jobs_on(&Pool::serial(), &jobs, &ctl, params, reconfig).unwrap();
         assert_eq!(serial.len(), jobs.len());
+        let acc = ReconfigAccounting::PaperConservative;
         for (job, (schedule, report)) in jobs.iter().zip(&serial) {
-            let mut d = crate::ScaleupDomain::new(job.base.clone(), params, reconfig);
-            let (want_s, want_r) = d.plan(&job.schedule).unwrap();
+            let mut cache = ThetaCache::new(&job.base, ThroughputSolver::ForcedPath);
+            let p = SwitchingProblem::build(&job.base, &job.schedule, &mut cache, params, reconfig)
+                .unwrap();
+            let want_s = ctl.plan(&p, acc).unwrap();
             assert_eq!(schedule, &want_s);
-            assert_eq!(report, &want_r);
+            assert_eq!(report, &evaluate(&p, &want_s, acc).unwrap());
         }
         for threads in [2, 4] {
-            let parallel = plan_jobs_on(
-                &Pool::new(threads),
-                &jobs,
-                &ctl,
-                params,
-                reconfig,
-                Default::default(),
-                ThroughputSolver::ForcedPath,
-            )
-            .unwrap();
+            let parallel =
+                plan_jobs_on(&Pool::new(threads), &jobs, &ctl, params, reconfig).unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -397,26 +396,8 @@ mod tests {
         let params = CostParams::paper_defaults();
         let reconfig = ReconfigModel::constant(10e-6).unwrap();
         for ctl in crate::controller::shipped() {
-            let serial = plan_jobs_on(
-                &Pool::serial(),
-                &jobs,
-                ctl,
-                params,
-                reconfig,
-                Default::default(),
-                ThroughputSolver::ForcedPath,
-            )
-            .unwrap();
-            let parallel = plan_jobs_on(
-                &Pool::new(3),
-                &jobs,
-                ctl,
-                params,
-                reconfig,
-                Default::default(),
-                ThroughputSolver::ForcedPath,
-            )
-            .unwrap();
+            let serial = plan_jobs_on(&Pool::serial(), &jobs, ctl, params, reconfig).unwrap();
+            let parallel = plan_jobs_on(&Pool::new(3), &jobs, ctl, params, reconfig).unwrap();
             assert_eq!(serial, parallel, "{}", ctl.name());
         }
     }

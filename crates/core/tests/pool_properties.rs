@@ -1,9 +1,7 @@
 //! Property-based tests for the multi-base extension.
 
 use aps_core::multibase::build_multibase;
-use aps_core::objective::ReconfigAccounting;
 use aps_cost::{CostParams, ReconfigModel};
-use aps_flow::solver::ThroughputSolver;
 use aps_matrix::Matching;
 use aps_topology::builders;
 use proptest::prelude::*;
@@ -42,17 +40,15 @@ proptest! {
         let r7 = builders::coprime_rings(n, &[7]).unwrap();
         let params = CostParams::paper_defaults();
         let reconfig = ReconfigModel::constant(alpha_r).unwrap();
-        let acc = ReconfigAccounting::PaperConservative;
         let mut last = f64::INFINITY;
         // Pools grow by extension: {1} ⊆ {1,3} ⊆ {1,3,7}; optimal cost must
         // be non-increasing (start base 0 is in every pool).
         for pool in [vec![&r1], vec![&r1, &r3], vec![&r1, &r3, &r7]] {
-            let mb = build_multibase(&pool, &schedule, params, reconfig,
-                ThroughputSolver::ForcedPath, 0).unwrap();
-            let (choices, cost) = mb.optimize(acc).unwrap();
+            let mb = build_multibase(&pool, &schedule, params, reconfig, 0).unwrap();
+            let (choices, cost) = mb.optimize().unwrap();
             prop_assert!(cost <= last + 1e-12, "pool of {} worse: {cost} > {last}", pool.len());
             // DP output must price identically through the evaluator.
-            let priced = mb.evaluate(&choices, acc).unwrap();
+            let priced = mb.evaluate(&choices).unwrap();
             prop_assert!((priced - cost).abs() < 1e-12 * (1.0 + cost));
             last = cost;
         }

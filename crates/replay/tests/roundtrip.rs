@@ -4,10 +4,8 @@
 //! recorded hash chains are independent of `APS_THREADS`.
 
 use aps_core::controller::Greedy;
-use aps_core::ReconfigAccounting;
 use aps_cost::ReconfigModel;
 use aps_fabric::CircuitSwitch;
-use aps_flow::ThroughputSolver;
 use aps_matrix::Matching;
 use aps_replay::{
     diff_records, Frame, Recorder, ReplayError, ReplayReader, ReplayRecord, StateHash, NO_TENANT,
@@ -111,11 +109,7 @@ fn record_training_run(steps: usize) -> ReplayRecord {
     let reconfig = ReconfigModel::constant(10e-6).unwrap();
     let mut fabric = CircuitSwitch::new(base_config.clone(), reconfig);
     let mut workload = TrainingLoop::new(n, 2, 1e6, 8e6, None).unwrap();
-    let pricing = StreamPricing {
-        reconfig,
-        accounting: ReconfigAccounting::PaperConservative,
-        solver: ThroughputSolver::ForcedPath,
-    };
+    let pricing = StreamPricing::new(reconfig);
     let mut recorder = Recorder::new(n, "greedy", "training-loop");
     // Bound the endless loop through the segment API's absolute index.
     aps_sim::run_workload_segment(
@@ -159,11 +153,7 @@ fn full_report_and_totals_paths_record_identically() {
     let base = aps_topology::builders::ring_unidirectional(n).unwrap();
     let base_config = Matching::shift(n, 1).unwrap();
     let reconfig = ReconfigModel::constant(10e-6).unwrap();
-    let pricing = StreamPricing {
-        reconfig,
-        accounting: ReconfigAccounting::PaperConservative,
-        solver: ThroughputSolver::ForcedPath,
-    };
+    let pricing = StreamPricing::new(reconfig);
     let cfg = RunConfig::paper_defaults();
 
     let mut full_rec = Recorder::new(n, "greedy", "training-loop");

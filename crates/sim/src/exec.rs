@@ -23,7 +23,7 @@ use crate::service::{Decider, Demand, Job, ServiceExecutor, ServiceSwitching};
 use crate::trace::{TraceEvent, TraceKind};
 use aps_collectives::Schedule;
 use aps_core::controller::Controller;
-use aps_core::{ReconfigAccounting, SwitchSchedule, SwitchingProblem};
+use aps_core::{SwitchSchedule, SwitchingProblem};
 use aps_cost::units::{secs_to_picos, Picos, PICOS_PER_SEC};
 use aps_cost::CostParams;
 use aps_fabric::{BarrierModel, Fabric, FabricError, ReconfigOutcome};
@@ -381,8 +381,9 @@ pub fn run_scheduled(
 ///
 /// The problem carries each step's matching and volume, so no separate
 /// collective schedule is needed — build it with
-/// [`aps_core::ScaleupDomain::problem`] or
-/// [`SwitchingProblem::build`].
+/// [`SwitchingProblem::build`]. The controller observes each step under
+/// the paper's conservative reconfiguration accounting, the rule
+/// materialized planning uses.
 ///
 /// # Errors
 ///
@@ -393,7 +394,6 @@ pub fn run_adaptive(
     base_config: &Matching,
     problem: &SwitchingProblem,
     controller: &dyn Controller,
-    accounting: ReconfigAccounting,
     cfg: &RunConfig,
 ) -> Result<(SwitchSchedule, SimReport), SimError> {
     if fabric.n() != problem.n {
@@ -409,7 +409,6 @@ pub fn run_adaptive(
         Decider::Problem {
             problem,
             controller,
-            accounting,
         },
     );
     let run = ServiceExecutor::run_alone(fabric, cfg, true, job, None)?;
@@ -678,7 +677,7 @@ mod tests {
         for ctl in shipped() {
             let mut fab = switch(n, alpha_r);
             let (switches, adaptive) =
-                run_adaptive(&mut fab, &ring_config(n), &problem, ctl, acc, &cfg).unwrap();
+                run_adaptive(&mut fab, &ring_config(n), &problem, ctl, &cfg).unwrap();
             // One tagged decision per step, carrying the rationale.
             let decisions: Vec<_> = adaptive
                 .trace
@@ -729,7 +728,6 @@ mod tests {
             &ring_config(n),
             &problem,
             &aps_core::controller::AlwaysReconfigure,
-            aps_core::ReconfigAccounting::PaperConservative,
             &cfg,
         )
         .unwrap();
@@ -762,7 +760,6 @@ mod tests {
             &ring_config(4),
             &problem,
             &aps_core::controller::Static,
-            aps_core::ReconfigAccounting::default(),
             &RunConfig::paper_defaults(),
         )
         .unwrap_err();

@@ -35,10 +35,9 @@ use crate::tenant::{execute_tenants, TenantReport, TenantSpec};
 use aps_collectives::{allreduce, alltoall, stencil, Collective};
 use aps_core::controller::Controller;
 use aps_core::sweep::{plan_jobs_on, PlanJob};
-use aps_core::{CoreError, ReconfigAccounting, SwitchSchedule};
+use aps_core::{CoreError, SwitchSchedule};
 use aps_cost::{CostParams, ReconfigModel};
 use aps_fabric::{CircuitSwitch, Fabric, FabricState};
-use aps_flow::ThroughputSolver;
 use aps_matrix::Matching;
 use aps_par::Pool;
 use aps_topology::builders::from_matching;
@@ -84,8 +83,9 @@ impl Scenario {
 
     /// Replaces every tenant's switch schedule with the one `controller`
     /// chooses for its own partition — planned against the circuit
-    /// topology its `base_config` actually realizes, under `accounting`
-    /// and the θ `solver` — in parallel on `pool` via [`plan_jobs_on`].
+    /// topology its `base_config` actually realizes — in parallel on
+    /// `pool` via [`plan_jobs_on`], which fixes the θ solver and the
+    /// reconfiguration accounting at the paper's defaults.
     /// This is the multi-tenant face of the controller abstraction: each
     /// job adapts independently; the fabric arbitrates the shared
     /// controller.
@@ -100,8 +100,6 @@ impl Scenario {
         controller: &dyn Controller,
         params: CostParams,
         reconfig: ReconfigModel,
-        accounting: ReconfigAccounting,
-        solver: ThroughputSolver,
     ) -> Result<(), CoreError> {
         let jobs: Vec<PlanJob> = self
             .tenants
@@ -111,9 +109,7 @@ impl Scenario {
                 schedule: t.schedule.clone(),
             })
             .collect();
-        let plans = plan_jobs_on(
-            pool, &jobs, controller, params, reconfig, accounting, solver,
-        )?;
+        let plans = plan_jobs_on(pool, &jobs, controller, params, reconfig)?;
         for (t, (schedule, _)) in self.tenants.iter_mut().zip(plans) {
             t.switch_schedule = schedule;
         }
@@ -326,8 +322,6 @@ mod tests {
             controller,
             CostParams::paper_defaults(),
             reconfig,
-            ReconfigAccounting::PaperConservative,
-            ThroughputSolver::ForcedPath,
         )
         .unwrap();
     }

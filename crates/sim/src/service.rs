@@ -57,7 +57,7 @@ use aps_core::{ConfigChoice, ReconfigAccounting, SwitchSchedule, SwitchingProble
 use aps_cost::steptable::StepCosts;
 use aps_cost::units::Picos;
 use aps_fabric::Fabric;
-use aps_flow::solver::ThetaCache;
+use aps_flow::solver::{ThetaCache, ThroughputSolver};
 use aps_matrix::Matching;
 use aps_topology::Topology;
 
@@ -178,7 +178,6 @@ pub(crate) struct PricedWindow<'a> {
     /// configuration.
     window: SwitchingProblem,
     controller: &'a dyn Controller,
-    accounting: ReconfigAccounting,
 }
 
 impl<'a> PricedWindow<'a> {
@@ -192,7 +191,7 @@ impl<'a> PricedWindow<'a> {
     ) -> Self {
         Self {
             base,
-            cache: ThetaCache::new(base, pricing.solver),
+            cache: ThetaCache::new(base, ThroughputSolver::ForcedPath),
             window: SwitchingProblem {
                 n: base.n(),
                 params: cfg.params,
@@ -201,7 +200,6 @@ impl<'a> PricedWindow<'a> {
                 steps: Vec::with_capacity(2),
             },
             controller,
-            accounting: pricing.accounting,
         }
     }
 
@@ -241,8 +239,13 @@ impl<'a> PricedWindow<'a> {
     ) -> Result<Decision, SimError> {
         self.push(i, step)?;
         let newest = self.window.steps.len() - 1;
-        let obs =
-            StepObservation::new(&self.window, self.accounting, newest, prev).at_stream_step(i);
+        let obs = StepObservation::new(
+            &self.window,
+            ReconfigAccounting::PaperConservative,
+            newest,
+            prev,
+        )
+        .at_stream_step(i);
         let choice = self.controller.decide(&obs);
         Ok((
             choice,
@@ -263,7 +266,6 @@ pub(crate) enum Decider<'a> {
     Problem {
         problem: &'a SwitchingProblem,
         controller: &'a dyn Controller,
-        accounting: ReconfigAccounting,
     },
     /// A controller observing the two-step priced window of a stream.
     Window(Box<PricedWindow<'a>>),
@@ -295,10 +297,10 @@ impl Decider<'_> {
             Self::Problem {
                 problem,
                 controller,
-                accounting,
             } => {
                 validate_step(i, n, step)?;
-                let obs = StepObservation::new(problem, *accounting, i, prev);
+                let obs =
+                    StepObservation::new(problem, ReconfigAccounting::PaperConservative, i, prev);
                 let choice = controller.decide(&obs);
                 Ok((choice, explain.then(|| controller.explain(&obs, choice))))
             }

@@ -49,42 +49,37 @@ use crate::service::{Decider, Demand, Job, LoneRun, PricedWindow, ServiceExecuto
 use aps_collectives::{Step, Workload};
 use aps_core::controller::Controller;
 use aps_core::problem::config_of_topology;
-use aps_core::{ConfigChoice, ReconfigAccounting, SwitchSchedule};
+use aps_core::{ConfigChoice, SwitchSchedule};
 use aps_cost::units::Picos;
 use aps_cost::ReconfigModel;
 use aps_fabric::{Fabric, FabricState};
-use aps_flow::solver::ThroughputSolver;
 use aps_topology::Topology;
 
 /// How the streaming adaptive runs price a pulled step for the
-/// controller's observation window: the reconfiguration delay model, the
-/// accounting rule, and the θ solver — the same three knobs a
-/// [`aps_core::ScaleupDomain`] carries for materialized planning.
+/// controller's observation window: the reconfiguration delay model
+/// behind transition charges. The window prices θ with the exact
+/// forced-path solver and charges reconfigurations under the paper's
+/// conservative accounting, as materialized planning does.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamPricing {
     /// Reconfiguration delay pricing (`α_r`) for transition charges.
     pub reconfig: ReconfigModel,
-    /// How reconfiguration events are priced.
-    pub accounting: ReconfigAccounting,
-    /// The θ (concurrent-flow) solver for base-topology congestion.
-    pub solver: ThroughputSolver,
 }
 
 impl StreamPricing {
-    /// Paper defaults around the given delay model: conservative
-    /// accounting, exact forced-path θ.
+    /// Window pricing around the given delay model.
     pub fn new(reconfig: ReconfigModel) -> Self {
-        Self {
-            reconfig,
-            accounting: ReconfigAccounting::PaperConservative,
-            solver: ThroughputSolver::ForcedPath,
-        }
+        Self { reconfig }
     }
 }
 
 /// O(1)-memory aggregate of a streamed run — what
 /// [`run_workload_totals`] returns instead of a per-step
 /// [`SimReport`].
+///
+/// The five phase sums (`barrier_ps` through `compute_ps`) saturate at
+/// [`Picos::MAX`] instead of wrapping: phases of concurrent jobs overlap
+/// in time, so their sum can exceed any one clock that still fits.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamSummary {
     /// Steps pulled and executed.
@@ -117,8 +112,9 @@ impl StreamSummary {
     /// monoid fold for combining per-shard (e.g. per-job) service
     /// summaries deterministically. Step counts and phase sums add;
     /// `total_ps` takes the max, because shards complete on the same
-    /// global timeline. Associative, commutative, and
-    /// `StreamSummary::default()` is the identity.
+    /// global timeline. Phase sums saturate at [`Picos::MAX`].
+    /// Associative, commutative, and `StreamSummary::default()` is the
+    /// identity.
     #[must_use]
     pub fn merge(self, other: Self) -> Self {
         Self {
@@ -126,11 +122,11 @@ impl StreamSummary {
             matched_steps: self.matched_steps + other.matched_steps,
             reconfig_events: self.reconfig_events + other.reconfig_events,
             total_ps: self.total_ps.max(other.total_ps),
-            barrier_ps: self.barrier_ps + other.barrier_ps,
-            alpha_ps: self.alpha_ps + other.alpha_ps,
-            reconfig_ps: self.reconfig_ps + other.reconfig_ps,
-            transfer_ps: self.transfer_ps + other.transfer_ps,
-            compute_ps: self.compute_ps + other.compute_ps,
+            barrier_ps: self.barrier_ps.saturating_add(other.barrier_ps),
+            alpha_ps: self.alpha_ps.saturating_add(other.alpha_ps),
+            reconfig_ps: self.reconfig_ps.saturating_add(other.reconfig_ps),
+            transfer_ps: self.transfer_ps.saturating_add(other.transfer_ps),
+            compute_ps: self.compute_ps.saturating_add(other.compute_ps),
         }
     }
 
@@ -139,11 +135,11 @@ impl StreamSummary {
         self.steps += 1;
         self.matched_steps += usize::from(matched);
         self.reconfig_events += usize::from(step.ports_changed > 0);
-        self.barrier_ps += step.barrier_ps;
-        self.alpha_ps += step.alpha_ps;
-        self.reconfig_ps += step.reconfig_ps;
-        self.transfer_ps += step.transfer_ps;
-        self.compute_ps += step.compute_ps;
+        self.barrier_ps = self.barrier_ps.saturating_add(step.barrier_ps);
+        self.alpha_ps = self.alpha_ps.saturating_add(step.alpha_ps);
+        self.reconfig_ps = self.reconfig_ps.saturating_add(step.reconfig_ps);
+        self.transfer_ps = self.transfer_ps.saturating_add(step.transfer_ps);
+        self.compute_ps = self.compute_ps.saturating_add(step.compute_ps);
     }
 }
 
@@ -333,7 +329,7 @@ mod tests {
     use aps_cost::units::MIB;
     use aps_cost::CostParams;
     use aps_fabric::CircuitSwitch;
-    use aps_flow::solver::ThetaCache;
+    use aps_flow::solver::{ThetaCache, ThroughputSolver};
     use aps_matrix::Matching;
     use aps_topology::builders;
 
@@ -356,7 +352,6 @@ mod tests {
         let base = builders::ring_unidirectional(n).unwrap();
         let reconfig = ReconfigModel::constant(alpha_r).unwrap();
         let cfg = RunConfig::paper_defaults();
-        let acc = ReconfigAccounting::PaperConservative;
         for schedule in [
             allreduce::halving_doubling::build(n, bytes)
                 .unwrap()
@@ -380,7 +375,7 @@ mod tests {
             ] {
                 let mut f1 = switch(n, alpha_r);
                 let (want_sw, want) =
-                    run_adaptive(&mut f1, &ring_config(n), &problem, ctl, acc, &cfg).unwrap();
+                    run_adaptive(&mut f1, &ring_config(n), &problem, ctl, &cfg).unwrap();
                 let mut f2 = switch(n, alpha_r);
                 let mut w = schedule.stream();
                 let (got_sw, got) = run_workload(
@@ -571,7 +566,7 @@ mod tests {
 
 #[cfg(test)]
 mod merge_tests {
-    use super::StreamSummary;
+    use super::{Picos, StreamSummary};
 
     fn summary(k: u64) -> StreamSummary {
         StreamSummary {
@@ -607,5 +602,16 @@ mod merge_tests {
         assert_eq!(m.steps, 7);
         assert_eq!(m.total_ps, 5000, "shards share one clock: max, not sum");
         assert_eq!(m.transfer_ps, 13 * 7);
+        // Phase sums stop at the clock's limit instead of wrapping.
+        let full = StreamSummary {
+            transfer_ps: Picos::MAX - 1,
+            compute_ps: Picos::MAX,
+            ..summary(1)
+        };
+        let m = full.merge(summary(2));
+        assert_eq!(m.transfer_ps, Picos::MAX);
+        assert_eq!(m.compute_ps, Picos::MAX);
+        assert_eq!(m.barrier_ps, 30);
+        assert_eq!(m, summary(2).merge(full));
     }
 }

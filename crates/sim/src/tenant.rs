@@ -448,6 +448,41 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_phase_sums_past_the_clock_saturate() {
+        // At 1e-6 Gbps a 1.25e9-byte step transfers for 1e19 ps. Each
+        // tenant's own clock fits in a `Picos`, but the two transfers run
+        // side by side on disjoint ports and their sum does not.
+        let d = aps_cost::CostParams::paper_defaults();
+        let cfg =
+            RunConfig::with_params(aps_cost::CostParams::new(d.alpha_s, 1e-6, d.delta_s).unwrap());
+        let slow = |name: &str, ports: Vec<usize>| TenantSpec {
+            name: name.into(),
+            ports,
+            base_config: Matching::shift(2, 1).unwrap(),
+            schedule: aps_collectives::Schedule::new(
+                2,
+                aps_collectives::CollectiveKind::Composite,
+                "slow",
+                vec![aps_collectives::Step {
+                    matching: Matching::shift(2, 1).unwrap(),
+                    bytes_per_pair: 1.25e9,
+                }],
+            )
+            .unwrap(),
+            switch_schedule: SwitchSchedule::all_base(1),
+            arrival_s: 0.0,
+        };
+        let tenants = [slow("a", vec![0, 1]), slow("b", vec![2, 3])];
+        let mut fab = fabric_for(4, &tenants);
+        let reports = execute_tenants(&mut fab, &tenants, &cfg, None).unwrap();
+        for r in &reports {
+            let r = r.as_ref().unwrap();
+            assert!(r.report.steps[0].transfer_ps > Picos::MAX / 2, "{}", r.name);
+            assert!(r.finish_ps >= r.report.steps[0].transfer_ps, "{}", r.name);
+        }
+    }
+
+    #[test]
     fn length_mismatch_is_tenant_tagged_and_isolated() {
         let a = tenant("good", (0..8).collect(), MIB, true);
         let mut b = tenant("bad", (8..16).collect(), MIB, true);

@@ -144,21 +144,12 @@ fn shapes_survive_controller_planning() {
     // Planning replaces switch schedules; the structural invariants must
     // hold afterwards for every shipped controller.
     use aps_core::controller::shipped;
-    use aps_core::ReconfigAccounting;
     use aps_cost::CostParams;
-    use aps_flow::ThroughputSolver;
     let reconfig = ReconfigModel::constant(10e-6).unwrap();
     for ctl in shipped() {
         for mut s in scenarios::all(MIB) {
-            s.plan(
-                &Pool::serial(),
-                ctl,
-                CostParams::paper_defaults(),
-                reconfig,
-                ReconfigAccounting::PaperConservative,
-                ThroughputSolver::ForcedPath,
-            )
-            .unwrap();
+            s.plan(&Pool::serial(), ctl, CostParams::paper_defaults(), reconfig)
+                .unwrap();
             check_shape(&s);
         }
     }

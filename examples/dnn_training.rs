@@ -49,10 +49,10 @@ fn main() {
         println!(
             "{:>10} | {:>12} {:>12} {:>12} {:>12} | {:>9}",
             format_time(alpha_r),
-            format_time(cmp.static_s),
-            format_time(cmp.bvn_s),
-            format_time(cmp.threshold_s),
-            format_time(cmp.opt_s),
+            format_time(cmp.t_static_s),
+            format_time(cmp.t_bvn_s),
+            format_time(cmp.t_threshold_s),
+            format_time(cmp.t_opt_s),
             plan.switches.reconfig_events(),
         );
     }

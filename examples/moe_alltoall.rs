@@ -51,9 +51,9 @@ fn main() {
         println!(
             "{:>10} | {:>12} {:>12} {:>12} | {:>14} {:>10}",
             format_time(alpha_r),
-            format_time(cmp.static_s),
-            format_time(cmp.bvn_s),
-            format_time(cmp.opt_s),
+            format_time(cmp.t_static_s),
+            format_time(cmp.t_bvn_s),
+            format_time(cmp.t_opt_s),
             first_matched,
             plan.switches.reconfig_events(),
         );

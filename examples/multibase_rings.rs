@@ -56,13 +56,10 @@ fn main() {
             &coll.schedule,
             CostParams::paper_defaults(),
             ReconfigModel::constant(alpha_r).expect("α_r"),
-            ThroughputSolver::ForcedPath,
             0,
         )
         .expect("multibase problem");
-        let (choices, total) = mb
-            .optimize(ReconfigAccounting::PaperConservative)
-            .expect("optimize");
+        let (choices, total) = mb.optimize().expect("optimize");
         let mut by_state = vec![0usize; pool.len() + 1];
         for c in &choices {
             match c {

@@ -58,10 +58,13 @@ fn main() {
     );
 
     let cmp = exp.compare().expect("compare");
-    println!("static ring             : {}", format_time(cmp.static_s));
-    println!("per-step BvN            : {}", format_time(cmp.bvn_s));
-    println!("threshold heuristic     : {}", format_time(cmp.threshold_s));
-    println!("optimized               : {}", format_time(cmp.opt_s));
+    println!("static ring             : {}", format_time(cmp.t_static_s));
+    println!("per-step BvN            : {}", format_time(cmp.t_bvn_s));
+    println!(
+        "threshold heuristic     : {}",
+        format_time(cmp.t_threshold_s)
+    );
+    println!("optimized               : {}", format_time(cmp.t_opt_s));
     println!(
         "\nspeedup vs static {:.2}x, vs BvN {:.2}x, vs best-of-both {:.2}x",
         cmp.speedup_vs_static(),

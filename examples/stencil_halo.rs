@@ -39,8 +39,8 @@ fn main() {
                 "{:>10} {:>10} | {:>12} {:>12} | {}",
                 format_bytes(strip),
                 format_time(alpha_r),
-                format_time(cmp.static_s),
-                format_time(cmp.opt_s),
+                format_time(cmp.t_static_s),
+                format_time(cmp.t_opt_s),
                 plan.switches.compact(),
             );
         }

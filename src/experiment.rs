@@ -34,20 +34,21 @@ use aps_collectives::{
     allreduce, alltoall, broadcast, Collective, CollectiveError, Schedule, ScheduleStream, Workload,
 };
 use aps_core::controller::{by_name, Controller, DpPlanned, Static};
-use aps_core::sweep::{run_sweep_on, SweepGrid, SweepResult};
+use aps_core::sweep::{run_sweep_on, SweepCell, SweepGrid, SweepResult};
 use aps_core::{
-    CoreError, CostReport, PolicyComparison, ReconfigAccounting, ScaleupDomain, SwitchSchedule,
-    SwitchingProblem,
+    evaluate, CoreError, CostReport, ReconfigAccounting, SwitchSchedule, SwitchingProblem,
 };
 use aps_cost::{CostParams, ReconfigModel};
 use aps_faas::{run_service, AdmissionPolicy, FaasError, ServiceReport, TenantClass};
 use aps_fabric::{CircuitSwitch, Fabric};
-use aps_flow::ThroughputSolver;
+use aps_flow::{ThetaCache, ThroughputSolver};
 use aps_matrix::Matching;
 use aps_par::Pool;
 use aps_replay::{diff_records, DivergenceReport, Recorder, ReplayRecord, Snapshot};
 use aps_sim::record::RecordSink;
-use aps_sim::{run_adaptive, RunConfig, Scenario, SimError, SimReport, TenantReport};
+use aps_sim::{
+    run_adaptive, RunConfig, Scenario, SimError, SimReport, StreamPricing, TenantReport,
+};
 use aps_topology::Topology;
 use std::fmt;
 
@@ -222,31 +223,31 @@ pub struct SimRun {
 pub struct Experiment<W> {
     base: Topology,
     reconfig: ReconfigModel,
-    accounting: ReconfigAccounting,
-    solver: ThroughputSolver,
     sim: RunConfig,
     pool: Pool,
     controller: Box<dyn Controller>,
-    domain: Option<ScaleupDomain>,
+    /// θ memo of `base`, which no setter changes, so every planning call
+    /// of the experiment shares it.
+    cache: ThetaCache,
     workload: W,
 }
 
 impl Experiment<Unbound> {
     /// Starts an experiment on a scale-up domain with `base` as its base
     /// topology. Defaults: paper §3.4 cost parameters, a constant 10 µs
-    /// reconfiguration delay, conservative accounting, the exact
-    /// forced-path θ solver, the [`DpPlanned`] controller and an
+    /// reconfiguration delay, the [`DpPlanned`] controller and an
     /// `APS_THREADS`-sized pool — override any of them with the setters.
+    /// Fixed: θ comes from the exact forced-path solver, and every
+    /// reconfiguration is charged under the paper's conservative
+    /// accounting ([`ReconfigAccounting::PaperConservative`]).
     pub fn domain(base: Topology) -> Self {
         Experiment {
+            cache: ThetaCache::new(&base, ThroughputSolver::ForcedPath),
             base,
             reconfig: ReconfigModel::constant(10e-6).expect("valid default delay"),
-            accounting: ReconfigAccounting::PaperConservative,
-            solver: ThroughputSolver::ForcedPath,
             sim: RunConfig::paper_defaults(),
             pool: Pool::from_env(),
             controller: Box::new(DpPlanned),
-            domain: None,
             workload: Unbound(()),
         }
     }
@@ -317,12 +318,10 @@ impl Experiment<Unbound> {
         Experiment {
             base: self.base,
             reconfig: self.reconfig,
-            accounting: self.accounting,
-            solver: self.solver,
             sim: self.sim,
             pool: self.pool,
             controller: self.controller,
-            domain: None,
+            cache: self.cache,
             workload,
         }
     }
@@ -332,28 +331,12 @@ impl<W> Experiment<W> {
     /// Sets the α–β–δ cost parameters (also used by the simulator).
     pub fn params(mut self, params: CostParams) -> Self {
         self.sim.params = params;
-        self.domain = None;
         self
     }
 
     /// Sets the reconfiguration delay model (`α_r`).
     pub fn reconfig(mut self, reconfig: ReconfigModel) -> Self {
         self.reconfig = reconfig;
-        self.domain = None;
-        self
-    }
-
-    /// Sets the reconfiguration accounting rule.
-    pub fn accounting(mut self, accounting: ReconfigAccounting) -> Self {
-        self.accounting = accounting;
-        self.domain = None;
-        self
-    }
-
-    /// Sets the θ (concurrent-flow) solver.
-    pub fn solver(mut self, solver: ThroughputSolver) -> Self {
-        self.solver = solver;
-        self.domain = None;
         self
     }
 
@@ -362,7 +345,6 @@ impl<W> Experiment<W> {
     /// the experiment's.
     pub fn sim_config(mut self, cfg: RunConfig) -> Self {
         self.sim = cfg;
-        self.domain = None;
         self
     }
 
@@ -384,18 +366,13 @@ impl<W> Experiment<W> {
         self.controller.name()
     }
 
-    /// Builds the θ-memoizing scale-up domain lazily; later calls reuse
-    /// the cache. Returned separately from `&mut self` so callers can
-    /// split-borrow the workload and controller fields alongside it.
-    fn ensure_domain(&mut self) -> &mut ScaleupDomain {
-        if self.domain.is_none() {
-            self.domain = Some(
-                ScaleupDomain::new(self.base.clone(), self.sim.params, self.reconfig)
-                    .with_solver(self.solver)
-                    .with_accounting(self.accounting),
-            );
-        }
-        self.domain.as_mut().expect("just built")
+    /// Lets the experiment's controller choose a switch schedule for
+    /// `problem` and prices it.
+    fn plan_problem(&self, problem: &SwitchingProblem) -> Result<Plan, ExperimentError> {
+        let accounting = ReconfigAccounting::PaperConservative;
+        let switches = self.controller.plan(problem, accounting)?;
+        let report = evaluate(problem, &switches, accounting)?;
+        Ok(Plan { switches, report })
     }
 
     /// The circuit configuration realizing the base topology, when there
@@ -413,9 +390,13 @@ impl Experiment<Single> {
     ///
     /// Fails when a step cannot be routed on the base topology.
     pub fn problem(&mut self) -> Result<SwitchingProblem, ExperimentError> {
-        self.ensure_domain();
-        let domain = self.domain.as_mut().expect("ensured");
-        Ok(domain.problem(self.workload.schedule())?)
+        Ok(SwitchingProblem::build(
+            &self.base,
+            self.workload.schedule(),
+            &mut self.cache,
+            self.sim.params,
+            self.reconfig,
+        )?)
     }
 
     /// Lets the experiment's controller choose the switch schedule and
@@ -425,22 +406,19 @@ impl Experiment<Single> {
     ///
     /// Propagates problem-construction and planning errors.
     pub fn plan(&mut self) -> Result<Plan, ExperimentError> {
-        self.ensure_domain();
-        let domain = self.domain.as_mut().expect("ensured");
-        let (switches, report) = domain.plan_with(self.workload.schedule(), &*self.controller)?;
-        Ok(Plan { switches, report })
+        let problem = self.problem()?;
+        self.plan_problem(&problem)
     }
 
     /// Prices the four classic policies (static, BvN, DP optimum,
-    /// threshold) on the bound collective.
+    /// threshold) on the bound collective — the cell a one-row,
+    /// one-column [`sweep`](Experiment::sweep) of it would hold.
     ///
     /// # Errors
     ///
     /// Propagates problem-construction errors.
-    pub fn compare(&mut self) -> Result<PolicyComparison, ExperimentError> {
-        self.ensure_domain();
-        let domain = self.domain.as_mut().expect("ensured");
-        Ok(domain.compare(self.workload.schedule())?)
+    pub fn compare(&mut self) -> Result<SweepCell, ExperimentError> {
+        Ok(SweepCell::price(&self.problem()?)?)
     }
 
     /// Executes the collective on a fresh circuit-switch fabric with the
@@ -470,14 +448,8 @@ impl Experiment<Single> {
     pub fn simulate_on(&mut self, fabric: &mut dyn Fabric) -> Result<SimRun, ExperimentError> {
         let base_config = self.base_config()?;
         let problem = self.problem()?;
-        let (switches, report) = run_adaptive(
-            fabric,
-            &base_config,
-            &problem,
-            &*self.controller,
-            self.accounting,
-            &self.sim,
-        )?;
+        let (switches, report) =
+            run_adaptive(fabric, &base_config, &problem, &*self.controller, &self.sim)?;
         Ok(SimRun { switches, report })
     }
 }
@@ -544,7 +516,6 @@ impl Experiment<Streaming> {
     pub fn verify(&mut self, record: &ReplayRecord) -> Result<DivergenceReport, ExperimentError> {
         let base_config = self.base_config()?;
         self.workload.workload.reset();
-        let pricing = self.stream_pricing();
         let mut fabric = CircuitSwitch::new(base_config, self.reconfig);
         let mut recorder = Recorder::new(
             self.workload.workload.n(),
@@ -556,7 +527,7 @@ impl Experiment<Streaming> {
             &self.base,
             &mut *self.workload.workload,
             &*self.controller,
-            pricing,
+            StreamPricing::new(self.reconfig),
             &self.sim,
             None,
             record.frames.len(),
@@ -579,11 +550,15 @@ impl Experiment<Streaming> {
         let Some(limit) = self.workload.workload.size_hint().1 else {
             return Err(ExperimentError::UnboundedWorkload);
         };
-        self.ensure_domain();
-        let domain = self.domain.as_mut().expect("ensured");
-        let (switches, report) =
-            domain.plan_workload(&mut *self.workload.workload, limit, &*self.controller)?;
-        Ok(Plan { switches, report })
+        let problem = SwitchingProblem::from_workload(
+            &self.base,
+            &mut *self.workload.workload,
+            limit,
+            &mut self.cache,
+            self.sim.params,
+            self.reconfig,
+        )?;
+        self.plan_problem(&problem)
     }
 
     /// Executes the stream on a fresh circuit-switch fabric with the
@@ -615,14 +590,13 @@ impl Experiment<Streaming> {
         // otherwise surface it as a SimError).
         self.base_config()?;
         self.workload.workload.reset();
-        let pricing = self.stream_pricing();
         let mut recorder = self.recorder();
         let (switches, report) = aps_sim::run_workload(
             fabric,
             &self.base,
             &mut *self.workload.workload,
             &*self.controller,
-            pricing,
+            StreamPricing::new(self.reconfig),
             &self.sim,
             recorder.as_mut().map(|r| r as &mut dyn RecordSink),
         )?;
@@ -649,7 +623,6 @@ impl Experiment<Streaming> {
     ) -> Result<aps_sim::StreamSummary, ExperimentError> {
         self.workload.workload.reset();
         let base_config = self.base_config()?;
-        let pricing = self.stream_pricing();
         let mut fabric = CircuitSwitch::new(base_config, self.reconfig);
         let resume = self.workload.resume.take();
         let mut recorder = match (&resume, self.workload.record) {
@@ -667,7 +640,7 @@ impl Experiment<Streaming> {
             &self.base,
             &mut *self.workload.workload,
             &*self.controller,
-            pricing,
+            StreamPricing::new(self.reconfig),
             &self.sim,
             resume.as_ref().map(|s| &s.checkpoint),
             max_steps,
@@ -681,14 +654,6 @@ impl Experiment<Streaming> {
             self.workload.last_record = Some(r.into_record());
         }
         Ok(summary)
-    }
-
-    fn stream_pricing(&self) -> aps_sim::StreamPricing {
-        aps_sim::StreamPricing {
-            reconfig: self.reconfig,
-            accounting: self.accounting,
-            solver: self.solver,
-        }
     }
 
     /// A fresh recorder tagged with this experiment's metadata, when
@@ -720,8 +685,6 @@ impl Experiment<Family> {
             |m| (self.workload.build)(m),
             self.sim.params,
             grid,
-            self.accounting,
-            self.solver,
         )?)
     }
 }
@@ -746,8 +709,6 @@ impl Experiment<Shared> {
             &*self.controller,
             self.sim.params,
             self.reconfig,
-            self.accounting,
-            self.solver,
         )?;
         Ok(self)
     }
@@ -900,7 +861,15 @@ pub fn evaluate_ablation_cell(cell: &Cell) -> Result<KpiValues, ExperimentError>
         .ok_or_else(|| fail(format!("unknown controller '{controller_name}'")))?;
     let alpha_r = cell.num(FactorKey::AlphaR).unwrap_or(10e-6);
     let bytes = cell.num(FactorKey::MessageBytes).unwrap_or(MIB);
-    let ports = cell.num(FactorKey::Ports).unwrap_or(16.0) as usize;
+    let ports = match cell.num(FactorKey::Ports) {
+        None => 16,
+        Some(p) if p.is_finite() && p.fract() == 0.0 && p >= 2.0 => p as usize,
+        Some(p) => {
+            return Err(fail(format!(
+                "ports level {p} is not a whole number of at least 2"
+            )))
+        }
+    };
     let defaults = CostParams::paper_defaults();
     let params = CostParams::new(
         cell.num(FactorKey::Alpha).unwrap_or(defaults.alpha_s),
@@ -1054,14 +1023,37 @@ mod tests {
     fn plan_matches_the_raw_domain_path() {
         let c = allreduce::halving_doubling::build(16, 16.0 * MIB).unwrap();
         let plan = exp().collective(&c).plan().unwrap();
-        let mut domain = ScaleupDomain::new(
-            builders::ring_unidirectional(16).unwrap(),
+        let base = builders::ring_unidirectional(16).unwrap();
+        let mut cache = ThetaCache::new(&base, ThroughputSolver::ForcedPath);
+        let problem = SwitchingProblem::build(
+            &base,
+            &c.schedule,
+            &mut cache,
             CostParams::paper_defaults(),
             ReconfigModel::constant(10e-6).unwrap(),
-        );
-        let (switches, report) = domain.plan(&c.schedule).unwrap();
+        )
+        .unwrap();
+        let acc = ReconfigAccounting::PaperConservative;
+        let switches = DpPlanned.plan(&problem, acc).unwrap();
         assert_eq!(plan.switches, switches);
-        assert_eq!(plan.report, report);
+        assert_eq!(plan.report, evaluate(&problem, &switches, acc).unwrap());
+    }
+
+    #[test]
+    fn compare_is_the_one_cell_of_a_one_by_one_sweep() {
+        let (alpha_r, bytes) = (10e-6, 16.0 * MIB);
+        let build = move |m| allreduce::halving_doubling::build(16, m);
+        let cmp = exp()
+            .reconfig(ReconfigModel::constant(alpha_r).unwrap())
+            .collective(&build(bytes).unwrap())
+            .compare()
+            .unwrap();
+        let grid = SweepGrid {
+            reconf_delays_s: vec![alpha_r],
+            message_bytes: vec![bytes],
+        };
+        let swept = exp().collective_family(build).sweep(&grid).unwrap();
+        assert_eq!(swept.cells, vec![vec![cmp]]);
     }
 
     #[test]
@@ -1070,7 +1062,7 @@ mod tests {
         let mut e = exp().collective(&c);
         let cmp = e.compare().unwrap();
         let opt = e.plan().unwrap().report.total_s();
-        assert!((opt - cmp.opt_s).abs() < 1e-15);
+        assert!((opt - cmp.t_opt_s).abs() < 1e-15);
         for ctl in shipped() {
             let t = exp()
                 .collective(&c)
@@ -1113,8 +1105,6 @@ mod tests {
             |m| allreduce::halving_doubling::build(16, m),
             CostParams::paper_defaults(),
             &grid,
-            ReconfigAccounting::PaperConservative,
-            ThroughputSolver::ForcedPath,
         )
         .unwrap();
         assert_eq!(r.cells, engine.cells);
@@ -1136,8 +1126,6 @@ mod tests {
             &DpPlanned,
             CostParams::paper_defaults(),
             ReconfigModel::constant(10e-6).unwrap(),
-            ReconfigAccounting::PaperConservative,
-            ThroughputSolver::ForcedPath,
         )
         .unwrap();
         let mut fabric = want
@@ -1148,32 +1136,6 @@ mod tests {
             .unwrap();
         for (a, b) in reports.iter().zip(&raw) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
-        }
-    }
-
-    #[test]
-    fn shared_plan_honors_accounting_override() {
-        // The Shared path must route .accounting() into per-tenant
-        // planning exactly like Scenario::plan does.
-        let reconfig = ReconfigModel::constant(10e-6).unwrap();
-        let mut e = Experiment::domain(builders::ring_unidirectional(24).unwrap())
-            .reconfig(reconfig)
-            .accounting(ReconfigAccounting::PhysicalDiff)
-            .scenario(scenarios::skewed_tenants(4.0 * MIB));
-        e.plan().unwrap();
-
-        let mut want = scenarios::skewed_tenants(4.0 * MIB);
-        want.plan(
-            &Pool::from_env(),
-            &aps_core::controller::DpPlanned,
-            CostParams::paper_defaults(),
-            reconfig,
-            ReconfigAccounting::PhysicalDiff,
-            ThroughputSolver::ForcedPath,
-        )
-        .unwrap();
-        for (a, b) in e.scenario().tenants.iter().zip(&want.tenants) {
-            assert_eq!(a.switch_schedule, b.switch_schedule, "{}", a.name);
         }
     }
 
@@ -1243,6 +1205,23 @@ mod tests {
             ],
         };
         assert!(evaluate_ablation_cell(&cell).is_err());
+        // A ports level must be a whole number of at least 2, or the run
+        // would silently use another fabric size.
+        for ports in [8.5, 8.99, f64::NAN, f64::INFINITY, -3.0, 1.0] {
+            let cell = Cell {
+                index: 7,
+                values: vec![
+                    (FactorKey::Workload, FactorValue::Name("alltoall".into())),
+                    (FactorKey::Ports, FactorValue::Num(ports)),
+                ],
+            };
+            match evaluate_ablation_cell(&cell) {
+                Err(ExperimentError::Ablation(AblateError::Cell { cell: 7, reason })) => {
+                    assert!(reason.contains(&format!("ports level {ports}")), "{reason}")
+                }
+                other => panic!("ports = {ports}: {other:?}"),
+            }
+        }
     }
 
     #[test]

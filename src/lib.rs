@@ -32,7 +32,7 @@
 //! let plan = exp.plan().unwrap();
 //! let cmp = exp.compare().unwrap();
 //! assert_eq!(plan.switches.len(), coll.schedule.num_steps());
-//! assert!((plan.report.total_s() - cmp.opt_s).abs() < 1e-15);
+//! assert!((plan.report.total_s() - cmp.t_opt_s).abs() < 1e-15);
 //! assert!(cmp.speedup_vs_static() >= 1.0);
 //! assert!(cmp.speedup_vs_bvn() >= 1.0);
 //!
@@ -61,8 +61,8 @@
 //!     .collective(&coll)
 //!     .controller(Static);
 //! let (t, cmp) = (exp.plan().unwrap().report.total_s(), exp.compare().unwrap());
-//! assert!((t - cmp.static_s).abs() < 1e-15);
-//! assert!((cmp.static_s / t - 1.0).abs() < 1e-12); // speedup_vs_static == 1
+//! assert!((t - cmp.t_static_s).abs() < 1e-15);
+//! assert!((cmp.t_static_s / t - 1.0).abs() < 1e-12); // speedup_vs_static == 1
 //! ```
 //!
 //! [`AlwaysReconfigure`](core::controller::AlwaysReconfigure) — the naive
@@ -78,9 +78,9 @@
 //!     .collective(&coll)
 //!     .controller(AlwaysReconfigure);
 //! let (t, cmp) = (exp.plan().unwrap().report.total_s(), exp.compare().unwrap());
-//! assert!((t - cmp.bvn_s).abs() < 1e-15);
-//! assert!(cmp.static_s / t > 1.0); // beats static here …
-//! assert!(t >= cmp.opt_s); // … but never the optimum
+//! assert!((t - cmp.t_bvn_s).abs() < 1e-15);
+//! assert!(cmp.t_static_s / t > 1.0); // beats static here …
+//! assert!(t >= cmp.t_opt_s); // … but never the optimum
 //! ```
 //!
 //! [`Threshold`](core::controller::Threshold) — the §4 heuristic:
@@ -96,8 +96,8 @@
 //!     .collective(&coll)
 //!     .controller(Threshold);
 //! let (t, cmp) = (exp.plan().unwrap().report.total_s(), exp.compare().unwrap());
-//! assert!((t - cmp.threshold_s).abs() < 1e-15);
-//! assert!(cmp.static_s / t >= 1.0 && t >= cmp.opt_s);
+//! assert!((t - cmp.t_threshold_s).abs() < 1e-15);
+//! assert!(cmp.t_static_s / t >= 1.0 && t >= cmp.t_opt_s);
 //! ```
 //!
 //! [`Greedy`](core::controller::Greedy) — online and myopic: runs each
@@ -113,8 +113,8 @@
 //!     .collective(&coll)
 //!     .controller(Greedy);
 //! let (t, cmp) = (exp.plan().unwrap().report.total_s(), exp.compare().unwrap());
-//! assert!(cmp.static_s / t > 1.0); // speedup_vs_static > 1 in this regime
-//! assert!(t >= cmp.opt_s);
+//! assert!(cmp.t_static_s / t > 1.0); // speedup_vs_static > 1 in this regime
+//! assert!(t >= cmp.t_opt_s);
 //! ```
 //!
 //! [`DpPlanned`](core::controller::DpPlanned) — the exact eq. (7) optimum
@@ -130,8 +130,8 @@
 //!     .collective(&coll)
 //!     .controller(DpPlanned);
 //! let (t, cmp) = (exp.plan().unwrap().report.total_s(), exp.compare().unwrap());
-//! assert!((t - cmp.opt_s).abs() < 1e-15);
-//! assert!(cmp.speedup_vs_static() >= cmp.static_s / cmp.bvn_s.max(cmp.threshold_s));
+//! assert!((t - cmp.t_opt_s).abs() < 1e-15);
+//! assert!(cmp.speedup_vs_static() >= cmp.t_static_s / cmp.t_bvn_s.max(cmp.t_threshold_s));
 //! assert!(cmp.speedup_vs_static() >= 1.0 && cmp.speedup_vs_bvn() >= 1.0);
 //! ```
 //!
@@ -270,8 +270,7 @@ pub mod prelude {
     };
     pub use aps_core::sweep::{SweepCell, SweepGrid, SweepResult};
     pub use aps_core::{
-        ConfigChoice, CostReport, PolicyComparison, ReconfigAccounting, ScaleupDomain,
-        SwitchSchedule, SwitchingProblem,
+        ConfigChoice, CostReport, ReconfigAccounting, SwitchSchedule, SwitchingProblem,
     };
     pub use aps_cost::{CostParams, ReconfigModel};
     pub use aps_faas::{
@@ -311,7 +310,7 @@ mod tests {
             .reconfig(ReconfigModel::constant(1e-6).unwrap())
             .collective(&c);
         let cmp = exp.compare().unwrap();
-        assert!(cmp.opt_s > 0.0);
+        assert!(cmp.t_opt_s > 0.0);
         let run = exp.simulate().unwrap();
         assert_eq!(run.switches, exp.plan().unwrap().switches);
     }

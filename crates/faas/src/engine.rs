@@ -168,6 +168,37 @@ struct LiveJob {
     offered_ps: Picos,
 }
 
+/// The next event of the loop.
+enum Event {
+    /// A departed job's partition comes back.
+    Reclaim,
+    /// The class at this index offers a job.
+    Arrival(usize),
+    /// The earliest-request job executes its next step.
+    Step,
+}
+
+/// The event loop's state, with one method per event and per admission
+/// rule.
+struct Engine<'a> {
+    classes: &'a mut [TenantClass],
+    cfg: ServiceConfig,
+    queue_cap: usize,
+    exec: ServiceExecutor<'static>,
+    alloc: PartitionAllocator,
+    /// The FIFO ingress queue.
+    queue: VecDeque<PendingJob>,
+    /// Departures awaiting reclaim, earliest first, ties in push order.
+    reclaims: BinaryHeap<Reverse<(Picos, u64, usize)>>,
+    reclaim_seq: u64,
+    live: Vec<Option<LiveJob>>,
+    slo: Vec<TenantSlo>,
+    jobs: Vec<ServiceJobRecord>,
+    makespan_ps: Picos,
+    next_id: u64,
+    class_states: Vec<ClassState>,
+}
+
 /// Runs an open-system service to completion: see the module docs for
 /// the event-loop semantics. Arrival processes are
 /// [`reset`](ArrivalProcess::reset) up front, so repeated runs of the
@@ -212,7 +243,6 @@ pub fn run_service_recorded(
             what: "backpressure needs a queue capacity of at least 1",
         });
     }
-    let n = fabric.n();
     for (c, class) in classes.iter_mut().enumerate() {
         if class.ports == 0 {
             return Err(FaasError::BadClass {
@@ -229,349 +259,313 @@ pub fn run_service_recorded(
         class.arrivals.reset();
     }
 
-    let mut exec = ServiceExecutor::new(n, cfg.run, cfg.keep_job_reports);
-    let mut alloc = PartitionAllocator::new(n);
-    let queue_cap = cfg.admission.queue_capacity();
-    let mut queue: VecDeque<PendingJob> = VecDeque::new();
-    let mut reclaims: BinaryHeap<Reverse<(Picos, u64, usize)>> = BinaryHeap::new();
-    let mut reclaim_seq: u64 = 0;
-    let mut live: Vec<Option<LiveJob>> = Vec::new();
-    let mut slo: Vec<TenantSlo> = classes.iter().map(|_| TenantSlo::default()).collect();
-    let mut jobs: Vec<ServiceJobRecord> = Vec::new();
-    let mut makespan_ps: Picos = 0;
-    let mut next_id: u64 = 0;
+    let mut engine = Engine::new(fabric.n(), classes, cfg);
+    while let Some((now, event)) = engine.next_event() {
+        match event {
+            Event::Reclaim => engine.reclaim(now),
+            Event::Arrival(c) => engine.arrive(c, now),
+            Event::Step => {
+                // Reborrow through the blanket `impl RecordSink for &mut S`
+                // so the sink isn't held across loop iterations.
+                let s = sink.as_mut().map(|s| s as &mut dyn RecordSink);
+                if let Some(dep) = engine.exec.execute_next(fabric, s) {
+                    debug_assert!(
+                        dep.finish_ps >= now,
+                        "a departure cannot precede the step event that produced it"
+                    );
+                    engine.push_reclaim(dep.finish_ps, dep.slot);
+                }
+            }
+        }
+    }
+    Ok(engine.finish())
+}
 
-    let mut class_states: Vec<ClassState> = classes
-        .iter_mut()
-        .map(|class| ClassState {
-            next_at: class.arrivals.next_gap_ps(),
-            stalled: None,
-        })
-        .collect();
+impl<'a> Engine<'a> {
+    fn new(n: usize, classes: &'a mut [TenantClass], cfg: &ServiceConfig) -> Self {
+        let class_states = classes
+            .iter_mut()
+            .map(|class| ClassState {
+                next_at: class.arrivals.next_gap_ps(),
+                stalled: None,
+            })
+            .collect();
+        Self {
+            class_states,
+            slo: classes.iter().map(|_| TenantSlo::default()).collect(),
+            classes,
+            cfg: *cfg,
+            queue_cap: cfg.admission.queue_capacity(),
+            exec: ServiceExecutor::new(n, cfg.run, cfg.keep_job_reports),
+            alloc: PartitionAllocator::new(n),
+            queue: VecDeque::new(),
+            reclaims: BinaryHeap::new(),
+            reclaim_seq: 0,
+            live: Vec::new(),
+            jobs: Vec::new(),
+            makespan_ps: 0,
+            next_id: 0,
+        }
+    }
 
-    // Records an admission into `exec`: wait-time accounting plus the
-    // slot-side bookkeeping. A structurally failing admission (e.g. a
-    // demand stream whose rank count disagrees with the class's ports)
-    // reclaims the partition immediately and counts as a failed job.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_job(
-        exec: &mut ServiceExecutor,
-        alloc: &mut PartitionAllocator,
-        live: &mut Vec<Option<LiveJob>>,
-        slo: &mut [TenantSlo],
-        reclaims: &mut BinaryHeap<Reverse<(Picos, u64, usize)>>,
-        reclaim_seq: &mut u64,
-        classes: &[TenantClass],
-        job: PendingJob,
-        handle: PartitionHandle,
-        now: Picos,
-        makespan_ps: &mut Picos,
-        jobs: &mut Vec<ServiceJobRecord>,
-        keep: bool,
-    ) {
+    /// The earliest pending event; `None` once arrivals are exhausted, the
+    /// queue is drained and every job is removed. `min_by_key` keeps the
+    /// first of equal instants, so ties resolve reclaim < arrival (lowest
+    /// class first) < step.
+    fn next_event(&self) -> Option<(Picos, Event)> {
+        let arrivals_open = self.cfg.max_jobs.is_none_or(|cap| self.next_id < cap);
+        let reclaim = self
+            .reclaims
+            .peek()
+            .map(|Reverse((t, _, _))| (*t, Event::Reclaim));
+        let arrival = self
+            .class_states
+            .iter()
+            .enumerate()
+            .filter(|_| arrivals_open)
+            .filter_map(|(c, cs)| Some((cs.next_at?, Event::Arrival(c))))
+            .min_by_key(|&(t, _)| t);
+        let step = self.exec.next_request_at().map(|(t, _)| (t, Event::Step));
+        [reclaim, arrival, step]
+            .into_iter()
+            .flatten()
+            .min_by_key(|&(t, _)| t)
+    }
+
+    /// Queues the reclaim of the job in `slot`, departing at `at`.
+    fn push_reclaim(&mut self, at: Picos, slot: usize) {
+        self.reclaims.push(Reverse((at, self.reclaim_seq, slot)));
+        self.reclaim_seq += 1;
+    }
+
+    /// Re-arms class `c`'s source from `now`. A gap that overflows the
+    /// clock (saturated huge gaps from near-zero rates) exhausts the
+    /// source.
+    fn rearm(&mut self, c: usize, now: Picos) {
+        self.class_states[c].next_at = self.classes[c]
+            .arrivals
+            .next_gap_ps()
+            .and_then(|g| now.checked_add(g));
+    }
+
+    /// The earliest departure: the job leaves the executor, releases its
+    /// partition exactly once, and the freed ports go to waiting jobs.
+    fn reclaim(&mut self, now: Picos) {
+        let Reverse((t, _, slot)) = self.reclaims.pop().expect("peeked reclaim exists");
+        debug_assert_eq!(t, now);
+        let lj = self.live[slot].take().expect("reclaimed job is live");
+        let out = self
+            .exec
+            .remove(slot)
+            .expect("departed job occupies its slot");
+        self.alloc
+            .reclaim(lj.handle)
+            .expect("departing job releases its partition exactly once");
+        self.depart(lj.class, lj.offered_ps, out);
+        self.retry_admissions(now);
+    }
+
+    /// Folds a departed job into its class's SLO counters, the makespan
+    /// and, when kept, the per-job records.
+    fn depart(&mut self, class: usize, offered_ps: Picos, outcome: JobOutcome) {
+        let slo = &mut self.slo[class];
+        if outcome.error.is_some() {
+            slo.failed += 1;
+        } else {
+            slo.completed += 1;
+            slo.completion.record(outcome.finish_ps - offered_ps);
+        }
+        self.makespan_ps = self.makespan_ps.max(outcome.finish_ps);
+        if self.cfg.keep_job_reports {
+            self.jobs.push(ServiceJobRecord {
+                class,
+                offered_ps,
+                outcome,
+            });
+        }
+    }
+
+    /// Class `c` offers a job at `now`: it is rejected when larger than
+    /// the fabric, admitted when it fits behind an empty queue, and
+    /// parked otherwise. The source re-arms unless it stalled.
+    fn arrive(&mut self, c: usize, now: Picos) {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.slo[c].offered += 1;
+        let workload = self.classes[c].demand.build(id);
+        let job = PendingJob {
+            id,
+            class: c,
+            offered_ps: now,
+            workload,
+        };
+        let want = self.classes[c].ports;
+        let n = self.alloc.n();
+        let stalled = if want > n {
+            self.slo[c].reject(RejectReason::TooLarge {
+                wanted: want,
+                fabric: n,
+            });
+            false
+        } else {
+            // FIFO: a non-empty queue means this arrival waits behind it,
+            // even if it would fit right now.
+            let free = if self.queue.is_empty() {
+                self.alloc.try_alloc(want)
+            } else {
+                None
+            };
+            match free {
+                Some(handle) => {
+                    self.admit(job, handle, now);
+                    false
+                }
+                None => self.park(job, want),
+            }
+        };
+        if stalled {
+            self.class_states[c].next_at = None;
+        } else {
+            self.rearm(c, now);
+        }
+    }
+
+    /// Records an admission onto `handle` into the executor: wait-time
+    /// accounting plus the slot-side bookkeeping. A structurally failing
+    /// admission (e.g. a demand stream whose rank count disagrees with
+    /// the class's ports) reclaims the partition immediately and counts
+    /// as a failed job.
+    fn admit(&mut self, job: PendingJob, handle: PartitionHandle, now: Picos) {
         let c = job.class;
-        let ports = alloc
+        let class = &self.classes[c];
+        let ports = self
+            .alloc
             .ports(handle)
             .expect("freshly allocated partition is live")
             .to_vec();
         let spec = ServiceJobSpec {
-            name: classes[c].name.clone(),
+            name: class.name.clone(),
             ports,
-            base_config: classes[c].base_config.clone(),
+            base_config: class.base_config.clone(),
             workload: job.workload,
-            switching: classes[c].switching.clone(),
+            switching: class.switching.clone(),
         };
-        slo[c].admitted += 1;
-        slo[c].wait.record(now - job.offered_ps);
-        match exec.admit(job.id, spec, now) {
+        self.slo[c].admitted += 1;
+        self.slo[c].wait.record(now - job.offered_ps);
+        match self.exec.admit(job.id, spec, now) {
             Ok(adm) => {
-                if live.len() <= adm.slot {
-                    live.resize_with(adm.slot + 1, || None);
+                if self.live.len() <= adm.slot {
+                    self.live.resize_with(adm.slot + 1, || None);
                 }
-                live[adm.slot] = Some(LiveJob {
+                self.live[adm.slot] = Some(LiveJob {
                     class: c,
                     handle,
                     offered_ps: job.offered_ps,
                 });
                 if !adm.has_work {
-                    reclaims.push(Reverse((now, *reclaim_seq, adm.slot)));
-                    *reclaim_seq += 1;
+                    self.push_reclaim(now, adm.slot);
                 }
             }
             Err(e) => {
                 // Nothing took residence: release the partition now and
                 // account the job as admitted-then-failed.
-                alloc
+                self.alloc
                     .reclaim(handle)
                     .expect("failed admission reclaims its fresh partition once");
-                slo[c].failed += 1;
-                *makespan_ps = (*makespan_ps).max(now);
-                if keep {
-                    jobs.push(ServiceJobRecord {
-                        class: c,
-                        offered_ps: job.offered_ps,
-                        outcome: JobOutcome {
-                            id: job.id,
-                            name: classes[c].name.clone(),
-                            start_ps: now,
-                            finish_ps: now,
-                            steps: 0,
-                            error: Some(e),
-                            report: None,
-                        },
-                    });
-                }
+                let outcome = JobOutcome {
+                    id: job.id,
+                    name: self.classes[c].name.clone(),
+                    start_ps: now,
+                    finish_ps: now,
+                    steps: 0,
+                    error: Some(e),
+                    report: None,
+                };
+                self.depart(c, job.offered_ps, outcome);
             }
         }
     }
 
-    // Drains the ingress queue head-first into freed capacity, then
-    // refills it from stalled (backpressured) classes in class order,
-    // looping until neither makes progress.
-    macro_rules! try_admissions {
-        ($now:expr) => {{
-            let now = $now;
-            loop {
-                let mut progress = false;
-                while let Some(head) = queue.front() {
-                    let want = classes[head.class].ports;
-                    let Some(handle) = alloc.try_alloc(want) else {
-                        break;
-                    };
-                    let job = queue.pop_front().expect("peeked head exists");
-                    admit_job(
-                        &mut exec,
-                        &mut alloc,
-                        &mut live,
-                        &mut slo,
-                        &mut reclaims,
-                        &mut reclaim_seq,
-                        classes,
-                        job,
-                        handle,
-                        now,
-                        &mut makespan_ps,
-                        &mut jobs,
-                        cfg.keep_job_reports,
-                    );
-                    progress = true;
-                }
-                for c in 0..classes.len() {
-                    if queue.len() < queue_cap && class_states[c].stalled.is_some() {
-                        let job = class_states[c].stalled.take().expect("checked");
-                        slo[c].queued += 1;
-                        queue.push_back(job);
-                        // The source resumes: next interarrival gap is
-                        // measured from the unstall instant. A gap that
-                        // overflows the clock (saturated huge gaps from
-                        // near-zero rates) exhausts the source.
-                        class_states[c].next_at = classes[c]
-                            .arrivals
-                            .next_gap_ps()
-                            .and_then(|g| now.checked_add(g));
+    /// Drains the ingress queue head-first into freed capacity, then
+    /// refills it from stalled (backpressured) classes in class order,
+    /// looping until neither makes progress.
+    fn retry_admissions(&mut self, now: Picos) {
+        loop {
+            let mut progress = false;
+            while let Some(head) = self.queue.front() {
+                let Some(handle) = self.alloc.try_alloc(self.classes[head.class].ports) else {
+                    break;
+                };
+                let job = self.queue.pop_front().expect("peeked head exists");
+                self.admit(job, handle, now);
+                progress = true;
+            }
+            for c in 0..self.classes.len() {
+                if self.queue.len() < self.queue_cap {
+                    if let Some(job) = self.class_states[c].stalled.take() {
+                        self.slo[c].queued += 1;
+                        self.queue.push_back(job);
+                        // The source resumes: its next interarrival gap is
+                        // measured from the unstall instant.
+                        self.rearm(c, now);
                         progress = true;
                     }
                 }
-                if !progress {
-                    break;
-                }
             }
-        }};
+            if !progress {
+                break;
+            }
+        }
     }
 
-    loop {
-        // Candidate events; priority reclaim < arrival < step on ties.
-        let mut next: Option<(Picos, u8)> = reclaims.peek().map(|Reverse((t, _, _))| (*t, 0u8));
-        let arrivals_open = cfg.max_jobs.is_none_or(|cap| next_id < cap);
-        let mut arrival_class: Option<usize> = None;
-        if arrivals_open {
-            for (c, cs) in class_states.iter().enumerate() {
-                let Some(t) = cs.next_at else { continue };
-                if next.is_none_or(|(bt, _)| t < bt) {
-                    next = Some((t, 1));
-                    arrival_class = Some(c);
-                }
-            }
+    /// Parks a job that cannot be placed: queue it, stall its source, or
+    /// reject it, per policy — rejections fold through the typed
+    /// [`RejectReason`] taxonomy. Returns `true` when the class's source
+    /// stalls. `wanted` is the job's port demand, carried with the free
+    /// ports into the reject reasons.
+    fn park(&mut self, job: PendingJob, wanted: usize) -> bool {
+        let c = job.class;
+        // `Reject` grants no queue, so only the waiting policies get here.
+        if self.queue.len() < self.queue_cap {
+            self.slo[c].queued += 1;
+            self.queue.push_back(job);
+            return false;
         }
-        if let Some((t, _)) = exec.next_request_at() {
-            if next.is_none_or(|(bt, _)| t < bt) {
-                next = Some((t, 2));
+        let reason = match self.cfg.admission {
+            AdmissionPolicy::Reject => RejectReason::PortsBusy {
+                wanted,
+                free: self.alloc.free_ports(),
+            },
+            AdmissionPolicy::Queue { .. } => RejectReason::QueueFull {
+                capacity: self.queue_cap,
+            },
+            AdmissionPolicy::Backpressure { .. } => {
+                self.slo[c].backpressured += 1;
+                self.class_states[c].stalled = Some(job);
+                return true;
             }
-        }
-        let Some((now, kind)) = next else {
-            break; // arrivals exhausted, queue drained, every job removed
         };
-
-        match kind {
-            0 => {
-                let Reverse((t, _, slot)) = reclaims.pop().expect("peeked reclaim exists");
-                debug_assert_eq!(t, now);
-                let lj = live[slot].take().expect("reclaimed job is live");
-                let out = exec.remove(slot).expect("departed job occupies its slot");
-                let c = lj.class;
-                if out.error.is_some() {
-                    slo[c].failed += 1;
-                } else {
-                    slo[c].completed += 1;
-                    slo[c].completion.record(out.finish_ps - lj.offered_ps);
-                }
-                makespan_ps = makespan_ps.max(out.finish_ps);
-                alloc
-                    .reclaim(lj.handle)
-                    .expect("departing job releases its partition exactly once");
-                if cfg.keep_job_reports {
-                    jobs.push(ServiceJobRecord {
-                        class: c,
-                        offered_ps: lj.offered_ps,
-                        outcome: out,
-                    });
-                }
-                try_admissions!(now);
-            }
-            1 => {
-                let c = arrival_class.expect("arrival event names its class");
-                let id = next_id;
-                next_id += 1;
-                slo[c].offered += 1;
-                let workload = classes[c].demand.build(id);
-                let job = PendingJob {
-                    id,
-                    class: c,
-                    offered_ps: now,
-                    workload,
-                };
-                let want = classes[c].ports;
-                let mut stalled_source = false;
-                if want > n {
-                    slo[c].reject(RejectReason::TooLarge {
-                        wanted: want,
-                        fabric: n,
-                    });
-                } else if queue.is_empty() {
-                    if let Some(handle) = alloc.try_alloc(want) {
-                        admit_job(
-                            &mut exec,
-                            &mut alloc,
-                            &mut live,
-                            &mut slo,
-                            &mut reclaims,
-                            &mut reclaim_seq,
-                            classes,
-                            job,
-                            handle,
-                            now,
-                            &mut makespan_ps,
-                            &mut jobs,
-                            cfg.keep_job_reports,
-                        );
-                    } else {
-                        stalled_source = park(
-                            job,
-                            &cfg.admission,
-                            queue_cap,
-                            want,
-                            alloc.free_ports(),
-                            &mut queue,
-                            &mut class_states[c],
-                            &mut slo[c],
-                        );
-                    }
-                } else {
-                    // FIFO: a non-empty queue means this arrival waits
-                    // behind it, even if it would fit right now.
-                    stalled_source = park(
-                        job,
-                        &cfg.admission,
-                        queue_cap,
-                        want,
-                        alloc.free_ports(),
-                        &mut queue,
-                        &mut class_states[c],
-                        &mut slo[c],
-                    );
-                }
-                if stalled_source {
-                    class_states[c].next_at = None;
-                } else {
-                    // `checked_add`: a saturated gap (near-zero arrival
-                    // rate) past the end of the u64 clock means the
-                    // source never fires again.
-                    class_states[c].next_at = classes[c]
-                        .arrivals
-                        .next_gap_ps()
-                        .and_then(|g| now.checked_add(g));
-                }
-            }
-            _ => {
-                // Reborrow through the blanket `impl RecordSink for &mut S`
-                // so the sink isn't held across loop iterations.
-                let s = sink.as_mut().map(|s| s as &mut dyn RecordSink);
-                if let Some(dep) = exec.execute_next(fabric, s) {
-                    debug_assert!(
-                        dep.finish_ps >= now,
-                        "a departure cannot precede the step event that produced it"
-                    );
-                    reclaims.push(Reverse((dep.finish_ps, reclaim_seq, dep.slot)));
-                    reclaim_seq += 1;
-                }
-            }
-        }
+        self.slo[c].reject(reason);
+        false
     }
 
-    debug_assert!(queue.is_empty(), "ingress queue drained at quiescence");
-    debug_assert_eq!(exec.live_jobs(), 0, "every job departed and was removed");
-
-    let summary = ServiceSummary {
-        class_names: classes.iter().map(|c| c.name.clone()).collect(),
-        tenants: slo,
-        makespan_ps,
-        steps: exec.stream_summary(),
-    };
-    Ok(ServiceReport { summary, jobs })
-}
-
-/// Parks a job that cannot be placed: queue it, stall its source, or
-/// reject it, per policy — rejections fold through the typed
-/// [`RejectReason`] taxonomy. Returns `true` when the class's source
-/// stalls. `wanted`/`free` are the job's port demand and the free ports
-/// at arrival, carried into the reject reasons.
-#[allow(clippy::too_many_arguments)]
-fn park(
-    job: PendingJob,
-    policy: &AdmissionPolicy,
-    queue_cap: usize,
-    wanted: usize,
-    free: usize,
-    queue: &mut VecDeque<PendingJob>,
-    class_state: &mut ClassState,
-    slo: &mut TenantSlo,
-) -> bool {
-    match policy {
-        AdmissionPolicy::Reject => {
-            slo.reject(RejectReason::PortsBusy { wanted, free });
-            false
-        }
-        AdmissionPolicy::Queue { .. } => {
-            if queue.len() < queue_cap {
-                slo.queued += 1;
-                queue.push_back(job);
-            } else {
-                slo.reject(RejectReason::QueueFull {
-                    capacity: queue_cap,
-                });
-            }
-            false
-        }
-        AdmissionPolicy::Backpressure { .. } => {
-            if queue.len() < queue_cap {
-                slo.queued += 1;
-                queue.push_back(job);
-                false
-            } else {
-                slo.backpressured += 1;
-                class_state.stalled = Some(job);
-                true
-            }
+    /// The run's report once the loop is quiescent.
+    fn finish(self) -> ServiceReport {
+        debug_assert!(self.queue.is_empty(), "ingress queue drained at quiescence");
+        debug_assert_eq!(
+            self.exec.live_jobs(),
+            0,
+            "every job departed and was removed"
+        );
+        let summary = ServiceSummary {
+            class_names: self.classes.iter().map(|c| c.name.clone()).collect(),
+            tenants: self.slo,
+            makespan_ps: self.makespan_ps,
+            steps: self.exec.stream_summary(),
+        };
+        ServiceReport {
+            summary,
+            jobs: self.jobs,
         }
     }
 }

@@ -6,6 +6,10 @@
 //!   [`crate::error::set_last_error`] on failure.
 //! * Panics never cross the boundary: every entry point runs under
 //!   `catch_unwind` and folds a panic into [`ApsStatus::Panicked`].
+//! * Each boundary rule has one helper: the null and `struct_size`
+//!   guards, the caller-buffer protocol, handle insert, lookup and
+//!   destroy, and name resolution. An entry point's body returns
+//!   `Result<(), ApsStatus>` and reads as its checks in order.
 //! * Callers hold opaque 64-bit handles from the slot+generation
 //!   [`crate::handle::HandleTable`]; stale handles and double-destroys
 //!   return [`ApsStatus::StaleHandle`], never undefined behavior.
@@ -21,12 +25,13 @@
 #![allow(clippy::not_unsafe_ptr_arg_deref)]
 
 use std::ffi::{c_char, CStr};
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{LazyLock, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
-use adaptive_photonics::experiment::{collective_by_name, Experiment};
-use aps_collectives::{ScheduleStream, Workload};
-use aps_core::controller::{by_name as controller_by_name, Static};
+use adaptive_photonics::experiment::{collective_by_name, Experiment, Unbound};
+use aps_collectives::{Collective, ScheduleStream, Workload};
+use aps_core::controller::{by_name as controller_by_name, Controller, Static};
 use aps_core::sweep::SweepGrid;
 use aps_core::ConfigChoice;
 use aps_cost::units::picos_to_secs;
@@ -35,11 +40,11 @@ use aps_faas::{AdmissionPolicy, PoissonArrivals, ServiceSummary};
 use aps_fabric::Fabric;
 use aps_matrix::Matching;
 use aps_sim::scenarios::hetero::{self, FabricKind, FailureStorm};
-use aps_sim::{ServiceSwitching, SimError, TenantReport};
+use aps_sim::{Scenario, ServiceSwitching, SimError, TenantReport};
 use aps_topology::builders::ring_unidirectional;
 
 use crate::error::set_last_error;
-use crate::handle::HandleTable;
+use crate::handle::{HandleError, HandleTable};
 use crate::status::ApsStatus;
 
 // ---------------------------------------------------------------------------
@@ -76,7 +81,7 @@ pub extern "C" fn aps_abi_version_triple(
             *minor = ABI_MINOR;
             *patch = ABI_PATCH;
         }
-        ApsStatus::Ok
+        Ok(())
     })
 }
 
@@ -85,28 +90,11 @@ pub extern "C" fn aps_abi_version_triple(
 /// never freed by the caller.
 #[no_mangle]
 pub extern "C" fn aps_status_name(status: i32) -> *const c_char {
-    let name: &'static CStr = match ApsStatus::all().iter().find(|s| **s as i32 == status) {
-        Some(ApsStatus::Ok) => c"APS_STATUS_OK",
-        Some(ApsStatus::NullArgument) => c"APS_STATUS_NULL_ARGUMENT",
-        Some(ApsStatus::InvalidUtf8) => c"APS_STATUS_INVALID_UTF8",
-        Some(ApsStatus::InvalidArgument) => c"APS_STATUS_INVALID_ARGUMENT",
-        Some(ApsStatus::UnknownController) => c"APS_STATUS_UNKNOWN_CONTROLLER",
-        Some(ApsStatus::UnknownScenario) => c"APS_STATUS_UNKNOWN_SCENARIO",
-        Some(ApsStatus::UnknownWorkload) => c"APS_STATUS_UNKNOWN_WORKLOAD",
-        Some(ApsStatus::StructSizeMismatch) => c"APS_STATUS_STRUCT_SIZE_MISMATCH",
-        Some(ApsStatus::StaleHandle) => c"APS_STATUS_STALE_HANDLE",
-        Some(ApsStatus::HandleExhausted) => c"APS_STATUS_HANDLE_EXHAUSTED",
-        Some(ApsStatus::BufferTooSmall) => c"APS_STATUS_BUFFER_TOO_SMALL",
-        Some(ApsStatus::WorkloadUnbound) => c"APS_STATUS_WORKLOAD_UNBOUND",
-        Some(ApsStatus::Core) => c"APS_STATUS_CORE",
-        Some(ApsStatus::Sim) => c"APS_STATUS_SIM",
-        Some(ApsStatus::Collective) => c"APS_STATUS_COLLECTIVE",
-        Some(ApsStatus::Service) => c"APS_STATUS_SERVICE",
-        Some(ApsStatus::Fabric) => c"APS_STATUS_FABRIC",
-        Some(ApsStatus::Panicked) => c"APS_STATUS_PANICKED",
-        None => c"APS_STATUS_UNKNOWN",
-    };
-    name.as_ptr()
+    ApsStatus::all()
+        .iter()
+        .find(|s| **s as i32 == status)
+        .map_or(c"APS_STATUS_UNKNOWN", |s| s.c_name())
+        .as_ptr()
 }
 
 // ---------------------------------------------------------------------------
@@ -231,13 +219,15 @@ pub struct ApsRunRow {
 #[repr(C)]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ApsSweepCell {
-    /// Static (never reconfigure) completion, seconds.
+    /// Never-reconfigure completion (controller `static`), seconds.
     pub t_static_s: f64,
-    /// Per-step BvN threshold policy completion, seconds.
+    /// Always-reconfigure BvN schedule completion (`AlwaysReconfigure`,
+    /// controller `bvn`), seconds.
     pub t_bvn_s: f64,
-    /// DP-optimal completion, seconds.
+    /// DP-optimal completion (controller `opt`), seconds.
     pub t_opt_s: f64,
-    /// Threshold policy completion, seconds.
+    /// Per-step threshold heuristic completion (controller `threshold`),
+    /// seconds.
     pub t_threshold_s: f64,
 }
 
@@ -257,8 +247,10 @@ pub struct ApsServiceClass {
     pub message_bytes: f64,
     /// Poisson arrival rate, jobs per simulated second.
     pub arrival_rate_hz: f64,
-    /// Jobs offered by this class (0 = unbounded; cap globally with
-    /// `aps_experiment_set_max_jobs`).
+    /// Jobs offered by this class (0 = unbounded). An unbounded class
+    /// needs a global cap from `aps_experiment_set_max_jobs`:
+    /// `aps_experiment_run_service` refuses the run without one, because
+    /// it would never end.
     pub jobs: u64,
     /// Arrival-process seed.
     pub seed: u64,
@@ -355,7 +347,7 @@ struct ServiceClassSpec {
     arrival_rate_hz: f64,
     jobs: Option<u64>,
     seed: u64,
-    matched: bool,
+    switching: ServiceSwitching,
 }
 
 /// What the experiment will run.
@@ -370,12 +362,12 @@ enum Binding {
 /// The foreign-owned experiment: plain configuration, materialized into
 /// a native [`Experiment`] per run so repeated runs replay
 /// bit-identically.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 struct FfiExperiment {
     ports: usize,
     params: CostParams,
     reconfig: ReconfigModel,
-    controller: String,
+    controller: &'static dyn Controller,
     fabric: FabricKind,
     storm: Option<FailureStorm>,
     binding: Binding,
@@ -390,24 +382,69 @@ struct FfiRun {
     rows: Vec<ApsRunRow>,
 }
 
-static EXPERIMENTS: LazyLock<Mutex<HandleTable<FfiExperiment>>> =
-    LazyLock::new(|| Mutex::new(HandleTable::with_capacity(1024)));
-static RUNS: LazyLock<Mutex<HandleTable<FfiRun>>> =
-    LazyLock::new(|| Mutex::new(HandleTable::with_capacity(4096)));
-static SERVICES: LazyLock<Mutex<HandleTable<ServiceSummary>>> =
-    LazyLock::new(|| Mutex::new(HandleTable::with_capacity(4096)));
-
-/// Locks a table, surviving a poisoned mutex (a panic in another call
-/// already reported [`ApsStatus::Panicked`]; the tables hold plain data
-/// and stay usable).
-fn lock<T>(table: &'static Mutex<HandleTable<T>>) -> MutexGuard<'static, HandleTable<T>> {
-    table.lock().unwrap_or_else(|e| e.into_inner())
+/// A handle table, with the kind of value it holds for its messages.
+struct Handles<T> {
+    kind: &'static str,
+    table: Mutex<HandleTable<T>>,
 }
 
-/// Runs `f` with panics caught and folded into [`ApsStatus::Panicked`].
-fn guarded<F: FnOnce() -> ApsStatus>(f: F) -> ApsStatus {
+static EXPERIMENTS: Handles<FfiExperiment> = Handles::new("experiment", 1024);
+static RUNS: Handles<FfiRun> = Handles::new("run", 4096);
+static SERVICES: Handles<ServiceSummary> = Handles::new("service", 4096);
+
+impl<T> Handles<T> {
+    const fn new(kind: &'static str, capacity: usize) -> Self {
+        Self {
+            kind,
+            table: Mutex::new(HandleTable::with_capacity(capacity)),
+        }
+    }
+
+    /// Locks the table, surviving a poisoned mutex (a panic in another
+    /// call already reported [`ApsStatus::Panicked`]; the tables hold
+    /// plain data and stay usable).
+    fn lock(&self) -> MutexGuard<'_, HandleTable<T>> {
+        self.table.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Stores `value` and writes its new handle to `out`.
+    fn insert(&self, value: T, out: &mut u64) -> Result<(), ApsStatus> {
+        *out = self
+            .lock()
+            .insert(value)
+            .or_else(|e| fail(e.into(), &format!("{} table exhausted", self.kind)))?;
+        Ok(())
+    }
+
+    /// Runs `f` on the live value behind `handle`, under the table lock.
+    fn with<R>(
+        &self,
+        handle: u64,
+        f: impl FnOnce(&mut T) -> Result<R, ApsStatus>,
+    ) -> Result<R, ApsStatus> {
+        f(self.lock().get_mut(handle).or_else(|e| self.stale(e))?)
+    }
+
+    /// Destroys the value behind `handle`; a second destroy is stale.
+    fn destroy(&self, handle: u64) -> Result<(), ApsStatus> {
+        self.lock()
+            .remove(handle)
+            .map_or_else(|e| self.stale(e), |_| Ok(()))
+    }
+
+    /// Refuses a handle this table does not hold.
+    fn stale<R>(&self, e: HandleError) -> Result<R, ApsStatus> {
+        fail(e.into(), &format!("{} handle is stale", self.kind))
+    }
+}
+
+/// Runs an entry point's body with panics caught and folded into
+/// [`ApsStatus::Panicked`]. A body's `Err` has already recorded its
+/// message through [`fail`].
+fn guarded<F: FnOnce() -> Result<(), ApsStatus>>(f: F) -> ApsStatus {
     match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(status) => status,
+        Ok(Ok(())) => ApsStatus::Ok,
+        Ok(Err(status)) => status,
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -420,74 +457,185 @@ fn guarded<F: FnOnce() -> ApsStatus>(f: F) -> ApsStatus {
     }
 }
 
-/// Records `message` and returns `status` — the one-liner failures use.
-fn fail(status: ApsStatus, message: &str) -> ApsStatus {
+/// Records `message` and fails with `status` — the one way a boundary
+/// check refuses.
+fn fail<T>(status: ApsStatus, message: &str) -> Result<T, ApsStatus> {
     set_last_error(message);
-    status
+    Err(status)
+}
+
+/// Refuses a null pointer argument named `what`.
+fn null<T>(what: &str) -> Result<T, ApsStatus> {
+    fail(ApsStatus::NullArgument, &format!("{what} is null"))
+}
+
+/// A caller-owned out-pointer as a reference, after its null check.
+fn out_ptr<'a, T>(ptr: *mut T, what: &str) -> Result<&'a mut T, ApsStatus> {
+    // SAFETY: the header requires non-null out-pointers to be valid for
+    // writes for the duration of the call.
+    match unsafe { ptr.as_mut() } {
+        Some(out) => Ok(out),
+        None => null(what),
+    }
 }
 
 /// Reads a required C string argument.
 fn read_str<'a>(ptr: *const c_char, what: &str) -> Result<&'a str, ApsStatus> {
     if ptr.is_null() {
-        return Err(fail(ApsStatus::NullArgument, &format!("{what} is null")));
+        return null(what);
     }
+    // SAFETY: non-null, and the header requires string arguments to be
+    // NUL-terminated.
     unsafe { CStr::from_ptr(ptr) }
         .to_str()
-        .map_err(|_| fail(ApsStatus::InvalidUtf8, &format!("{what} is not UTF-8")))
+        .or_else(|_| fail(ApsStatus::InvalidUtf8, &format!("{what} is not UTF-8")))
 }
 
-/// Checks an out-struct pointer and its embedded `struct_size`.
-///
-/// # Safety
-///
-/// `ptr` must be null (reported) or valid for writes of `T`.
-unsafe fn check_out_struct<T>(ptr: *mut T, size_of: usize, what: &str) -> Result<(), ApsStatus> {
+/// Checks a size the caller compiled in against this library's layout
+/// of `T`; `what` names the field in the message.
+fn check_size<T>(got: usize, what: impl Display) -> Result<(), ApsStatus> {
+    let want = std::mem::size_of::<T>();
+    if got == want {
+        return Ok(());
+    }
+    fail(
+        ApsStatus::StructSizeMismatch,
+        &format!("{what} = {got}, library expects {want} — header/library mismatch"),
+    )
+}
+
+/// A `#[repr(C)]` struct whose first field is its `struct_size`.
+trait StructSize: Copy {}
+impl StructSize for ApsDomainConfig {}
+impl StructSize for ApsServiceClass {}
+impl StructSize for ApsPlanSummary {}
+impl StructSize for ApsSimSummary {}
+impl StructSize for ApsServiceStats {}
+impl StructSize for ApsClassSlo {}
+
+/// The guards of a caller's struct: null check, then its `struct_size`,
+/// read before any other field is trusted. `what` names the pointer,
+/// `name` the struct.
+fn check_struct<T: StructSize>(ptr: *const T, what: &str, name: &str) -> Result<(), ApsStatus> {
     if ptr.is_null() {
-        return Err(fail(ApsStatus::NullArgument, &format!("{what} is null")));
+        return null(what);
     }
-    if size_of != std::mem::size_of::<T>() {
-        return Err(fail(
-            ApsStatus::StructSizeMismatch,
-            &format!(
-                "{what}.struct_size = {size_of}, library expects {} — header/library mismatch",
-                std::mem::size_of::<T>()
-            ),
-        ));
+    // SAFETY: non-null, and every `StructSize` struct opens with its
+    // `struct_size: usize`, which is all this reads.
+    let got = unsafe { ptr.cast::<usize>().read() };
+    check_size::<T>(got, format_args!("{name}.struct_size"))
+}
+
+/// Copies a caller's in-struct once its guards pass.
+fn read_in<T: StructSize>(ptr: *const T, what: &str, name: &str) -> Result<T, ApsStatus> {
+    check_struct(ptr, what, name)?;
+    // SAFETY: non-null and of this library's size, and the header
+    // requires in-structs to be readable.
+    Ok(unsafe { *ptr })
+}
+
+/// A caller's out-struct, once its guards pass.
+fn out_struct<'a, T: StructSize>(ptr: *mut T, what: &str) -> Result<&'a mut T, ApsStatus> {
+    check_struct(ptr, what, what)?;
+    // SAFETY: non-null and of this library's size, and the header
+    // requires out-structs to be writable.
+    Ok(unsafe { &mut *ptr })
+}
+
+/// The caller-buffer protocol: report `needed` through `written`, refuse
+/// a `capacity` below it, then require the buffer itself. Returns the
+/// `needed` elements to fill; `needs` opens the too-small message.
+fn fill_buffer<'a, T>(
+    buffer: *mut T,
+    what: &str,
+    capacity: usize,
+    written: &mut usize,
+    needed: usize,
+    needs: impl Display,
+) -> Result<&'a mut [T], ApsStatus> {
+    *written = needed;
+    if capacity < needed {
+        return fail(
+            ApsStatus::BufferTooSmall,
+            &format!("{needs}, caller provided {capacity}"),
+        );
     }
-    Ok(())
+    if buffer.is_null() {
+        return null(what);
+    }
+    // SAFETY: the header requires the buffer to hold `capacity` elements.
+    Ok(unsafe { std::slice::from_raw_parts_mut(buffer, needed) })
+}
+
+/// Resolves a collective family by name and builds it — the one place
+/// the ABI turns a family name into a collective or a typed failure.
+fn collective(family: &str, ports: usize, bytes: f64) -> Result<Collective, ApsStatus> {
+    match collective_by_name(family, ports, bytes) {
+        Some(Ok(c)) => Ok(c),
+        Some(Err(e)) => fail(
+            ApsStatus::Collective,
+            &format!("cannot build {family} on {ports} ports: {e}"),
+        ),
+        None => fail(
+            ApsStatus::UnknownWorkload,
+            &format!("unknown collective family '{family}'"),
+        ),
+    }
+}
+
+/// Resolves a scenario (base or heterogeneous pack) by name.
+fn scenario(name: &str, bytes: f64) -> Result<Scenario, ApsStatus> {
+    match hetero::by_name(name, bytes) {
+        Some(scenario) => Ok(scenario),
+        None => fail(
+            ApsStatus::UnknownScenario,
+            &format!("unknown scenario '{name}'"),
+        ),
+    }
+}
+
+/// Entry `index` of a service run's per-class list.
+fn class_at<T>(items: &[T], index: usize) -> Result<&T, ApsStatus> {
+    match items.get(index) {
+        Some(item) => Ok(item),
+        None => fail(
+            ApsStatus::InvalidArgument,
+            &format!("class index {index} out of range ({})", items.len()),
+        ),
+    }
 }
 
 impl FfiExperiment {
     /// The per-run fabric: the configured medium, freshly built and
     /// freshly stormed, over an `n`-port ring initial state.
-    fn fabric(&self, n: usize) -> Result<Box<dyn Fabric>, SimError> {
-        let initial = Matching::shift(n, 1).map_err(|e| SimError::ConfigConflict { source: e })?;
-        hetero::build_fabric_stormy(self.fabric, initial, self.reconfig, self.storm)
+    fn fabric(&self, n: usize) -> Result<Box<dyn Fabric>, ApsStatus> {
+        Matching::shift(n, 1)
+            .map_err(|e| SimError::ConfigConflict { source: e })
+            .and_then(|initial| {
+                hetero::build_fabric_stormy(self.fabric, initial, self.reconfig, self.storm)
+            })
+            .or_else(|e| fail(ApsStatus::Fabric, &format!("cannot build fabric: {e}")))
     }
 
     /// Materializes the unbound native experiment for an `n`-port run.
     fn experiment(
         &self,
         n: usize,
-        controller: &'static dyn aps_core::controller::Controller,
-    ) -> Result<Experiment<adaptive_photonics::experiment::Unbound>, ApsStatus> {
+        controller: &'static dyn Controller,
+    ) -> Result<Experiment<Unbound>, ApsStatus> {
         let base = ring_unidirectional(n)
-            .map_err(|e| fail(ApsStatus::InvalidArgument, &format!("bad domain: {e}")))?;
+            .or_else(|e| fail(ApsStatus::InvalidArgument, &format!("bad domain: {e}")))?;
         Ok(Experiment::domain(base)
             .params(self.params)
             .reconfig(self.reconfig)
             .controller(controller))
     }
+}
 
-    /// The configured controller, resolved against the shipped set.
-    fn controller(&self) -> Result<&'static dyn aps_core::controller::Controller, ApsStatus> {
-        controller_by_name(&self.controller).ok_or_else(|| {
-            fail(
-                ApsStatus::UnknownController,
-                &format!("unknown controller '{}'", self.controller),
-            )
-        })
-    }
+/// Clones the experiment's configuration out of the table, so runs
+/// don't hold the global lock.
+fn snapshot(experiment: u64) -> Result<FfiExperiment, ApsStatus> {
+    EXPERIMENTS.with(experiment, |exp| Ok(exp.clone()))
 }
 
 // ---------------------------------------------------------------------------
@@ -499,25 +647,8 @@ impl FfiExperiment {
 #[no_mangle]
 pub extern "C" fn aps_experiment_new(cfg: *const ApsDomainConfig, out: *mut u64) -> ApsStatus {
     guarded(|| {
-        if out.is_null() {
-            return fail(ApsStatus::NullArgument, "out handle is null");
-        }
-        if cfg.is_null() {
-            return fail(ApsStatus::NullArgument, "config is null");
-        }
-        // The size guard must run before any other field is trusted.
-        let size = unsafe { (*cfg).struct_size };
-        if size != std::mem::size_of::<ApsDomainConfig>() {
-            return fail(
-                ApsStatus::StructSizeMismatch,
-                &format!(
-                    "aps_domain_config_t.struct_size = {size}, library expects {} — \
-                     header/library mismatch",
-                    std::mem::size_of::<ApsDomainConfig>()
-                ),
-            );
-        }
-        let cfg = unsafe { *cfg };
+        let out = out_ptr(out, "out handle")?;
+        let cfg = read_in(cfg, "config", "aps_domain_config_t")?;
         if cfg.ports < 2 {
             return fail(ApsStatus::InvalidArgument, "ports must be >= 2");
         }
@@ -542,28 +673,21 @@ pub extern "C" fn aps_experiment_new(cfg: *const ApsDomainConfig, out: *mut u64)
         } else {
             cfg.delta_s
         };
-        let params = match CostParams::new(alpha_s, bandwidth_gbps, delta_s) {
-            Ok(p) => p,
-            Err(e) => return fail(ApsStatus::InvalidArgument, &format!("bad cost params: {e}")),
-        };
-        let reconfig = match ReconfigModel::constant(cfg.alpha_r_s) {
-            Ok(r) => r,
-            Err(e) => return fail(ApsStatus::InvalidArgument, &format!("bad alpha_r: {e}")),
-        };
+        let params = CostParams::new(alpha_s, bandwidth_gbps, delta_s)
+            .or_else(|e| fail(ApsStatus::InvalidArgument, &format!("bad cost params: {e}")))?;
+        let reconfig = ReconfigModel::constant(cfg.alpha_r_s)
+            .or_else(|e| fail(ApsStatus::InvalidArgument, &format!("bad alpha_r: {e}")))?;
         let controller = if cfg.controller.is_null() {
-            "opt".to_string()
+            "opt"
         } else {
-            match read_str(cfg.controller, "controller") {
-                Ok(s) => s.to_string(),
-                Err(status) => return status,
-            }
+            read_str(cfg.controller, "controller")?
         };
-        if controller_by_name(&controller).is_none() {
+        let Some(controller) = controller_by_name(controller) else {
             return fail(
                 ApsStatus::UnknownController,
                 &format!("unknown controller '{controller}'"),
             );
-        }
+        };
         let fabric = match cfg.fabric {
             0 => FabricKind::Optical,
             1 => FabricKind::Electrical,
@@ -588,13 +712,7 @@ pub extern "C" fn aps_experiment_new(cfg: *const ApsDomainConfig, out: *mut u64)
             admission: AdmissionPolicy::Reject,
             max_jobs: None,
         };
-        match lock(&EXPERIMENTS).insert(exp) {
-            Ok(handle) => {
-                unsafe { *out = handle };
-                ApsStatus::Ok
-            }
-            Err(e) => fail(e.into(), "experiment table exhausted"),
-        }
+        EXPERIMENTS.insert(exp, out)
     })
 }
 
@@ -602,19 +720,7 @@ pub extern "C" fn aps_experiment_new(cfg: *const ApsDomainConfig, out: *mut u64)
 /// `APS_STATUS_STALE_HANDLE` — safe, typed, no double-free.
 #[no_mangle]
 pub extern "C" fn aps_experiment_destroy(experiment: u64) -> ApsStatus {
-    guarded(|| match lock(&EXPERIMENTS).remove(experiment) {
-        Ok(_) => ApsStatus::Ok,
-        Err(e) => fail(e.into(), "experiment handle is stale"),
-    })
-}
-
-/// Runs `f` on a live experiment.
-fn with_experiment<F: FnOnce(&mut FfiExperiment) -> ApsStatus>(handle: u64, f: F) -> ApsStatus {
-    let mut table = lock(&EXPERIMENTS);
-    match table.get_mut(handle) {
-        Ok(exp) => f(exp),
-        Err(e) => fail(e.into(), "experiment handle is stale"),
-    }
+    guarded(|| EXPERIMENTS.destroy(experiment))
 }
 
 /// Binds a single collective (`hd-allreduce`, `ring-allreduce`,
@@ -627,28 +733,14 @@ pub extern "C" fn aps_experiment_bind_collective(
     message_bytes: f64,
 ) -> ApsStatus {
     guarded(|| {
-        let family = match read_str(family, "collective family") {
-            Ok(s) => s.to_string(),
-            Err(status) => return status,
-        };
-        with_experiment(experiment, |exp| {
-            match collective_by_name(&family, exp.ports, message_bytes) {
-                None => fail(
-                    ApsStatus::UnknownWorkload,
-                    &format!("unknown collective family '{family}'"),
-                ),
-                Some(Err(e)) => fail(
-                    ApsStatus::Collective,
-                    &format!("cannot build {family} on {} ports: {e}", exp.ports),
-                ),
-                Some(Ok(_)) => {
-                    exp.binding = Binding::Collective {
-                        family,
-                        bytes: message_bytes,
-                    };
-                    ApsStatus::Ok
-                }
-            }
+        let family = read_str(family, "collective family")?;
+        EXPERIMENTS.with(experiment, |exp| {
+            collective(family, exp.ports, message_bytes)?;
+            exp.binding = Binding::Collective {
+                family: family.to_string(),
+                bytes: message_bytes,
+            };
+            Ok(())
         })
     })
 }
@@ -663,22 +755,14 @@ pub extern "C" fn aps_experiment_bind_scenario(
     message_bytes: f64,
 ) -> ApsStatus {
     guarded(|| {
-        let name = match read_str(name, "scenario name") {
-            Ok(s) => s.to_string(),
-            Err(status) => return status,
-        };
-        with_experiment(experiment, |exp| {
-            if hetero::by_name(&name, message_bytes).is_none() {
-                return fail(
-                    ApsStatus::UnknownScenario,
-                    &format!("unknown scenario '{name}'"),
-                );
-            }
+        let name = read_str(name, "scenario name")?;
+        EXPERIMENTS.with(experiment, |exp| {
+            scenario(name, message_bytes)?;
             exp.binding = Binding::Scenario {
-                name,
+                name: name.to_string(),
                 bytes: message_bytes,
             };
-            ApsStatus::Ok
+            Ok(())
         })
     })
 }
@@ -691,29 +775,9 @@ pub extern "C" fn aps_experiment_add_service_class(
     class: *const ApsServiceClass,
 ) -> ApsStatus {
     guarded(|| {
-        if class.is_null() {
-            return fail(ApsStatus::NullArgument, "class is null");
-        }
-        let size = unsafe { (*class).struct_size };
-        if size != std::mem::size_of::<ApsServiceClass>() {
-            return fail(
-                ApsStatus::StructSizeMismatch,
-                &format!(
-                    "aps_service_class_t.struct_size = {size}, library expects {} — \
-                     header/library mismatch",
-                    std::mem::size_of::<ApsServiceClass>()
-                ),
-            );
-        }
-        let class = unsafe { *class };
-        let name = match read_str(class.name, "class name") {
-            Ok(s) => s.to_string(),
-            Err(status) => return status,
-        };
-        let workload = match read_str(class.workload, "class workload") {
-            Ok(s) => s.to_string(),
-            Err(status) => return status,
-        };
+        let class = read_in(class, "class", "aps_service_class_t")?;
+        let name = read_str(class.name, "class name")?;
+        let workload = read_str(class.workload, "class workload")?;
         if class.ports < 2 {
             return fail(ApsStatus::InvalidArgument, "class ports must be >= 2");
         }
@@ -723,43 +787,32 @@ pub extern "C" fn aps_experiment_add_service_class(
                 "arrival rate must be finite and positive",
             );
         }
+        let ports = class.ports as usize;
+        collective(workload, ports, class.message_bytes)?;
+        let choice = if class.matched != 0 {
+            ConfigChoice::Matched
+        } else {
+            ConfigChoice::Base
+        };
         let spec = ServiceClassSpec {
-            name,
-            ports: class.ports as usize,
-            workload,
+            name: name.to_string(),
+            ports,
+            workload: workload.to_string(),
             message_bytes: class.message_bytes,
             arrival_rate_hz: class.arrival_rate_hz,
             jobs: (class.jobs > 0).then_some(class.jobs),
             seed: class.seed,
-            matched: class.matched != 0,
+            switching: ServiceSwitching::Uniform(choice),
         };
-        match collective_by_name(&spec.workload, spec.ports, spec.message_bytes) {
-            None => {
-                return fail(
-                    ApsStatus::UnknownWorkload,
-                    &format!("unknown collective family '{}'", spec.workload),
-                )
-            }
-            Some(Err(e)) => {
-                return fail(
-                    ApsStatus::Collective,
-                    &format!(
-                        "cannot build {} on {} ports: {e}",
-                        spec.workload, spec.ports
-                    ),
-                )
-            }
-            Some(Ok(_)) => {}
-        }
-        with_experiment(experiment, |exp| {
+        EXPERIMENTS.with(experiment, |exp| {
             if let Binding::Service { classes } = &mut exp.binding {
-                classes.push(spec.clone());
+                classes.push(spec);
             } else {
                 exp.binding = Binding::Service {
-                    classes: vec![spec.clone()],
+                    classes: vec![spec],
                 };
             }
-            ApsStatus::Ok
+            Ok(())
         })
     })
 }
@@ -792,9 +845,9 @@ pub extern "C" fn aps_experiment_set_admission(
                 )
             }
         };
-        with_experiment(experiment, |exp| {
+        EXPERIMENTS.with(experiment, |exp| {
             exp.admission = policy;
-            ApsStatus::Ok
+            Ok(())
         })
     })
 }
@@ -803,9 +856,9 @@ pub extern "C" fn aps_experiment_set_admission(
 #[no_mangle]
 pub extern "C" fn aps_experiment_set_max_jobs(experiment: u64, max_jobs: u64) -> ApsStatus {
     guarded(|| {
-        with_experiment(experiment, |exp| {
+        EXPERIMENTS.with(experiment, |exp| {
             exp.max_jobs = (max_jobs > 0).then_some(max_jobs);
-            ApsStatus::Ok
+            Ok(())
         })
     })
 }
@@ -819,68 +872,36 @@ pub extern "C" fn aps_experiment_set_max_jobs(experiment: u64, max_jobs: u64) ->
 #[no_mangle]
 pub extern "C" fn aps_experiment_plan(experiment: u64, out: *mut ApsPlanSummary) -> ApsStatus {
     guarded(|| {
-        let size = if out.is_null() {
-            0
-        } else {
-            unsafe { (*out).struct_size }
-        };
-        if let Err(status) = unsafe { check_out_struct(out, size, "plan summary") } {
-            return status;
-        }
-        let exp = match snapshot(experiment) {
-            Ok(e) => e,
-            Err(status) => return status,
-        };
+        let out = out_struct(out, "plan summary")?;
+        let exp = snapshot(experiment)?;
         let Binding::Collective { family, bytes } = &exp.binding else {
             return fail(
                 ApsStatus::WorkloadUnbound,
                 "plan needs a bound collective (scenario and service runs plan internally)",
             );
         };
-        let controller = match exp.controller() {
-            Ok(c) => c,
-            Err(status) => return status,
-        };
-        let collective = match collective_by_name(family, exp.ports, *bytes) {
-            Some(Ok(c)) => c,
-            Some(Err(e)) => return fail(ApsStatus::Collective, &format!("{e}")),
-            None => return fail(ApsStatus::UnknownWorkload, "collective family vanished"),
-        };
-        let mut single = match exp.experiment(exp.ports, controller) {
-            Ok(e) => e.collective(&collective),
-            Err(status) => return status,
-        };
-        let plan = match single.plan() {
-            Ok(p) => p,
-            Err(e) => return fail(ApsStatus::Core, &e.to_string()),
-        };
+        let collective = collective(family, exp.ports, *bytes)?;
+        let plan = exp
+            .experiment(exp.ports, exp.controller)?
+            .collective(&collective)
+            .plan()
+            .or_else(|e| fail(ApsStatus::Core, &e.to_string()))?;
         let matched = (0..plan.switches.len())
             .filter(|&i| plan.switches.choice(i) == ConfigChoice::Matched)
             .count();
-        unsafe {
-            *out = ApsPlanSummary {
-                struct_size: std::mem::size_of::<ApsPlanSummary>(),
-                steps: plan.switches.len() as u64,
-                matched_steps: matched as u64,
-                reconfig_events: plan.report.reconfig_events as u64,
-                latency_s: plan.report.latency_s,
-                propagation_s: plan.report.propagation_s,
-                transmission_s: plan.report.transmission_s,
-                reconfig_s: plan.report.reconfig_s,
-                total_s: plan.report.total_s(),
-            };
-        }
-        ApsStatus::Ok
+        *out = ApsPlanSummary {
+            struct_size: std::mem::size_of::<ApsPlanSummary>(),
+            steps: plan.switches.len() as u64,
+            matched_steps: matched as u64,
+            reconfig_events: plan.report.reconfig_events as u64,
+            latency_s: plan.report.latency_s,
+            propagation_s: plan.report.propagation_s,
+            transmission_s: plan.report.transmission_s,
+            reconfig_s: plan.report.reconfig_s,
+            total_s: plan.report.total_s(),
+        };
+        Ok(())
     })
-}
-
-/// Clones the experiment's configuration out of the table, so runs
-/// don't hold the global lock.
-fn snapshot(experiment: u64) -> Result<FfiExperiment, ApsStatus> {
-    lock(&EXPERIMENTS)
-        .get(experiment)
-        .cloned()
-        .map_err(|e| fail(e.into(), "experiment handle is stale"))
 }
 
 /// One run of the bound collective or scenario under `controller`, on the
@@ -890,30 +911,17 @@ fn snapshot(experiment: u64) -> Result<FfiExperiment, ApsStatus> {
 /// controller first.
 fn run_once(
     exp: &FfiExperiment,
-    controller: &'static dyn aps_core::controller::Controller,
+    controller: &'static dyn Controller,
 ) -> Result<(u64, u64, Vec<ApsRunRow>), ApsStatus> {
-    let fabric = |n: usize| {
-        exp.fabric(n)
-            .map_err(|e| fail(ApsStatus::Fabric, &format!("cannot build fabric: {e}")))
-    };
     match &exp.binding {
         Binding::Collective { family, bytes } => {
-            let collective = match collective_by_name(family, exp.ports, *bytes) {
-                Some(Ok(c)) => c,
-                Some(Err(e)) => return Err(fail(ApsStatus::Collective, &format!("{e}"))),
-                None => {
-                    return Err(fail(
-                        ApsStatus::UnknownWorkload,
-                        "collective family vanished",
-                    ))
-                }
-            };
+            let collective = collective(family, exp.ports, *bytes)?;
             let mut single = exp
                 .experiment(exp.ports, controller)?
                 .collective(&collective);
             let report = single
-                .simulate_on(fabric(exp.ports)?.as_mut())
-                .map_err(|e| fail(ApsStatus::Sim, &e.to_string()))?
+                .simulate_on(exp.fabric(exp.ports)?.as_mut())
+                .or_else(|e| fail(ApsStatus::Sim, &e.to_string()))?
                 .report;
             let rows = report
                 .steps
@@ -930,22 +938,17 @@ fn run_once(
             Ok((report.total_ps, report.reconfig_events() as u64, rows))
         }
         Binding::Scenario { name, bytes } => {
-            let scenario = hetero::by_name(name, *bytes).ok_or_else(|| {
-                fail(
-                    ApsStatus::UnknownScenario,
-                    &format!("unknown scenario '{name}'"),
-                )
-            })?;
+            let scenario = scenario(name, *bytes)?;
             let n = scenario.n;
             let mut shared = exp.experiment(n, controller)?.scenario(scenario);
             shared
                 .plan()
-                .map_err(|e| fail(ApsStatus::Core, &e.to_string()))?;
+                .or_else(|e| fail(ApsStatus::Core, &e.to_string()))?;
             let tenants = shared
-                .simulate_on(fabric(n)?.as_mut())
-                .map_err(|e| fail(ApsStatus::Sim, &format!("scenario failed: {e}")))?
+                .simulate_on(exp.fabric(n)?.as_mut())
+                .or_else(|e| fail(ApsStatus::Sim, &format!("scenario failed: {e}")))?
                 .into_iter()
-                .map(|r| r.map_err(|e| fail(ApsStatus::Sim, &format!("tenant failed: {e}"))))
+                .map(|r| r.or_else(|e| fail(ApsStatus::Sim, &format!("tenant failed: {e}"))))
                 .collect::<Result<Vec<TenantReport>, ApsStatus>>()?;
             let rows = tenants
                 .iter()
@@ -967,14 +970,14 @@ fn run_once(
                 rows,
             ))
         }
-        Binding::Service { .. } => Err(fail(
+        Binding::Service { .. } => fail(
             ApsStatus::WorkloadUnbound,
             "service experiments run via aps_experiment_run_service",
-        )),
-        Binding::None => Err(fail(
+        ),
+        Binding::None => fail(
             ApsStatus::WorkloadUnbound,
             "bind a collective or scenario before simulating",
-        )),
+        ),
     }
 }
 
@@ -985,28 +988,14 @@ fn run_once(
 #[no_mangle]
 pub extern "C" fn aps_experiment_simulate(experiment: u64, out_run: *mut u64) -> ApsStatus {
     guarded(|| {
-        if out_run.is_null() {
-            return fail(ApsStatus::NullArgument, "out run handle is null");
-        }
-        let exp = match snapshot(experiment) {
-            Ok(e) => e,
-            Err(status) => return status,
-        };
-        let controller = match exp.controller() {
-            Ok(c) => c,
-            Err(status) => return status,
-        };
-        let (completion, reconfig_events, rows) = match run_once(&exp, controller) {
-            Ok(r) => r,
-            Err(status) => return status,
-        };
-        let speedup = if exp.controller == "static" {
+        let out_run = out_ptr(out_run, "out run handle")?;
+        let exp = snapshot(experiment)?;
+        let (completion, reconfig_events, rows) = run_once(&exp, exp.controller)?;
+        let speedup = if exp.controller.name() == "static" {
             1.0
         } else {
-            match run_once(&exp, &Static) {
-                Ok((base, _, _)) => base as f64 / completion.max(1) as f64,
-                Err(status) => return status,
-            }
+            let (base, _, _) = run_once(&exp, &Static)?;
+            base as f64 / completion.max(1) as f64
         };
         let summary = ApsSimSummary {
             struct_size: std::mem::size_of::<ApsSimSummary>(),
@@ -1019,13 +1008,7 @@ pub extern "C" fn aps_experiment_simulate(experiment: u64, out_run: *mut u64) ->
             transfer_ps: rows.iter().map(|r| r.transfer_ps).sum(),
             arbitration_ps: rows.iter().map(|r| r.arbitration_ps).sum(),
         };
-        match lock(&RUNS).insert(FfiRun { summary, rows }) {
-            Ok(handle) => {
-                unsafe { *out_run = handle };
-                ApsStatus::Ok
-            }
-            Err(e) => fail(e.into(), "run table exhausted"),
-        }
+        RUNS.insert(FfiRun { summary, rows }, out_run)
     })
 }
 
@@ -1033,6 +1016,8 @@ pub extern "C" fn aps_experiment_simulate(experiment: u64, out_run: *mut u64) ->
 /// the four shipped policies. `cells` must hold `n_delays × n_bytes`
 /// entries (row-major, delays outermost); `written` receives the cell
 /// count (also on `APS_STATUS_BUFFER_TOO_SMALL`, as the required size).
+/// A grid whose cell count overflows `usize` is refused with
+/// `APS_STATUS_INVALID_ARGUMENT`, and `written` is left untouched.
 #[no_mangle]
 pub extern "C" fn aps_experiment_sweep(
     experiment: u64,
@@ -1046,93 +1031,75 @@ pub extern "C" fn aps_experiment_sweep(
     written: *mut usize,
 ) -> ApsStatus {
     guarded(|| {
-        if written.is_null() {
-            return fail(ApsStatus::NullArgument, "written is null");
-        }
+        let written = out_ptr(written, "written")?;
         if reconf_delays_s.is_null() || message_bytes.is_null() {
             return fail(ApsStatus::NullArgument, "grid axes are null");
         }
         if n_delays == 0 || n_bytes == 0 {
             return fail(ApsStatus::InvalidArgument, "grid axes are empty");
         }
-        if cell_size != std::mem::size_of::<ApsSweepCell>() {
+        check_size::<ApsSweepCell>(cell_size, "cell_size")?;
+        let Some(needed) = n_delays.checked_mul(n_bytes) else {
             return fail(
-                ApsStatus::StructSizeMismatch,
+                ApsStatus::InvalidArgument,
                 &format!(
-                    "cell_size = {cell_size}, library expects {} — header/library mismatch",
-                    std::mem::size_of::<ApsSweepCell>()
+                    "sweep grid of {n_delays} delays × {n_bytes} message sizes overflows the \
+                     cell count"
                 ),
             );
-        }
-        let needed = n_delays * n_bytes;
-        unsafe { *written = needed };
-        if capacity < needed {
-            return fail(
-                ApsStatus::BufferTooSmall,
-                &format!("sweep needs {needed} cells, caller provided {capacity}"),
-            );
-        }
-        if cells.is_null() {
-            return fail(ApsStatus::NullArgument, "cells is null");
-        }
-        let exp = match snapshot(experiment) {
-            Ok(e) => e,
-            Err(status) => return status,
         };
+        let out = fill_buffer(
+            cells,
+            "cells",
+            capacity,
+            written,
+            needed,
+            format_args!("sweep needs {needed} cells"),
+        )?;
+        let exp = snapshot(experiment)?;
         let Binding::Collective { family, bytes: _ } = &exp.binding else {
             return fail(ApsStatus::WorkloadUnbound, "sweep needs a bound collective");
         };
-        let controller = match exp.controller() {
-            Ok(c) => c,
-            Err(status) => return status,
-        };
-        let delays = unsafe { std::slice::from_raw_parts(reconf_delays_s, n_delays) };
-        let sizes = unsafe { std::slice::from_raw_parts(message_bytes, n_bytes) };
+        // SAFETY: both axes are non-null, and the header requires them to
+        // hold `n_delays` and `n_bytes` values.
         let grid = SweepGrid {
-            reconf_delays_s: delays.to_vec(),
-            message_bytes: sizes.to_vec(),
+            reconf_delays_s: unsafe { std::slice::from_raw_parts(reconf_delays_s, n_delays) }
+                .to_vec(),
+            message_bytes: unsafe { std::slice::from_raw_parts(message_bytes, n_bytes) }.to_vec(),
         };
         // The sweep builds the collective per message size itself.
         let family = family.clone();
         let ports = exp.ports;
-        let single = match exp.experiment(ports, controller) {
-            Ok(e) => e.collective_family(move |m| {
+        let result = exp
+            .experiment(ports, exp.controller)?
+            .collective_family(move |m| {
                 collective_by_name(&family, ports, m).expect("family validated at bind")
-            }),
-            Err(status) => return status,
-        };
-        let result = match single.sweep(&grid) {
-            Ok(r) => r,
-            Err(e) => return fail(ApsStatus::Core, &format!("sweep failed: {e}")),
-        };
-        let out = unsafe { std::slice::from_raw_parts_mut(cells, needed) };
-        for (r, row) in result.cells.iter().enumerate() {
-            for (c, cell) in row.iter().enumerate() {
-                out[r * n_bytes + c] = ApsSweepCell {
-                    t_static_s: cell.t_static_s,
-                    t_bvn_s: cell.t_bvn_s,
-                    t_opt_s: cell.t_opt_s,
-                    t_threshold_s: cell.t_threshold_s,
-                };
-            }
+            })
+            .sweep(&grid)
+            .or_else(|e| fail(ApsStatus::Core, &format!("sweep failed: {e}")))?;
+        for (out, cell) in out.iter_mut().zip(result.cells.iter().flatten()) {
+            *out = ApsSweepCell {
+                t_static_s: cell.t_static_s,
+                t_bvn_s: cell.t_bvn_s,
+                t_opt_s: cell.t_opt_s,
+                t_threshold_s: cell.t_threshold_s,
+            };
         }
-        ApsStatus::Ok
+        Ok(())
     })
 }
 
 /// Runs the experiment's service classes as an open system on the
 /// configured medium. The summary is frozen behind a handle; destroy it
-/// with `aps_service_destroy`.
+/// with `aps_service_destroy`. A class with unbounded jobs (`jobs = 0`)
+/// needs a cap from `aps_experiment_set_max_jobs`: without one the run
+/// would never end, so it is refused with `APS_STATUS_INVALID_ARGUMENT`
+/// before anything is built.
 #[no_mangle]
 pub extern "C" fn aps_experiment_run_service(experiment: u64, out_service: *mut u64) -> ApsStatus {
     guarded(|| {
-        if out_service.is_null() {
-            return fail(ApsStatus::NullArgument, "out service handle is null");
-        }
-        let exp = match snapshot(experiment) {
-            Ok(e) => e,
-            Err(status) => return status,
-        };
+        let out_service = out_ptr(out_service, "out service handle")?;
+        let exp = snapshot(experiment)?;
         let Binding::Service { classes } = &exp.binding else {
             return fail(
                 ApsStatus::WorkloadUnbound,
@@ -1142,65 +1109,47 @@ pub extern "C" fn aps_experiment_run_service(experiment: u64, out_service: *mut 
         if classes.is_empty() {
             return fail(ApsStatus::WorkloadUnbound, "service has no classes");
         }
-        let controller = match exp.controller() {
-            Ok(c) => c,
-            Err(status) => return status,
-        };
+        if exp.max_jobs.is_none() {
+            if let Some(spec) = classes.iter().find(|spec| spec.jobs.is_none()) {
+                return fail(
+                    ApsStatus::InvalidArgument,
+                    &format!(
+                        "service class '{}' offers unbounded jobs (jobs = 0) and no job cap \
+                         is set; set its jobs or call aps_experiment_set_max_jobs",
+                        spec.name
+                    ),
+                );
+            }
+        }
         let mut tenant_classes = Vec::with_capacity(classes.len());
         for spec in classes {
-            let collective =
-                match collective_by_name(&spec.workload, spec.ports, spec.message_bytes) {
-                    Some(Ok(c)) => c,
-                    Some(Err(e)) => return fail(ApsStatus::Collective, &format!("{e}")),
-                    None => return fail(ApsStatus::UnknownWorkload, "collective family vanished"),
-                };
-            let base = match Matching::shift(spec.ports, 1) {
-                Ok(m) => m,
-                Err(e) => return fail(ApsStatus::InvalidArgument, &format!("bad class base: {e}")),
-            };
-            let arrivals = match PoissonArrivals::new(spec.arrival_rate_hz, spec.jobs, spec.seed) {
-                Ok(a) => a,
-                Err(e) => return fail(ApsStatus::InvalidArgument, &format!("bad arrivals: {e}")),
-            };
-            let schedule = collective.schedule;
-            let choice = if spec.matched {
-                ConfigChoice::Matched
-            } else {
-                ConfigChoice::Base
-            };
+            let schedule = collective(&spec.workload, spec.ports, spec.message_bytes)?.schedule;
+            let base = Matching::shift(spec.ports, 1)
+                .or_else(|e| fail(ApsStatus::InvalidArgument, &format!("bad class base: {e}")))?;
+            let arrivals = PoissonArrivals::new(spec.arrival_rate_hz, spec.jobs, spec.seed)
+                .or_else(|e| fail(ApsStatus::InvalidArgument, &format!("bad arrivals: {e}")))?;
             tenant_classes.push(aps_faas::TenantClass::new(
                 spec.name.clone(),
                 spec.ports,
                 base,
-                ServiceSwitching::Uniform(choice),
+                spec.switching.clone(),
                 Box::new(arrivals),
                 Box::new(move |_id: u64| -> Box<dyn Workload> {
                     Box::new(ScheduleStream::new(schedule.clone()))
                 }),
             ));
         }
-        let mut service = match exp.experiment(exp.ports, controller) {
-            Ok(e) => e.service(tenant_classes).admission(exp.admission),
-            Err(status) => return status,
-        };
+        let mut service = exp
+            .experiment(exp.ports, exp.controller)?
+            .service(tenant_classes)
+            .admission(exp.admission);
         if let Some(jobs) = exp.max_jobs {
             service = service.max_jobs(jobs);
         }
-        let mut fabric = match exp.fabric(exp.ports) {
-            Ok(f) => f,
-            Err(e) => return fail(ApsStatus::Fabric, &format!("cannot build fabric: {e}")),
-        };
-        let report = match service.run_on(fabric.as_mut()) {
-            Ok(r) => r,
-            Err(e) => return fail(ApsStatus::Service, &e.to_string()),
-        };
-        match lock(&SERVICES).insert(report.summary) {
-            Ok(handle) => {
-                unsafe { *out_service = handle };
-                ApsStatus::Ok
-            }
-            Err(e) => fail(e.into(), "service table exhausted"),
-        }
+        let report = service
+            .run_on(exp.fabric(exp.ports)?.as_mut())
+            .or_else(|e| fail(ApsStatus::Service, &e.to_string()))?;
+        SERVICES.insert(report.summary, out_service)
     })
 }
 
@@ -1212,22 +1161,11 @@ pub extern "C" fn aps_experiment_run_service(experiment: u64, out_service: *mut 
 #[no_mangle]
 pub extern "C" fn aps_simrun_summary(run: u64, out: *mut ApsSimSummary) -> ApsStatus {
     guarded(|| {
-        let size = if out.is_null() {
-            0
-        } else {
-            unsafe { (*out).struct_size }
-        };
-        if let Err(status) = unsafe { check_out_struct(out, size, "sim summary") } {
-            return status;
-        }
-        let table = lock(&RUNS);
-        match table.get(run) {
-            Ok(r) => {
-                unsafe { *out = r.summary };
-                ApsStatus::Ok
-            }
-            Err(e) => fail(e.into(), "run handle is stale"),
-        }
+        let out = out_struct(out, "sim summary")?;
+        RUNS.with(run, |r| {
+            *out = r.summary;
+            Ok(())
+        })
     })
 }
 
@@ -1243,87 +1181,51 @@ pub extern "C" fn aps_simrun_rows(
     written: *mut usize,
 ) -> ApsStatus {
     guarded(|| {
-        if written.is_null() {
-            return fail(ApsStatus::NullArgument, "written is null");
-        }
-        if row_size != std::mem::size_of::<ApsRunRow>() {
-            return fail(
-                ApsStatus::StructSizeMismatch,
-                &format!(
-                    "row_size = {row_size}, library expects {} — header/library mismatch",
-                    std::mem::size_of::<ApsRunRow>()
-                ),
-            );
-        }
-        let table = lock(&RUNS);
-        let r = match table.get(run) {
-            Ok(r) => r,
-            Err(e) => return fail(e.into(), "run handle is stale"),
-        };
-        unsafe { *written = r.rows.len() };
-        if capacity < r.rows.len() {
-            return fail(
-                ApsStatus::BufferTooSmall,
-                &format!("run has {} rows, caller provided {capacity}", r.rows.len()),
-            );
-        }
-        if rows.is_null() {
-            return fail(ApsStatus::NullArgument, "rows is null");
-        }
-        let out = unsafe { std::slice::from_raw_parts_mut(rows, r.rows.len()) };
-        out.copy_from_slice(&r.rows);
-        ApsStatus::Ok
+        let written = out_ptr(written, "written")?;
+        check_size::<ApsRunRow>(row_size, "row_size")?;
+        RUNS.with(run, |r| {
+            let n = r.rows.len();
+            fill_buffer(
+                rows,
+                "rows",
+                capacity,
+                written,
+                n,
+                format_args!("run has {n} rows"),
+            )?
+            .copy_from_slice(&r.rows);
+            Ok(())
+        })
     })
 }
 
 /// Destroys a run. Double-destroy returns `APS_STATUS_STALE_HANDLE`.
 #[no_mangle]
 pub extern "C" fn aps_simrun_destroy(run: u64) -> ApsStatus {
-    guarded(|| match lock(&RUNS).remove(run) {
-        Ok(_) => ApsStatus::Ok,
-        Err(e) => fail(e.into(), "run handle is stale"),
-    })
+    guarded(|| RUNS.destroy(run))
 }
 
 // ---------------------------------------------------------------------------
 // Service reads
 // ---------------------------------------------------------------------------
 
-/// Runs `f` on a live service summary.
-fn with_service<F: FnOnce(&ServiceSummary) -> ApsStatus>(handle: u64, f: F) -> ApsStatus {
-    let table = lock(&SERVICES);
-    match table.get(handle) {
-        Ok(s) => f(s),
-        Err(e) => fail(e.into(), "service handle is stale"),
-    }
-}
-
 /// Reads a service run's roll-up statistics.
 #[no_mangle]
 pub extern "C" fn aps_service_stats(service: u64, out: *mut ApsServiceStats) -> ApsStatus {
     guarded(|| {
-        let size = if out.is_null() {
-            0
-        } else {
-            unsafe { (*out).struct_size }
-        };
-        if let Err(status) = unsafe { check_out_struct(out, size, "service stats") } {
-            return status;
-        }
-        with_service(service, |s| {
-            unsafe {
-                *out = ApsServiceStats {
-                    struct_size: std::mem::size_of::<ApsServiceStats>(),
-                    makespan_ps: s.makespan_ps,
-                    makespan_s: s.makespan_s(),
-                    offered: s.offered(),
-                    completed: s.completed(),
-                    steps: s.steps.steps as u64,
-                    reconfig_events: s.steps.reconfig_events as u64,
-                    classes: s.tenants.len() as u64,
-                };
-            }
-            ApsStatus::Ok
+        let out = out_struct(out, "service stats")?;
+        SERVICES.with(service, |s| {
+            *out = ApsServiceStats {
+                struct_size: std::mem::size_of::<ApsServiceStats>(),
+                makespan_ps: s.makespan_ps,
+                makespan_s: s.makespan_s(),
+                offered: s.offered(),
+                completed: s.completed(),
+                steps: s.steps.steps as u64,
+                reconfig_events: s.steps.reconfig_events as u64,
+                classes: s.tenants.len() as u64,
+            };
+            Ok(())
         })
     })
 }
@@ -1336,43 +1238,29 @@ pub extern "C" fn aps_service_class_slo(
     out: *mut ApsClassSlo,
 ) -> ApsStatus {
     guarded(|| {
-        let size = if out.is_null() {
-            0
-        } else {
-            unsafe { (*out).struct_size }
-        };
-        if let Err(status) = unsafe { check_out_struct(out, size, "class slo") } {
-            return status;
-        }
-        with_service(service, |s| {
-            let Some(t) = s.tenants.get(index) else {
-                return fail(
-                    ApsStatus::InvalidArgument,
-                    &format!("class index {index} out of range ({})", s.tenants.len()),
-                );
+        let out = out_struct(out, "class slo")?;
+        SERVICES.with(service, |s| {
+            let t = class_at(&s.tenants, index)?;
+            *out = ApsClassSlo {
+                struct_size: std::mem::size_of::<ApsClassSlo>(),
+                offered: t.offered,
+                admitted: t.admitted,
+                queued: t.queued,
+                backpressured: t.backpressured,
+                rejected_too_large: t.rejected_too_large,
+                rejected_ports_busy: t.rejected_ports_busy,
+                rejected_queue_full: t.rejected_queue_full,
+                completed: t.completed,
+                failed: t.failed,
+                completion_p50_ps: t.completion.p50_ps().unwrap_or(0),
+                completion_p99_ps: t.completion.p99_ps().unwrap_or(0),
+                completion_max_ps: t.completion.max_ps(),
+                wait_p50_ps: t.wait.p50_ps().unwrap_or(0),
+                wait_p99_ps: t.wait.p99_ps().unwrap_or(0),
+                completion_mean_ps: t.completion.mean_ps(),
+                goodput: t.goodput(),
             };
-            unsafe {
-                *out = ApsClassSlo {
-                    struct_size: std::mem::size_of::<ApsClassSlo>(),
-                    offered: t.offered,
-                    admitted: t.admitted,
-                    queued: t.queued,
-                    backpressured: t.backpressured,
-                    rejected_too_large: t.rejected_too_large,
-                    rejected_ports_busy: t.rejected_ports_busy,
-                    rejected_queue_full: t.rejected_queue_full,
-                    completed: t.completed,
-                    failed: t.failed,
-                    completion_p50_ps: t.completion.p50_ps().unwrap_or(0),
-                    completion_p99_ps: t.completion.p99_ps().unwrap_or(0),
-                    completion_max_ps: t.completion.max_ps(),
-                    wait_p50_ps: t.wait.p50_ps().unwrap_or(0),
-                    wait_p99_ps: t.wait.p99_ps().unwrap_or(0),
-                    completion_mean_ps: t.completion.mean_ps(),
-                    goodput: t.goodput(),
-                };
-            }
-            ApsStatus::Ok
+            Ok(())
         })
     })
 }
@@ -1389,32 +1277,22 @@ pub extern "C" fn aps_service_class_name(
     written: *mut usize,
 ) -> ApsStatus {
     guarded(|| {
-        if written.is_null() {
-            return fail(ApsStatus::NullArgument, "written is null");
-        }
-        with_service(service, |s| {
-            let Some(name) = s.class_names.get(index) else {
-                return fail(
-                    ApsStatus::InvalidArgument,
-                    &format!("class index {index} out of range ({})", s.class_names.len()),
-                );
-            };
+        let written = out_ptr(written, "written")?;
+        SERVICES.with(service, |s| {
+            let name = class_at(&s.class_names, index)?;
             let needed = name.len() + 1;
-            unsafe { *written = needed };
-            if capacity < needed {
-                return fail(
-                    ApsStatus::BufferTooSmall,
-                    &format!("class name needs {needed} bytes, caller provided {capacity}"),
-                );
+            let out = fill_buffer(
+                buffer,
+                "buffer",
+                capacity,
+                written,
+                needed,
+                format_args!("class name needs {needed} bytes"),
+            )?;
+            for (out, byte) in out.iter_mut().zip(name.bytes().chain([0])) {
+                *out = byte as c_char;
             }
-            if buffer.is_null() {
-                return fail(ApsStatus::NullArgument, "buffer is null");
-            }
-            unsafe {
-                std::ptr::copy_nonoverlapping(name.as_ptr(), buffer.cast::<u8>(), name.len());
-                *buffer.add(name.len()) = 0;
-            }
-            ApsStatus::Ok
+            Ok(())
         })
     })
 }
@@ -1423,8 +1301,5 @@ pub extern "C" fn aps_service_class_name(
 /// `APS_STATUS_STALE_HANDLE`.
 #[no_mangle]
 pub extern "C" fn aps_service_destroy(service: u64) -> ApsStatus {
-    guarded(|| match lock(&SERVICES).remove(service) {
-        Ok(_) => ApsStatus::Ok,
-        Err(e) => fail(e.into(), "service handle is stale"),
-    })
+    guarded(|| SERVICES.destroy(service))
 }

@@ -45,7 +45,7 @@ const FIRST_GENERATION: u32 = 1;
 
 impl<T> HandleTable<T> {
     /// An empty table holding at most `capacity` live values.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub const fn with_capacity(capacity: usize) -> Self {
         Self {
             slots: Vec::new(),
             free: Vec::new(),

@@ -1,5 +1,7 @@
 //! The stable status code every entry point returns.
 
+use std::ffi::CStr;
+
 /// `aps_status_t`: the C-visible result of every ABI call. Values are
 /// part of the stable ABI — append, never renumber.
 #[repr(i32)]
@@ -50,25 +52,31 @@ pub enum ApsStatus {
 impl ApsStatus {
     /// The stable C identifier of a status, for diagnostics.
     pub fn name(self) -> &'static str {
+        self.c_name().to_str().expect("status names are ASCII")
+    }
+
+    /// [`name`](Self::name) as the NUL-terminated string
+    /// `aps_status_name` hands to C.
+    pub(crate) fn c_name(self) -> &'static CStr {
         match self {
-            Self::Ok => "APS_STATUS_OK",
-            Self::NullArgument => "APS_STATUS_NULL_ARGUMENT",
-            Self::InvalidUtf8 => "APS_STATUS_INVALID_UTF8",
-            Self::InvalidArgument => "APS_STATUS_INVALID_ARGUMENT",
-            Self::UnknownController => "APS_STATUS_UNKNOWN_CONTROLLER",
-            Self::UnknownScenario => "APS_STATUS_UNKNOWN_SCENARIO",
-            Self::UnknownWorkload => "APS_STATUS_UNKNOWN_WORKLOAD",
-            Self::StructSizeMismatch => "APS_STATUS_STRUCT_SIZE_MISMATCH",
-            Self::StaleHandle => "APS_STATUS_STALE_HANDLE",
-            Self::HandleExhausted => "APS_STATUS_HANDLE_EXHAUSTED",
-            Self::BufferTooSmall => "APS_STATUS_BUFFER_TOO_SMALL",
-            Self::WorkloadUnbound => "APS_STATUS_WORKLOAD_UNBOUND",
-            Self::Core => "APS_STATUS_CORE",
-            Self::Sim => "APS_STATUS_SIM",
-            Self::Collective => "APS_STATUS_COLLECTIVE",
-            Self::Service => "APS_STATUS_SERVICE",
-            Self::Fabric => "APS_STATUS_FABRIC",
-            Self::Panicked => "APS_STATUS_PANICKED",
+            Self::Ok => c"APS_STATUS_OK",
+            Self::NullArgument => c"APS_STATUS_NULL_ARGUMENT",
+            Self::InvalidUtf8 => c"APS_STATUS_INVALID_UTF8",
+            Self::InvalidArgument => c"APS_STATUS_INVALID_ARGUMENT",
+            Self::UnknownController => c"APS_STATUS_UNKNOWN_CONTROLLER",
+            Self::UnknownScenario => c"APS_STATUS_UNKNOWN_SCENARIO",
+            Self::UnknownWorkload => c"APS_STATUS_UNKNOWN_WORKLOAD",
+            Self::StructSizeMismatch => c"APS_STATUS_STRUCT_SIZE_MISMATCH",
+            Self::StaleHandle => c"APS_STATUS_STALE_HANDLE",
+            Self::HandleExhausted => c"APS_STATUS_HANDLE_EXHAUSTED",
+            Self::BufferTooSmall => c"APS_STATUS_BUFFER_TOO_SMALL",
+            Self::WorkloadUnbound => c"APS_STATUS_WORKLOAD_UNBOUND",
+            Self::Core => c"APS_STATUS_CORE",
+            Self::Sim => c"APS_STATUS_SIM",
+            Self::Collective => c"APS_STATUS_COLLECTIVE",
+            Self::Service => c"APS_STATUS_SERVICE",
+            Self::Fabric => c"APS_STATUS_FABRIC",
+            Self::Panicked => c"APS_STATUS_PANICKED",
         }
     }
 

@@ -132,7 +132,10 @@ typedef struct aps_service_class_t {
   const char *workload;     /* collective family each job runs         */
   double message_bytes;     /* message volume per job                  */
   double arrival_rate_hz;   /* Poisson rate, jobs per simulated second */
-  uint64_t jobs;            /* jobs offered; 0 = unbounded             */
+  uint64_t jobs;            /* jobs offered; 0 = unbounded, which needs
+                               aps_experiment_set_max_jobs: without a
+                               cap aps_experiment_run_service refuses
+                               with APS_STATUS_INVALID_ARGUMENT        */
   uint64_t seed;            /* arrival-process seed                    */
   int32_t matched;          /* nonzero → reconfigure every step        */
 } aps_service_class_t;
@@ -176,10 +179,10 @@ typedef struct aps_run_row_t {
 
 /* One (alpha_r, message-size) sweep cell under the four policies. */
 typedef struct aps_sweep_cell_t {
-  double t_static_s;
-  double t_bvn_s;
-  double t_opt_s;
-  double t_threshold_s;
+  double t_static_s;    /* never reconfigure (controller "static")      */
+  double t_bvn_s;       /* always-reconfigure BvN schedule ("bvn")      */
+  double t_opt_s;       /* DP-optimal schedule ("opt")                  */
+  double t_threshold_s; /* per-step threshold heuristic ("threshold")   */
 } aps_sweep_cell_t;
 
 typedef struct aps_service_stats_t {
@@ -254,7 +257,9 @@ aps_status_t aps_experiment_simulate(aps_experiment_t experiment,
 
 /* Sweeps the bound collective over reconfiguration delays × message
  * sizes. `cells` holds n_delays * n_bytes entries, row-major with
- * delays outermost; pass cell_size = sizeof(aps_sweep_cell_t). */
+ * delays outermost; pass cell_size = sizeof(aps_sweep_cell_t). A grid
+ * whose cell count n_delays * n_bytes overflows size_t is refused with
+ * APS_STATUS_INVALID_ARGUMENT, and `written` is left untouched. */
 aps_status_t aps_experiment_sweep(aps_experiment_t experiment,
                                   const double *reconf_delays_s,
                                   size_t n_delays, const double *message_bytes,
@@ -262,7 +267,10 @@ aps_status_t aps_experiment_sweep(aps_experiment_t experiment,
                                   aps_sweep_cell_t *cells, size_t capacity,
                                   size_t *written);
 
-/* Runs the experiment's service classes as an open system. */
+/* Runs the experiment's service classes as an open system. A class
+ * with jobs = 0 (unbounded) needs aps_experiment_set_max_jobs first:
+ * without a cap the run would never end, so it is refused with
+ * APS_STATUS_INVALID_ARGUMENT before anything is built. */
 aps_status_t aps_experiment_run_service(aps_experiment_t experiment,
                                         aps_service_t *out_service);
 

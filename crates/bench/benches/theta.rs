@@ -3,7 +3,7 @@
 //! for.
 
 use aps_flow::solver::{step_throughput, ThroughputSolver};
-use aps_flow::{gk, ring};
+use aps_flow::{forced, gk};
 use aps_matrix::Matching;
 use aps_topology::builders;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -25,9 +25,17 @@ fn theta(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("theta_closed_form_uni_ring_n64", |b| {
-        b.iter(|| black_box(ring::uni_ring_matching_theta(n, &m, 1.0).0))
-    });
+    // The circuit path against its one-BFS-per-pair oracle, O(n) vs O(n²).
+    for ports in [64, 1024] {
+        let ring = builders::ring_unidirectional(ports).unwrap();
+        let shift = Matching::shift(ports, 7).unwrap();
+        c.bench_function(&format!("theta_forced_reference_uni_ring_n{ports}"), |b| {
+            b.iter(|| black_box(forced::reference(&ring, &shift).unwrap().0))
+        });
+        c.bench_function(&format!("theta_forced_circuit_uni_ring_n{ports}"), |b| {
+            b.iter(|| black_box(forced::forced_path_throughput(&ring, &shift).unwrap().0))
+        });
+    }
 
     c.bench_function("theta_degree_proxy_uni_ring_n64", |b| {
         b.iter(|| {

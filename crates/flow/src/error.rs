@@ -17,7 +17,8 @@ pub enum FlowError {
         /// Matching node count.
         matching: usize,
     },
-    /// A cache was queried with a different topology than it was built for.
+    /// A cache was queried with a different topology than it was built for:
+    /// another node count or other links.
     CacheTopologyMismatch {
         /// Name of the topology the cache was built for.
         expected: String,

@@ -9,27 +9,23 @@
 //! * [`forced::forced_path_throughput`] — exact when routing is forced
 //!   (unidirectional rings, matched topologies) and a deterministic
 //!   achievable bound elsewhere; this is what the flow-level simulator
-//!   realizes, so model and simulation agree by construction.
+//!   realizes, so model and simulation agree by construction. Circuit
+//!   topologies are priced in `O(n)`; [`forced::reference`] is its
+//!   one-BFS-per-pair oracle.
 //! * [`gk::max_concurrent_flow`] — the Garg–Könemann/Fleischer FPTAS for
 //!   arbitrary topologies with splittable routing; returns certified lower
 //!   *and* upper (LP-dual) bounds.
 //! * [`proxy::degree_proxy_throughput`] — the cheap degree/path-length upper
 //!   bound the paper's research agenda suggests as a runtime-friendly
 //!   congestion proxy (§4 "Simplifying the congestion factor").
-//! * [`ring`] — closed forms for ring topologies, used as oracles in tests
-//!   and by the `theta` microbenchmark.
-//! * [`dinic`] — single-commodity max-flow, used for feasibility checks and
-//!   as a test oracle.
 //!
 //! The [`solver::ThroughputSolver`] enum and [`solver::ThetaCache`] tie these
 //! together behind one API used by `aps-cost` and `aps-core`.
 
-pub mod dinic;
 pub mod error;
 pub mod forced;
 pub mod gk;
 pub mod proxy;
-pub mod ring;
 pub mod solver;
 
 pub use error::FlowError;

@@ -122,6 +122,7 @@ impl CacheStats {
 pub struct ThetaCache {
     topology_name: String,
     topology_n: usize,
+    topology_digest: u64,
     solver: ThroughputSolver,
     map: HashMap<Matching, StepThroughput>,
     hits: u64,
@@ -134,6 +135,7 @@ impl ThetaCache {
         Self {
             topology_name: topo.name().to_string(),
             topology_n: topo.n(),
+            topology_digest: topo.digest(),
             solver,
             map: HashMap::new(),
             hits: 0,
@@ -146,14 +148,15 @@ impl ThetaCache {
     /// # Errors
     ///
     /// Returns [`FlowError::CacheTopologyMismatch`] when queried with a
-    /// topology other than the one the cache was built for, and propagates
-    /// solver errors.
+    /// topology other than the one the cache was built for — another node
+    /// count or other links ([`Topology::digest`]), whatever the names say —
+    /// and propagates solver errors.
     pub fn get(
         &mut self,
         topo: &Topology,
         matching: &Matching,
     ) -> Result<StepThroughput, FlowError> {
-        if topo.name() != self.topology_name || topo.n() != self.topology_n {
+        if topo.n() != self.topology_n || topo.digest() != self.topology_digest {
             return Err(FlowError::CacheTopologyMismatch {
                 expected: self.topology_name.clone(),
                 got: topo.name().to_string(),
@@ -275,6 +278,33 @@ mod tests {
             cache.get(&other, &m),
             Err(FlowError::CacheTopologyMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn cache_guards_on_the_links_not_the_name() {
+        // Every matched topology is named `matched(n)`.
+        let built_on = builders::from_matching(&Matching::shift(8, 1).unwrap());
+        let m = Matching::shift(8, 2).unwrap();
+        let mut cache = ThetaCache::new(&built_on, ThroughputSolver::ForcedPath);
+        assert_eq!(cache.get(&built_on, &m).unwrap().theta, 0.5);
+        let other = builders::from_matching(&m);
+        assert_eq!(other.name(), built_on.name());
+        assert_eq!(
+            cache.get(&other, &m),
+            Err(FlowError::CacheTopologyMismatch {
+                expected: "matched(8)".into(),
+                got: "matched(8)".into(),
+            })
+        );
+        let direct = step_throughput(&other, &m, ThroughputSolver::ForcedPath).unwrap();
+        assert_eq!(direct.theta, 1.0);
+        // The same links under another name price the same θ.
+        let mut renamed = Topology::new(8, "renamed");
+        for l in built_on.links() {
+            renamed.add_link(l.src, l.dst, l.capacity).unwrap();
+        }
+        assert_eq!(cache.get(&renamed, &m).unwrap().theta, 0.5);
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

@@ -1,9 +1,5 @@
-//! Dinic's single-commodity maximum flow.
-//!
-//! Used as (a) a feasibility oracle — e.g. "can this circuit configuration
-//! carry this matching at rate r?" via a super-source/super-sink reduction —
-//! and (b) a test oracle for the concurrent-flow solvers on single-commodity
-//! instances.
+//! Dinic's single-commodity maximum flow: a test oracle for the
+//! concurrent-flow solvers on single-commodity instances.
 
 /// A directed edge for the flow network.
 #[derive(Debug, Clone, Copy)]
@@ -118,17 +114,6 @@ impl Dinic {
     }
 }
 
-/// Builds a Dinic network from a topology: node `i` of the topology maps to
-/// flow node `i`; two extra nodes are appended for use as super-source
-/// (`n`) and super-sink (`n + 1`) by callers.
-pub fn from_topology(topo: &aps_topology::Topology) -> Dinic {
-    let mut d = Dinic::new(topo.n() + 2);
-    for l in topo.links() {
-        d.add_edge(l.src, l.dst, l.capacity);
-    }
-    d
-}
-
 /// Maximum rate a *single* pair `(src, dst)` can sustain on `topo` when it
 /// has the network to itself (splittable routing).
 ///
@@ -137,7 +122,10 @@ pub fn from_topology(topo: &aps_topology::Topology) -> Dinic {
 /// `(s, d) ∈ M`. It is also the oracle used by tests of the multicommodity
 /// solvers on single-commodity instances, where both must agree exactly.
 pub fn pair_max_flow(topo: &aps_topology::Topology, src: usize, dst: usize) -> f64 {
-    let mut d = from_topology(topo);
+    let mut d = Dinic::new(topo.n());
+    for l in topo.links() {
+        d.add_edge(l.src, l.dst, l.capacity);
+    }
     d.max_flow(src, dst)
 }
 
@@ -202,7 +190,7 @@ mod tests {
 
     #[test]
     fn pair_max_flow_upper_bounds_concurrent_flow() {
-        use crate::forced::forced_path_throughput;
+        use aps_flow::forced::forced_path_throughput;
         let t = builders::ring_unidirectional(8).unwrap();
         let m = Matching::shift(8, 3).unwrap();
         let (theta, _) = forced_path_throughput(&t, &m).unwrap();

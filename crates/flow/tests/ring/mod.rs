@@ -38,46 +38,6 @@ pub fn bi_ring_shift_theta(n: usize, k: usize, cap: f64) -> f64 {
     cap * n as f64 / (k as f64 * (n - k) as f64)
 }
 
-/// Exact forced-path `θ` for an arbitrary matching on a unidirectional ring
-/// with per-link capacity `cap`, in `O(n)` via a difference array over the
-/// forced arcs (equivalent to, but faster than, routing + load counting).
-///
-/// Returns `(theta, max_hops)`. Empty matchings return `(cap / 0 → ∞ …)` —
-/// by convention `(1.0, 0)`, matching [`crate::forced`].
-pub fn uni_ring_matching_theta(n: usize, matching: &Matching, cap: f64) -> (f64, usize) {
-    assert_eq!(matching.n(), n, "matching dimension mismatch");
-    if matching.is_empty() {
-        return (1.0, 0);
-    }
-    // diff[i] accumulates load changes at link i (the link from node i to
-    // node i+1).
-    let mut diff = vec![0i64; n + 1];
-    let mut max_hops = 0usize;
-    for (s, d) in matching.pairs() {
-        let hops = (d + n - s) % n;
-        max_hops = max_hops.max(hops);
-        if s + hops <= n {
-            // No wraparound: links s .. s+hops-1.
-            diff[s] += 1;
-            diff[s + hops] -= 1;
-        } else {
-            // Wraparound: links s..n-1 and 0..(s+hops-n)-1.
-            diff[s] += 1;
-            diff[n] -= 1;
-            diff[0] += 1;
-            diff[s + hops - n] -= 1;
-        }
-    }
-    let mut load = 0i64;
-    let mut max_load = 0i64;
-    for &d in diff.iter().take(n) {
-        load += d;
-        max_load = max_load.max(load);
-    }
-    debug_assert!(max_load > 0);
-    (cap / max_load as f64, max_hops)
-}
-
 /// A sound *upper bound* on the splittable `θ` of an arbitrary matching on a
 /// bidirectional ring, from the cut condition: removing the ring positions
 /// `a` and `b` (a "position" is the gap between node `p-1` and node `p`)
@@ -108,9 +68,19 @@ pub fn bi_ring_cut_upper_bound(n: usize, matching: &Matching, cap: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forced::forced_path_throughput;
-    use crate::gk::{matching_commodities, max_concurrent_flow};
+    use aps_flow::forced::{forced_path_throughput, reference};
+    use aps_flow::gk::{matching_commodities, max_concurrent_flow};
     use aps_topology::builders;
+
+    /// The circuit path of `forced_path_throughput` and the BFS oracle agree
+    /// bit for bit on `θ` and exactly on `ℓ`; returns that agreed pair.
+    fn both_paths(t: &aps_topology::Topology, m: &Matching) -> (f64, usize) {
+        let (theta, ell) = forced_path_throughput(t, m).unwrap();
+        let (oracle, oracle_ell) = reference(t, m).unwrap();
+        assert_eq!(theta.to_bits(), oracle.to_bits());
+        assert_eq!(ell, oracle_ell);
+        (theta, ell)
+    }
 
     #[test]
     fn closed_form_matches_forced_routing_on_uni_ring() {
@@ -118,11 +88,9 @@ mod tests {
         let t = builders::ring_unidirectional(n).unwrap();
         for k in 1..n {
             let m = Matching::shift(n, k).unwrap();
-            let (theta_fast, ell_fast) = uni_ring_matching_theta(n, &m, 1.0);
-            let (theta_slow, ell_slow) = forced_path_throughput(&t, &m).unwrap();
-            assert!((theta_fast - theta_slow).abs() < 1e-12, "k={k}");
-            assert_eq!(ell_fast, ell_slow);
-            assert!((theta_fast - uni_ring_shift_theta(n, k, 1.0)).abs() < 1e-12);
+            let (theta, ell) = both_paths(&t, &m);
+            assert!((theta - uni_ring_shift_theta(n, k, 1.0)).abs() < 1e-12);
+            assert_eq!(ell, k);
         }
     }
 
@@ -132,10 +100,8 @@ mod tests {
         let t = builders::ring_unidirectional(n).unwrap();
         for bit in 0..4 {
             let m = Matching::xor(n, 1 << bit).unwrap();
-            let (theta_fast, ell_fast) = uni_ring_matching_theta(n, &m, 1.0);
-            let (theta_slow, ell_slow) = forced_path_throughput(&t, &m).unwrap();
-            assert!((theta_fast - theta_slow).abs() < 1e-12, "bit={bit}");
-            assert_eq!(ell_fast, ell_slow);
+            let (_, ell) = both_paths(&t, &m);
+            assert_eq!(ell, n - (1 << bit), "bit={bit}");
         }
     }
 
@@ -144,11 +110,9 @@ mod tests {
         let n = 9;
         let t = builders::ring_unidirectional(n).unwrap();
         let m = Matching::from_pairs(n, &[(0, 4), (4, 0), (2, 3)]).unwrap();
-        let (theta_fast, ell_fast) = uni_ring_matching_theta(n, &m, 1.0);
-        let (theta_slow, ell_slow) = forced_path_throughput(&t, &m).unwrap();
-        assert!((theta_fast - theta_slow).abs() < 1e-12);
-        assert_eq!(ell_fast, ell_slow);
-        assert_eq!(ell_fast, 5); // 4 → 0 wraps 5 hops.
+        let (theta, ell) = both_paths(&t, &m);
+        assert_eq!(theta, 0.5); // link 2 → 3 carries two flows.
+        assert_eq!(ell, 5); // 4 → 0 wraps 5 hops.
     }
 
     #[test]
@@ -193,7 +157,8 @@ mod tests {
     #[test]
     fn empty_matching_conventions() {
         let m = Matching::empty(6);
-        assert_eq!(uni_ring_matching_theta(6, &m, 1.0), (1.0, 0));
+        let t = builders::ring_unidirectional(6).unwrap();
+        assert_eq!(forced_path_throughput(&t, &m), Ok((1.0, 0)));
         assert_eq!(bi_ring_cut_upper_bound(6, &m, 0.5), f64::INFINITY);
     }
 }

@@ -5,6 +5,11 @@ use crate::error::TopologyError;
 /// Index of a link within a [`Topology`].
 pub type LinkId = usize;
 
+/// 64-bit FNV-1a offset basis and prime; the basis is the digest of a
+/// topology with no links ([`Topology::digest`]).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// A directed, capacitated link between two nodes.
 ///
 /// Capacities are normalized to the transceiver bandwidth `b` (see the crate
@@ -33,6 +38,7 @@ pub struct Topology {
     links: Vec<Link>,
     out_adj: Vec<Vec<LinkId>>,
     in_adj: Vec<Vec<LinkId>>,
+    digest: u64,
 }
 
 impl Topology {
@@ -44,6 +50,7 @@ impl Topology {
             links: Vec::new(),
             out_adj: vec![Vec::new(); n],
             in_adj: vec![Vec::new(); n],
+            digest: FNV_OFFSET,
         }
     }
 
@@ -84,6 +91,9 @@ impl Topology {
         self.links.push(Link { src, dst, capacity });
         self.out_adj[src].push(id);
         self.in_adj[dst].push(id);
+        for word in [src as u64, dst as u64, capacity.to_bits()] {
+            self.digest = (self.digest ^ word).wrapping_mul(FNV_PRIME);
+        }
         Ok(id)
     }
 
@@ -95,6 +105,16 @@ impl Topology {
     /// Human-readable topology name (e.g. `"uni-ring(64)"`).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// A 64-bit digest of the links in insertion order: FNV-1a with one step
+    /// per 64-bit word, over each link's `src`, `dst` and capacity bits.
+    /// Topologies with the same links in the same order share it whatever
+    /// their names, and changing one word of one link always changes it; a
+    /// θ cache compares it to tell the topology it was built for from any
+    /// other.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// All links in insertion order.
@@ -219,6 +239,27 @@ mod tests {
             t.add_link(0, 1, f64::INFINITY),
             Err(TopologyError::NonPositiveCapacity { .. })
         ));
+    }
+
+    #[test]
+    fn digest_follows_the_links_not_the_name() {
+        let build = |name: &str, links: &[(usize, usize, f64)]| {
+            let mut t = Topology::new(3, name);
+            for &(s, d, c) in links {
+                t.add_link(s, d, c).unwrap();
+            }
+            t
+        };
+        let a = build("a", &[(0, 1, 1.0), (1, 2, 0.5)]);
+        assert_eq!(a.digest(), build("b", &[(0, 1, 1.0), (1, 2, 0.5)]).digest());
+        assert_ne!(a.digest(), build("a", &[(1, 2, 0.5), (0, 1, 1.0)]).digest());
+        assert_ne!(
+            a.digest(),
+            build("a", &[(0, 1, 1.0), (1, 2, 0.25)]).digest()
+        );
+        assert_ne!(a.digest(), build("a", &[(0, 1, 1.0), (2, 1, 0.5)]).digest());
+        assert_ne!(a.digest(), build("a", &[(0, 1, 1.0)]).digest());
+        assert_eq!(Topology::new(3, "a").digest(), FNV_OFFSET);
     }
 
     #[test]

@@ -28,9 +28,7 @@ pub mod error;
 pub mod graph;
 pub mod paths;
 pub mod properties;
-pub mod routing;
 
 pub use error::TopologyError;
 pub use graph::{Link, LinkId, Topology};
 pub use paths::Path;
-pub use routing::FlowPath;

@@ -1,8 +1,6 @@
-//! Property-based tests for topology builders, paths and routing.
+//! Property-based tests for topology builders and paths.
 
-use aps_matrix::Matching;
 use aps_topology::paths::{all_pairs_hops, diameter, shortest_path, shortest_path_weighted};
-use aps_topology::routing::{link_loads, route_matching};
 use aps_topology::{builders, properties, Topology};
 use proptest::prelude::*;
 
@@ -74,18 +72,6 @@ proptest! {
     }
 
     #[test]
-    fn routing_loads_account_for_every_hop(t in arb_topology(), k in 1usize..13) {
-        let n = t.n();
-        let k = (k % (n - 1)) + 1;
-        let m = Matching::shift(n, k).unwrap();
-        let flows = route_matching(&t, &m).unwrap();
-        let loads = link_loads(&t, &flows);
-        let total_hops: usize = flows.iter().map(|f| f.hops()).sum();
-        let total_load: f64 = loads.iter().sum();
-        prop_assert!((total_load - total_hops as f64).abs() < 1e-9);
-    }
-
-    #[test]
     fn builders_satisfy_their_invariants(n in 2usize..33) {
         let uni = builders::ring_unidirectional(n).unwrap();
         prop_assert!(properties::is_strongly_connected(&uni));
@@ -107,17 +93,6 @@ proptest! {
             for v in 0..n {
                 prop_assert!(t.egress_capacity(v) <= 1.0 + 1e-9);
             }
-        }
-    }
-
-    #[test]
-    fn matched_topologies_route_their_matching_one_hop(k in 1usize..20, n in 2usize..24) {
-        let k = (k % (n.max(2) - 1)).max(1);
-        if k % n != 0 {
-            let m = Matching::shift(n, k).unwrap();
-            let t = builders::from_matching(&m);
-            let flows = route_matching(&t, &m).unwrap();
-            prop_assert!(flows.iter().all(|f| f.hops() == 1));
         }
     }
 }

@@ -176,9 +176,9 @@
 //!
 //! | Module | Backing crate | Contents |
 //! |---|---|---|
-//! | [`topology`] | `aps-topology` | capacitated graphs, ring/torus/hypercube/co-prime builders, routing |
+//! | [`topology`] | `aps-topology` | capacitated graphs, ring/torus/hypercube/co-prime builders, shortest paths |
 //! | [`matrix`] | `aps-matrix` | matchings, demand matrices, Hopcroft–Karp, BvN decomposition |
-//! | [`flow`] | `aps-flow` | maximum concurrent flow: exact ring forms, Garg–Könemann FPTAS, degree proxy |
+//! | [`flow`] | `aps-flow` | maximum concurrent flow: forced-path θ (O(n) on circuit topologies), Garg–Könemann FPTAS, degree proxy |
 //! | [`par`] | `aps-par` | deterministic scoped worker pool (`APS_THREADS`) behind sweeps, ablations and batched runs |
 //! | [`collectives`] | `aps-collectives` | AllReduce/All-to-All/AllGather/… as matching sequences + semantic verifier |
 //! | [`cost`] | `aps-cost` | the α–β–δ cost model grounded in concurrent flow (Observation 2) |

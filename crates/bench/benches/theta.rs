@@ -1,10 +1,13 @@
 //! Criterion benches for the θ (maximum concurrent flow) solvers — the
 //! congestion factor of eq. (3), and the component §4 wants cheap proxies
-//! for.
+//! for — and for the [`ThetaCache`] that memoizes them.
 
-use aps_flow::solver::{step_throughput, ThroughputSolver};
+use aps_collectives::allreduce;
+use aps_core::sweep::SweepGrid;
+use aps_flow::solver::{step_throughput, ThetaCache, ThroughputSolver};
 use aps_flow::{forced, gk};
 use aps_matrix::Matching;
+use aps_par::Pool;
 use aps_topology::builders;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -36,6 +39,45 @@ fn theta(c: &mut Criterion) {
             b.iter(|| black_box(forced::forced_path_throughput(&ring, &shift).unwrap().0))
         });
     }
+
+    // A cache hit: hash the matching, find its entry, compare the keys.
+    for ports in [1024, 4096] {
+        let ring = builders::ring_unidirectional(ports).unwrap();
+        let shift = Matching::shift(ports, 7).unwrap();
+        let mut cache = ThetaCache::new(&ring, ThroughputSolver::ForcedPath);
+        cache.get(&ring, &shift).unwrap();
+        c.bench_function(&format!("theta_cache_hit_n{ports}"), |b| {
+            b.iter(|| black_box(cache.get(&ring, &shift).unwrap().theta))
+        });
+    }
+
+    // Warming a cache over one plan-sweep family: ring AllReduce at 512
+    // ports for each message size of the paper grid, 6 × 1,022 step
+    // matchings that are all one shift. Serial, so the bench times the
+    // dedup pass and the one solve, not the pool.
+    let ring = builders::ring_unidirectional(512).unwrap();
+    let schedules: Vec<_> = SweepGrid::paper_default()
+        .message_bytes
+        .iter()
+        .map(|&m| allreduce::ring::build(512, m).unwrap().schedule)
+        .collect();
+    let steps = || {
+        schedules
+            .iter()
+            .flat_map(|s| s.steps())
+            .map(|s| &s.matching)
+    };
+    c.bench_function("theta_cache_warm_ring_allreduce_n512", |b| {
+        b.iter(|| {
+            let cache = ThetaCache::warm(
+                &Pool::serial(),
+                &ring,
+                ThroughputSolver::ForcedPath,
+                steps(),
+            );
+            black_box(cache.unwrap().len())
+        })
+    });
 
     c.bench_function("theta_degree_proxy_uni_ring_n64", |b| {
         b.iter(|| {

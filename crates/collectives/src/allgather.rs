@@ -3,11 +3,26 @@
 //! `message_bytes` is the size of the *gathered result* `m`; each node
 //! contributes an `m/n`-byte chunk (chunk `i` originates at node `i`).
 
-use crate::builder::{assemble, check_message_bytes, exact_log2, StepSends};
+use crate::builder::{check_message_bytes, exact_log2, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::iter::once;
+
+/// Declares an AllGather over `n` nodes: node `i` holds chunk `i`.
+fn header_and_inputs(n: usize, algorithm: &'static str, message_bytes: f64, out: &mut impl Sink) {
+    out.header(Header {
+        kind: CollectiveKind::AllGather,
+        algorithm,
+        semantics: Semantics::AllGather,
+        num_chunks: n,
+        chunk_bytes: message_bytes / n as f64,
+    });
+    for i in 0..n {
+        out.hold(i, once(i));
+    }
+}
 
 /// Ring AllGather: `n−1` shift-by-1 steps; at step `t` node `i` forwards
 /// chunk `(i − t) mod n` (the chunk it received in the previous step).
@@ -20,28 +35,24 @@ pub fn ring(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError>
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let steps: Vec<StepSends> = (0..n - 1)
-        .map(|t| {
-            (0..n)
-                .map(|i| {
-                    let c = (i + n - t % n) % n;
-                    (i, (i + 1) % n, vec![c], Combine::Replace)
-                })
-                .collect()
-        })
-        .collect();
-    let initial = (0..n).map(|i| vec![i]).collect();
-    assemble(
-        n,
-        CollectiveKind::AllGather,
-        "ring",
-        Semantics::AllGather,
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
+    Collective::build(Algo::RingAllGather, n, message_bytes)
+}
+
+pub(crate) fn describe_ring(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    header_and_inputs(n, "ring", message_bytes, out);
+    ring_steps(n, out);
+}
+
+/// The `n − 1` ring-allgather steps, also the second phase of the
+/// scatter-allgather broadcast.
+pub(crate) fn ring_steps(n: usize, out: &mut impl Sink) {
+    for t in 0..n - 1 {
+        out.step();
+        for i in 0..n {
+            let c = (i + n - t % n) % n;
+            out.send(i, (i + 1) % n, once(c), Combine::Replace);
+        }
+    }
 }
 
 /// Recursive-doubling AllGather: `log₂ n` steps; at step `t` node `i` sends
@@ -54,31 +65,20 @@ pub fn recursive_doubling(n: usize, message_bytes: f64) -> Result<Collective, Co
     if n < 2 {
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
-    let log = exact_log2(n)?;
+    exact_log2(n)?;
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let steps: Vec<StepSends> = (0..log)
-        .map(|t| {
-            (0..n)
-                .map(|i| {
-                    let lo = (i >> t) << t;
-                    let blk: Vec<usize> = (lo..lo + (1 << t)).collect();
-                    (i, i ^ (1 << t), blk, Combine::Replace)
-                })
-                .collect()
-        })
-        .collect();
-    let initial = (0..n).map(|i| vec![i]).collect();
-    assemble(
-        n,
-        CollectiveKind::AllGather,
-        "recursive-doubling",
-        Semantics::AllGather,
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
+    Collective::build(Algo::RecursiveDoublingAllGather, n, message_bytes)
+}
+
+pub(crate) fn describe_recursive_doubling(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    header_and_inputs(n, "recursive-doubling", message_bytes, out);
+    for t in 0..n.trailing_zeros() {
+        out.step();
+        for i in 0..n {
+            let lo = (i >> t) << t;
+            out.send(i, i ^ (1 << t), lo..lo + (1 << t), Combine::Replace);
+        }
+    }
 }
 
 #[cfg(test)]

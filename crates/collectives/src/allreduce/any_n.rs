@@ -7,7 +7,7 @@
 //! the result back to the folded-away partners. Costs two extra `m/2` steps
 //! and one extra `m` step relative to the power-of-two case.
 
-use crate::builder::{assemble, check_message_bytes, StepSends};
+use crate::builder::{check_message_bytes, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
@@ -30,6 +30,11 @@ pub fn build(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError
         return super::halving_doubling::build(n, message_bytes);
     }
     check_message_bytes(message_bytes)?;
+    Collective::build(Algo::AnyNAllReduce, n, message_bytes)
+}
+
+/// The description for non-power-of-two `n`.
+pub(crate) fn describe(n: usize, message_bytes: f64, out: &mut impl Sink) {
     let log = usize::BITS as usize - n.leading_zeros() as usize - 1; // ⌊log₂ n⌋
     let np = 1usize << log; // virtual domain size
     let r = n - np; // surplus nodes
@@ -38,88 +43,63 @@ pub fn build(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError
     // per half) and the power-of-two slot blocks (2 chunks per slot) are
     // expressible.
     let chunks = 2 * np;
-    let chunk_bytes = message_bytes / chunks as f64;
+    out.header(Header {
+        kind: CollectiveKind::AllReduce,
+        algorithm: "halving-doubling-any-n",
+        semantics: Semantics::AllReduce,
+        num_chunks: chunks,
+        chunk_bytes: message_bytes / chunks as f64,
+    });
+    for i in 0..n {
+        out.hold(i, 0..chunks);
+    }
     // Virtual rank v lives on physical node phys(v).
     let phys = |v: usize| if v < r { 2 * v } else { v + r };
 
-    let mut steps: Vec<StepSends> = Vec::new();
-
     // Pre-phase step 1: surplus pairs exchange halves and reduce.
-    steps.push(
-        (0..r)
-            .flat_map(|i| {
-                let (a, b) = (2 * i, 2 * i + 1);
-                let first: Vec<usize> = (0..np).collect();
-                let second: Vec<usize> = (np..2 * np).collect();
-                [
-                    (a, b, second, Combine::Reduce),
-                    (b, a, first, Combine::Reduce),
-                ]
-            })
-            .collect(),
-    );
+    out.step();
+    for i in 0..r {
+        let (a, b) = (2 * i, 2 * i + 1);
+        out.send(a, b, np..2 * np, Combine::Reduce);
+        out.send(b, a, 0..np, Combine::Reduce);
+    }
     // Pre-phase step 2: the odd partner hands its reduced half back; the
     // even node now owns the pair-combined full vector.
-    steps.push(
-        (0..r)
-            .map(|i| (2 * i + 1, 2 * i, (np..2 * np).collect(), Combine::Reduce))
-            .collect(),
-    );
+    out.step();
+    for i in 0..r {
+        out.send(2 * i + 1, 2 * i, np..2 * np, Combine::Reduce);
+    }
 
-    // Power-of-two phase on virtual ranks; slot s owns chunks {2s, 2s+1}.
-    let slot_block = |v: usize, t: usize| -> Vec<usize> {
+    // Power-of-two phase on virtual ranks; slot s owns chunks {2s, 2s+1},
+    // so a block of slots is a contiguous run of chunks.
+    let slot_block = |v: usize, t: usize| {
         let width = log - t;
         let lo = (v >> width) << width;
-        (lo..lo + (np >> t))
-            .flat_map(|s| [2 * s, 2 * s + 1])
-            .collect()
+        2 * lo..2 * (lo + (np >> t))
     };
     for t in 0..log {
         let mask = 1usize << (log - 1 - t);
-        steps.push(
-            (0..np)
-                .map(|v| {
-                    let p = v ^ mask;
-                    (phys(v), phys(p), slot_block(p, t + 1), Combine::Reduce)
-                })
-                .collect(),
-        );
+        out.step();
+        for v in 0..np {
+            let p = v ^ mask;
+            out.send(phys(v), phys(p), slot_block(p, t + 1), Combine::Reduce);
+        }
     }
     for u in 0..log {
         let mask = 1usize << u;
-        steps.push(
-            (0..np)
-                .map(|v| {
-                    (
-                        phys(v),
-                        phys(v ^ mask),
-                        slot_block(v, log - u),
-                        Combine::Replace,
-                    )
-                })
-                .collect(),
-        );
+        out.step();
+        for v in 0..np {
+            let block = slot_block(v, log - u);
+            out.send(phys(v), phys(v ^ mask), block, Combine::Replace);
+        }
     }
 
     // Post-phase: even surplus nodes copy the full result to their folded
     // partners.
-    steps.push(
-        (0..r)
-            .map(|i| (2 * i, 2 * i + 1, (0..2 * np).collect(), Combine::Replace))
-            .collect(),
-    );
-
-    let initial = (0..n).map(|_| (0..chunks).collect()).collect();
-    assemble(
-        n,
-        CollectiveKind::AllReduce,
-        "halving-doubling-any-n",
-        Semantics::AllReduce,
-        chunks,
-        chunk_bytes,
-        initial,
-        steps,
-    )
+    out.step();
+    for i in 0..r {
+        out.send(2 * i, 2 * i + 1, 0..2 * np, Combine::Replace);
+    }
 }
 
 #[cfg(test)]

@@ -7,18 +7,19 @@
 //! "recursive doubling" AllReduce of the paper's evaluation (§3.4 calls it
 //! bandwidth-optimal, which singles out this variant of reference 30).
 
-use crate::builder::{assemble, check_message_bytes, exact_log2, StepSends};
+use crate::builder::{check_message_bytes, exact_log2, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::ops::Range;
 
 /// Slot block of node `i` after `t` reduce-scatter steps: the `n/2^t` slots
 /// whose index shares `i`'s top `t` bits.
-fn block(n: usize, log: usize, i: usize, t: usize) -> Vec<usize> {
+fn block(n: usize, log: usize, i: usize, t: usize) -> Range<usize> {
     let width = log - t;
     let lo = (i >> width) << width;
-    (lo..lo + (n >> t)).collect()
+    lo..lo + (n >> t)
 }
 
 /// Builds halving-doubling AllReduce over `n` nodes (`n` a power of two,
@@ -32,44 +33,42 @@ pub fn build(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError
     if n < 2 {
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
-    let log = exact_log2(n)?;
+    exact_log2(n)?;
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let mut steps: Vec<StepSends> = Vec::with_capacity(2 * log);
+    Collective::build(Algo::HalvingDoublingAllReduce, n, message_bytes)
+}
+
+pub(crate) fn describe(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    let log = n.trailing_zeros() as usize;
+    out.header(Header {
+        kind: CollectiveKind::AllReduce,
+        algorithm: "halving-doubling",
+        semantics: Semantics::AllReduce,
+        num_chunks: n,
+        chunk_bytes: message_bytes / n as f64,
+    });
+    for i in 0..n {
+        out.hold(i, 0..n);
+    }
     // Reduce-scatter: start with the farthest partner, halve the working
     // block each step. At step t node i sends the half belonging to its
     // partner's side.
     for t in 0..log {
         let mask = 1usize << (log - 1 - t);
-        steps.push(
-            (0..n)
-                .map(|i| {
-                    let p = i ^ mask;
-                    (i, p, block(n, log, p, t + 1), Combine::Reduce)
-                })
-                .collect(),
-        );
+        out.step();
+        for i in 0..n {
+            let p = i ^ mask;
+            out.send(i, p, block(n, log, p, t + 1), Combine::Reduce);
+        }
     }
     // Allgather: nearest partner first, double the completed block.
     for u in 0..log {
         let mask = 1usize << u;
-        steps.push(
-            (0..n)
-                .map(|i| (i, i ^ mask, block(n, log, i, log - u), Combine::Replace))
-                .collect(),
-        );
+        out.step();
+        for i in 0..n {
+            out.send(i, i ^ mask, block(n, log, i, log - u), Combine::Replace);
+        }
     }
-    let initial = (0..n).map(|_| (0..n).collect()).collect();
-    assemble(
-        n,
-        CollectiveKind::AllReduce,
-        "halving-doubling",
-        Semantics::AllReduce,
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
 }
 
 #[cfg(test)]
@@ -128,10 +127,10 @@ mod tests {
 
     #[test]
     fn block_helper() {
-        assert_eq!(block(8, 3, 5, 1), vec![4, 5, 6, 7]);
-        assert_eq!(block(8, 3, 5, 2), vec![4, 5]);
-        assert_eq!(block(8, 3, 5, 3), vec![5]);
-        assert_eq!(block(8, 3, 5, 0), vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(block(8, 3, 5, 1), 4..8);
+        assert_eq!(block(8, 3, 5, 2), 4..6);
+        assert_eq!(block(8, 3, 5, 3), 5..6);
+        assert_eq!(block(8, 3, 5, 0), 0..8);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! ring suffer (which is exactly what makes it interesting for
 //! reconfiguration).
 
-use crate::builder::{assemble, check_message_bytes, exact_log2, StepSends};
+use crate::builder::{check_message_bytes, exact_log2, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::iter::once;
 
 /// Builds recursive-doubling AllReduce over `n` nodes (`n` a power of two,
 /// `n ≥ 2`) for an `m`-byte vector.
@@ -23,27 +24,29 @@ pub fn build(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError
     if n < 2 {
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
-    let log = exact_log2(n)?;
+    exact_log2(n)?;
     check_message_bytes(message_bytes)?;
-    let steps: Vec<StepSends> = (0..log)
-        .map(|t| {
-            let mask = 1usize << t;
-            (0..n)
-                .map(|i| (i, i ^ mask, vec![0usize], Combine::Reduce))
-                .collect()
-        })
-        .collect();
-    let initial = (0..n).map(|_| vec![0usize]).collect();
-    assemble(
-        n,
-        CollectiveKind::AllReduce,
-        "recursive-doubling",
-        Semantics::AllReduce,
-        1,
-        message_bytes,
-        initial,
-        steps,
-    )
+    Collective::build(Algo::RecursiveDoublingAllReduce, n, message_bytes)
+}
+
+pub(crate) fn describe(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    out.header(Header {
+        kind: CollectiveKind::AllReduce,
+        algorithm: "recursive-doubling",
+        semantics: Semantics::AllReduce,
+        num_chunks: 1,
+        chunk_bytes: message_bytes,
+    });
+    for i in 0..n {
+        out.hold(i, once(0));
+    }
+    for t in 0..n.trailing_zeros() {
+        let mask = 1usize << t;
+        out.step();
+        for i in 0..n {
+            out.send(i, i ^ mask, once(0), Combine::Reduce);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -6,11 +6,12 @@
 //! algorithm stays optimal on static rings even for short messages when
 //! propagation delays dominate (§4).
 
-use crate::builder::{assemble, check_message_bytes, StepSends};
+use crate::builder::{check_message_bytes, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::iter::once;
 
 /// Builds ring AllReduce over `n ≥ 2` nodes for an `m`-byte vector.
 ///
@@ -28,41 +29,36 @@ pub fn build(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let mut steps: Vec<StepSends> = Vec::with_capacity(2 * (n - 1));
+    Collective::build(Algo::RingAllReduce, n, message_bytes)
+}
+
+pub(crate) fn describe(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    out.header(Header {
+        kind: CollectiveKind::AllReduce,
+        algorithm: "ring",
+        semantics: Semantics::AllReduce,
+        num_chunks: n,
+        chunk_bytes: message_bytes / n as f64,
+    });
+    for i in 0..n {
+        out.hold(i, 0..n);
+    }
     // Reduce-scatter phase.
     for t in 0..n - 1 {
-        steps.push(
-            (0..n)
-                .map(|i| {
-                    let chunk = (i + 2 * n - t - 1) % n;
-                    ((i), (i + 1) % n, vec![chunk], Combine::Reduce)
-                })
-                .collect(),
-        );
+        out.step();
+        for i in 0..n {
+            let chunk = (i + 2 * n - t - 1) % n;
+            out.send(i, (i + 1) % n, once(chunk), Combine::Reduce);
+        }
     }
     // Allgather phase: node i starts holding its fully-reduced slot i.
     for t in 0..n - 1 {
-        steps.push(
-            (0..n)
-                .map(|i| {
-                    let chunk = (i + n - t % n) % n;
-                    ((i), (i + 1) % n, vec![chunk], Combine::Replace)
-                })
-                .collect(),
-        );
+        out.step();
+        for i in 0..n {
+            let chunk = (i + n - t % n) % n;
+            out.send(i, (i + 1) % n, once(chunk), Combine::Replace);
+        }
     }
-    let initial = (0..n).map(|_| (0..n).collect()).collect();
-    assemble(
-        n,
-        CollectiveKind::AllReduce,
-        "ring",
-        Semantics::AllReduce,
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
 }
 
 #[cfg(test)]

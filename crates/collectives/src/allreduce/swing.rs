@@ -12,11 +12,13 @@
 //! Slot ownership is derived from the *gather tree*: `R_t(i)` is the set of
 //! nodes reachable from `i` using partners of steps `t, …, log−1`; node `i`
 //! sends slots `R_{t+1}(peer_t(i))` at reduce-scatter step `t` and ends up
-//! owning slot `i`. Construction validates that `R_0(i)` covers all nodes —
-//! i.e. that the Swing peer sequence really induces a valid recursive
-//! halving, which is exactly the property proved in the Swing paper.
+//! owning slot `i`. The schedule needs only `|R_t(i)| = n/2^t`, which holds
+//! because the Swing peer sequence induces a valid recursive halving — the
+//! property proved in the Swing paper. [`Collective::check`] lists every
+//! `R_t(i)` and refuses the collective if a set has another size or the
+//! final state misses a contribution.
 
-use crate::builder::{assemble, check_message_bytes, exact_log2, StepSends};
+use crate::builder::{check_message_bytes, exact_log2, Algo, Counted, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
@@ -33,21 +35,36 @@ fn peer(n: usize, t: u32, i: usize) -> usize {
     (i as i64 + sign * rho(t)).rem_euclid(n as i64) as usize
 }
 
+/// `R_t(i)`, sorted: the slots node `i` is responsible for before step `t`
+/// — every node reached from `i` by deciding, at each step `t, …, log−1`
+/// in turn, whether to move to the current node's partner. A valid
+/// recursive halving makes these `n/2^t` distinct slots.
+fn responsibility(n: usize, log: usize, t: usize, i: usize) -> Vec<usize> {
+    let mut set = vec![i];
+    for s in t..log {
+        for j in 0..set.len() {
+            set.push(peer(n, s as u32, set[j]));
+        }
+    }
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
 /// Builds Swing AllReduce over `n` nodes (`n` a power of two, `n ≥ 2`) for
 /// an `m`-byte vector. Node `i` ends as the reduction owner of slot `i`.
 ///
 /// # Errors
 ///
 /// Rejects `n < 2`, non-power-of-two `n`, bad message sizes; fails with
-/// [`CollectiveError::ConstructionInvariant`] if the peer sequence does not
-/// form a valid recursive halving (never happens for power-of-two `n`).
+/// [`CollectiveError::ConstructionInvariant`] if the partners of a step do
+/// not pair the nodes up (never happens for power-of-two `n`).
 pub fn build(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError> {
     if n < 2 {
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
     let log = exact_log2(n)?;
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
 
     // Verify the peer relation is a valid pairwise exchange at every step.
     for t in 0..log as u32 {
@@ -60,66 +77,43 @@ pub fn build(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError
             }
         }
     }
+    Collective::build(Algo::SwingAllReduce, n, message_bytes)
+}
 
-    // R[t][i]: slots node i is responsible for before step t (as sorted vec).
-    let mut r: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n]; log + 1];
-    for (i, slots) in r[log].iter_mut().enumerate() {
-        *slots = vec![i];
+/// The sends read each responsibility set's size, `n/2^t`, without listing
+/// it; [`Collective::check`] lists every set and refuses one of another
+/// size, which is how it catches a peer sequence that is not a valid
+/// recursive halving.
+pub(crate) fn describe(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    let log = n.trailing_zeros() as usize;
+    out.header(Header {
+        kind: CollectiveKind::AllReduce,
+        algorithm: "swing",
+        semantics: Semantics::AllReduce,
+        num_chunks: n,
+        chunk_bytes: message_bytes / n as f64,
+    });
+    for i in 0..n {
+        out.hold(i, 0..n);
     }
-    for t in (0..log).rev() {
-        for i in 0..n {
-            let p = peer(n, t as u32, i);
-            let mut merged: Vec<usize> = r[t + 1][i]
-                .iter()
-                .chain(r[t + 1][p].iter())
-                .copied()
-                .collect();
-            merged.sort_unstable();
-            merged.dedup();
-            r[t][i] = merged;
-        }
-    }
-    if (0..n).any(|i| r[0][i].len() != n) {
-        return Err(CollectiveError::ConstructionInvariant(
-            "swing gather tree does not cover all nodes",
-        ));
-    }
-
-    let mut steps: Vec<StepSends> = Vec::with_capacity(2 * log);
+    let block = |t: usize, i: usize| Counted(n >> t, move || responsibility(n, log, t, i));
     // Reduce-scatter: node i sends the partner's responsibility set.
     for t in 0..log {
-        steps.push(
-            (0..n)
-                .map(|i| {
-                    let p = peer(n, t as u32, i);
-                    (i, p, r[t + 1][p].clone(), Combine::Reduce)
-                })
-                .collect(),
-        );
+        out.step();
+        for i in 0..n {
+            let p = peer(n, t as u32, i);
+            out.send(i, p, block(t + 1, p), Combine::Reduce);
+        }
     }
     // Allgather: retrace the pairings in reverse, sending completed blocks.
     for u in 0..log {
         let t = log - 1 - u;
-        steps.push(
-            (0..n)
-                .map(|i| {
-                    let p = peer(n, t as u32, i);
-                    (i, p, r[t + 1][i].clone(), Combine::Replace)
-                })
-                .collect(),
-        );
+        out.step();
+        for i in 0..n {
+            let p = peer(n, t as u32, i);
+            out.send(i, p, block(t + 1, i), Combine::Replace);
+        }
     }
-    let initial = (0..n).map(|_| (0..n).collect()).collect();
-    assemble(
-        n,
-        CollectiveKind::AllReduce,
-        "swing",
-        Semantics::AllReduce,
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
 }
 
 #[cfg(test)]
@@ -142,6 +136,21 @@ mod tests {
                 assert_eq!(peer(n, t, p), i, "t={t} i={i}");
             }
         }
+    }
+
+    #[test]
+    fn responsibility_sets_halve() {
+        for n in [2usize, 8, 64] {
+            let log = n.trailing_zeros() as usize;
+            for t in 0..=log {
+                for i in 0..n {
+                    let r = responsibility(n, log, t, i);
+                    assert_eq!(r.len(), n >> t, "n={n} t={t} i={i}");
+                    assert!(r.contains(&i));
+                }
+            }
+        }
+        assert_eq!(responsibility(8, 3, 1, 0), vec![0, 3, 4, 7]);
     }
 
     #[test]

@@ -13,21 +13,31 @@
 //!   store-and-forward relaying: fewer, fatter steps (`~m/2` per step);
 //!   latency-optimal for small messages.
 
-use crate::builder::{assemble, ceil_log2, check_message_bytes, exact_log2, StepSends};
+use crate::builder::{ceil_log2, check_message_bytes, exact_log2, Algo, Counted, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::iter::once;
 
 /// Chunk id of the block node `s` owes node `d`.
 fn chunk(n: usize, s: usize, d: usize) -> usize {
     s * n + d
 }
 
-fn initial(n: usize) -> Vec<Vec<usize>> {
-    (0..n)
-        .map(|i| (0..n).filter(|&d| d != i).map(|d| chunk(n, i, d)).collect())
-        .collect()
+/// Declares an All-to-All over `n` nodes: node `i` holds the blocks it owes
+/// every other node.
+fn header_and_blocks(n: usize, algorithm: &'static str, message_bytes: f64, out: &mut impl Sink) {
+    out.header(Header {
+        kind: CollectiveKind::AllToAll,
+        algorithm,
+        semantics: Semantics::AllToAll,
+        num_chunks: n * n,
+        chunk_bytes: message_bytes / n as f64,
+    });
+    for i in 0..n {
+        out.hold(i, (0..n).filter(|&d| d != i).map(|d| chunk(n, i, d)));
+    }
 }
 
 /// Linear-shift All-to-All: at step `k ∈ 1..n`, node `i` sends block
@@ -41,27 +51,18 @@ pub fn linear_shift(n: usize, message_bytes: f64) -> Result<Collective, Collecti
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let steps: Vec<StepSends> = (1..n)
-        .map(|k| {
-            (0..n)
-                .map(|i| {
-                    let d = (i + k) % n;
-                    (i, d, vec![chunk(n, i, d)], Combine::Replace)
-                })
-                .collect()
-        })
-        .collect();
-    assemble(
-        n,
-        CollectiveKind::AllToAll,
-        "linear-shift",
-        Semantics::AllToAll,
-        n * n,
-        chunk_bytes,
-        initial(n),
-        steps,
-    )
+    Collective::build(Algo::LinearShift, n, message_bytes)
+}
+
+pub(crate) fn describe_linear_shift(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    header_and_blocks(n, "linear-shift", message_bytes, out);
+    for k in 1..n {
+        out.step();
+        for i in 0..n {
+            let d = (i + k) % n;
+            out.send(i, d, once(chunk(n, i, d)), Combine::Replace);
+        }
+    }
 }
 
 /// Pairwise XOR All-to-All: at step `k ∈ 1..n`, node `i` exchanges with
@@ -76,27 +77,18 @@ pub fn xor_exchange(n: usize, message_bytes: f64) -> Result<Collective, Collecti
     }
     exact_log2(n)?;
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let steps: Vec<StepSends> = (1..n)
-        .map(|k| {
-            (0..n)
-                .map(|i| {
-                    let d = i ^ k;
-                    (i, d, vec![chunk(n, i, d)], Combine::Replace)
-                })
-                .collect()
-        })
-        .collect();
-    assemble(
-        n,
-        CollectiveKind::AllToAll,
-        "xor-exchange",
-        Semantics::AllToAll,
-        n * n,
-        chunk_bytes,
-        initial(n),
-        steps,
-    )
+    Collective::build(Algo::XorExchange, n, message_bytes)
+}
+
+pub(crate) fn describe_xor_exchange(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    header_and_blocks(n, "xor-exchange", message_bytes, out);
+    for k in 1..n {
+        out.step();
+        for i in 0..n {
+            let d = i ^ k;
+            out.send(i, d, once(chunk(n, i, d)), Combine::Replace);
+        }
+    }
 }
 
 /// Bruck All-to-All: `⌈log₂ n⌉` shift-by-`2^t` steps. A block with remaining
@@ -111,41 +103,38 @@ pub fn bruck(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let rounds = ceil_log2(n);
-    let mut steps: Vec<StepSends> = Vec::with_capacity(rounds);
-    for t in 0..rounds {
+    Collective::build(Algo::Bruck, n, message_bytes)
+}
+
+pub(crate) fn describe_bruck(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    header_and_blocks(n, "bruck", message_bytes, out);
+    for t in 0..ceil_log2(n) {
         let hop = 1usize << t;
-        let mut sends: StepSends = Vec::with_capacity(n);
-        for v in 0..n {
-            // Blocks held by v with remaining-distance bit t set: the block
-            // (s, d) with r = (d - s) mod n sits at s + (r mod 2^t) after
-            // the earlier rounds, i.e. v = s + (r & (hop - 1)).
-            let mut moving = Vec::new();
-            for r in 1..n {
-                if r & hop != 0 {
-                    let s = (v + n - (r & (hop - 1))) % n;
-                    let d = (s + r) % n;
-                    moving.push(chunk(n, s, d));
-                }
-            }
-            if !moving.is_empty() {
-                moving.sort_unstable();
-                sends.push((v, (v + hop) % n, moving, Combine::Replace));
-            }
+        // Every node moves the blocks whose remaining distance r has bit t
+        // set: the same number at every node.
+        let moving = (1..n).filter(|r| r & hop != 0).count();
+        out.step();
+        if moving == 0 {
+            continue;
         }
-        steps.push(sends);
+        for v in 0..n {
+            // The block (s, d) with r = (d - s) mod n sits at
+            // s + (r mod 2^t) after the earlier rounds, i.e.
+            // v = s + (r & (hop - 1)).
+            let blocks = move || {
+                let mut ids: Vec<usize> = (1..n)
+                    .filter(|r| r & hop != 0)
+                    .map(|r| {
+                        let s = (v + n - (r & (hop - 1))) % n;
+                        chunk(n, s, (s + r) % n)
+                    })
+                    .collect();
+                ids.sort_unstable();
+                ids
+            };
+            out.send(v, (v + hop) % n, Counted(moving, blocks), Combine::Replace);
+        }
     }
-    assemble(
-        n,
-        CollectiveKind::AllToAll,
-        "bruck",
-        Semantics::AllToAll,
-        n * n,
-        chunk_bytes,
-        initial(n),
-        steps,
-    )
 }
 
 #[cfg(test)]
@@ -225,7 +214,7 @@ mod tests {
         let c = bruck(4, 4.0).unwrap();
         let ch = chunk(4, 0, 3);
         let hops: Vec<(usize, usize)> = c
-            .dataflow
+            .dataflow()
             .steps
             .iter()
             .flat_map(|s| s.transfers.iter())

@@ -7,11 +7,12 @@
 //! latency, which makes barriers the extreme point of the paper's
 //! small-message regime (reconfiguration never pays off).
 
-use crate::builder::{assemble, ceil_log2, StepSends};
+use crate::builder::{ceil_log2, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::iter::once;
 
 /// Bytes of the per-node arrival token.
 pub const TOKEN_BYTES: f64 = 1.0;
@@ -25,32 +26,31 @@ pub fn dissemination(n: usize) -> Result<Collective, CollectiveError> {
     if n < 2 {
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
-    let rounds = ceil_log2(n);
-    let steps: Vec<StepSends> = (0..rounds)
-        .map(|t| {
-            let hop = 1usize << t;
-            (0..n)
-                .map(|i| {
-                    // Tokens known to node i before round t: the window
-                    // {i, i-1, …, i-(2^t - 1)} (mod n).
-                    let window = (1usize << t).min(n);
-                    let known: Vec<usize> = (0..window).map(|x| (i + n - x % n) % n).collect();
-                    (i, (i + hop) % n, known, Combine::Reduce)
-                })
-                .collect()
-        })
-        .collect();
-    let initial = (0..n).map(|i| vec![i]).collect();
-    assemble(
-        n,
-        CollectiveKind::Barrier,
-        "dissemination",
-        Semantics::Barrier,
-        n,
-        TOKEN_BYTES,
-        initial,
-        steps,
-    )
+    Collective::build(Algo::Dissemination, n, TOKEN_BYTES)
+}
+
+pub(crate) fn describe(n: usize, out: &mut impl Sink) {
+    out.header(Header {
+        kind: CollectiveKind::Barrier,
+        algorithm: "dissemination",
+        semantics: Semantics::Barrier,
+        num_chunks: n,
+        chunk_bytes: TOKEN_BYTES,
+    });
+    for i in 0..n {
+        out.hold(i, once(i));
+    }
+    for t in 0..ceil_log2(n) {
+        let hop = 1usize << t;
+        // Tokens known to node i before round t: the window
+        // {i, i-1, …, i-(2^t - 1)} (mod n).
+        let window = (1usize << t).min(n);
+        out.step();
+        for i in 0..n {
+            let known = (0..window).map(|x| (i + n - x % n) % n);
+            out.send(i, (i + hop) % n, known, Combine::Reduce);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -9,11 +9,23 @@
 //!   ring-allgather them; `⌈log₂ n⌉ + n − 1` steps moving only
 //!   `~2m(n−1)/n` bytes per node.
 
-use crate::builder::{assemble, ceil_log2, check_message_bytes, StepSends};
+use crate::builder::{ceil_log2, check_message_bytes, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::iter::once;
+
+/// Validates a rooted broadcast's inputs.
+fn check(n: usize, root: usize, message_bytes: f64) -> Result<(), CollectiveError> {
+    if n < 2 {
+        return Err(CollectiveError::TooFewNodes { n, min: 2 });
+    }
+    if root >= n {
+        return Err(CollectiveError::RootOutOfRange { root, n });
+    }
+    check_message_bytes(message_bytes)
+}
 
 /// Builds a binomial-tree broadcast of `message_bytes` from `root` over
 /// `n ≥ 2` nodes (any `n`).
@@ -22,39 +34,28 @@ use crate::schedule::CollectiveKind;
 ///
 /// Rejects `n < 2`, out-of-range roots, and bad message sizes.
 pub fn binomial(n: usize, root: usize, message_bytes: f64) -> Result<Collective, CollectiveError> {
-    if n < 2 {
-        return Err(CollectiveError::TooFewNodes { n, min: 2 });
+    check(n, root, message_bytes)?;
+    Collective::build(Algo::BinomialBroadcast { root }, n, message_bytes)
+}
+
+pub(crate) fn describe_binomial(n: usize, root: usize, message_bytes: f64, out: &mut impl Sink) {
+    out.header(Header {
+        kind: CollectiveKind::Broadcast,
+        algorithm: "binomial",
+        semantics: Semantics::Broadcast { root },
+        num_chunks: 1,
+        chunk_bytes: message_bytes,
+    });
+    out.hold(root, once(0));
+    for t in 0..ceil_log2(n) {
+        let reach = 1usize << t;
+        out.step();
+        for r in (0..reach).filter(|r| r + reach < n) {
+            let src = (root + r) % n;
+            let dst = (root + r + reach) % n;
+            out.send(src, dst, once(0), Combine::Replace);
+        }
     }
-    if root >= n {
-        return Err(CollectiveError::RootOutOfRange { root, n });
-    }
-    check_message_bytes(message_bytes)?;
-    let rounds = ceil_log2(n);
-    let steps: Vec<StepSends> = (0..rounds)
-        .map(|t| {
-            let reach = 1usize << t;
-            (0..reach)
-                .filter(|r| r + reach < n)
-                .map(|r| {
-                    let src = (root + r) % n;
-                    let dst = (root + r + reach) % n;
-                    (src, dst, vec![0usize], Combine::Replace)
-                })
-                .collect()
-        })
-        .collect();
-    let mut initial = vec![Vec::new(); n];
-    initial[root] = vec![0usize];
-    assemble(
-        n,
-        CollectiveKind::Broadcast,
-        "binomial",
-        Semantics::Broadcast { root },
-        1,
-        message_bytes,
-        initial,
-        steps,
-    )
 }
 
 /// Builds the van de Geijn scatter-allgather broadcast of `message_bytes`
@@ -71,39 +72,28 @@ pub fn scatter_allgather(
     root: usize,
     message_bytes: f64,
 ) -> Result<Collective, CollectiveError> {
-    if n < 2 {
-        return Err(CollectiveError::TooFewNodes { n, min: 2 });
-    }
-    if root >= n {
-        return Err(CollectiveError::RootOutOfRange { root, n });
-    }
-    check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
+    check(n, root, message_bytes)?;
+    Collective::build(Algo::ScatterAllgather { root }, n, message_bytes)
+}
+
+pub(crate) fn describe_scatter_allgather(
+    n: usize,
+    root: usize,
+    message_bytes: f64,
+    out: &mut impl Sink,
+) {
+    out.header(Header {
+        kind: CollectiveKind::Broadcast,
+        algorithm: "scatter-allgather",
+        semantics: Semantics::Broadcast { root },
+        num_chunks: n,
+        chunk_bytes: message_bytes / n as f64,
+    });
+    out.hold(root, 0..n);
     // Phase 1: binomial scatter; afterwards node i holds chunk i.
-    let mut steps = crate::scatter::binomial_scatter_steps(n, root);
+    crate::scatter::binomial_scatter_steps(n, root, out);
     // Phase 2: ring allgather circulates the chunks.
-    for t in 0..n - 1 {
-        steps.push(
-            (0..n)
-                .map(|i| {
-                    let c = (i + n - t % n) % n;
-                    (i, (i + 1) % n, vec![c], Combine::Replace)
-                })
-                .collect(),
-        );
-    }
-    let mut initial = vec![Vec::new(); n];
-    initial[root] = (0..n).collect();
-    assemble(
-        n,
-        CollectiveKind::Broadcast,
-        "scatter-allgather",
-        Semantics::Broadcast { root },
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
+    crate::allgather::ring_steps(n, out);
 }
 
 #[cfg(test)]

@@ -1,12 +1,18 @@
-//! A collective = a cost-model [`Schedule`] + a chunk-level [`DataFlow`],
-//! kept mutually consistent.
+//! A collective = a cost-model [`Schedule`], plus the chunk-level
+//! [`DataFlow`] it refines, built on demand.
 
+use crate::builder::{Algo, Recipe};
 use crate::dataflow::DataFlow;
-use crate::error::VerifyError;
+use crate::error::{CollectiveError, VerifyError};
 use crate::schedule::Schedule;
 use crate::verify::verify_dataflow;
 
 /// A fully-specified collective algorithm instance.
+///
+/// Building one lists no chunk ids: the builder's algorithm description
+/// yields only the schedule's matchings and volumes. The chunk-level
+/// [`DataFlow`] is built from the same description only when asked for, by
+/// [`Collective::check`] and [`Collective::dataflow`].
 ///
 /// Invariant (checked by [`Collective::check`], exercised by every builder's
 /// tests): the data flow's per-step `(src → dst)` transfer pairs equal the
@@ -16,21 +22,41 @@ use crate::verify::verify_dataflow;
 pub struct Collective {
     /// The matching/volume view consumed by the cost model and scheduler.
     pub schedule: Schedule,
-    /// The chunk-level view, read by the semantic verifier in
-    /// [`Collective::check`].
-    pub dataflow: DataFlow,
+    /// The builder call that made `schedule`, rerun to list the data flow.
+    recipe: Recipe,
 }
 
 impl Collective {
-    /// Cross-checks schedule against data flow, then verifies the collective
-    /// semantics end to end.
+    /// Runs a validated builder call's description into its schedule.
+    pub(crate) fn build(algo: Algo, n: usize, bytes: f64) -> Result<Self, CollectiveError> {
+        let recipe = Recipe { algo, n, bytes };
+        Ok(Self {
+            schedule: recipe.schedule()?,
+            recipe,
+        })
+    }
+
+    #[cfg(test)]
+    pub(crate) fn recipe(&self) -> Recipe {
+        self.recipe
+    }
+
+    /// The chunk-level view: which chunks every transfer moves, listed from
+    /// the builder's description on each call.
+    pub fn dataflow(&self) -> DataFlow {
+        self.recipe.dataflow()
+    }
+
+    /// Cross-checks the schedule against the data flow, then verifies the
+    /// collective semantics end to end.
     ///
     /// # Errors
     ///
     /// Returns the first inconsistency or semantic violation found.
     pub fn check(&self) -> Result<(), VerifyError> {
-        self.check_consistency()?;
-        verify_dataflow(&self.dataflow)
+        let flow = self.dataflow();
+        consistency(&self.schedule, &flow)?;
+        verify_dataflow(&flow)
     }
 
     /// Structural consistency between the two views (without executing the
@@ -40,38 +66,7 @@ impl Collective {
     ///
     /// Reports step-count, matching, or volume mismatches.
     pub fn check_consistency(&self) -> Result<(), VerifyError> {
-        let s = &self.schedule;
-        let f = &self.dataflow;
-        if s.num_steps() != f.steps.len() {
-            return Err(VerifyError::StepCountMismatch {
-                schedule: s.num_steps(),
-                dataflow: f.steps.len(),
-            });
-        }
-        for (i, (step, fstep)) in s.steps().iter().zip(&f.steps).enumerate() {
-            // Transfer pairs must equal the matching exactly.
-            let mut pairs: Vec<(usize, usize)> =
-                fstep.transfers.iter().map(|t| (t.src, t.dst)).collect();
-            pairs.sort_unstable();
-            let mut expected: Vec<(usize, usize)> = step.matching.pairs().collect();
-            expected.sort_unstable();
-            if pairs != expected {
-                return Err(VerifyError::MatchingMismatch { step: i });
-            }
-            if fstep.transfers.iter().any(|t| t.chunks.is_empty()) {
-                return Err(VerifyError::MatchingMismatch { step: i });
-            }
-            let dataflow_bytes = f.max_chunks_in_step(i) as f64 * f.chunk_bytes;
-            let tol = 1e-9 * (1.0 + step.bytes_per_pair.abs());
-            if (dataflow_bytes - step.bytes_per_pair).abs() > tol {
-                return Err(VerifyError::VolumeMismatch {
-                    step: i,
-                    schedule_bytes: step.bytes_per_pair,
-                    dataflow_bytes,
-                });
-            }
-        }
-        Ok(())
+        consistency(&self.schedule, &self.dataflow())
     }
 
     /// Number of participating nodes.
@@ -80,94 +75,143 @@ impl Collective {
     }
 }
 
+/// Step counts, per-step transfer pairs and volumes of `f` against `s`.
+pub(crate) fn consistency(s: &Schedule, f: &DataFlow) -> Result<(), VerifyError> {
+    if s.num_steps() != f.steps.len() {
+        return Err(VerifyError::StepCountMismatch {
+            schedule: s.num_steps(),
+            dataflow: f.steps.len(),
+        });
+    }
+    for (i, (step, fstep)) in s.steps().iter().zip(&f.steps).enumerate() {
+        // Transfer pairs must equal the matching exactly.
+        let mut pairs: Vec<(usize, usize)> =
+            fstep.transfers.iter().map(|t| (t.src, t.dst)).collect();
+        pairs.sort_unstable();
+        let mut expected: Vec<(usize, usize)> = step.matching.pairs().collect();
+        expected.sort_unstable();
+        if pairs != expected {
+            return Err(VerifyError::MatchingMismatch { step: i });
+        }
+        if fstep.transfers.iter().any(|t| t.chunks.is_empty()) {
+            return Err(VerifyError::MatchingMismatch { step: i });
+        }
+        let dataflow_bytes = f.max_chunks_in_step(i) as f64 * f.chunk_bytes;
+        let tol = 1e-9 * (1.0 + step.bytes_per_pair.abs());
+        if (dataflow_bytes - step.bytes_per_pair).abs() > tol {
+            return Err(VerifyError::VolumeMismatch {
+                step: i,
+                schedule_bytes: step.bytes_per_pair,
+                dataflow_bytes,
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::{Combine, DataFlowStep, Semantics, Transfer};
-    use crate::schedule::{CollectiveKind, Step};
-    use aps_matrix::Matching;
+    use crate::allgather;
+    use crate::dataflow::DataFlowStep;
+    use crate::schedule::Step;
 
+    /// A two-node ring allgather: one step, each node sends its chunk.
     fn tiny() -> Collective {
-        let matching = Matching::from_pairs(2, &[(0, 1), (1, 0)]).unwrap();
-        let schedule = Schedule::new(
-            2,
-            CollectiveKind::AllGather,
-            "swap",
-            vec![Step {
-                matching,
-                bytes_per_pair: 4.0,
-            }],
-        )
-        .unwrap();
-        let dataflow = DataFlow {
-            n: 2,
-            num_chunks: 2,
-            chunk_bytes: 4.0,
-            initial: vec![vec![0], vec![1]],
-            steps: vec![DataFlowStep {
-                transfers: vec![
-                    Transfer {
-                        src: 0,
-                        dst: 1,
-                        chunks: vec![0],
-                        combine: Combine::Replace,
-                    },
-                    Transfer {
-                        src: 1,
-                        dst: 0,
-                        chunks: vec![1],
-                        combine: Combine::Replace,
-                    },
-                ],
-            }],
-            semantics: Semantics::AllGather,
-        };
-        Collective { schedule, dataflow }
+        allgather::ring(2, 8.0).unwrap()
     }
 
     #[test]
     fn consistent_collective_checks() {
         tiny().check().unwrap();
+        tiny().check_consistency().unwrap();
         assert_eq!(tiny().n(), 2);
+        let flow = tiny().dataflow();
+        assert_eq!(flow.initial, vec![vec![0], vec![1]]);
+        assert_eq!(flow.steps[0].transfers[0].chunks, vec![0]);
     }
 
     #[test]
     fn step_count_mismatch_detected() {
-        let mut c = tiny();
-        c.dataflow.steps.push(DataFlowStep::default());
+        let c = tiny();
+        let mut flow = c.dataflow();
+        flow.steps.push(DataFlowStep::default());
         assert!(matches!(
-            c.check(),
+            consistency(&c.schedule, &flow),
             Err(VerifyError::StepCountMismatch {
                 schedule: 1,
                 dataflow: 2
+            })
+        ));
+        // An edited schedule no longer matches the data flow it came from.
+        let mut c = tiny();
+        let again = Schedule::new(
+            2,
+            c.schedule.kind(),
+            "x",
+            vec![c.schedule.steps()[0].clone()],
+        )
+        .unwrap();
+        c.schedule = c.schedule.then(again).unwrap();
+        assert!(matches!(
+            c.check(),
+            Err(VerifyError::StepCountMismatch {
+                schedule: 2,
+                dataflow: 1
             })
         ));
     }
 
     #[test]
     fn matching_mismatch_detected() {
-        let mut c = tiny();
-        c.dataflow.steps[0].transfers.pop();
-        assert_eq!(c.check(), Err(VerifyError::MatchingMismatch { step: 0 }));
+        let c = tiny();
+        let mut flow = c.dataflow();
+        flow.steps[0].transfers.pop();
+        assert_eq!(
+            consistency(&c.schedule, &flow),
+            Err(VerifyError::MatchingMismatch { step: 0 })
+        );
     }
 
     #[test]
     fn volume_mismatch_detected() {
-        let mut c = tiny();
-        c.dataflow.steps[0].transfers[0].chunks = vec![0, 1];
-        // Now one transfer moves 2 chunks = 8 bytes vs advertised 4 — but
-        // wait, node 0 only holds chunk 0 initially; consistency check fires
-        // before execution so the volume error is still what we see.
+        let c = tiny();
+        let mut flow = c.dataflow();
+        flow.steps[0].transfers[0].chunks = vec![0, 1];
+        // Now one transfer moves 2 chunks = 8 bytes vs advertised 4 — the
+        // consistency check fires before execution would notice that node
+        // 0 does not hold chunk 1.
         assert!(matches!(
-            c.check(),
+            consistency(&c.schedule, &flow),
+            Err(VerifyError::VolumeMismatch { step: 0, .. })
+        ));
+        // The same for a schedule whose volume was edited.
+        let mut c = tiny();
+        let matching = c.schedule.steps()[0].matching.clone();
+        c.schedule = Schedule::new(
+            2,
+            c.schedule.kind(),
+            "ring",
+            vec![Step {
+                matching,
+                bytes_per_pair: 5.0,
+            }],
+        )
+        .unwrap();
+        assert!(matches!(
+            c.check_consistency(),
             Err(VerifyError::VolumeMismatch { step: 0, .. })
         ));
     }
 
     #[test]
     fn empty_transfer_rejected() {
-        let mut c = tiny();
-        c.dataflow.steps[0].transfers[0].chunks = vec![];
-        assert_eq!(c.check(), Err(VerifyError::MatchingMismatch { step: 0 }));
+        let c = tiny();
+        let mut flow = c.dataflow();
+        flow.steps[0].transfers[0].chunks = vec![];
+        assert_eq!(
+            consistency(&c.schedule, &flow),
+            Err(VerifyError::MatchingMismatch { step: 0 })
+        );
     }
 }

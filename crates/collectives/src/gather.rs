@@ -5,11 +5,12 @@
 //! the root. `message_bytes` is the full gathered buffer (`n` chunks of
 //! `m/n`; chunk `i` originates at node `i`).
 
-use crate::builder::{assemble, ceil_log2, check_message_bytes, StepSends};
+use crate::builder::{ceil_log2, check_message_bytes, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::iter::once;
 
 /// Builds a binomial gather to `root` over `n ≥ 2` nodes (any `n`).
 ///
@@ -24,41 +25,40 @@ pub fn binomial(n: usize, root: usize, message_bytes: f64) -> Result<Collective,
         return Err(CollectiveError::RootOutOfRange { root, n });
     }
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let rounds = ceil_log2(n);
+    Collective::build(Algo::BinomialGather { root }, n, message_bytes)
+}
+
+pub(crate) fn describe(n: usize, root: usize, message_bytes: f64, out: &mut impl Sink) {
+    out.header(Header {
+        kind: CollectiveKind::AllToAll, // chunk-addressed delivery; semantics below
+        algorithm: "binomial-gather",
+        semantics: Semantics::Gather { root },
+        num_chunks: n,
+        chunk_bytes: message_bytes / n as f64,
+    });
+    for i in 0..n {
+        out.hold(i, once(i));
+    }
     // Mirror of the scatter tree: at step t (t = 0 first), ranks that are
     // odd multiples of 2^t send their accumulated block (their subtree of
     // size ≤ 2^t) to rank - 2^t.
-    let mut steps: Vec<StepSends> = Vec::with_capacity(rounds);
-    for t in 0..rounds {
+    for t in 0..ceil_log2(n) {
         let reach = 1usize << t;
-        let mut sends: StepSends = Vec::new();
+        out.step();
         for r in 0..n {
             if r % (2 * reach) == reach {
                 // Rank r holds chunks of ranks [r, min(r + reach, n)).
                 let hi = (r + reach).min(n);
-                let chunks: Vec<usize> = (r..hi).map(|q| (root + q) % n).collect();
-                sends.push((
+                let chunks = (r..hi).map(|q| (root + q) % n);
+                out.send(
                     (root + r) % n,
                     (root + r - reach) % n,
                     chunks,
                     Combine::Replace,
-                ));
+                );
             }
         }
-        steps.push(sends);
     }
-    let initial = (0..n).map(|i| vec![i]).collect();
-    assemble(
-        n,
-        CollectiveKind::AllToAll, // chunk-addressed delivery; semantics below
-        "binomial-gather",
-        Semantics::Gather { root },
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
 }
 
 #[cfg(test)]

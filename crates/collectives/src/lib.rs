@@ -16,8 +16,13 @@
 //!
 //! Every builder returns a [`Collective`]: the coarse [`Schedule`] the cost
 //! model consumes (matchings + volumes; Observation 1: these *are* a BvN
-//! decomposition of the aggregate demand) **and** a chunk-level [`DataFlow`]
-//! that records exactly which data moves where. Beyond materialized
+//! decomposition of the aggregate demand). Each builder describes its
+//! algorithm once — who sends which chunks to whom at each step — and
+//! building keeps only the matchings and per-step volumes, so it costs the
+//! size of the schedule, O(n) per step. The chunk-level [`DataFlow`] that
+//! records exactly which data moves where is listed from the same
+//! description on demand, by [`Collective::check`] and
+//! [`Collective::dataflow`]. Beyond materialized
 //! schedules, the [`workload`] module streams demand lazily: the
 //! [`Workload`] trait unifies schedules, seeded traffic generators and
 //! training loops behind one pull-based interface, so open-ended demand

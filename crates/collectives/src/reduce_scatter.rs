@@ -3,11 +3,26 @@
 //! `message_bytes` is the input vector size `m`; each of the `n` slots is
 //! `m/n` bytes.
 
-use crate::builder::{assemble, check_message_bytes, exact_log2, StepSends};
+use crate::builder::{check_message_bytes, exact_log2, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::iter::once;
+
+/// Declares a ReduceScatter over `n` nodes: every node holds every slot.
+fn header_and_slots(n: usize, algorithm: &'static str, message_bytes: f64, out: &mut impl Sink) {
+    out.header(Header {
+        kind: CollectiveKind::ReduceScatter,
+        algorithm,
+        semantics: Semantics::ReduceScatter,
+        num_chunks: n,
+        chunk_bytes: message_bytes / n as f64,
+    });
+    for i in 0..n {
+        out.hold(i, 0..n);
+    }
+}
 
 /// Ring ReduceScatter: `n−1` shift-by-1 steps; slot `c` travels the ring
 /// accumulating contributions and completes at its owner `c`.
@@ -20,28 +35,18 @@ pub fn ring(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError>
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let steps: Vec<StepSends> = (0..n - 1)
-        .map(|t| {
-            (0..n)
-                .map(|i| {
-                    let c = (i + 2 * n - t - 1) % n;
-                    (i, (i + 1) % n, vec![c], Combine::Reduce)
-                })
-                .collect()
-        })
-        .collect();
-    let initial = (0..n).map(|_| (0..n).collect()).collect();
-    assemble(
-        n,
-        CollectiveKind::ReduceScatter,
-        "ring",
-        Semantics::ReduceScatter,
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
+    Collective::build(Algo::RingReduceScatter, n, message_bytes)
+}
+
+pub(crate) fn describe_ring(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    header_and_slots(n, "ring", message_bytes, out);
+    for t in 0..n - 1 {
+        out.step();
+        for i in 0..n {
+            let c = (i + 2 * n - t - 1) % n;
+            out.send(i, (i + 1) % n, once(c), Combine::Reduce);
+        }
+    }
 }
 
 /// Recursive-halving ReduceScatter (the first phase of Rabenseifner
@@ -55,34 +60,24 @@ pub fn recursive_halving(n: usize, message_bytes: f64) -> Result<Collective, Col
     if n < 2 {
         return Err(CollectiveError::TooFewNodes { n, min: 2 });
     }
-    let log = exact_log2(n)?;
+    exact_log2(n)?;
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let steps: Vec<StepSends> = (0..log)
-        .map(|t| {
-            let mask = 1usize << (log - 1 - t);
-            (0..n)
-                .map(|i| {
-                    let p = i ^ mask;
-                    let width = log - t - 1;
-                    let lo = (p >> width) << width;
-                    let blk: Vec<usize> = (lo..lo + (n >> (t + 1))).collect();
-                    (i, p, blk, Combine::Reduce)
-                })
-                .collect()
-        })
-        .collect();
-    let initial = (0..n).map(|_| (0..n).collect()).collect();
-    assemble(
-        n,
-        CollectiveKind::ReduceScatter,
-        "recursive-halving",
-        Semantics::ReduceScatter,
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
+    Collective::build(Algo::RecursiveHalving, n, message_bytes)
+}
+
+pub(crate) fn describe_recursive_halving(n: usize, message_bytes: f64, out: &mut impl Sink) {
+    header_and_slots(n, "recursive-halving", message_bytes, out);
+    let log = n.trailing_zeros() as usize;
+    for t in 0..log {
+        let mask = 1usize << (log - 1 - t);
+        out.step();
+        for i in 0..n {
+            let p = i ^ mask;
+            let width = log - t - 1;
+            let lo = (p >> width) << width;
+            out.send(i, p, lo..lo + (n >> (t + 1)), Combine::Reduce);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! geometrically shrinking volumes. `message_bytes` is the root's full send
 //! buffer (`n` chunks of `m/n` bytes; chunk `i` is destined for node `i`).
 
-use crate::builder::{assemble, ceil_log2, check_message_bytes, StepSends};
+use crate::builder::{ceil_log2, check_message_bytes, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
@@ -24,36 +24,33 @@ pub fn binomial(n: usize, root: usize, message_bytes: f64) -> Result<Collective,
         return Err(CollectiveError::RootOutOfRange { root, n });
     }
     check_message_bytes(message_bytes)?;
-    let chunk_bytes = message_bytes / n as f64;
-    let steps = binomial_scatter_steps(n, root);
-    let mut initial = vec![Vec::new(); n];
-    initial[root] = (0..n).collect();
-    assemble(
-        n,
-        CollectiveKind::AllToAll, // chunk-addressed delivery; semantics below
-        "binomial-scatter",
-        Semantics::Scatter { root },
-        n,
-        chunk_bytes,
-        initial,
-        steps,
-    )
+    Collective::build(Algo::BinomialScatter { root }, n, message_bytes)
 }
 
-/// The binomial scatter tree as per-step send lists, shared with the
-/// scatter-allgather broadcast. Chunk `(root + q) % n` is destined for
-/// relative rank `q`.
+pub(crate) fn describe(n: usize, root: usize, message_bytes: f64, out: &mut impl Sink) {
+    out.header(Header {
+        kind: CollectiveKind::AllToAll, // chunk-addressed delivery; semantics below
+        algorithm: "binomial-scatter",
+        semantics: Semantics::Scatter { root },
+        num_chunks: n,
+        chunk_bytes: message_bytes / n as f64,
+    });
+    out.hold(root, 0..n);
+    binomial_scatter_steps(n, root, out);
+}
+
+/// The binomial scatter tree's steps, shared with the scatter-allgather
+/// broadcast. Chunk `(root + q) % n` is destined for relative rank `q`.
 ///
 /// Works in root-relative rank space `r = (i − root) mod n` on the virtual
 /// `2^⌈log₂ n⌉` tree: at step `t` every subtree owner forwards its
 /// partner's (clipped) subtree block.
-pub(crate) fn binomial_scatter_steps(n: usize, root: usize) -> Vec<StepSends> {
+pub(crate) fn binomial_scatter_steps(n: usize, root: usize, out: &mut impl Sink) {
     let rounds = ceil_log2(n);
     let virt = 1usize << rounds;
-    let mut steps: Vec<StepSends> = Vec::with_capacity(rounds);
     for t in 0..rounds {
         let reach = virt >> (t + 1); // distance sent at this step
-        let mut sends: StepSends = Vec::new();
+        out.step();
         for r in 0..n {
             // Rank r sends at step t iff r is a multiple of 2*reach (it
             // owns a subtree block of size 2*reach) and its partner exists.
@@ -61,18 +58,16 @@ pub(crate) fn binomial_scatter_steps(n: usize, root: usize) -> Vec<StepSends> {
                 let dst_rank = r + reach;
                 // Chunks for ranks [dst_rank, min(dst_rank + reach, n)).
                 let hi = (dst_rank + reach).min(n);
-                let chunks: Vec<usize> = (dst_rank..hi).map(|q| (root + q) % n).collect();
-                sends.push((
+                let chunks = (dst_rank..hi).map(|q| (root + q) % n);
+                out.send(
                     (root + r) % n,
                     (root + dst_rank) % n,
                     chunks,
                     Combine::Replace,
-                ));
+                );
             }
         }
-        steps.push(sends);
     }
-    steps
 }
 
 #[cfg(test)]

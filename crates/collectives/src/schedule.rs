@@ -127,6 +127,11 @@ impl Schedule {
         &self.steps
     }
 
+    /// The steps, moved out.
+    pub(crate) fn into_steps(self) -> Vec<Step> {
+        self.steps
+    }
+
     /// Number of steps `s`.
     pub fn num_steps(&self) -> usize {
         self.steps.len()

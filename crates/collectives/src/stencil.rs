@@ -11,11 +11,12 @@
 //!
 //! `halo_bytes` is the size of one directional halo strip.
 
-use crate::builder::{assemble, check_message_bytes, StepSends};
+use crate::builder::{check_message_bytes, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use std::iter::once;
 
 /// Builds one halo-exchange round on a `rows × cols` torus of ranks.
 /// Requires both dimensions ≥ 3 so the four neighbor shifts are distinct
@@ -33,7 +34,18 @@ pub fn halo_2d(rows: usize, cols: usize, halo_bytes: f64) -> Result<Collective, 
         });
     }
     check_message_bytes(halo_bytes)?;
+    Collective::build(Algo::Halo2d { cols }, rows * cols, halo_bytes)
+}
+
+pub(crate) fn describe_halo_2d(rows: usize, cols: usize, halo_bytes: f64, out: &mut impl Sink) {
     let n = rows * cols;
+    out.header(Header {
+        kind: CollectiveKind::AllToAll,
+        algorithm: "halo-2d",
+        semantics: Semantics::SparsePersonalized,
+        num_chunks: n * n,
+        chunk_bytes: halo_bytes,
+    });
     let idx = |r: usize, c: usize| (r % rows) * cols + (c % cols);
     // Directions: (dr, dc, name). The chunk a node sends in direction k is
     // its k-th halo strip; chunk id = src*n + dst (sparse personalized).
@@ -43,31 +55,18 @@ pub fn halo_2d(rows: usize, cols: usize, halo_bytes: f64) -> Result<Collective, 
         (1, 0),        // south
         (rows - 1, 0), // north
     ];
-    let mut initial: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut steps: Vec<StepSends> = Vec::with_capacity(4);
     for (dr, dc) in dirs {
-        let mut sends: StepSends = Vec::with_capacity(n);
+        out.step();
         for r in 0..rows {
             for c in 0..cols {
                 let src = idx(r, c);
                 let dst = idx(r + dr, c + dc);
                 let chunk = src * n + dst;
-                initial[src].push(chunk);
-                sends.push((src, dst, vec![chunk], Combine::Replace));
+                out.hold(src, once(chunk));
+                out.send(src, dst, once(chunk), Combine::Replace);
             }
         }
-        steps.push(sends);
     }
-    assemble(
-        n,
-        CollectiveKind::AllToAll,
-        "halo-2d",
-        Semantics::SparsePersonalized,
-        n * n,
-        halo_bytes,
-        initial,
-        steps,
-    )
 }
 
 #[cfg(test)]

@@ -114,8 +114,7 @@ impl TrainingLoop {
         check(n, activation_bytes)?;
         let allreduce_steps = allreduce::any_n::build(n, grad_bytes)?
             .schedule
-            .steps()
-            .to_vec();
+            .into_steps();
         let fwd_step = Step {
             matching: Matching::shift(n, 1).expect("n ≥ 2"),
             bytes_per_pair: activation_bytes,

@@ -7,6 +7,7 @@
 use crate::assignment::{ConfigChoice, SwitchSchedule};
 use crate::error::CoreError;
 use crate::problem::SwitchingProblem;
+use aps_cost::ReconfigModel;
 
 /// How reconfiguration events are priced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,6 +72,13 @@ pub(crate) fn reconfig_charge(
     // z_i = 1 ⇔ both this and the previous step run on the base.
     if prev == ConfigChoice::Base && cur == ConfigChoice::Base {
         return 0.0;
+    }
+    // The paper's constant α_r is one charge whatever changes: skip the
+    // O(n) port diff it would ignore.
+    if accounting == ReconfigAccounting::PaperConservative
+        && matches!(problem.reconfig, ReconfigModel::Constant { .. })
+    {
+        return problem.reconfig.delay_s(1);
     }
     let prev_cfg = if i == 0 {
         problem.base_config.as_ref()

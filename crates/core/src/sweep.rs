@@ -179,19 +179,21 @@ pub fn run_sweep_on(
             .flat_map(|c| c.schedule.steps().iter().map(|s| &s.matching)),
     )?;
 
-    // Phase 2: evaluate rows; every θ lookup hits the warmed cache.
+    // Phase 2: evaluate rows; every θ lookup hits the warmed cache. A row
+    // is one eq. (7) instance whose α_r changes from cell to cell.
+    let base_config = crate::problem::config_of_topology(base);
     let sweep_row =
         |cache: &mut ThetaCache, collective: &Collective| -> Result<Vec<SweepCell>, CoreError> {
-            let table = step_cost_table(base, &collective.schedule, cache)?;
+            let mut problem = SwitchingProblem {
+                n: base.n(),
+                params,
+                reconfig: ReconfigModel::Constant { delay_s: 0.0 }, // set per cell
+                base_config: base_config.clone(),
+                steps: step_cost_table(base, &collective.schedule, cache)?,
+            };
             let mut row = Vec::with_capacity(grid.reconf_delays_s.len());
             for &alpha_r in &grid.reconf_delays_s {
-                let problem = SwitchingProblem {
-                    n: base.n(),
-                    params,
-                    reconfig: ReconfigModel::constant(alpha_r)?,
-                    base_config: crate::problem::config_of_topology(base),
-                    steps: table.clone(),
-                };
+                problem.reconfig = ReconfigModel::constant(alpha_r)?;
                 row.push(SweepCell::price(&problem)?);
             }
             Ok(row)

@@ -18,12 +18,16 @@ pub enum FlowError {
         matching: usize,
     },
     /// A cache was queried with a different topology than it was built for:
-    /// another node count or other links.
+    /// another node count or, at the same node count, other links.
     CacheTopologyMismatch {
         /// Name of the topology the cache was built for.
         expected: String,
+        /// Node count of the topology the cache was built for.
+        expected_n: usize,
         /// Name of the queried topology.
         got: String,
+        /// Node count of the queried topology.
+        got_n: usize,
     },
 }
 
@@ -43,8 +47,21 @@ impl fmt::Display for FlowError {
                     "topology has {topology} nodes but matching has {matching}"
                 )
             }
-            Self::CacheTopologyMismatch { expected, got } => {
-                write!(f, "theta cache built for '{expected}' queried with '{got}'")
+            Self::CacheTopologyMismatch {
+                expected,
+                expected_n,
+                got,
+                got_n,
+            } => {
+                write!(
+                    f,
+                    "theta cache built for '{expected}' ({expected_n} nodes) queried with \
+                     '{got}' ({got_n} nodes)"
+                )?;
+                if expected_n == got_n {
+                    write!(f, ": same node count, other links")?;
+                }
+                Ok(())
             }
         }
     }

@@ -5,6 +5,11 @@
 //! sizes and sweep cells (e.g. the shift-by-1 of a ring reduce-scatter
 //! appears `n-1` times per collective and in every sweep cell), so a
 //! [`ThetaCache`] keyed by the matching makes sweeps cheap.
+//!
+//! The cache hashes its keys with a private, deterministic FxHash-style
+//! hasher (one 64-bit multiply-rotate per 8-byte word, no random state):
+//! a matching is `4n` bytes of `u32` ports, and a keyed SipHash over them
+//! would cost as much as the O(n) solve a hit saves.
 
 use crate::error::FlowError;
 use crate::forced::forced_path_throughput;
@@ -12,7 +17,8 @@ use crate::gk::{matching_commodities, max_concurrent_flow};
 use crate::proxy::degree_proxy_throughput;
 use aps_matrix::Matching;
 use aps_topology::Topology;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Which algorithm computes `θ(G, M)`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -85,6 +91,53 @@ pub fn step_throughput(
     }
 }
 
+/// FxHash (the rustc hasher): fold each 8-byte word into the state with a
+/// rotate, an xor and one multiply. Deterministic, and fast on the long
+/// `u32` port arrays a matching hashes as; collisions only cost an equality
+/// check, never a wrong answer.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// The deterministic hasher of every matching-keyed table in this module.
+type FxBuild = BuildHasherDefault<FxHasher>;
+
 /// Hit/miss counters of a [`ThetaCache`] — mergeable across the per-worker
 /// caches of a parallel sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,6 +168,12 @@ impl CacheStats {
 
 /// Memoizes [`step_throughput`] per `(topology, solver)` over matchings.
 ///
+/// Keys hash with a deterministic FxHash-style hasher: no random state, so
+/// a lookup costs one multiply-rotate per 8 bytes of the matching (two
+/// ports) plus the equality check. Without random state nothing stops keys
+/// crafted to collide: the keys are step matchings of the program's own
+/// schedules, not input from outside it.
+///
 /// Cloning a cache clones its memo table — the cheap way to hand each
 /// worker of a parallel sweep a private, pre-warmed copy (see
 /// [`ThetaCache::warm`]).
@@ -124,7 +183,7 @@ pub struct ThetaCache {
     topology_n: usize,
     topology_digest: u64,
     solver: ThroughputSolver,
-    map: HashMap<Matching, StepThroughput>,
+    map: HashMap<Matching, StepThroughput, FxBuild>,
     hits: u64,
     misses: u64,
 }
@@ -137,7 +196,7 @@ impl ThetaCache {
             topology_n: topo.n(),
             topology_digest: topo.digest(),
             solver,
-            map: HashMap::new(),
+            map: HashMap::default(),
             hits: 0,
             misses: 0,
         }
@@ -159,7 +218,9 @@ impl ThetaCache {
         if topo.n() != self.topology_n || topo.digest() != self.topology_digest {
             return Err(FlowError::CacheTopologyMismatch {
                 expected: self.topology_name.clone(),
+                expected_n: self.topology_n,
                 got: topo.name().to_string(),
+                got_n: topo.n(),
             });
         }
         if let Some(hit) = self.map.get(matching) {
@@ -193,7 +254,7 @@ impl ThetaCache {
         matchings: impl IntoIterator<Item = &'a Matching>,
     ) -> Result<Self, FlowError> {
         let mut unique: Vec<&Matching> = Vec::new();
-        let mut seen: std::collections::HashSet<&Matching> = std::collections::HashSet::new();
+        let mut seen: HashSet<&Matching, FxBuild> = HashSet::default();
         for m in matchings {
             if seen.insert(m) {
                 unique.push(m);
@@ -274,10 +335,37 @@ mod tests {
         assert_eq!(merged.hits, 2);
         assert_eq!(merged.entries, 2);
         let other = builders::ring_bidirectional(8).unwrap();
-        assert!(matches!(
-            cache.get(&other, &m),
-            Err(FlowError::CacheTopologyMismatch { .. })
-        ));
+        let same_n = cache.get(&other, &m).unwrap_err();
+        assert_eq!(
+            same_n.to_string(),
+            format!(
+                "theta cache built for '{}' (8 nodes) queried with '{}' (8 nodes): \
+                 same node count, other links",
+                t.name(),
+                other.name()
+            )
+        );
+        let bigger = builders::ring_unidirectional(16).unwrap();
+        let other_n = cache.get(&bigger, &m).unwrap_err();
+        assert_eq!(
+            other_n,
+            FlowError::CacheTopologyMismatch {
+                expected: t.name().into(),
+                expected_n: 8,
+                got: bigger.name().into(),
+                got_n: 16,
+            }
+        );
+        assert_eq!(
+            other_n.to_string(),
+            format!(
+                "theta cache built for '{}' (8 nodes) queried with '{}' (16 nodes)",
+                t.name(),
+                bigger.name()
+            )
+        );
+        // Refused lookups count neither as hits nor as misses.
+        assert_eq!(cache.stats(), stats);
     }
 
     #[test]
@@ -289,12 +377,25 @@ mod tests {
         assert_eq!(cache.get(&built_on, &m).unwrap().theta, 0.5);
         let other = builders::from_matching(&m);
         assert_eq!(other.name(), built_on.name());
+        let err = cache.get(&other, &m).unwrap_err();
         assert_eq!(
-            cache.get(&other, &m),
-            Err(FlowError::CacheTopologyMismatch {
+            err,
+            FlowError::CacheTopologyMismatch {
                 expected: "matched(8)".into(),
+                expected_n: 8,
                 got: "matched(8)".into(),
-            })
+                got_n: 8,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "theta cache built for 'matched(8)' (8 nodes) queried with 'matched(8)' (8 nodes): \
+             same node count, other links"
+        );
+        let smaller = builders::from_matching(&Matching::shift(4, 1).unwrap());
+        assert_eq!(
+            cache.get(&smaller, &m).unwrap_err().to_string(),
+            "theta cache built for 'matched(8)' (8 nodes) queried with 'matched(4)' (4 nodes)"
         );
         let direct = step_throughput(&other, &m, ThroughputSolver::ForcedPath).unwrap();
         assert_eq!(direct.theta, 1.0);

@@ -37,6 +37,12 @@ pub enum MatrixError {
         /// The domain size.
         n: usize,
     },
+    /// A matching was asked to span more ports than its `u32` storage
+    /// holds (at most `u32::MAX`).
+    TooManyPorts {
+        /// The requested port count.
+        n: usize,
+    },
     /// Two objects of different dimension were combined.
     DimensionMismatch {
         /// Left-hand dimension.
@@ -93,6 +99,9 @@ impl fmt::Display for MatrixError {
             Self::NotPowerOfTwo(n) => write!(f, "domain size {n} is not a power of two"),
             Self::BadXorMask { mask, n } => {
                 write!(f, "xor mask {mask} invalid for domain of {n} nodes")
+            }
+            Self::TooManyPorts { n } => {
+                write!(f, "a matching spans at most {} ports, not {n}", u32::MAX)
             }
             Self::DimensionMismatch { left, right } => {
                 write!(f, "dimension mismatch: {left} vs {right}")

@@ -20,7 +20,8 @@
 //!   verifier in `aps-collectives` (contribution tracking).
 //!
 //! Everything here is deterministic and allocation-conscious: matchings are a
-//! single `Vec<Option<usize>>`, matrices a single row-major `Vec<f64>`.
+//! single `Vec<u32>` (4 bytes per port, at most `u32::MAX` ports), matrices
+//! a single row-major `Vec<f64>`.
 
 pub mod bipartite;
 pub mod bitset;

@@ -11,15 +11,56 @@
 //!
 //! * **injectivity** — no two senders share a receiver;
 //! * **no self-loops** — `i → i` circuits carry no traffic and are rejected.
+//!
+//! Ports are stored as `u32`, 4 bytes each, so a matching's pairs span at
+//! most `u32::MAX` ports (every C ABI port count is a `uint32_t` and
+//! fits): [`Matching::from_pairs`], [`Matching::refill_from_pairs`],
+//! [`Matching::shift`] and [`Matching::xor`] refuse a larger port count
+//! with [`MatrixError::TooManyPorts`] before allocating anything.
 
 use crate::error::MatrixError;
+use std::fmt;
+
+/// Marks a port that sends to nobody.
+const NONE: u32 = u32::MAX;
+
+/// Refuses a domain whose port indices do not fit the `u32` storage.
+fn check_ports(n: usize) -> Result<(), MatrixError> {
+    if n > NONE as usize {
+        return Err(MatrixError::TooManyPorts { n });
+    }
+    Ok(())
+}
 
 /// A partial permutation of `{0, …, n-1}`: an injective map from senders to
 /// receivers with no fixed points.
-#[derive(Debug, PartialEq, Eq, Hash)]
+///
+/// Takes 4 bytes per port; [`Matching::len`] and [`Matching::is_empty`] are
+/// O(1).
+#[derive(PartialEq, Eq, Hash)]
 pub struct Matching {
-    /// `dst[i] = Some(j)` iff node `i` sends to node `j` in this step.
-    dst: Vec<Option<usize>>,
+    /// `dst[i] = j` iff node `i` sends to node `j` in this step; `NONE`
+    /// when it sends to nobody.
+    dst: Vec<u32>,
+    /// Number of senders (entries other than `NONE`).
+    pairs: usize,
+}
+
+/// Prints the domain size and the `sender: receiver` pairs, e.g.
+/// `Matching { n: 4, pairs: {0: 1, 2: 3} }`.
+impl fmt::Debug for Matching {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Pairs<'a>(&'a Matching);
+        impl fmt::Debug for Pairs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.pairs()).finish()
+            }
+        }
+        f.debug_struct("Matching")
+            .field("n", &self.n())
+            .field("pairs", &Pairs(self))
+            .finish()
+    }
 }
 
 /// Hand-written so [`Clone::clone_from`] reuses the destination's `dst`
@@ -29,26 +70,32 @@ impl Clone for Matching {
     fn clone(&self) -> Self {
         Self {
             dst: self.dst.clone(),
+            pairs: self.pairs,
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.dst.clone_from(&source.dst);
+        self.pairs = source.pairs;
     }
 }
 
 impl Matching {
     /// The empty matching over `n` nodes (nobody communicates).
     pub fn empty(n: usize) -> Self {
-        Self { dst: vec![None; n] }
+        Self {
+            dst: vec![NONE; n],
+            pairs: 0,
+        }
     }
 
     /// Builds a matching from explicit `(sender, receiver)` pairs.
     ///
     /// # Errors
     ///
-    /// Returns an error if an endpoint is out of range, a sender or receiver
-    /// appears twice, or a pair is a self-loop.
+    /// Returns an error if `n` exceeds the `u32` port limit, an endpoint is
+    /// out of range, a sender or receiver appears twice, or a pair is a
+    /// self-loop.
     pub fn from_pairs(n: usize, pairs: &[(usize, usize)]) -> Result<Self, MatrixError> {
         let mut m = Self::empty(0);
         m.refill_from_pairs(n, pairs, &mut Vec::new())?;
@@ -62,18 +109,23 @@ impl Matching {
     ///
     /// # Errors
     ///
-    /// The errors of [`Matching::from_pairs`]; `self` then holds the pairs
-    /// before the offending one.
+    /// The errors of [`Matching::from_pairs`]. On
+    /// [`MatrixError::TooManyPorts`] `self` is unchanged; on any other
+    /// error it holds the pairs before the offending one.
     pub fn refill_from_pairs(
         &mut self,
         n: usize,
         pairs: &[(usize, usize)],
         has_src: &mut Vec<bool>,
     ) -> Result<(), MatrixError> {
+        check_ports(n)?;
         self.dst.clear();
-        self.dst.resize(n, None);
+        self.dst.resize(n, NONE);
+        self.pairs = 0;
         has_src.clear();
         has_src.resize(n, false);
+        // Slices of length `n`, so the checks below also prove the indices.
+        let (dst, has_src) = (&mut self.dst[..n], &mut has_src[..n]);
         for &(s, d) in pairs {
             if s >= n {
                 return Err(MatrixError::EndpointOutOfRange { endpoint: s, n });
@@ -84,16 +136,26 @@ impl Matching {
             if s == d {
                 return Err(MatrixError::SelfLoop(s));
             }
-            if self.dst[s].is_some() {
+            if dst[s] != NONE {
                 return Err(MatrixError::DuplicateSender(s));
             }
             if has_src[d] {
                 return Err(MatrixError::DuplicateReceiver(d));
             }
-            self.dst[s] = Some(d);
+            // `d < n <= u32::MAX`, so the cast is exact and never `NONE`.
+            dst[s] = d as u32;
+            self.pairs += 1;
             has_src[d] = true;
         }
         Ok(())
+    }
+
+    /// The full matching sending node `i` to the `i`-th of `dsts`, over
+    /// `n ≤ u32::MAX` nodes.
+    fn full(n: usize, dsts: impl Iterator<Item = usize>) -> Self {
+        let dst: Vec<u32> = dsts.map(|d| d as u32).collect();
+        debug_assert_eq!(dst.len(), n);
+        Self { dst, pairs: n }
     }
 
     /// The cyclic shift `i → (i + k) mod n`, the building block of ring
@@ -101,14 +163,15 @@ impl Matching {
     ///
     /// # Errors
     ///
-    /// Returns [`MatrixError::IdentityShift`] when `k ≡ 0 (mod n)`.
+    /// Returns [`MatrixError::TooManyPorts`] when `n` exceeds the `u32`
+    /// port limit and [`MatrixError::IdentityShift`] when `k ≡ 0 (mod n)`.
     pub fn shift(n: usize, k: usize) -> Result<Self, MatrixError> {
+        check_ports(n)?;
         if n == 0 || k.is_multiple_of(n) {
             return Err(MatrixError::IdentityShift { shift: k, n });
         }
         let k = k % n;
-        let dst = (0..n).map(|i| Some((i + k) % n)).collect();
-        Ok(Self { dst })
+        Ok(Self::full(n, (k..n).chain(0..k)))
     }
 
     /// The pairwise exchange `i → i XOR mask`, the building block of
@@ -117,17 +180,17 @@ impl Matching {
     ///
     /// # Errors
     ///
-    /// Returns an error when `n` is not a power of two or the mask is
-    /// trivial/out of range.
+    /// Returns an error when `n` exceeds the `u32` port limit, is not a
+    /// power of two, or the mask is trivial/out of range.
     pub fn xor(n: usize, mask: usize) -> Result<Self, MatrixError> {
+        check_ports(n)?;
         if n == 0 || !n.is_power_of_two() {
             return Err(MatrixError::NotPowerOfTwo(n));
         }
         if mask == 0 || mask >= n {
             return Err(MatrixError::BadXorMask { mask, n });
         }
-        let dst = (0..n).map(|i| Some(i ^ mask)).collect();
-        Ok(Self { dst })
+        Ok(Self::full(n, (0..n).map(|i| i ^ mask)))
     }
 
     /// Number of endpoints in the domain.
@@ -135,14 +198,14 @@ impl Matching {
         self.dst.len()
     }
 
-    /// Number of communicating pairs.
+    /// Number of communicating pairs. O(1).
     pub fn len(&self) -> usize {
-        self.dst.iter().filter(|d| d.is_some()).count()
+        self.pairs
     }
 
-    /// `true` when nobody communicates.
+    /// `true` when nobody communicates. O(1).
     pub fn is_empty(&self) -> bool {
-        self.dst.iter().all(|d| d.is_none())
+        self.pairs == 0
     }
 
     /// `true` when every node both sends and receives (a full permutation
@@ -153,12 +216,18 @@ impl Matching {
 
     /// The receiver of node `i`, if any.
     pub fn dst_of(&self, i: usize) -> Option<usize> {
-        self.dst.get(i).copied().flatten()
+        match self.dst.get(i) {
+            Some(&d) if d != NONE => Some(d as usize),
+            _ => None,
+        }
     }
 
     /// The sender targeting node `j`, if any. `O(n)`.
     pub fn src_of(&self, j: usize) -> Option<usize> {
-        self.dst.iter().position(|&d| d == Some(j))
+        if j >= self.n() {
+            return None;
+        }
+        self.dst.iter().position(|&d| d as usize == j)
     }
 
     /// Iterator over `(sender, receiver)` pairs in sender order.
@@ -166,17 +235,20 @@ impl Matching {
         self.dst
             .iter()
             .enumerate()
-            .filter_map(|(s, d)| d.map(|d| (s, d)))
+            .filter(|&(_, &d)| d != NONE)
+            .map(|(s, &d)| (s, d as usize))
     }
 
     /// The inverse matching (`j → i` for every `i → j`).
     pub fn inverse(&self) -> Self {
-        let n = self.n();
-        let mut dst = vec![None; n];
+        let mut dst = vec![NONE; self.n()];
         for (s, d) in self.pairs() {
-            dst[d] = Some(s);
+            dst[d] = s as u32;
         }
-        Self { dst }
+        Self {
+            dst,
+            pairs: self.pairs,
+        }
     }
 
     /// Functional composition `other ∘ self`: first route by `self`, then by
@@ -193,16 +265,24 @@ impl Matching {
                 right: other.n(),
             });
         }
-        let dst = self
+        let dst: Vec<u32> = self
             .dst
             .iter()
             .enumerate()
-            .map(|(i, d)| match d.and_then(|mid| other.dst_of(mid)) {
-                Some(fin) if fin != i => Some(fin),
-                _ => None,
+            .map(|(i, &mid)| {
+                let fin = if mid == NONE {
+                    None
+                } else {
+                    other.dst_of(mid as usize)
+                };
+                match fin {
+                    Some(fin) if fin != i => fin as u32,
+                    _ => NONE,
+                }
             })
             .collect();
-        Ok(Self { dst })
+        let pairs = dst.iter().filter(|&&d| d != NONE).count();
+        Ok(Self { dst, pairs })
     }
 
     /// `true` when the pair `i → j` is part of this matching.
@@ -384,6 +464,12 @@ mod tests {
         // RX side changes make all four ports "involved".
         assert_eq!(ring.ports_involved(&swap), 4);
         assert_eq!(ring.ports_involved(&ring), 0);
+    }
+
+    #[test]
+    fn debug_lists_the_pairs() {
+        let m = Matching::from_pairs(4, &[(2, 3), (0, 1)]).unwrap();
+        assert_eq!(format!("{m:?}"), "Matching { n: 4, pairs: {0: 1, 2: 3} }");
     }
 
     #[test]

@@ -1,9 +1,88 @@
 //! Property-based tests for matchings, demand matrices and BvN
 //! decomposition.
 
-use aps_matrix::{bvn, BitSet, DemandMatrix, Matching};
+use aps_flow::{ThetaCache, ThroughputSolver};
+use aps_matrix::{bvn, BitSet, DemandMatrix, Matching, MatrixError};
+use aps_topology::builders;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counts the allocation-path calls of threads that opt in, so a test can
+/// show a constructor refuses before allocating.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static TRACK: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_tracked() {
+    if TRACK.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_if_tracked();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_if_tracked();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_if_tracked();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    TRACK.with(|t| t.set(true));
+    let out = f();
+    TRACK.with(|t| t.set(false));
+    (out, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// The O(1) counters agree with the pairs a matching lists.
+fn assert_counts(m: &Matching) {
+    let listed = m.pairs().count();
+    assert_eq!(m.len(), listed, "{m:?}");
+    assert_eq!(m.is_empty(), listed == 0, "{m:?}");
+    assert_eq!(m.is_full(), listed == m.n(), "{m:?}");
+}
+
+/// Strategy: a domain size and a random pair list over it, often invalid
+/// (endpoints one past the end, self-loops, repeated senders/receivers).
+fn arb_pairs() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (1usize..14).prop_flat_map(|n| {
+        (
+            Just(n),
+            proptest::collection::vec((0usize..n + 1, 0usize..n + 1), 0..n + 3),
+        )
+    })
+}
+
+/// `m` prices θ on a unidirectional ring through `cache`, once.
+fn price(cache: &mut ThetaCache, m: &Matching) -> f64 {
+    let ring = builders::ring_unidirectional(m.n()).unwrap();
+    cache.get(&ring, m).unwrap().theta
+}
 
 /// Strategy: a random derangement over `n ∈ [2, 12]` as pair list.
 fn arb_derangement() -> impl Strategy<Value = (usize, Vec<usize>)> {
@@ -164,4 +243,125 @@ proptest! {
         }
         prop_assert_eq!(bs.is_full(), hs.len() == 100);
     }
+
+    #[test]
+    fn counts_hold_after_every_constructor(
+        (n, pairs) in arb_pairs(),
+        (m, other) in arb_pairs(),
+        k in 1usize..40,
+    ) {
+        assert_counts(&Matching::empty(n));
+        let built = Matching::from_pairs(n, &pairs);
+        if let Ok(b) = &built {
+            assert_counts(b);
+        }
+        // A refill over a recycled matching of another size equals
+        // `from_pairs`, or on failure holds the pairs before the offending
+        // one.
+        let mut refilled = Matching::shift(m + 1, 1).unwrap();
+        let mut has_src = Vec::new();
+        match refilled.refill_from_pairs(n, &pairs, &mut has_src) {
+            Ok(()) => prop_assert_eq!(&refilled, built.as_ref().unwrap()),
+            Err(e) => {
+                prop_assert_eq!(&Err(e.clone()), &built);
+                let valid = (0..pairs.len())
+                    .rev()
+                    .find(|&i| Matching::from_pairs(n, &pairs[..i]).is_ok())
+                    .unwrap();
+                prop_assert_eq!(Matching::from_pairs(n, &pairs[..=valid]), Err(e));
+                prop_assert_eq!(&refilled, &Matching::from_pairs(n, &pairs[..valid]).unwrap());
+            }
+        }
+        assert_counts(&refilled);
+        if n >= 2 {
+            let shift = Matching::shift(n, k).unwrap_or_else(|_| Matching::empty(n));
+            assert_counts(&shift);
+            assert_counts(&shift.inverse());
+            assert_counts(&refilled.compose(&shift).unwrap());
+            assert_counts(&shift.compose(&refilled.inverse()).unwrap());
+        }
+        let pow2 = n.next_power_of_two();
+        if pow2 >= 2 {
+            assert_counts(&Matching::xor(pow2, k % (pow2 - 1) + 1).unwrap());
+        }
+        // `clone_from` across sizes, growing and shrinking.
+        if let Ok(o) = Matching::from_pairs(m, &other) {
+            let mut copy = refilled.clone();
+            copy.clone_from(&o);
+            prop_assert_eq!(&copy, &o);
+            assert_counts(&copy);
+            copy.clone_from(&refilled);
+            prop_assert_eq!(&copy, &refilled);
+            assert_counts(&copy);
+        }
+    }
+
+    #[test]
+    fn equal_matchings_share_one_theta_entry(n in 3usize..48, k in 1usize..48, mask in 1usize..64) {
+        let k = k % (n - 1) + 1;
+        let shift = Matching::shift(n, k).unwrap();
+        let shift_pairs: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + k) % n)).collect();
+        let mut refilled = Matching::empty(3);
+        refilled.refill_from_pairs(n, &shift_pairs, &mut Vec::new()).unwrap();
+        // shift(k) as shift(j) then shift(k − j), for j ≠ k (mod n).
+        let j = if k == 1 { n - 1 } else { 1 };
+        let composed = Matching::shift(n, j)
+            .unwrap()
+            .compose(&Matching::shift(n, k + n - j).unwrap())
+            .unwrap();
+        let pow2 = n.next_power_of_two();
+        let xor = Matching::xor(pow2, mask % (pow2 - 1) + 1).unwrap();
+        let xor_pairs: Vec<(usize, usize)> = xor.pairs().collect();
+        for (a, b) in [
+            (&shift, &Matching::from_pairs(n, &shift_pairs).unwrap()),
+            (&shift, &refilled),
+            (&shift, &composed),
+            (&shift, &shift.inverse().inverse()),
+            (&xor, &Matching::from_pairs(pow2, &xor_pairs).unwrap()),
+            (&xor, &xor.inverse()),
+        ] {
+            prop_assert_eq!(a, b);
+            let mut cache = ThetaCache::new(
+                &builders::ring_unidirectional(a.n()).unwrap(),
+                ThroughputSolver::ForcedPath,
+            );
+            let first = price(&mut cache, a);
+            prop_assert_eq!(price(&mut cache, b).to_bits(), first.to_bits());
+            let stats = cache.stats();
+            prop_assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
+        }
+    }
+}
+
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn the_port_limit_refuses_before_allocating() {
+    let n = u32::MAX as usize + 1;
+    let limit = Err(MatrixError::TooManyPorts { n });
+    let (shift, allocs) = allocations(|| Matching::shift(n, 1));
+    assert_eq!((shift, allocs), (limit.clone(), 0));
+    let (xor, allocs) = allocations(|| Matching::xor(n, 1));
+    assert_eq!((xor, allocs), (limit.clone(), 0));
+    let (built, allocs) = allocations(|| Matching::from_pairs(n, &[(0, 1)]));
+    assert_eq!((built, allocs), (limit.clone(), 0));
+    // A refused refill leaves the matching it was given untouched.
+    let mut m = Matching::shift(4, 1).unwrap();
+    let mut has_src = Vec::new();
+    let (refill, allocs) = allocations(|| m.refill_from_pairs(n, &[], &mut has_src));
+    assert_eq!((refill, allocs), (limit.map(|_: Matching| ()), 0));
+    assert_eq!(m, Matching::shift(4, 1).unwrap());
+    assert_eq!(
+        MatrixError::TooManyPorts { n }.to_string(),
+        "a matching spans at most 4294967295 ports, not 4294967296"
+    );
+    // The largest domain passes the port check (the identity shift then
+    // fails, before anything is built).
+    let largest = u32::MAX as usize;
+    assert_eq!(
+        Matching::shift(largest, largest),
+        Err(MatrixError::IdentityShift {
+            shift: largest,
+            n: largest
+        })
+    );
 }

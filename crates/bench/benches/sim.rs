@@ -2,7 +2,9 @@
 //! collective executions per second, the metric that bounds how large a
 //! parameter study the simulator-side validation (ablation A6) can afford.
 
-use aps_collectives::{allreduce, alltoall};
+use aps_collectives::workload::generators::RandomPermutations;
+use aps_collectives::workload::materialize;
+use aps_collectives::{allreduce, alltoall, CollectiveKind, Schedule, Step};
 use aps_core::SwitchSchedule;
 use aps_cost::units::MIB;
 use aps_cost::ReconfigModel;
@@ -71,8 +73,61 @@ fn sim(c: &mut Criterion) {
         })
     });
 
-    // The fluid solve of one matched step at 4096 ports: 4096 disjoint
-    // one-hop circuits in a recycled scratch, as the executor runs it.
+    // One step through the executor, the path every simulated step takes
+    // (a fresh executor, so its scratch warms up inside the timing): the
+    // stream-perm step, a seeded derangement on the 256-port base ring; a
+    // ring shift by n/2 at 4,096 ports, one giant sharing component of
+    // near-tied bottlenecks; and a matched step at 4,096 ports, all direct
+    // circuits.
+    let one_step = |matching: Matching| {
+        let step = Step {
+            matching,
+            bytes_per_pair: MIB,
+        };
+        Schedule::new(
+            step.matching.n(),
+            CollectiveKind::AllToAll,
+            "one step",
+            vec![step],
+        )
+        .unwrap()
+    };
+    let mut permutations = RandomPermutations::new(256, MIB, Some(1), 1).unwrap();
+    for (name, schedule, switches) in [
+        (
+            "step_ring_permutation_n256",
+            materialize(&mut permutations, 1).unwrap(),
+            SwitchSchedule::all_base(1),
+        ),
+        (
+            "step_ring_shift_half_n4096",
+            one_step(Matching::shift(4096, 2048).unwrap()),
+            SwitchSchedule::all_base(1),
+        ),
+        (
+            "step_matched_n4096",
+            one_step(Matching::shift(4096, 7).unwrap()),
+            SwitchSchedule::all_matched(1),
+        ),
+    ] {
+        let ring = Matching::shift(schedule.n(), 1).unwrap();
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut fab =
+                    CircuitSwitch::new(ring.clone(), ReconfigModel::constant(1e-6).unwrap());
+                black_box(
+                    run_scheduled(&mut fab, &ring, &schedule, &switches, &cfg)
+                        .unwrap()
+                        .total_ps,
+                )
+            })
+        });
+    }
+
+    // The explicit-path fluid solve of one matched step at 4096 ports:
+    // 4096 disjoint one-hop circuits in a recycled scratch, the entry the
+    // benchmark's fluid replay times. They are direct circuits, so it
+    // hands them to the circuit solve.
     let n = 4096;
     let caps = vec![cfg.params.bandwidth_bytes_per_sec(); n];
     let mut scratch = FluidScratch::new();

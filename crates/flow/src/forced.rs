@@ -20,9 +20,11 @@
 //!   out-link, so the graph is a set of disjoint chains and cycles
 //!   ([`aps_topology::properties::is_circuit_configuration`]). Unidirectional
 //!   rings, [`aps_topology::builders::from_matching`] and every circuit-switch
-//!   configuration are of this kind. Each pair's route is the walk along its
-//!   component, so the link loads come from one difference array in
-//!   `O(n + links)`.
+//!   configuration are of this kind. Each pair's route is an arc of its
+//!   component in the [`aps_topology::Circuits`] layout, so the link loads
+//!   come from one difference array in `O(n + links)`. A
+//!   [`crate::solver::ThetaCache`] lays its base out once and prices every
+//!   miss on that layout.
 //! * **Every other topology** — bidirectional and co-prime rings, tori,
 //!   hypercubes, meshes — routes each pair by BFS in link insertion order,
 //!   `O(n)` per pair.
@@ -35,8 +37,7 @@
 use crate::error::FlowError;
 use aps_matrix::Matching;
 use aps_topology::paths::{shortest_path, Path};
-use aps_topology::properties::is_circuit_configuration;
-use aps_topology::{Topology, TopologyError};
+use aps_topology::{Circuits, Topology, TopologyError};
 
 /// Throughput and hop count of a step under forced shortest-path routing.
 ///
@@ -52,34 +53,42 @@ pub fn forced_path_throughput(
     topo: &Topology,
     matching: &Matching,
 ) -> Result<(f64, usize), FlowError> {
-    if !is_circuit_configuration(topo) {
-        return reference(topo, matching);
+    match Circuits::of_topology(topo) {
+        Some(circuits) => circuit_path_throughput(topo, &circuits, matching),
+        None => reference(topo, matching),
     }
+}
+
+/// The circuit path of [`forced_path_throughput`], on `circuits`, the
+/// layout of `topo` (`Circuits::of_topology(topo)`): a caller that prices
+/// many matchings on one circuit topology lays it out once.
+pub(crate) fn circuit_path_throughput(
+    topo: &Topology,
+    circuits: &Circuits,
+    matching: &Matching,
+) -> Result<(f64, usize), FlowError> {
     if let Some(trivial) = trivial(topo, matching)? {
         return Ok(trivial);
     }
-    let circuits = Circuits::new(topo);
     // A difference array over the slots; its prefix sums below are the loads
     // of the links leaving each slot.
     let mut load = vec![0i64; topo.n() + 1];
     let mut ell = 0;
     for (src, dst) in matching.pairs() {
-        let (a, b) = (circuits.slot[src], circuits.slot[dst]);
-        let c = circuits.components[circuits.component[src]];
-        if circuits.component[dst] != circuits.component[src] || (b < a && !c.cycle) {
-            return Err(TopologyError::Unreachable { src, dst }.into());
-        }
+        let (a, hops) = circuits
+            .route(src, dst)
+            .ok_or(TopologyError::Unreachable { src, dst })?;
+        let c = circuits.component_of(src);
         load[a] += 1;
-        if b > a {
-            load[b] -= 1;
-            ell = ell.max(b - a);
+        if a + hops <= c.end() {
+            load[a + hops] -= 1;
         } else {
             // The arc wraps past the cycle's last slot to its first.
-            load[c.start + c.len] -= 1;
+            load[c.end()] -= 1;
             load[c.start] += 1;
-            load[b] -= 1;
-            ell = ell.max(b + c.len - a);
+            load[a + hops - c.len] -= 1;
         }
+        ell = ell.max(hops);
     }
     let mut running = 0;
     for slot in &mut load {
@@ -89,7 +98,7 @@ pub fn forced_path_throughput(
     let worst = topo
         .links()
         .iter()
-        .map(|l| load[circuits.slot[l.src]] as f64 / l.capacity)
+        .map(|l| load[circuits.slot(l.src)] as f64 / l.capacity)
         .fold(0.0, f64::max);
     debug_assert!(worst > 0.0, "non-empty matching must load some link");
     Ok((1.0 / worst, ell))
@@ -123,71 +132,6 @@ fn trivial(topo: &Topology, matching: &Matching) -> Result<Option<(f64, usize)>,
         });
     }
     Ok(matching.is_empty().then_some((1.0, 0)))
-}
-
-/// One chain or cycle of a circuit topology, as a run of slots.
-#[derive(Debug, Clone, Copy)]
-struct Component {
-    start: usize,
-    len: usize,
-    cycle: bool,
-}
-
-/// A circuit topology laid out in successor order: chains first, each from
-/// its node with no in-link, then cycles. Node `v` sits at `slot[v]`, and the
-/// link leaving it carries the load of that slot.
-struct Circuits {
-    slot: Vec<usize>,
-    component: Vec<usize>,
-    components: Vec<Component>,
-}
-
-impl Circuits {
-    fn new(topo: &Topology) -> Self {
-        let n = topo.n();
-        let mut next = vec![usize::MAX; n];
-        let mut head = vec![true; n];
-        for l in topo.links() {
-            next[l.src] = l.dst;
-            head[l.dst] = false;
-        }
-        let mut layout = Self {
-            slot: vec![usize::MAX; n],
-            component: vec![0; n],
-            components: Vec::new(),
-        };
-        for v in (0..n).filter(|&v| head[v]) {
-            layout.walk(&next, v, false);
-        }
-        // Every node left has one in-link and one out-link: it lies on a
-        // cycle.
-        for v in 0..n {
-            if layout.slot[v] == usize::MAX {
-                layout.walk(&next, v, true);
-            }
-        }
-        layout
-    }
-
-    /// Lays out the component that starts at `first` in the next free slots,
-    /// following `next` (`usize::MAX` past a chain's end).
-    fn walk(&mut self, next: &[usize], first: usize, cycle: bool) {
-        let id = self.components.len();
-        let start = self.components.last().map_or(0, |c| c.start + c.len);
-        let mut at = start;
-        let mut u = first;
-        while u != usize::MAX && self.slot[u] == usize::MAX {
-            self.slot[u] = at;
-            self.component[u] = id;
-            at += 1;
-            u = next[u];
-        }
-        self.components.push(Component {
-            start,
-            len: at - start,
-            cycle,
-        });
-    }
 }
 
 /// Routes every pair of `matching` along its BFS shortest path, in pair

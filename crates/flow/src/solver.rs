@@ -12,11 +12,11 @@
 //! would cost as much as the O(n) solve a hit saves.
 
 use crate::error::FlowError;
-use crate::forced::forced_path_throughput;
+use crate::forced::{circuit_path_throughput, forced_path_throughput};
 use crate::gk::{matching_commodities, max_concurrent_flow};
 use crate::proxy::degree_proxy_throughput;
 use aps_matrix::Matching;
-use aps_topology::Topology;
+use aps_topology::{Circuits, Topology};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -53,6 +53,18 @@ pub struct StepThroughput {
     pub max_hops: usize,
 }
 
+impl StepThroughput {
+    /// The figures of a solver that reports `(θ, ℓ)` and no separate upper
+    /// bound.
+    fn tight((theta, max_hops): (f64, usize)) -> Self {
+        Self {
+            theta,
+            theta_upper: theta,
+            max_hops,
+        }
+    }
+}
+
 /// Computes the throughput of one step (matching) on a topology.
 ///
 /// # Errors
@@ -65,12 +77,7 @@ pub fn step_throughput(
 ) -> Result<StepThroughput, FlowError> {
     match solver {
         ThroughputSolver::ForcedPath => {
-            let (theta, max_hops) = forced_path_throughput(topo, matching)?;
-            Ok(StepThroughput {
-                theta,
-                theta_upper: theta,
-                max_hops,
-            })
+            forced_path_throughput(topo, matching).map(StepThroughput::tight)
         }
         ThroughputSolver::GargKonemann { epsilon } => {
             let r = max_concurrent_flow(topo, &matching_commodities(matching), epsilon)?;
@@ -81,13 +88,24 @@ pub fn step_throughput(
             })
         }
         ThroughputSolver::DegreeProxy => {
-            let (theta, max_hops) = degree_proxy_throughput(topo, matching)?;
-            Ok(StepThroughput {
-                theta,
-                theta_upper: theta,
-                max_hops,
-            })
+            degree_proxy_throughput(topo, matching).map(StepThroughput::tight)
         }
+    }
+}
+
+/// [`step_throughput`] of `matching` on `topo`, priced on `circuits` (the
+/// layout of `topo`) when given.
+fn price(
+    topo: &Topology,
+    circuits: Option<&Circuits>,
+    matching: &Matching,
+    solver: ThroughputSolver,
+) -> Result<StepThroughput, FlowError> {
+    match circuits {
+        Some(circuits) => {
+            circuit_path_throughput(topo, circuits, matching).map(StepThroughput::tight)
+        }
+        None => step_throughput(topo, matching, solver),
     }
 }
 
@@ -174,6 +192,10 @@ impl CacheStats {
 /// crafted to collide: the keys are step matchings of the program's own
 /// schedules, not input from outside it.
 ///
+/// A forced-path cache on a circuit topology lays the topology out once,
+/// at its first miss ([`Circuits`]), and prices every miss on that layout,
+/// as [`forced_path_throughput`] would after laying it out again.
+///
 /// Cloning a cache clones its memo table — the cheap way to hand each
 /// worker of a parallel sweep a private, pre-warmed copy (see
 /// [`ThetaCache::warm`]).
@@ -183,6 +205,9 @@ pub struct ThetaCache {
     topology_n: usize,
     topology_digest: u64,
     solver: ThroughputSolver,
+    /// The base's layout once a forced-path miss found the base to be a
+    /// circuit topology.
+    circuits: Option<Circuits>,
     map: HashMap<Matching, StepThroughput, FxBuild>,
     hits: u64,
     misses: u64,
@@ -196,10 +221,22 @@ impl ThetaCache {
             topology_n: topo.n(),
             topology_digest: topo.digest(),
             solver,
+            circuits: None,
             map: HashMap::default(),
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// The layout of the cache's base `topo` for a forced-path solver,
+    /// built at the first call; `None` for other solvers and for a base
+    /// that is not a circuit topology (checked again on each call, as
+    /// [`forced_path_throughput`] checks on each call).
+    fn layout(&mut self, topo: &Topology) -> Option<&Circuits> {
+        if self.circuits.is_none() && self.solver == ThroughputSolver::ForcedPath {
+            self.circuits = Circuits::of_topology(topo);
+        }
+        self.circuits.as_ref()
     }
 
     /// Computes (or recalls) the throughput of `matching` on `topo`.
@@ -227,7 +264,8 @@ impl ThetaCache {
             self.hits += 1;
             return Ok(*hit);
         }
-        let v = step_throughput(topo, matching, self.solver)?;
+        let solver = self.solver;
+        let v = price(topo, self.layout(topo), matching, solver)?;
         self.map.insert(matching.clone(), v);
         self.misses += 1;
         Ok(v)
@@ -238,7 +276,8 @@ impl ThetaCache {
     /// embarrassingly parallel across matchings, whereas parallelizing the
     /// sweep rows would re-price the same matchings once per worker.
     /// Duplicate matchings are deduplicated (first occurrence wins — the
-    /// result is identical either way, since solving is pure).
+    /// result is identical either way, since solving is pure). The workers
+    /// share one layout of a circuit base (see [`ThetaCache`]).
     ///
     /// The returned cache counts one miss per unique matching priced and no
     /// hits. Results are bit-identical at any `pool` width.
@@ -260,8 +299,9 @@ impl ThetaCache {
                 unique.push(m);
             }
         }
-        let priced = pool.try_map(&unique, |_, m| step_throughput(topo, m, solver))?;
         let mut cache = Self::new(topo, solver);
+        let circuits = cache.layout(topo);
+        let priced = pool.try_map(&unique, |_, m| price(topo, circuits, m, solver))?;
         cache.misses = unique.len() as u64;
         cache.map = unique.into_iter().cloned().zip(priced).collect();
         Ok(cache)

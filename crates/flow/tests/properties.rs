@@ -8,6 +8,7 @@ mod ring;
 use aps_flow::forced::{forced_path_throughput, reference};
 use aps_flow::gk::{matching_commodities, max_concurrent_flow};
 use aps_flow::proxy::degree_proxy_throughput;
+use aps_flow::solver::{ThetaCache, ThroughputSolver};
 use aps_flow::FlowError;
 use aps_matrix::Matching;
 use aps_topology::{builders, Topology, TopologyError};
@@ -296,6 +297,41 @@ proptest! {
         prop_assert_eq!(fast.map(|(_, ell)| ell), want.clone());
         if let Some((src, dst)) = case.planted {
             prop_assert_eq!(want, Err(FlowError::Routing(TopologyError::Unreachable { src, dst })));
+        }
+    }
+
+    #[test]
+    fn a_cache_miss_prices_like_forced_path_throughput(
+        n in 2usize..258,
+        seed in any::<u64>(),
+        plant in 0usize..4,
+        matched in any::<bool>(),
+    ) {
+        // One cache lays its base out once and prices every miss on that
+        // layout: the case's matching, then random subsets of its pairs.
+        let case = circuit_case(n, seed, plant, matched);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let pairs: Vec<(usize, usize)> = case.matching.pairs().collect();
+        let mut matchings = vec![case.matching.clone()];
+        for _ in 0..3 {
+            let keep: Vec<(usize, usize)> =
+                pairs.iter().copied().filter(|_| rng.random_bool(0.5)).collect();
+            matchings.push(Matching::from_pairs(n, &keep).unwrap());
+        }
+        let mut cache = ThetaCache::new(&case.topo, ThroughputSolver::ForcedPath);
+        for m in &matchings {
+            let want = bits(forced_path_throughput(&case.topo, m));
+            let miss = cache.get(&case.topo, m).map(|s| (s.theta, s.max_hops));
+            prop_assert_eq!(bits(miss), want.clone());
+            let warm = ThetaCache::warm(
+                &aps_par::Pool::serial(),
+                &case.topo,
+                ThroughputSolver::ForcedPath,
+                [m],
+            )
+            .and_then(|mut w| w.get(&case.topo, m))
+            .map(|s| (s.theta, s.max_hops));
+            prop_assert_eq!(bits(warm), want);
         }
     }
 }

@@ -2,49 +2,64 @@
 //!
 //! A steady-state step (the `run_workload_totals` path, and a
 //! `ServiceExecutor` step) must not touch the heap. Everything the step
-//! needs — matching pairs, link capacities, router scratch, flow paths,
-//! rates, remaining volumes, active sets, the component walk and max-min
-//! solver scratch and the link→flows sharing index — lives in one
-//! long-lived [`StepScratch`] owned by the executor and recycled across
-//! steps (the executor keeps its reconfiguration-target buffers next to
-//! it). Buffers are dense index-based SoA (flow `i`'s path is a CSR slice,
-//! not a `Vec` per flow, and there is no `Box<dyn>` anywhere per flow or
-//! per link), so a step is a handful of `clear()`s plus in-place pushes
-//! into capacity that already exists after warm-up.
+//! needs — the circuit layout, each flow's arc, rates, remaining volumes,
+//! active sets, the sharing components and the max-min solver scratch —
+//! lives in one long-lived [`StepScratch`] owned by the executor and
+//! recycled across steps (the executor keeps its pair and
+//! reconfiguration-target buffers next to it). Buffers are dense
+//! index-based SoA (a flow is a first slot and a hop count, not a `Vec`,
+//! and there is no `Box<dyn>` anywhere per flow or per link), so a step is
+//! a handful of `clear()`s plus in-place pushes into capacity that already
+//! exists after warm-up. [`FluidScratch`], the explicit-path engine's
+//! scratch, follows the same rules for callers with arbitrary paths.
 //!
 //! ## Mutability classes
 //!
 //! Following the `murk-arena` exemplar, every buffer here belongs to one
-//! of three classes, which is what makes the recycling sound:
+//! of four classes, which is what makes the recycling sound:
 //!
 //! * **Static** — fixed for the scratch's lifetime: the buffers
 //!   themselves (their capacity only ratchets up, never shrinks), and
 //!   [`FluidScratch::index_builds`], a monotone counter.
 //! * **Per-step** — rebuilt from scratch each step by `clear()` + push:
-//!   the pair list, capacities, the sender→link router map, and the CSR
-//!   flow table ([`FluidScratch::start`] / [`FluidScratch::push_link`] /
-//!   [`FluidScratch::seal_flow`]).
+//!   the [`CircuitScratch`] layout (refilled in place, and skipped on a
+//!   step of direct circuits), each flow's first slot, hop count and
+//!   finish time; for [`FluidScratch`], the CSR flow table
+//!   ([`FluidScratch::start`] / [`FluidScratch::push_link`] /
+//!   [`FluidScratch::seal_flow`]) and the circuit-shape check's per-link
+//!   `seen_at` and `fed_link`, which every simulation resets before it
+//!   reads them. Its `arcs`, the circuit scratch of flows that have the
+//!   shape, follows [`CircuitScratch`]'s classes.
 //! * **Per-round** — mutated incrementally *within* one fluid simulation
-//!   as completion rounds retire flows: rates, remaining volumes, the
+//!   as completion rounds retire flows: rates, remaining volumes, and the
 //!   ping-pong `active`/`still` generation pair (swapped each round, never
-//!   reallocated), and the link→flows index (built once per simulation,
-//!   then maintained by removal as flows depart — the pre-arena engine
-//!   rebuilt it on every completion, the bug this class exists to
-//!   prevent). The component walk's buffers belong here too: the per-flow
-//!   `frozen` flags and per-link `link_seen` marks are sized once per
-//!   simulation and every pass hands them back all frozen and all
+//!   reallocated). In [`CircuitScratch`] the sharing components belong
+//!   here: `comps`, `members` and `comp_of` are built once per step, and a
+//!   round that retires flows empties each component it touched and
+//!   appends the pieces that component splits into (at most three entries
+//!   per flow over a step). In [`FluidScratch`] so do the link→flows index
+//!   (built once per simulation, then maintained by removal as flows
+//!   depart — the pre-arena engine rebuilt it on every completion, the bug
+//!   this class exists to prevent) and the component walk's buffers: the
+//!   per-flow `frozen` flags and per-link `link_seen` marks are sized once
+//!   per simulation and every pass hands them back all frozen and all
 //!   unmarked, so no pass pays an O(flows + links) reset; the walked
 //!   `links` list is cleared after each pass; and the per-link `cap_left`
 //!   and `users` the filling reads are written by the walk first.
+//! * **Per-solve** — [`CircuitScratch`]'s buffers indexed by the slots of
+//!   one run (`users`, `joins`, `owner`, `cap_left`, `fair`, `link_id`),
+//!   plus `counts`, `sorted`, `unfrozen` and `pending`: each split or solve resizes
+//!   them to its run and writes them before it reads them. The freeze
+//!   difference array (`joins` during a solve) is zeroed by the pass that
+//!   reads it, so a bottleneck round pays no separate reset.
 //!
 //! The invariant is regression-tested: a counting `#[global_allocator]`
 //! test (`crates/sim/tests/zero_alloc.rs`) proves a 100k-step endless
 //! `TrainingLoop`, and two such jobs on a `ServiceExecutor`, perform zero
 //! allocations per steady-state step, and the differential suites pin
-//! that the arena engine is bit-identical to the seed oracle.
+//! that both engines are bit-identical to the seed oracle.
 
-/// Sentinel for "link not present" in [`StepScratch::link_of`].
-pub(crate) const UNUSED: usize = usize::MAX;
+use aps_topology::Circuits;
 
 /// Scratch for one fluid simulation: the CSR flow table plus every buffer
 /// the event-driven max-min engine needs. Reused across steps; see the
@@ -89,14 +104,25 @@ pub struct FluidScratch {
     /// Unfrozen-user count per link, valid for links walked in this pass.
     pub(crate) users: Vec<usize>,
 
+    // --- flows shaped like a circuit step (per-step) ---
+    /// Per link: where the first path that crosses it and goes on does
+    /// so, as (position in `path_data`, end of that path); unset while no
+    /// path has.
+    pub(crate) seen_at: Vec<(usize, usize)>,
+    /// Per link: some path crosses another link right before it.
+    pub(crate) fed_link: Vec<bool>,
+    /// The arc solve's scratch, with the links laid out as circuits.
+    pub(crate) arcs: CircuitScratch,
+
     // --- link→flows sharing index (built once per simulation, then
     // --- maintained incrementally as flows complete) ---
     /// Active flows crossing each link, one entry per hop, in no order.
     pub(crate) flows_of_link: Vec<Vec<usize>>,
 
     /// How many times the link→flows index was built from scratch —
-    /// exactly once per simulation (static; monotone). The regression
-    /// hook for the old per-completion rebuild bug.
+    /// exactly once per simulation the event engine runs (static;
+    /// monotone). The regression hook for the old per-completion rebuild
+    /// bug.
     index_builds: u64,
 }
 
@@ -157,9 +183,11 @@ impl FluidScratch {
     }
 
     /// How many times the link→flows sharing index was built from scratch
-    /// since this scratch was created. The fluid engine builds it exactly
+    /// since this scratch was created. The event engine builds it exactly
     /// once per simulation and maintains it incrementally as flows
-    /// complete, so the delta across one `simulate_flows` call is 1.
+    /// complete, so the delta across one `simulate_flows` call is 1 — or
+    /// 0 when the flows are shaped like a circuit step and the circuit
+    /// solve takes them.
     pub fn index_builds(&self) -> u64 {
         self.index_builds
     }
@@ -170,19 +198,122 @@ impl FluidScratch {
     }
 }
 
-/// All scratch one simulated step needs: the fluid engine's buffers plus
-/// the step-level routing and capacity buffers. One instance per executor
-/// run, recycled every step.
+/// One sharing component of a circuit step: a run of consecutive slots of
+/// one chain or cycle of the [`Circuits`] layout, and the flows whose arcs
+/// lie on it. Local slot `k` of the run is layout slot
+/// `base + (from + k) % size`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Run {
+    /// First slot of the chain or cycle the run lies on.
+    pub(crate) base: usize,
+    /// Slots of that chain or cycle.
+    pub(crate) size: usize,
+    /// First slot of the run, counted from `base`.
+    pub(crate) from: usize,
+    /// Slots in the run.
+    pub(crate) len: usize,
+    /// The run is a whole cycle joined at every boundary, so arcs may wrap
+    /// past its last slot to its first.
+    pub(crate) closed: bool,
+    /// Its flows are `CircuitScratch::members[lo..hi]`; `lo == hi` once
+    /// they have all departed.
+    pub(crate) lo: usize,
+    /// See `lo`.
+    pub(crate) hi: usize,
+    /// A flow of the run departed in the current completion round.
+    pub(crate) dirty: bool,
+}
+
+/// Scratch for one step on a circuit configuration: the layout, each
+/// flow's arc, and the buffers of the arc solve
+/// ([`crate::fluid::simulate_circuit_step`]). Reused across steps; see the
+/// [module docs](self) for the mutability classes.
+#[derive(Debug, Default)]
+pub struct CircuitScratch {
+    // --- layout and arcs (per-step) ---
+    /// The step's configuration, laid out in slots.
+    pub(crate) layout: Circuits,
+    /// Per flow: the slot of its first link.
+    pub(crate) first: Vec<usize>,
+    /// Per flow: its hop count, the length of its arc.
+    pub(crate) hops: Vec<usize>,
+    /// Per flow: finish time in seconds, the solve's output.
+    pub(crate) finish: Vec<f64>,
+
+    // --- completion rounds (per-round) ---
+    /// Current max-min rate per flow.
+    pub(crate) rates: Vec<f64>,
+    /// Remaining bytes per flow.
+    pub(crate) remaining: Vec<f64>,
+    /// Active flow ids, ascending — one of two ping-pong generations.
+    pub(crate) active: Vec<usize>,
+    /// The other generation: this round's survivors.
+    pub(crate) still: Vec<usize>,
+    /// Per flow: its sharing component, an index into `comps`.
+    pub(crate) comp_of: Vec<usize>,
+    /// Sharing components. A re-solved component is replaced by the
+    /// components it splits into, so there are fewer than three per flow.
+    pub(crate) comps: Vec<Run>,
+    /// Flow ids grouped by component (see [`Run`]).
+    pub(crate) members: Vec<usize>,
+    /// Components with a departure this round.
+    pub(crate) dirty: Vec<usize>,
+
+    // --- one split or solve (per-solve; index = slot of the run) ---
+    /// Difference array of arcs over the run's slots, then user counts.
+    pub(crate) users: Vec<isize>,
+    /// Difference array of arcs over the run's boundaries (boundary `k`
+    /// joins slots `k` and `k + 1`), then how many flows cross each.
+    pub(crate) joins: Vec<isize>,
+    /// Which component of the split each slot went to.
+    pub(crate) owner: Vec<usize>,
+    /// Bucket bounds of a counting sort (by chain or by split component).
+    pub(crate) counts: Vec<usize>,
+    /// Flow ids in their sorted order, before they go back to `members`.
+    pub(crate) sorted: Vec<usize>,
+    /// Residual capacity per slot.
+    pub(crate) cap_left: Vec<f64>,
+    /// `cap_left / users` per slot; `+∞` once no unfrozen flow crosses it.
+    pub(crate) fair: Vec<f64>,
+    /// Link id per slot, for the bottleneck tie-break.
+    pub(crate) link_id: Vec<usize>,
+    /// Unfrozen flows: (flow, first slot of the run it crosses, hops).
+    pub(crate) unfrozen: Vec<(usize, usize, usize)>,
+    /// Slots a bottleneck's flows cross that keep an unfrozen user, and how
+    /// many of those flows cross each.
+    pub(crate) pending: Vec<(usize, usize)>,
+}
+
+impl CircuitScratch {
+    /// A fresh scratch with no capacity; every buffer warms up on first
+    /// use and is recycled afterwards.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of flows of the last step.
+    pub fn num_flows(&self) -> usize {
+        self.hops.len()
+    }
+
+    /// Finish time of flow `i` in seconds (transmission only), valid after
+    /// a step ran.
+    pub fn finish_of(&self, i: usize) -> f64 {
+        self.finish[i]
+    }
+
+    /// Hop count of flow `i`.
+    pub fn hops_of(&self, i: usize) -> usize {
+        self.hops[i]
+    }
+}
+
+/// All scratch one simulated step needs. One instance per executor run,
+/// recycled every step.
 #[derive(Debug, Default)]
 pub struct StepScratch {
-    /// The fluid engine's scratch.
-    pub(crate) fluid: FluidScratch,
-    /// Per-link capacities for the step's circuit topology (per-step).
-    pub(crate) caps: Vec<f64>,
-    /// Sender port → link id on the current circuit configuration, in
-    /// `from_matching` id order (links are numbered by ascending sender);
-    /// [`UNUSED`] for silent ports (per-step).
-    pub(crate) link_of: Vec<usize>,
+    /// The arc solve's scratch.
+    pub(crate) circuits: CircuitScratch,
 }
 
 impl StepScratch {

@@ -15,9 +15,9 @@
 //!   [`TraceKind::Decision`] events — the simulator face of the paper's
 //!   adaptive vision, and what `adaptive_photonics::Experiment` runs.
 
-use crate::arena::{StepScratch, UNUSED};
+use crate::arena::StepScratch;
 use crate::error::SimError;
-use crate::fluid::simulate_flows_scratch;
+use crate::fluid::simulate_circuit_step;
 use crate::report::{SimReport, StepReport};
 use crate::service::{Decider, Demand, Job, ServiceExecutor, ServiceSwitching};
 use crate::trace::{TraceEvent, TraceKind};
@@ -220,53 +220,33 @@ pub(crate) fn execute_step(
         },
     });
 
-    // Transfer: route every pair on the achieved circuit topology, which
-    // after the request above *is* the fabric's current configuration. A
-    // circuit configuration is a partial permutation — every port has at
-    // most one outgoing circuit — so the unique (hence shortest) path from
-    // `src` is the successor chain, and link ids follow `from_matching`'s
-    // convention: links are numbered by ascending sender port. The walk
-    // writes CSR paths straight into the long-lived scratch, so routing a
-    // steady-state step performs zero heap allocation.
-    let config = fabric.current();
-    let n = config.n();
-    scratch.link_of.clear();
-    scratch.link_of.resize(n, UNUSED);
-    let mut num_links = 0usize;
-    for (s, _) in config.pairs() {
-        scratch.link_of[s] = num_links;
-        num_links += 1;
-    }
-    scratch.fluid.start();
+    // Transfer: route every pair on the achieved circuit configuration,
+    // which after the request above *is* the fabric's current one. Every
+    // port has at most one outgoing circuit, so the only (hence shortest)
+    // path from `src` is its arc: the run of circuits from `src` along its
+    // chain or cycle up to `dst`. Links are numbered by ascending sender
+    // port, `from_matching`'s convention, so bottleneck ties break as in
+    // `fluid::reference`. The arc solve works in the long-lived scratch, so
+    // a steady-state step performs zero heap allocation.
+    simulate_circuit_step(
+        fabric.current(),
+        input.pairs,
+        input.bytes_per_pair,
+        bandwidth,
+        &mut scratch.circuits,
+    )
+    .map_err(|(src, dst)| SimError::Unroutable {
+        step: input.step,
+        src,
+        dst,
+    })?;
+    let flows = &scratch.circuits;
     let mut max_hops = 0usize;
-    for &(src, dst) in input.pairs {
-        let mut cur = src;
-        let mut hops = 0usize;
-        loop {
-            let Some(next) = config.dst_of(cur) else {
-                return Err(SimError::Unroutable {
-                    step: input.step,
-                    src,
-                    dst,
-                });
-            };
-            scratch.fluid.push_link(scratch.link_of[cur]);
-            hops += 1;
-            cur = next;
-            if cur == dst {
-                break;
-            }
-            if hops >= n {
-                // Walked a full cycle without meeting `dst`: unreachable.
-                return Err(SimError::Unroutable {
-                    step: input.step,
-                    src,
-                    dst,
-                });
-            }
-        }
-        max_hops = max_hops.max(hops);
-        scratch.fluid.seal_flow(input.bytes_per_pair);
+    let mut worst_s = 0.0f64;
+    for i in 0..flows.num_flows() {
+        max_hops = max_hops.max(flows.hops_of(i));
+        let total = flows.finish_of(i) + cfg.params.delta_s * flows.hops_of(i) as f64;
+        worst_s = worst_s.max(total);
     }
     let transfer_ps = if input.pairs.is_empty() {
         0
@@ -277,15 +257,6 @@ pub(crate) fn execute_step(
                 count: input.pairs.len(),
             },
         });
-        scratch.caps.clear();
-        scratch.caps.resize(num_links, bandwidth);
-        simulate_flows_scratch(&scratch.caps, &mut scratch.fluid);
-        let mut worst_s = 0.0f64;
-        for i in 0..scratch.fluid.num_flows() {
-            let total =
-                scratch.fluid.finish_of(i) + cfg.params.delta_s * scratch.fluid.path_len(i) as f64;
-            worst_s = worst_s.max(total);
-        }
         clock(checked_picos(worst_s))?
     };
     let comm_end = clock(flows_start.checked_add(transfer_ps))?;

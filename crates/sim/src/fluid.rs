@@ -9,6 +9,16 @@
 //! analytic `β·m·L` — the simulator-side face of the paper's
 //! concurrent-flow congestion factor.
 //!
+//! Two engines solve this model, and both are bit-identical to the seed
+//! engine kept as [`mod@reference`]: the explicit-path event engine
+//! ([`simulate_flows_scratch`]) takes any flows over any links, and the
+//! circuit solve ([`simulate_circuit_step`]) takes one step on a circuit
+//! configuration. The step engine (`exec.rs`) runs every step through the
+//! circuit solve, and [`simulate_flows_scratch`] hands it explicit flows of
+//! the same shape (see [Explicit flows on arcs](#explicit-flows-on-arcs)),
+//! so replaying a step's explicit paths times the solve the step engine
+//! runs.
+//!
 //! ## The event engine
 //!
 //! The seed engine re-ran the full progressive-filling solver over *all*
@@ -35,6 +45,70 @@
 //! A matched step — n disjoint one-hop circuits — is n one-link
 //! components, so its solve costs O(n). One giant component (a ring shift
 //! by n/2) still costs a bottleneck scan of its links per bottleneck.
+//!
+//! ## The circuit solve
+//!
+//! A simulated step runs on a circuit configuration: every port has at most
+//! one outgoing and one incoming circuit, so the circuits form chains and
+//! cycles, and every flow's path is an **arc** — a run of consecutive links
+//! along one chain or cycle. [`simulate_circuit_step`] lays the
+//! configuration out as [`aps_topology::Circuits`] does (chains from their
+//! heads, then cycles) and never writes a per-hop path:
+//!
+//! * **direct circuits** — when every pair `(s, d)` is itself a circuit,
+//!   as on every matched step, each flow crosses one link alone. Its rate
+//!   is `cap / 1` and the step ends in one completion round at
+//!   `0 + m / cap`, so such a step needs no layout and costs O(pairs).
+//! * **routing** — otherwise each pair becomes an arc (first slot, hop
+//!   count), checked in pair order. A sender with no circuit, or a
+//!   receiver on another chain or cycle or upstream on a chain, is the
+//!   first unroutable pair, the one the hop-by-hop walk names.
+//! * **sharing components** — a difference array over the arcs gives each
+//!   link's user count, and a second one over adjacent slot pairs counts
+//!   the flows crossing each boundary. Two adjacent links share a
+//!   component exactly when some flow crosses both, so each component is a
+//!   run of slots, wrapping on a cycle that no free boundary cuts.
+//! * **progressive filling** per component scans its links in slot order
+//!   and takes the smallest `cap_left / users`, ties to the lowest link id.
+//!   Links keep the ids the oracle gives them (ascending sender port), so
+//!   this is the link the oracle's ascending-id scan picks. It freezes
+//!   every unfrozen flow whose arc covers that link, sums the frozen arcs
+//!   in a third difference array, and gives a link crossed by `k` of them
+//!   `k` identical `max(x − fair, 0)` updates (invariant 3 below). They
+//!   run as `k` subtractions clamped once, which is exact because the
+//!   unclamped chain never rises, four links side by side so the chains
+//!   overlap. They are not folded into one `x − k·fair`: that rounds
+//!   differently. A link left with no unfrozen user is never read again
+//!   in the solve, so it skips its updates.
+//! * **completion rounds** are the event engine's: the same `dt` minimum,
+//!   the same `remaining -= rate·dt` update and the same ε test. After a
+//!   round only the components that lost a flow are split again from their
+//!   survivors and re-solved.
+//!
+//! The invariants below carry over unchanged: each run the solve fills is
+//! exactly one sharing component of the explicit-path model, so the arc
+//! solve performs, link by link, the arithmetic the oracle performs.
+//!
+//! ## Explicit flows on arcs
+//!
+//! [`simulate_flows_scratch`] first checks whether its flows are shaped
+//! like one circuit step: every link has one capacity, every active flow
+//! carries one volume, and the link pairs its paths cross in succession
+//! give each link at most one successor and one predecessor. Then the links
+//! form chains and cycles of their own: link `l` leaves node `l` of a
+//! layout and reaches the node of the link that follows it, so each slot's
+//! link is the flow's own link id and ties break as in the event engine.
+//! Every path is an arc there, and one that rounds its cycle more than once
+//! (crossing a link twice) spoils the shape. The circuit solve then runs on
+//! those arcs, direct circuits included, and writes each flow's finish.
+//!
+//! The check records each link's successor once, at the first path that
+//! crosses it and goes on, and compares a later path reaching that link
+//! with that path's rest in one slice comparison: a pass over the hops at
+//! memory speed, not a lookup per hop. Any other flow set — mixed volumes
+//! or capacities, a link with two successors or two predecessors — goes to
+//! the event engine, and a bad input panics at the same flow, with the same
+//! message, as the event engine's checks.
 //!
 //! ## Invariants
 //!
@@ -67,7 +141,8 @@
 //! the *solver* work is skipped for untouched components, and skipped
 //! work is exactly the work whose results are unchanged.
 
-use crate::arena::FluidScratch;
+use crate::arena::{CircuitScratch, FluidScratch, Run};
+use aps_matrix::Matching;
 
 /// One flow to simulate.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,7 +295,7 @@ fn build_link_index(s: &mut FluidScratch, num_links: usize) {
 fn check_flow(caps: &[f64], i: usize, bytes: f64, path: &[usize]) {
     assert!(bytes.is_finite(), "flow {i} has non-finite volume");
     for &l in path {
-        assert!(l < caps.len(), "path references unknown link {l}");
+        check_link(caps.len(), l);
         assert!(caps[l] > 0.0, "link {l} has no capacity");
         assert!(caps[l].is_finite(), "link {l} has non-finite capacity");
     }
@@ -232,6 +307,10 @@ fn check_flow(caps: &[f64], i: usize, bytes: f64, path: &[usize]) {
 /// times in seconds into `s.finish` (transmission only — the caller adds
 /// propagation). The zero-allocation core of [`simulate_flows`]: after
 /// warm-up, a call touches no heap.
+///
+/// Flows shaped like one step on a circuit configuration run through the
+/// circuit solve instead of the event engine, with the same bits; see the
+/// [module docs](self#explicit-flows-on-arcs).
 ///
 /// Zero-byte flows and empty-path flows finish at `t = 0`. Flows only
 /// depart — the per-step model releases all of a step's flows together —
@@ -248,12 +327,15 @@ fn check_flow(caps: &[f64], i: usize, bytes: f64, path: &[usize]) {
 pub fn simulate_flows_scratch(link_caps_bytes_per_s: &[f64], s: &mut FluidScratch) {
     let caps = link_caps_bytes_per_s;
     let num_flows = s.bytes.len();
+    s.finish.clear();
+    s.finish.resize(num_flows, 0.0);
+    if simulate_as_arcs(caps, s) {
+        return;
+    }
     for i in 0..num_flows {
         let path = &s.path_data[s.path_off[i]..s.path_off[i + 1]];
         check_flow(caps, i, s.bytes[i], path);
     }
-    s.finish.clear();
-    s.finish.resize(num_flows, 0.0);
     s.rates.clear();
     s.rates.resize(num_flows, 0.0);
     s.remaining.clear();
@@ -343,6 +425,174 @@ pub fn simulate_flows_scratch(link_caps_bytes_per_s: &[f64], s: &mut FluidScratc
     }
 }
 
+/// Marks a link no path has been seen to continue.
+const NO_LINK: usize = usize::MAX;
+
+/// Runs the flows of `s` through the arc solve when they are shaped like
+/// one step on a circuit configuration, and returns `true` having written
+/// their finish times. The shape: every link has one capacity, every active
+/// flow carries one volume, and the link pairs the paths cross in
+/// succession give each link at most one successor and one predecessor, so
+/// the links form chains and cycles and every path is an arc that crosses
+/// no link twice. On any other input returns `false`, having written no
+/// finish time, for the event engine to take over.
+///
+/// # Panics
+///
+/// As [`simulate_flows_scratch`], on the first bad flow in flow order.
+fn simulate_as_arcs(caps: &[f64], s: &mut FluidScratch) -> bool {
+    let Some(&cap) = caps.first() else {
+        return false;
+    };
+    if !(cap > 0.0 && cap.is_finite()) || caps.iter().any(|&c| c != cap) {
+        return false;
+    }
+    let Some((bytes, longest)) = trace_arcs(caps, s) else {
+        return false;
+    };
+    if longest <= 1 && single_users(s) {
+        // Direct circuits: each flow crosses its own link alone, as in
+        // `simulate_circuit_step`.
+        let done = bytes / cap;
+        for idx in 0..s.active.len() {
+            s.finish[s.active[idx]] = done;
+        }
+        return true;
+    }
+    // Link `l` runs from node `l` to the node of the link that follows it,
+    // or, when no path continues it, to a node of its own numbered past the
+    // links. Node ids are link ids, so each slot's link is its node.
+    let num_links = caps.len();
+    let tails = s.seen_at.iter().filter(|&&(at, _)| at == NO_LINK).count();
+    let mut end = num_links;
+    let (seen_at, path_data) = (&s.seen_at, &s.path_data);
+    s.arcs.layout.refill(
+        num_links + tails,
+        seen_at.iter().enumerate().map(|(l, &(at, _))| {
+            if at != NO_LINK {
+                (l, path_data[at + 1])
+            } else {
+                end += 1;
+                (l, end - 1)
+            }
+        }),
+    );
+    let arcs = &mut s.arcs;
+    arcs.first.clear();
+    arcs.hops.clear();
+    arcs.comp_of.clear();
+    arcs.finish.clear();
+    for idx in 0..s.active.len() {
+        let (lo, hi) = (s.path_off[s.active[idx]], s.path_off[s.active[idx] + 1]);
+        let (a, hops) = (s.path_data[lo], hi - lo);
+        let c = arcs.layout.component_index(a);
+        let chain = arcs.layout.components()[c];
+        if chain.cycle && hops > chain.len {
+            // Rounds its cycle more than once: it crosses a link twice.
+            return false;
+        }
+        arcs.first.push(arcs.layout.slot(a));
+        arcs.hops.push(hops);
+        arcs.comp_of.push(c);
+    }
+    arcs.finish.resize(arcs.hops.len(), 0.0);
+    drain(arcs, bytes, cap);
+    for (idx, &i) in s.active.iter().enumerate() {
+        s.finish[i] = s.arcs.finish[idx];
+    }
+    true
+}
+
+/// Checks the flows of `s` in order, as [`check_flow`] does on links of
+/// the valid capacity `caps[0]`, lists the active ones in `s.active`, and
+/// traces which link follows which on their paths into `s.seen_at` and
+/// `s.fed_link`. Returns the volume of every active flow and the longest
+/// active path, or `None` as soon as two active flows differ in volume or a
+/// link is seen with two successors or two predecessors.
+///
+/// Each link's successor is recorded once, at the first path that crosses
+/// it and goes on. A later path reaching that link is compared with the
+/// recording path's rest in one slice comparison, so paths that run along
+/// each other cost about one comparison per path they overlap, not one
+/// lookup per hop.
+fn trace_arcs(caps: &[f64], s: &mut FluidScratch) -> Option<(f64, usize)> {
+    let num_links = caps.len();
+    let FluidScratch {
+        path_off,
+        path_data,
+        bytes: volumes,
+        active,
+        seen_at,
+        fed_link,
+        ..
+    } = s;
+    seen_at.clear();
+    seen_at.resize(num_links, (NO_LINK, NO_LINK));
+    fed_link.clear();
+    fed_link.resize(num_links, false);
+    active.clear();
+    let (path_data, seen_at, fed_link) = (&path_data[..], &mut seen_at[..], &mut fed_link[..]);
+    let (mut bytes, mut longest) = (0.0, 0);
+    for (i, (&volume, bounds)) in volumes.iter().zip(path_off.windows(2)).enumerate() {
+        let (lo, hi) = (bounds[0], bounds[1]);
+        if !(volume > 0.0 && hi > lo) {
+            check_flow(caps, i, volume, &path_data[lo..hi]);
+            continue;
+        }
+        assert!(volume.is_finite(), "flow {i} has non-finite volume");
+        if active.is_empty() {
+            bytes = volume;
+        } else if volume != bytes {
+            return None;
+        }
+        active.push(i);
+        longest = longest.max(hi - lo);
+        check_link(num_links, path_data[lo]);
+        let mut g = lo;
+        while g + 1 < hi {
+            let (at, end) = seen_at[path_data[g]];
+            if at == NO_LINK {
+                let next = path_data[g + 1];
+                check_link(num_links, next);
+                if fed_link[next] {
+                    return None;
+                }
+                fed_link[next] = true;
+                seen_at[path_data[g]] = (g, hi);
+                g += 1;
+            } else {
+                // Both stretches start at the same link and hold at least
+                // two, so this checks at least one successor.
+                let k = (hi - g).min(end - at);
+                if path_data[g..g + k] != path_data[at..at + k] {
+                    return None;
+                }
+                g += k - 1;
+            }
+        }
+    }
+    Some((bytes, longest))
+}
+
+/// The link check of [`check_flow`].
+fn check_link(num_links: usize, l: usize) {
+    assert!(l < num_links, "path references unknown link {l}");
+}
+
+/// Whether no two active flows of `s`, each on a one-link path, share
+/// their link. Marks the links in `s.fed_link`, which no path of one link
+/// has written.
+fn single_users(s: &mut FluidScratch) -> bool {
+    for idx in 0..s.active.len() {
+        let l = s.path_data[s.path_off[s.active[idx]]];
+        if s.fed_link[l] {
+            return false;
+        }
+        s.fed_link[l] = true;
+    }
+    true
+}
+
 /// Simulates the flows to completion; returns per-flow finish times in
 /// seconds (transmission only — the caller adds propagation). The
 /// materialized-spec face of [`simulate_flows_scratch`] — it builds a
@@ -358,6 +608,440 @@ pub fn simulate_flows(link_caps_bytes_per_s: &[f64], specs: &[FlowSpec]) -> Vec<
     scratch.load_specs(specs);
     simulate_flows_scratch(link_caps_bytes_per_s, &mut scratch);
     scratch.finish
+}
+
+/// Simulates one step on the circuit configuration `config`: each pair of
+/// `pairs` sends `bytes` along its arc of the configuration, every link
+/// carries `cap` bytes per second, and the flows share the links by max-min
+/// fairness until the last one drains. Afterwards `s` holds each flow's
+/// finish time in seconds (transmission only) and hop count, in `pairs`
+/// order: bit for bit what [`reference::simulate_flows_reference`] gives
+/// for the pairs' successor paths, with links numbered by ascending sender
+/// port. See the [module docs](self) for how.
+///
+/// `pairs` must have distinct senders, as the pairs of a matching do.
+/// After warm-up a call touches no heap.
+///
+/// # Errors
+///
+/// The first pair, in `pairs` order, that `config` cannot route: its
+/// sender has no circuit, or its receiver is not downstream of the sender
+/// on the sender's chain or cycle.
+///
+/// # Panics
+///
+/// When `pairs` is not empty, panics if `bytes` is not finite or `cap` is
+/// not positive and finite, as the explicit-path engines do.
+pub fn simulate_circuit_step(
+    config: &Matching,
+    pairs: &[(usize, usize)],
+    bytes: f64,
+    cap: f64,
+    s: &mut CircuitScratch,
+) -> Result<(), (usize, usize)> {
+    s.first.clear();
+    s.hops.clear();
+    s.finish.clear();
+    s.comp_of.clear();
+    if pairs
+        .iter()
+        .all(|&(src, dst)| config.dst_of(src) == Some(dst))
+    {
+        // Direct circuits: each flow crosses its own link alone at
+        // `cap / 1`, so every flow drains in the first completion round,
+        // at `0 + bytes / cap`.
+        if !pairs.is_empty() {
+            check_step(bytes, cap);
+        }
+        let done = if bytes > 0.0 { bytes / cap } else { 0.0 };
+        s.hops.resize(pairs.len(), 1);
+        s.finish.resize(pairs.len(), done);
+        return Ok(());
+    }
+    s.layout.refill(config.n(), config.pairs());
+    for &(src, dst) in pairs {
+        let (first, hops) = s.layout.route(src, dst).ok_or((src, dst))?;
+        s.first.push(first);
+        s.hops.push(hops);
+        s.comp_of.push(s.layout.component_index(src));
+    }
+    check_step(bytes, cap);
+    s.finish.resize(pairs.len(), 0.0);
+    if bytes > 0.0 {
+        drain(s, bytes, cap);
+    }
+    Ok(())
+}
+
+/// The input checks of [`check_flow`], for a step whose flows all carry
+/// `bytes` over links of capacity `cap`.
+fn check_step(bytes: f64, cap: f64) {
+    assert!(bytes.is_finite(), "flow 0 has non-finite volume");
+    assert!(cap > 0.0, "links have no capacity");
+    assert!(cap.is_finite(), "links have non-finite capacity");
+}
+
+/// Runs the routed flows of `s`, each of `bytes > 0`, to completion:
+/// solves every sharing component, then retires flows round by round as
+/// the explicit-path engines do, re-solving only the components a
+/// departure touched.
+fn drain(s: &mut CircuitScratch, bytes: f64, cap: f64) {
+    let f = s.hops.len();
+    s.rates.clear();
+    s.rates.resize(f, 0.0);
+    s.remaining.clear();
+    s.remaining.resize(f, bytes);
+    s.comps.clear();
+    s.dirty.clear();
+    // Group the flows by chain or cycle (`comp_of` holds each flow's from
+    // routing), then split every group into sharing components.
+    let chains = s.layout.components().len();
+    s.counts.clear();
+    s.counts.resize(chains + 1, 0);
+    for &c in &s.comp_of {
+        s.counts[c + 1] += 1;
+    }
+    for c in 0..chains {
+        s.counts[c + 1] += s.counts[c];
+    }
+    s.members.clear();
+    s.members.resize(f, 0);
+    for i in 0..f {
+        let c = s.comp_of[i];
+        s.members[s.counts[c]] = i;
+        s.counts[c] += 1;
+    }
+    // `split` reuses `counts` and rewrites the `comp_of` of the group it
+    // splits, so each group ends where the next chain's flows begin.
+    let mut lo = 0;
+    while lo < f {
+        let chain = s.comp_of[s.members[lo]];
+        let mut hi = lo + 1;
+        while hi < f && s.comp_of[s.members[hi]] == chain {
+            hi += 1;
+        }
+        let c = s.layout.components()[chain];
+        let run = Run {
+            base: c.start,
+            size: c.len,
+            from: 0,
+            len: c.len,
+            closed: c.cycle,
+            lo,
+            hi,
+            dirty: false,
+        };
+        split(s, run, cap);
+        lo = hi;
+    }
+
+    let done = 1e-9 * bytes.max(1.0);
+    s.active.clear();
+    s.active.extend(0..f);
+    let mut t = 0.0f64;
+    while !s.active.is_empty() {
+        let mut dt = f64::INFINITY;
+        for &i in &s.active {
+            dt = dt.min(s.remaining[i] / s.rates[i]);
+        }
+        t += dt;
+        s.still.clear();
+        for idx in 0..s.active.len() {
+            let i = s.active[idx];
+            s.remaining[i] -= s.rates[i] * dt;
+            if s.remaining[i] <= done {
+                s.finish[i] = t;
+                let c = s.comp_of[i];
+                if !s.comps[c].dirty {
+                    s.comps[c].dirty = true;
+                    s.dirty.push(c);
+                }
+            } else {
+                s.still.push(i);
+            }
+        }
+        std::mem::swap(&mut s.active, &mut s.still);
+        if s.active.is_empty() {
+            break;
+        }
+        // Re-solve the components that lost a flow, from their survivors;
+        // the old entry empties and the pieces it splits into are new.
+        for d in 0..s.dirty.len() {
+            let c = s.dirty[d];
+            let mut run = s.comps[c];
+            s.comps[c].hi = run.lo;
+            let mut hi = run.lo;
+            for j in run.lo..run.hi {
+                let i = s.members[j];
+                if s.remaining[i] > done {
+                    s.members[hi] = i;
+                    hi += 1;
+                }
+            }
+            if hi > run.lo {
+                run.hi = hi;
+                run.dirty = false;
+                split(s, run, cap);
+            }
+        }
+        s.dirty.clear();
+    }
+}
+
+/// Where in `run` (slots counted from its first) an arc that starts at
+/// layout slot `first` starts.
+fn offset(run: &Run, first: usize) -> usize {
+    (first - run.base + run.size - run.from) % run.size
+}
+
+/// Adds the arc of `hops` slots from slot `o` to the difference array
+/// `diff` over a run of `len` slots, wrapping past the last slot to the
+/// first.
+fn add_arc(diff: &mut [isize], len: usize, o: usize, hops: usize) {
+    diff[o] += 1;
+    if o + hops <= len {
+        diff[o + hops] -= 1;
+    } else {
+        diff[len] -= 1;
+        diff[0] += 1;
+        diff[o + hops - len] -= 1;
+    }
+}
+
+/// Replaces the difference array `diff[..=len]` by its prefix sums.
+fn prefix_sums(diff: &mut [isize], len: usize) {
+    let mut running = 0;
+    for d in &mut diff[..len] {
+        running += *d;
+        *d = running;
+    }
+}
+
+/// Splits `run` into sharing components — maximal runs of loaded slots
+/// whose every boundary some flow crosses — records each in `s.comps`,
+/// points its flows at it and solves it.
+fn split(s: &mut CircuitScratch, run: Run, cap: f64) {
+    let len = run.len;
+    s.users.clear();
+    s.users.resize(len + 1, 0);
+    s.joins.clear();
+    s.joins.resize(len + 1, 0);
+    for j in run.lo..run.hi {
+        let i = s.members[j];
+        let (o, h) = (offset(&run, s.first[i]), s.hops[i]);
+        add_arc(&mut s.users, len, o, h);
+        // Boundaries `o ..= o + h − 2`, the ones between two of its links.
+        if h > 1 {
+            add_arc(&mut s.joins, len, o, h - 1);
+        }
+    }
+    prefix_sums(&mut s.users, len);
+    prefix_sums(&mut s.joins, len);
+    // A closed run is cut after a boundary no flow crosses; with none, the
+    // whole cycle is one component.
+    let rot = if run.closed {
+        match s.joins[..len].iter().position(|&j| j == 0) {
+            Some(b) => (b + 1) % len,
+            None => {
+                let c = s.comps.len();
+                s.comps.push(run);
+                for j in run.lo..run.hi {
+                    s.comp_of[s.members[j]] = c;
+                }
+                solve(s, c, cap);
+                return;
+            }
+        }
+    } else {
+        0
+    };
+    let first_new = s.comps.len();
+    s.owner.clear();
+    s.owner.resize(len, 0);
+    let mut open = false;
+    for p in 0..len {
+        let k = if rot + p < len {
+            rot + p
+        } else {
+            rot + p - len
+        };
+        if s.users[k] == 0 {
+            continue;
+        }
+        if !open {
+            s.comps.push(Run {
+                from: (run.from + k) % run.size,
+                len: 0,
+                closed: false,
+                ..run
+            });
+        }
+        s.comps.last_mut().expect("a component was just opened").len += 1;
+        s.owner[k] = s.comps.len() - 1 - first_new;
+        open = s.joins[k] > 0;
+    }
+    // A stable counting sort of the flows by component, in place.
+    let parts = s.comps.len() - first_new;
+    s.counts.clear();
+    s.counts.resize(parts + 1, 0);
+    for j in run.lo..run.hi {
+        let q = s.owner[offset(&run, s.first[s.members[j]])];
+        s.counts[q + 1] += 1;
+    }
+    for q in 0..parts {
+        s.counts[q + 1] += s.counts[q];
+    }
+    s.sorted.clear();
+    s.sorted.resize(run.hi - run.lo, 0);
+    for j in run.lo..run.hi {
+        let i = s.members[j];
+        let q = s.owner[offset(&run, s.first[i])];
+        s.sorted[s.counts[q]] = i;
+        s.counts[q] += 1;
+        s.comp_of[i] = first_new + q;
+    }
+    s.members[run.lo..run.hi].copy_from_slice(&s.sorted);
+    let mut lo = run.lo;
+    for q in 0..parts {
+        let c = &mut s.comps[first_new + q];
+        c.lo = lo;
+        c.hi = run.lo + s.counts[q];
+        lo = c.hi;
+    }
+    for c in first_new..s.comps.len() {
+        solve(s, c, cap);
+    }
+}
+
+/// Progressive filling on the sharing component `s.comps[c]`: the
+/// bottleneck is the slot with the smallest `cap_left / users`, ties to
+/// the lowest link id; it freezes every unfrozen flow whose arc covers it,
+/// and a slot those flows cross `k` times takes `k` identical updates.
+fn solve(s: &mut CircuitScratch, c: usize, cap: f64) {
+    let run = s.comps[c];
+    let len = run.len;
+    s.users.clear();
+    s.users.resize(len + 1, 0);
+    s.joins.clear();
+    s.joins.resize(len + 1, 0);
+    s.unfrozen.clear();
+    for j in run.lo..run.hi {
+        let i = s.members[j];
+        let (o, h) = (offset(&run, s.first[i]), s.hops[i]);
+        add_arc(&mut s.users, len, o, h);
+        s.unfrozen.push((i, o, h));
+    }
+    prefix_sums(&mut s.users, len);
+    s.cap_left.clear();
+    s.cap_left.resize(len, cap);
+    s.fair.clear();
+    s.link_id.clear();
+    for k in 0..len {
+        let users = s.users[k] as usize;
+        s.fair.push(if users > 0 {
+            cap / users as f64
+        } else {
+            f64::INFINITY
+        });
+        let slot = run.base + (run.from + k) % run.size;
+        s.link_id
+            .push(s.layout.link_at(slot).expect("a loaded slot has a link"));
+    }
+    while !s.unfrozen.is_empty() {
+        let (best, share) = bottleneck(&s.fair, &s.link_id);
+        let (rates, freeze) = (&mut s.rates, &mut s.joins);
+        s.unfrozen.retain(|&(i, o, h)| {
+            let d = best + len - o;
+            if (if d >= len { d - len } else { d }) >= h {
+                return true;
+            }
+            rates[i] = share;
+            add_arc(freeze, len, o, h);
+            false
+        });
+        s.pending.clear();
+        let mut crossing = 0;
+        for k in 0..len {
+            crossing += s.joins[k];
+            s.joins[k] = 0;
+            if crossing > 0 {
+                s.users[k] -= crossing;
+                if s.users[k] == 0 {
+                    // Never read again in this solve.
+                    s.fair[k] = f64::INFINITY;
+                } else {
+                    s.pending.push((k, crossing as usize));
+                }
+            }
+        }
+        s.joins[len] = 0;
+        replay(&mut s.cap_left, &s.pending, share);
+        for &(k, _) in &s.pending {
+            s.fair[k] = s.cap_left[k] / s.users[k] as f64;
+        }
+    }
+}
+
+/// Slots [`bottleneck`] and [`replay`] work on side by side.
+const LANES: usize = 4;
+
+/// The slot with the smallest fair share, ties to the lowest link id, and
+/// that share: a minimum over [`LANES`] interleaved lanes, then one pass for
+/// the lowest link id among the slots that attain it.
+fn bottleneck(fair: &[f64], link_id: &[usize]) -> (usize, f64) {
+    let mut lanes = [f64::INFINITY; LANES];
+    let mut groups = fair.chunks_exact(LANES);
+    for g in &mut groups {
+        for l in 0..LANES {
+            if g[l] < lanes[l] {
+                lanes[l] = g[l];
+            }
+        }
+    }
+    let share = lanes
+        .into_iter()
+        .chain(groups.remainder().iter().copied())
+        .fold(f64::INFINITY, |m, f| if f < m { f } else { m });
+    let (mut best, mut id) = (0, usize::MAX);
+    for (k, (&f, &l)) in fair.iter().zip(link_id).enumerate() {
+        if f == share && l < id {
+            (best, id) = (k, l);
+        }
+    }
+    (best, share)
+}
+
+/// Gives each `(slot, k)` of `pending` its `k` updates
+/// `cap_left = max(cap_left − share, 0)`, [`LANES`] slots side by side so
+/// the chains of dependent subtractions overlap.
+///
+/// With `share ≥ 0` the unclamped chain `x, x − share, …` never rises (a
+/// rounded difference is monotone), so once it goes negative it stays
+/// negative, while the clamped chain stays 0: `k` clamped updates equal
+/// `k` unclamped subtractions clamped once. The subtractions themselves
+/// are never folded into one `x − k·share`, which rounds differently.
+fn replay(cap_left: &mut [f64], pending: &[(usize, usize)], share: f64) {
+    let mut groups = pending.chunks_exact(LANES);
+    for g in &mut groups {
+        let mut x: [f64; LANES] = std::array::from_fn(|l| cap_left[g[l].0]);
+        let k: [usize; LANES] = std::array::from_fn(|l| g[l].1);
+        let rounds = k.iter().copied().max().unwrap_or(0);
+        for r in 0..rounds {
+            for l in 0..LANES {
+                x[l] -= if r < k[l] { share } else { 0.0 };
+            }
+        }
+        for l in 0..LANES {
+            cap_left[g[l].0] = x[l].max(0.0);
+        }
+    }
+    for &(slot, k) in groups.remainder() {
+        let mut x = cap_left[slot];
+        for _ in 0..k {
+            x -= share;
+        }
+        cap_left[slot] = x.max(0.0);
+    }
 }
 
 pub mod reference {

@@ -66,10 +66,12 @@ pub mod stream;
 pub mod tenant;
 pub mod trace;
 
-pub use arena::{FluidScratch, StepScratch};
+pub use arena::{CircuitScratch, FluidScratch, StepScratch};
 pub use error::SimError;
 pub use exec::{run_adaptive, run_scheduled, ComputeModel, RunConfig};
-pub use fluid::{max_min_rates, simulate_flows, simulate_flows_scratch, FlowSpec};
+pub use fluid::{
+    max_min_rates, simulate_circuit_step, simulate_flows, simulate_flows_scratch, FlowSpec,
+};
 pub use record::{RecordSink, StepRecord};
 pub use report::{SimReport, StepReport};
 pub use scenarios::Scenario;

@@ -15,6 +15,10 @@
 //!   "reconfigure to the pattern" configurations with one dedicated circuit
 //!   per communicating pair.
 //!
+//! A circuit configuration (unidirectional rings, matched topologies, every
+//! switch state) is a set of chains and cycles; [`Circuits`] lays it out so
+//! that every route is a run of consecutive slots.
+//!
 //! **Capacity convention.** Link capacities are normalized to the
 //! electrical-to-optical transceiver bandwidth `b` (§3.1): a node with
 //! out-degree `d` splits its transceiver across `d` egress links of capacity
@@ -24,11 +28,13 @@
 //! congestion factor `1/θ` (eq. (3) of the paper).
 
 pub mod builders;
+pub mod circuits;
 pub mod error;
 pub mod graph;
 pub mod paths;
 pub mod properties;
 
+pub use circuits::Circuits;
 pub use error::TopologyError;
 pub use graph::{Link, LinkId, Topology};
 pub use paths::Path;

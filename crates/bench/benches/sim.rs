@@ -126,8 +126,9 @@ fn sim(c: &mut Criterion) {
 
     // The explicit-path fluid solve of one matched step at 4096 ports:
     // 4096 disjoint one-hop circuits in a recycled scratch, the entry the
-    // benchmark's fluid replay times. They are direct circuits, so it
-    // hands them to the circuit solve.
+    // benchmark's fluid replay times. They are direct circuits, so the arc
+    // solve takes them; a flow set of any other shape would run the seed
+    // engine.
     let n = 4096;
     let caps = vec![cfg.params.bandwidth_bytes_per_sec(); n];
     let mut scratch = FluidScratch::new();

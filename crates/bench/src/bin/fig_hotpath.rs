@@ -1,7 +1,7 @@
 //! Hot-path microbenchmark: steady-state streaming step rate at scale.
 //!
 //! Drives the zero-allocation totals path ([`aps_sim::run_workload_totals`]
-//! with the arena-backed [`aps_sim::StepScratch`] underneath) with an
+//! with the arena-backed [`aps_sim::CircuitScratch`] underneath) with an
 //! endless `TrainingLoop` on domains from 64 to 4096 ports and reports
 //! **ns/step** and **steps/sec** per port count — the per-step cost the
 //! arena layer exists to keep flat and allocation-free.

@@ -4,14 +4,15 @@
 //! `ServiceExecutor` step) must not touch the heap. Everything the step
 //! needs — the circuit layout, each flow's arc, rates, remaining volumes,
 //! active sets, the sharing components and the max-min solver scratch —
-//! lives in one long-lived [`StepScratch`] owned by the executor and
+//! lives in one long-lived [`CircuitScratch`] owned by the executor and
 //! recycled across steps (the executor keeps its pair and
 //! reconfiguration-target buffers next to it). Buffers are dense
 //! index-based SoA (a flow is a first slot and a hop count, not a `Vec`,
 //! and there is no `Box<dyn>` anywhere per flow or per link), so a step is
 //! a handful of `clear()`s plus in-place pushes into capacity that already
-//! exists after warm-up. [`FluidScratch`], the explicit-path engine's
-//! scratch, follows the same rules for callers with arbitrary paths.
+//! exists after warm-up. [`FluidScratch`], the explicit-path API's
+//! scratch, follows the same rules for flows shaped like a circuit step;
+//! the seed engine it runs every other flow set on allocates.
 //!
 //! ## Mutability classes
 //!
@@ -20,32 +21,25 @@
 //!
 //! * **Static** — fixed for the scratch's lifetime: the buffers
 //!   themselves (their capacity only ratchets up, never shrinks), and
-//!   [`FluidScratch::index_builds`], a monotone counter.
+//!   [`FluidScratch::reference_runs`], a monotone counter.
 //! * **Per-step** — rebuilt from scratch each step by `clear()` + push:
 //!   the [`CircuitScratch`] layout (refilled in place, and skipped on a
 //!   step of direct circuits), each flow's first slot, hop count and
 //!   finish time; for [`FluidScratch`], the CSR flow table
 //!   ([`FluidScratch::start`] / [`FluidScratch::push_link`] /
-//!   [`FluidScratch::seal_flow`]) and the circuit-shape check's per-link
-//!   `seen_at` and `fed_link`, which every simulation resets before it
-//!   reads them. Its `arcs`, the circuit scratch of flows that have the
-//!   shape, follows [`CircuitScratch`]'s classes.
+//!   [`FluidScratch::seal_flow`]), the finish times, and the circuit-shape
+//!   check's active list and per-link `seen_at` and `fed_link`, which
+//!   every simulation resets before it reads them. Its `arcs`, the circuit
+//!   scratch of flows that have the shape, follows [`CircuitScratch`]'s
+//!   classes.
 //! * **Per-round** — mutated incrementally *within* one fluid simulation
-//!   as completion rounds retire flows: rates, remaining volumes, and the
-//!   ping-pong `active`/`still` generation pair (swapped each round, never
-//!   reallocated). In [`CircuitScratch`] the sharing components belong
-//!   here: `comps`, `members` and `comp_of` are built once per step, and a
-//!   round that retires flows empties each component it touched and
-//!   appends the pieces that component splits into (at most three entries
-//!   per flow over a step). In [`FluidScratch`] so do the link→flows index
-//!   (built once per simulation, then maintained by removal as flows
-//!   depart — the pre-arena engine rebuilt it on every completion, the bug
-//!   this class exists to prevent) and the component walk's buffers: the
-//!   per-flow `frozen` flags and per-link `link_seen` marks are sized once
-//!   per simulation and every pass hands them back all frozen and all
-//!   unmarked, so no pass pays an O(flows + links) reset; the walked
-//!   `links` list is cleared after each pass; and the per-link `cap_left`
-//!   and `users` the filling reads are written by the walk first.
+//!   as completion rounds retire flows: [`CircuitScratch`]'s rates,
+//!   remaining volumes, and the ping-pong `active`/`still` generation pair
+//!   (swapped each round, never reallocated). Its sharing components
+//!   belong here too: `comps`, `members` and `comp_of` are built once per
+//!   step, and a round that retires flows empties each component it
+//!   touched and appends the pieces that component splits into (at most
+//!   three entries per flow over a step).
 //! * **Per-solve** — [`CircuitScratch`]'s buffers indexed by the slots of
 //!   one run (`users`, `joins`, `owner`, `cap_left`, `fair`, `link_id`),
 //!   plus `counts`, `sorted`, `unfrozen` and `pending`: each split or solve resizes
@@ -54,16 +48,17 @@
 //!   reads it, so a bottleneck round pays no separate reset.
 //!
 //! The invariant is regression-tested: a counting `#[global_allocator]`
-//! test (`crates/sim/tests/zero_alloc.rs`) proves a 100k-step endless
-//! `TrainingLoop`, and two such jobs on a `ServiceExecutor`, perform zero
-//! allocations per steady-state step, and the differential suites pin
-//! that both engines are bit-identical to the seed oracle.
+//! test (`crates/sim/tests/zero_alloc.rs`) proves that a 100k-step endless
+//! `TrainingLoop`, two such jobs on a `ServiceExecutor`, and a recycled
+//! [`FluidScratch`] replaying circuit-shaped explicit flows perform zero
+//! allocations per steady-state step, and the differential suites pin the
+//! arc solve, through either face, to the seed oracle bit for bit.
 
 use aps_topology::Circuits;
 
-/// Scratch for one fluid simulation: the CSR flow table plus every buffer
-/// the event-driven max-min engine needs. Reused across steps; see the
-/// [module docs](self) for the mutability classes.
+/// Scratch for one explicit-path fluid simulation: the CSR flow table, the
+/// circuit-shape check's buffers and the arc solve's scratch. Reused across
+/// simulations; see the [module docs](self) for the mutability classes.
 #[derive(Debug, Default)]
 pub struct FluidScratch {
     // --- CSR flow table (per-step) ---
@@ -73,38 +68,12 @@ pub struct FluidScratch {
     pub(crate) path_data: Vec<usize>,
     /// Volume in bytes per flow.
     pub(crate) bytes: Vec<f64>,
-
-    // --- engine state (per-round) ---
-    /// Current max-min rate per flow (stale for finished flows).
-    pub(crate) rates: Vec<f64>,
-    /// Remaining bytes per flow.
-    pub(crate) remaining: Vec<f64>,
     /// Finish time per flow (seconds), the simulation's output.
     pub(crate) finish: Vec<f64>,
-    /// Active flow ids, ascending — one of the two ping-pong generations.
-    pub(crate) active: Vec<usize>,
-    /// The other generation: survivors of the current round, swapped into
-    /// `active` at the round boundary.
-    pub(crate) still: Vec<usize>,
-    /// Flows that completed in the current round, ascending.
-    pub(crate) completed: Vec<usize>,
-
-    // --- component walk and max-min solver scratch (per-round) ---
-    /// Per flow: `true` once its rate is settled. The walk clears the flag
-    /// of every flow it reaches and the filling sets it again, so it is all
-    /// `true` between passes.
-    pub(crate) frozen: Vec<bool>,
-    /// Links walked in the current pass, one run per component, each run
-    /// sorted ascending for the bottleneck scan; also the walk's queue.
-    pub(crate) links: Vec<usize>,
-    /// Per link: walked in the current pass; all `false` between passes.
-    pub(crate) link_seen: Vec<bool>,
-    /// Residual capacity per link, valid for links walked in this pass.
-    pub(crate) cap_left: Vec<f64>,
-    /// Unfrozen-user count per link, valid for links walked in this pass.
-    pub(crate) users: Vec<usize>,
 
     // --- flows shaped like a circuit step (per-step) ---
+    /// Active flow ids (a volume and a path), ascending.
+    pub(crate) active: Vec<usize>,
     /// Per link: where the first path that crosses it and goes on does
     /// so, as (position in `path_data`, end of that path); unset while no
     /// path has.
@@ -114,16 +83,8 @@ pub struct FluidScratch {
     /// The arc solve's scratch, with the links laid out as circuits.
     pub(crate) arcs: CircuitScratch,
 
-    // --- link→flows sharing index (built once per simulation, then
-    // --- maintained incrementally as flows complete) ---
-    /// Active flows crossing each link, one entry per hop, in no order.
-    pub(crate) flows_of_link: Vec<Vec<usize>>,
-
-    /// How many times the link→flows index was built from scratch —
-    /// exactly once per simulation the event engine runs (static;
-    /// monotone). The regression hook for the old per-completion rebuild
-    /// bug.
-    index_builds: u64,
+    /// How many simulations ran on the seed engine (static; monotone).
+    pub(crate) reference_runs: u64,
 }
 
 impl FluidScratch {
@@ -182,19 +143,13 @@ impl FluidScratch {
         }
     }
 
-    /// How many times the link→flows sharing index was built from scratch
-    /// since this scratch was created. The event engine builds it exactly
-    /// once per simulation and maintains it incrementally as flows
-    /// complete, so the delta across one `simulate_flows` call is 1 — or
-    /// 0 when the flows are shaped like a circuit step and the circuit
-    /// solve takes them.
-    pub fn index_builds(&self) -> u64 {
-        self.index_builds
-    }
-
-    /// Records one from-scratch construction of the sharing index.
-    pub(crate) fn note_index_build(&mut self) {
-        self.index_builds += 1;
+    /// How many simulations since this scratch was created ran on the seed
+    /// engine ([`crate::fluid::reference`]) because their flows were not
+    /// shaped like a circuit step. The delta across one
+    /// [`crate::fluid::simulate_flows_scratch`] call is 1 then, and 0 when
+    /// the arc solve took the flows.
+    pub fn reference_runs(&self) -> u64 {
+        self.reference_runs
     }
 }
 
@@ -305,20 +260,5 @@ impl CircuitScratch {
     /// Hop count of flow `i`.
     pub fn hops_of(&self, i: usize) -> usize {
         self.hops[i]
-    }
-}
-
-/// All scratch one simulated step needs. One instance per executor run,
-/// recycled every step.
-#[derive(Debug, Default)]
-pub struct StepScratch {
-    /// The arc solve's scratch.
-    pub(crate) circuits: CircuitScratch,
-}
-
-impl StepScratch {
-    /// A fresh scratch; buffers warm up on first use.
-    pub fn new() -> Self {
-        Self::default()
     }
 }

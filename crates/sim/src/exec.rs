@@ -15,7 +15,7 @@
 //!   [`TraceKind::Decision`] events — the simulator face of the paper's
 //!   adaptive vision, and what `adaptive_photonics::Experiment` runs.
 
-use crate::arena::StepScratch;
+use crate::arena::CircuitScratch;
 use crate::error::SimError;
 use crate::fluid::simulate_circuit_step;
 use crate::report::{SimReport, StepReport};
@@ -150,7 +150,7 @@ pub(crate) fn execute_step(
     comm_end: Picos,
     gpu_free: Picos,
     report: &mut SimReport,
-    scratch: &mut StepScratch,
+    scratch: &mut CircuitScratch,
 ) -> Result<(Picos, Picos), SimError> {
     let clock = |t: Option<Picos>| t.ok_or(SimError::ClockOverflow { step: input.step });
     let bandwidth = cfg.params.bandwidth_bytes_per_sec();
@@ -233,19 +233,18 @@ pub(crate) fn execute_step(
         input.pairs,
         input.bytes_per_pair,
         bandwidth,
-        &mut scratch.circuits,
+        scratch,
     )
     .map_err(|(src, dst)| SimError::Unroutable {
         step: input.step,
         src,
         dst,
     })?;
-    let flows = &scratch.circuits;
     let mut max_hops = 0usize;
     let mut worst_s = 0.0f64;
-    for i in 0..flows.num_flows() {
-        max_hops = max_hops.max(flows.hops_of(i));
-        let total = flows.finish_of(i) + cfg.params.delta_s * flows.hops_of(i) as f64;
+    for i in 0..scratch.num_flows() {
+        max_hops = max_hops.max(scratch.hops_of(i));
+        let total = scratch.finish_of(i) + cfg.params.delta_s * scratch.hops_of(i) as f64;
         worst_s = worst_s.max(total);
     }
     let transfer_ps = if input.pairs.is_empty() {

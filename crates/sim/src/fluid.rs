@@ -1,4 +1,4 @@
-//! Event-driven max-min fair fluid flow engine.
+//! Max-min fair fluid flow model: one solve and its oracle.
 //!
 //! Flows are fluids: each flow has a path and a remaining volume, link
 //! capacity is shared by progressive filling (the classic max-min fair
@@ -9,42 +9,15 @@
 //! analytic `β·m·L` — the simulator-side face of the paper's
 //! concurrent-flow congestion factor.
 //!
-//! Two engines solve this model, and both are bit-identical to the seed
-//! engine kept as [`mod@reference`]: the explicit-path event engine
-//! ([`simulate_flows_scratch`]) takes any flows over any links, and the
-//! circuit solve ([`simulate_circuit_step`]) takes one step on a circuit
-//! configuration. The step engine (`exec.rs`) runs every step through the
-//! circuit solve, and [`simulate_flows_scratch`] hands it explicit flows of
-//! the same shape (see [Explicit flows on arcs](#explicit-flows-on-arcs)),
-//! so replaying a step's explicit paths times the solve the step engine
-//! runs.
-//!
-//! ## The event engine
-//!
-//! The seed engine re-ran the full progressive-filling solver over *all*
-//! links and *all* active flows after every completion. This engine is
-//! event-driven and solves one sharing component at a time:
-//!
-//! * **completion events** drive the clock: each round advances time to
-//!   the earliest candidate drain, and every flow within ε of zero then
-//!   completes in the same round. The active list is kept ascending, so
-//!   results are identical on every run and at any `APS_THREADS` setting.
-//!   (A *persistent* event queue would buy nothing: bit-identity with the
-//!   seed arithmetic requires re-materializing every flow's remaining
-//!   volume — and hence every candidate event — each round.)
-//! * a **component walk** decides what to solve. Flows and the links they
-//!   cross form a sharing graph; one breadth-first walk of the link→flows
-//!   index collects each connected component that contains a seed link.
-//!   At the start of a simulation every link is a seed; after a completion
-//!   round the departed flows' links are. Each component then runs
-//!   progressive filling alone: the bottleneck scan covers only its links,
-//!   in ascending link id, and a bottleneck freezes its flows by walking
-//!   its bucket of the index instead of testing every path. Flows in
-//!   untouched components keep their cached rates.
-//!
-//! A matched step — n disjoint one-hop circuits — is n one-link
-//! components, so its solve costs O(n). One giant component (a ring shift
-//! by n/2) still costs a bottleneck scan of its links per bottleneck.
+//! One solve runs this model, and it is bit-identical to the seed engine
+//! kept as [`mod@reference`], the differential oracle. The arc solve
+//! ([`simulate_circuit_step`]) takes one step on a circuit configuration,
+//! and the step engine (`exec.rs`) runs every step through it. The
+//! explicit-path API ([`simulate_flows_scratch`], [`simulate_flows`]) takes
+//! any flows over any links: it hands flows shaped like a circuit step to
+//! the arc solve (see [Explicit flows on arcs](#explicit-flows-on-arcs))
+//! and every other flow set to the seed engine, so replaying a step's
+//! explicit paths times the solve the step engine runs.
 //!
 //! ## The circuit solve
 //!
@@ -80,14 +53,10 @@
 //!   overlap. They are not folded into one `x − k·fair`: that rounds
 //!   differently. A link left with no unfrozen user is never read again
 //!   in the solve, so it skips its updates.
-//! * **completion rounds** are the event engine's: the same `dt` minimum,
-//!   the same `remaining -= rate·dt` update and the same ε test. After a
-//!   round only the components that lost a flow are split again from their
+//! * **completion rounds** are the oracle's: the same `dt` minimum, the
+//!   same `remaining -= rate·dt` update and the same ε test. After a round
+//!   only the components that lost a flow are split again from their
 //!   survivors and re-solved.
-//!
-//! The invariants below carry over unchanged: each run the solve fills is
-//! exactly one sharing component of the explicit-path model, so the arc
-//! solve performs, link by link, the arithmetic the oracle performs.
 //!
 //! ## Explicit flows on arcs
 //!
@@ -97,8 +66,8 @@
 //! give each link at most one successor and one predecessor. Then the links
 //! form chains and cycles of their own: link `l` leaves node `l` of a
 //! layout and reaches the node of the link that follows it, so each slot's
-//! link is the flow's own link id and ties break as in the event engine.
-//! Every path is an arc there, and one that rounds its cycle more than once
+//! link is the flow's own link id and ties break as in the oracle. Every
+//! path is an arc there, and one that rounds its cycle more than once
 //! (crossing a link twice) spoils the shape. The circuit solve then runs on
 //! those arcs, direct circuits included, and writes each flow's finish.
 //!
@@ -107,39 +76,43 @@
 //! with that path's rest in one slice comparison: a pass over the hops at
 //! memory speed, not a lookup per hop. Any other flow set — mixed volumes
 //! or capacities, a link with two successors or two predecessors — goes to
-//! the event engine, and a bad input panics at the same flow, with the same
-//! message, as the event engine's checks.
+//! the seed engine, [`reference::simulate_flows_reference`], which
+//! allocates. The check runs the seed engine's input checks flow by flow,
+//! so a bad input panics at the same flow, with the same message,
+//! whichever solver runs.
 //!
 //! ## Invariants
 //!
-//! The per-component solve is exact, not approximate:
+//! Each run of slots the arc solve fills is exactly one sharing component
+//! of the explicit-path model, and the per-component solve is exact, not
+//! approximate:
 //!
 //! 1. **Isolation** — a link's residual capacity is only ever reduced by
 //!    flows crossing it, and those flows are by definition in the link's
 //!    component. Solving a component alone therefore performs *bitwise*
-//!    the same arithmetic the global solver would perform on it.
+//!    the same arithmetic the oracle's global solver performs on it.
 //! 2. **Restriction** — the global progressive-filling bottleneck sequence,
 //!    restricted to one component, equals the component-local bottleneck
 //!    sequence: picking a bottleneck in another component touches neither
-//!    this component's residual capacities nor its user counts. Both scan
-//!    links in ascending id, so ties break identically.
+//!    this component's residual capacities nor its user counts. Both take
+//!    the lowest link id among tied links, so ties break identically.
 //! 3. **Equal-`fair` freezes commute** — one bottleneck round freezes every
 //!    unfrozen flow crossing the bottleneck at the same `fair`, and each
 //!    freeze applies `cap_left = max(cap_left − fair, 0)` once per hop. A
 //!    link's residual therefore sees the same sequence of identical
-//!    operations in any freeze order, so freezing in bucket order (which
-//!    `swap_remove` scrambles) gives the bits the oracle's ascending-id
-//!    order gives. Nothing in the code shows this; keep every freeze of a
-//!    round at one `fair`.
+//!    operations in any freeze order, so the `k` updates a link gets from
+//!    the `k` frozen arcs crossing it give the bits the oracle's
+//!    ascending-id order gives. Nothing in the code shows this; keep every
+//!    freeze of a round at one `fair`.
 //!
-//! Together these make the event engine **bit-identical** to the seed
-//! from-scratch engine (kept as [`mod@reference`]): per round the engine
-//! advances `t += dt` with `dt` drawn from the earliest completion event
-//! (equal to the fold-min the seed computed, since `min` over finite
-//! floats is order-independent) and materializes every active flow's
-//! remaining volume with the same `remaining -= rate·dt` update — only
-//! the *solver* work is skipped for untouched components, and skipped
-//! work is exactly the work whose results are unchanged.
+//! Together these make the arc solve **bit-identical** to the seed
+//! from-scratch engine: per round the solve advances `t += dt` with `dt`
+//! the minimum over the active flows (equal to the fold-min the seed
+//! computes, since `min` over finite floats is order-independent) and
+//! materializes every active flow's remaining volume with the same
+//! `remaining -= rate·dt` update — only the *solver* work is skipped for
+//! untouched components, and skipped work is exactly the work whose
+//! results are unchanged.
 
 use crate::arena::{CircuitScratch, FluidScratch, Run};
 use aps_matrix::Matching;
@@ -202,96 +175,9 @@ pub fn max_min_rates(link_caps: &[f64], paths: &[&[usize]]) -> Vec<f64> {
     rates
 }
 
-/// Walks the sharing component that contains link `seed` and re-solves it
-/// by progressive filling into `s.rates`; a no-op when `seed` carries no
-/// active flow or was walked earlier in this pass. The breadth-first walk
-/// queues links in `s.links` itself, marks them in `s.link_seen` (cleared
-/// by [`end_pass`]) and thaws each flow it reaches. The filling ends with
-/// every flow frozen again: a flow's links keep a user until it freezes.
-fn solve_component(s: &mut FluidScratch, caps: &[f64], seed: usize) {
-    if s.link_seen[seed] || s.flows_of_link[seed].is_empty() {
-        return;
-    }
-    let start = s.links.len();
-    s.link_seen[seed] = true;
-    s.links.push(seed);
-    let mut head = start;
-    while head < s.links.len() {
-        let l = s.links[head];
-        head += 1;
-        s.cap_left[l] = caps[l];
-        s.users[l] = s.flows_of_link[l].len();
-        for &i in &s.flows_of_link[l] {
-            if s.frozen[i] {
-                s.frozen[i] = false;
-                for &l2 in &s.path_data[s.path_off[i]..s.path_off[i + 1]] {
-                    if !s.link_seen[l2] {
-                        s.link_seen[l2] = true;
-                        s.links.push(l2);
-                    }
-                }
-            }
-        }
-    }
-    s.links[start..].sort_unstable();
-    loop {
-        let mut best: Option<(usize, f64)> = None;
-        for &l in &s.links[start..] {
-            if s.users[l] > 0 {
-                let fair = s.cap_left[l] / s.users[l] as f64;
-                if best.is_none_or(|(_, b)| fair < b) {
-                    best = Some((l, fair));
-                }
-            }
-        }
-        let Some((bottleneck, fair)) = best else {
-            break;
-        };
-        for &i in &s.flows_of_link[bottleneck] {
-            if !s.frozen[i] {
-                s.frozen[i] = true;
-                s.rates[i] = fair;
-                for &l in &s.path_data[s.path_off[i]..s.path_off[i + 1]] {
-                    s.cap_left[l] = (s.cap_left[l] - fair).max(0.0);
-                    s.users[l] -= 1;
-                }
-            }
-        }
-    }
-}
-
-/// Ends a pass of [`solve_component`] calls: unmarks the walked links, so
-/// the next pass starts with `s.link_seen` all false and `s.links` empty.
-fn end_pass(s: &mut FluidScratch) {
-    for &l in &s.links {
-        s.link_seen[l] = false;
-    }
-    s.links.clear();
-}
-
-/// Builds the link→flows sharing index from the current active set —
-/// called exactly once per simulation; afterwards the index is maintained
-/// incrementally as flows complete. (The pre-arena engine rebuilt it on
-/// *every completion event*; [`FluidScratch::index_builds`] pins the fix.)
-fn build_link_index(s: &mut FluidScratch, num_links: usize) {
-    if s.flows_of_link.len() < num_links {
-        s.flows_of_link.resize_with(num_links, Vec::new);
-    }
-    for bucket in &mut s.flows_of_link[..num_links] {
-        bucket.clear();
-    }
-    for idx in 0..s.active.len() {
-        let i = s.active[idx];
-        for h in s.path_off[i]..s.path_off[i + 1] {
-            let l = s.path_data[h];
-            s.flows_of_link[l].push(i);
-        }
-    }
-    s.note_index_build();
-}
-
-/// The input checks both engines run up front. An infinite rate or volume
-/// would make `remaining` NaN, and a NaN flow never completes.
+/// The input checks the seed engine runs up front, flow by flow, and
+/// [`trace_arcs`] runs in the same order. An infinite rate or volume would
+/// make `remaining` NaN, and a NaN flow never completes.
 fn check_flow(caps: &[f64], i: usize, bytes: f64, path: &[usize]) {
     assert!(bytes.is_finite(), "flow {i} has non-finite volume");
     for &l in path {
@@ -305,11 +191,13 @@ fn check_flow(caps: &[f64], i: usize, bytes: f64, path: &[usize]) {
 /// [`FluidScratch::push_link`] / [`FluidScratch::seal_flow`] or
 /// [`FluidScratch::load_specs`]) to completion, writing per-flow finish
 /// times in seconds into `s.finish` (transmission only — the caller adds
-/// propagation). The zero-allocation core of [`simulate_flows`]: after
-/// warm-up, a call touches no heap.
+/// propagation): bit for bit what [`reference::simulate_flows_reference`]
+/// gives for the same flows.
 ///
 /// Flows shaped like one step on a circuit configuration run through the
-/// circuit solve instead of the event engine, with the same bits; see the
+/// arc solve, and after warm-up such a call touches no heap. Every other
+/// flow set runs through the seed engine, which allocates, and counts in
+/// [`FluidScratch::reference_runs`]. See the
 /// [module docs](self#explicit-flows-on-arcs).
 ///
 /// Zero-byte flows and empty-path flows finish at `t = 0`. Flows only
@@ -317,8 +205,9 @@ fn check_flow(caps: &[f64], i: usize, bytes: f64, path: &[usize]) {
 /// so every rate change is triggered by a completion event. (Departures do
 /// *not* make individual rates monotone: a departure elsewhere in a
 /// component can speed up a neighbor that then claims more of a shared
-/// link. Only the minimum rate is non-decreasing, which is why the engine
-/// re-solves whole sharing components rather than patching rates locally.)
+/// link. Only the minimum rate is non-decreasing, which is why the arc
+/// solve re-solves whole sharing components rather than patching rates
+/// locally.)
 ///
 /// # Panics
 ///
@@ -326,103 +215,22 @@ fn check_flow(caps: &[f64], i: usize, bytes: f64, path: &[usize]) {
 /// non-positive or infinite while used, or a volume is not finite.
 pub fn simulate_flows_scratch(link_caps_bytes_per_s: &[f64], s: &mut FluidScratch) {
     let caps = link_caps_bytes_per_s;
-    let num_flows = s.bytes.len();
     s.finish.clear();
-    s.finish.resize(num_flows, 0.0);
+    s.finish.resize(s.bytes.len(), 0.0);
     if simulate_as_arcs(caps, s) {
         return;
     }
-    for i in 0..num_flows {
-        let path = &s.path_data[s.path_off[i]..s.path_off[i + 1]];
-        check_flow(caps, i, s.bytes[i], path);
-    }
-    s.rates.clear();
-    s.rates.resize(num_flows, 0.0);
-    s.remaining.clear();
-    s.remaining.extend_from_slice(&s.bytes);
-    s.active.clear();
-    for i in 0..num_flows {
-        if s.bytes[i] > 0.0 && s.path_off[i + 1] > s.path_off[i] {
-            s.active.push(i);
-        }
-    }
-    // The sharing index: built once here, maintained incrementally below.
-    build_link_index(s, caps.len());
-    // Walk state: every flow settled, no link walked. The per-link solver
-    // values are written by the walk before they are read.
-    s.frozen.clear();
-    s.frozen.resize(num_flows, true);
-    s.link_seen.clear();
-    s.link_seen.resize(caps.len(), false);
-    s.cap_left.resize(caps.len(), 0.0);
-    s.users.resize(caps.len(), 0);
-    // Initial allocation: every link seeds the walk.
-    for l in 0..caps.len() {
-        solve_component(s, caps, l);
-    }
-    end_pass(s);
-
-    let mut t = 0.0f64;
-    // Each round retires at least one flow: ≤ F rounds.
-    while !s.active.is_empty() {
-        debug_assert!(
-            s.active.iter().all(|&i| s.rates[i] > 0.0),
-            "active flow starved"
-        );
-        // Time of the earliest candidate completion. (Every candidate
-        // changes every round — a by-product of the seed-identical
-        // materialization below — so a persistent event queue has nothing
-        // to cache; the plain minimum is the whole event selection. Which
-        // flow attains it is irrelevant: all flows within ε of zero at
-        // `t + dt` complete together, in ascending flow id, below.)
-        let mut dt = f64::INFINITY;
-        for idx in 0..s.active.len() {
-            let i = s.active[idx];
-            dt = dt.min(s.remaining[i] / s.rates[i]);
-        }
-        t += dt;
-        // Materialize every active flow at the event time; flows at (or
-        // numerically within ε of) zero remaining complete together. The
-        // survivors fill the `still` generation, which then ping-pongs
-        // with `active` — no per-round Vec is ever constructed.
-        s.still.clear();
-        s.completed.clear();
-        for idx in 0..s.active.len() {
-            let i = s.active[idx];
-            s.remaining[i] -= s.rates[i] * dt;
-            if s.remaining[i] <= 1e-9 * s.bytes[i].max(1.0) {
-                s.finish[i] = t;
-                s.completed.push(i);
-            } else {
-                s.still.push(i);
-            }
-        }
-        std::mem::swap(&mut s.active, &mut s.still);
-        if s.active.is_empty() {
-            break;
-        }
-        // Retire the departures from the index: the walk sees survivors only.
-        for idx in 0..s.completed.len() {
-            let i = s.completed[idx];
-            for h in s.path_off[i]..s.path_off[i + 1] {
-                let l = s.path_data[h];
-                let bucket = &mut s.flows_of_link[l];
-                if let Some(pos) = bucket.iter().position(|&f| f == i) {
-                    bucket.swap_remove(pos);
-                }
-            }
-        }
-        // Incremental re-solve: the departed flows' links seed the walk, so
-        // only the components they touched are solved again; everyone else
-        // keeps their cached bottleneck rate.
-        for idx in 0..s.completed.len() {
-            let i = s.completed[idx];
-            for h in s.path_off[i]..s.path_off[i + 1] {
-                solve_component(s, caps, s.path_data[h]);
-            }
-        }
-        end_pass(s);
-    }
+    let specs: Vec<FlowSpec> = s
+        .path_off
+        .windows(2)
+        .zip(&s.bytes)
+        .map(|(bounds, &bytes)| FlowSpec {
+            bytes,
+            path: s.path_data[bounds[0]..bounds[1]].to_vec(),
+        })
+        .collect();
+    s.finish = reference::simulate_flows_reference(caps, &specs);
+    s.reference_runs += 1;
 }
 
 /// Marks a link no path has been seen to continue.
@@ -435,7 +243,7 @@ const NO_LINK: usize = usize::MAX;
 /// succession give each link at most one successor and one predecessor, so
 /// the links form chains and cycles and every path is an arc that crosses
 /// no link twice. On any other input returns `false`, having written no
-/// finish time, for the event engine to take over.
+/// finish time, for the seed engine to take over.
 ///
 /// # Panics
 ///
@@ -631,7 +439,7 @@ pub fn simulate_flows(link_caps_bytes_per_s: &[f64], specs: &[FlowSpec]) -> Vec<
 /// # Panics
 ///
 /// When `pairs` is not empty, panics if `bytes` is not finite or `cap` is
-/// not positive and finite, as the explicit-path engines do.
+/// not positive and finite, as [`simulate_flows`] does.
 pub fn simulate_circuit_step(
     config: &Matching,
     pairs: &[(usize, usize)],
@@ -683,8 +491,8 @@ fn check_step(bytes: f64, cap: f64) {
 
 /// Runs the routed flows of `s`, each of `bytes > 0`, to completion:
 /// solves every sharing component, then retires flows round by round as
-/// the explicit-path engines do, re-solving only the components a
-/// departure touched.
+/// the seed engine does, re-solving only the components a departure
+/// touched.
 fn drain(s: &mut CircuitScratch, bytes: f64, cap: f64) {
     let f = s.hops.len();
     s.rates.clear();
@@ -1047,9 +855,11 @@ fn replay(cap_left: &mut [f64], pending: &[(usize, usize)], share: f64) {
 pub mod reference {
     //! The seed from-scratch engine, kept verbatim as the differential
     //! oracle: it re-runs the full progressive-filling solver over all
-    //! links and all active flows after every completion. The event engine
-    //! in the parent module must match it bit-for-bit (see
-    //! `tests/fluid_differential.rs` at the workspace root).
+    //! links and all active flows after every completion. The arc solve
+    //! in the parent module must match it bit for bit (see
+    //! `tests/fluid_differential.rs` at the workspace root), and
+    //! [`super::simulate_flows_scratch`] runs it on every flow set not
+    //! shaped like a circuit step.
 
     use super::{max_min_rates, FlowSpec};
 
@@ -1059,7 +869,7 @@ pub mod reference {
     /// # Panics
     ///
     /// Panics on out-of-range links, non-positive or infinite used
-    /// capacities and non-finite volumes, exactly like the event engine.
+    /// capacities and non-finite volumes, at the first bad flow in order.
     pub fn simulate_flows_reference(link_caps_bytes_per_s: &[f64], specs: &[FlowSpec]) -> Vec<f64> {
         for (i, s) in specs.iter().enumerate() {
             super::check_flow(link_caps_bytes_per_s, i, s.bytes, &s.path);
@@ -1380,12 +1190,12 @@ mod tests {
             ],
         );
         for (a, b) in finish.iter().zip(&oracle) {
-            assert_eq!(a.to_bits(), b.to_bits(), "event {a} vs reference {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "solve {a} vs reference {b}");
         }
     }
 
     #[test]
-    fn event_engine_matches_reference_bitwise_on_mixed_volumes() {
+    fn simulate_flows_matches_reference_bitwise_on_mixed_volumes() {
         // Heterogeneous volumes and overlapping ring arcs: several rounds,
         // several components merging and splitting.
         let caps = vec![100.0; 6];
@@ -1398,35 +1208,38 @@ mod tests {
         let a = simulate_flows(&caps, &specs);
         let b = simulate_flows_reference(&caps, &specs);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "event {x} vs reference {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "solve {x} vs reference {y}");
         }
     }
 
     #[test]
-    fn link_index_is_built_exactly_once_per_simulation() {
-        // The regression hook for the old per-completion rebuild: this
-        // flow set completes in several distinct rounds (staggered
-        // volumes on one shared link), yet the link→flows index must be
-        // constructed once per call — completions maintain it
-        // incrementally.
+    fn one_seed_engine_run_per_non_circuit_simulation() {
+        // Staggered volumes on shared links complete in several rounds and
+        // are not shaped like a circuit step, so each simulation runs the
+        // seed engine once. Equal volumes on the arcs of a 3-link cycle
+        // are, and the arc solve takes them.
         let caps = vec![100.0; 3];
-        let specs: Vec<FlowSpec> = (0..5)
+        let staggered: Vec<FlowSpec> = (0..5)
             .map(|i| FlowSpec {
                 bytes: 50.0 * (i + 1) as f64,
                 path: vec![i % 3, (i + 1) % 3],
             })
             .collect();
+        let cycle: Vec<FlowSpec> = (0..3)
+            .map(|i| FlowSpec {
+                bytes: 50.0,
+                path: vec![i, (i + 1) % 3],
+            })
+            .collect();
         let mut s = FluidScratch::new();
-        assert_eq!(s.index_builds(), 0);
+        assert_eq!(s.reference_runs(), 0);
         for round in 1..=4u64 {
-            s.load_specs(&specs);
+            s.load_specs(&staggered);
             simulate_flows_scratch(&caps, &mut s);
-            assert_eq!(
-                s.index_builds(),
-                round,
-                "one index build per simulation, even with multiple \
-                 completion rounds"
-            );
+            assert_eq!(s.reference_runs(), round, "one seed-engine run");
+            s.load_specs(&cycle);
+            simulate_flows_scratch(&caps, &mut s);
+            assert_eq!(s.reference_runs(), round, "the arc solve took the cycle");
         }
     }
 
@@ -1434,8 +1247,8 @@ mod tests {
     fn recycled_scratch_is_bit_identical_to_fresh_scratch() {
         // Arena reuse must be invisible: running flow set B in a scratch
         // warmed by flow set A gives bitwise the same finish times as a
-        // fresh scratch — stale capacity, slot maps, and index buckets
-        // from A must not leak into B.
+        // fresh scratch — no flow, path or finish time of A may leak into
+        // B.
         let caps_a = vec![100.0; 6];
         let specs_a: Vec<FlowSpec> = (0..9)
             .map(|i| FlowSpec {

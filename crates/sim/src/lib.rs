@@ -66,7 +66,7 @@ pub mod stream;
 pub mod tenant;
 pub mod trace;
 
-pub use arena::{CircuitScratch, FluidScratch, StepScratch};
+pub use arena::{CircuitScratch, FluidScratch};
 pub use error::SimError;
 pub use exec::{run_adaptive, run_scheduled, ComputeModel, RunConfig};
 pub use fluid::{

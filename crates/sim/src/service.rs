@@ -37,13 +37,13 @@
 //! ## Steady-state allocation behavior
 //!
 //! A steady-state step performs no heap allocation. The executor reuses
-//! the PR 8 arenas: one [`StepScratch`] for the fluid solver, one recycled
+//! its arenas: one [`CircuitScratch`] for the fluid solve, one recycled
 //! scratch [`SimReport`] in totals mode (`keep_reports = false`), owned
 //! `pairs` and global-target buffers, and demand pulled through
 //! [`Workload::next_step_into`] into a per-job [`Step`] slot that is
 //! overwritten in place. `crates/sim/tests/zero_alloc.rs` pins it.
 
-use crate::arena::StepScratch;
+use crate::arena::CircuitScratch;
 use crate::error::SimError;
 use crate::exec::{execute_step, natural_request_at, RunConfig, StepInput};
 use crate::record::{RecordSink, StepRecord};
@@ -459,7 +459,7 @@ pub struct ServiceExecutor<'a> {
     /// `owner[p]` = slot currently owning global port `p`.
     owner: Vec<Option<usize>>,
     live: usize,
-    scratch: StepScratch,
+    scratch: CircuitScratch,
     pairs: Vec<(usize, usize)>,
     targets: TargetScratch,
     owned: Vec<bool>,
@@ -482,7 +482,7 @@ impl<'a> ServiceExecutor<'a> {
             free_slots: Vec::new(),
             owner: vec![None; n],
             live: 0,
-            scratch: StepScratch::new(),
+            scratch: CircuitScratch::new(),
             pairs: Vec::new(),
             targets: TargetScratch::default(),
             owned: Vec::new(),

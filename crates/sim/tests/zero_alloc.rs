@@ -13,7 +13,9 @@
 //! The open-system [`ServiceExecutor`] is measured the same way: two
 //! endless training jobs admitted side by side, stepped `K` and
 //! `K + EXTRA` times, once on an all-photonic [`CircuitSwitch`] and once
-//! on a switch whose first job sits on the electrical crossbar.
+//! on a switch whose first job sits on the electrical crossbar. So is the
+//! explicit-path API on flows shaped like a circuit step: one recycled
+//! [`FluidScratch`] replays a ring shift and direct circuits in turn.
 //!
 //! Everything lives in one `#[test]` so no concurrent test can perturb
 //! the counter, and the counter itself is *thread-scoped*: only the test
@@ -34,7 +36,7 @@ use aps_fabric::CircuitSwitch;
 use aps_matrix::Matching;
 use aps_sim::service::{ServiceExecutor, ServiceJobSpec, ServiceSwitching};
 use aps_sim::stream::{run_workload_totals, StreamPricing, StreamSummary};
-use aps_sim::RunConfig;
+use aps_sim::{simulate_flows_scratch, FluidScratch, RunConfig};
 use aps_topology::builders;
 
 /// Counts every allocation-path call (alloc, alloc_zeroed, realloc);
@@ -151,6 +153,31 @@ fn run_service(steps: usize, crossbar_below: usize) -> (StreamSummary, u64) {
     (exec.stream_summary(), allocs() - before)
 }
 
+/// Replays `steps` explicit-path solves in one fresh, recycled scratch,
+/// alternating an `N`-link ring shift by 3 and `N` direct circuits, and
+/// returns the summed finish times and the allocation count the steps
+/// spent. Both flow sets are shaped like a circuit step, so the arc solve
+/// takes them; the seed engine would allocate.
+fn run_explicit(steps: usize) -> (f64, u64) {
+    let caps = vec![RunConfig::paper_defaults().params.bandwidth_bytes_per_sec(); N];
+    let mut scratch = FluidScratch::new();
+    let mut finished = 0.0;
+    let before = allocs();
+    for step in 0..steps {
+        let hops = if step % 2 == 0 { 3 } else { 1 };
+        scratch.start();
+        for src in 0..N {
+            for h in 0..hops {
+                scratch.push_link((src + h) % N);
+            }
+            scratch.seal_flow(MIB);
+        }
+        simulate_flows_scratch(&caps, &mut scratch);
+        finished += scratch.finish_of(N - 1);
+    }
+    (finished, allocs() - before)
+}
+
 #[test]
 fn steady_state_step_allocates_nothing() {
     // One test fn, and only this thread feeds the counter.
@@ -186,4 +213,13 @@ fn steady_state_step_allocates_nothing() {
              allocations (want 0); warm-up spent {allocs_short}"
         );
     }
+    let (short, allocs_short) = run_explicit(WARMUP);
+    let (long, allocs_long) = run_explicit(WARMUP + EXTRA);
+    assert!(long > short, "explicit paths: solves ran");
+    let delta = allocs_long - allocs_short;
+    assert_eq!(
+        delta, 0,
+        "explicit paths: {EXTRA} steady-state solves performed {delta} heap \
+         allocations (want 0); warm-up spent {allocs_short}"
+    );
 }

@@ -1,23 +1,25 @@
-//! Differential tests: the event-driven fluid engine vs the seed
+//! Differential tests: the max-min fluid solve against the seed
 //! from-scratch engine.
 //!
-//! The event engine (`aps_sim::fluid::simulate_flows`) re-solves max-min
-//! rates only for the sharing components a completion touched; the seed
-//! engine (`aps_sim::fluid::reference::simulate_flows_reference`) re-runs
-//! the full progressive-filling solver every round. On every input the two
-//! must agree — the contract is 1e-9 relative, and the engines are in fact
+//! The seed engine (`aps_sim::fluid::reference::simulate_flows_reference`)
+//! re-runs the full progressive-filling solver every round; it is the
+//! oracle. The explicit-path API (`aps_sim::fluid::simulate_flows`) hands
+//! flows shaped like one circuit step to the arc solve and every other
+//! flow set to the seed engine. On every input it must agree with the
+//! oracle — the contract is 1e-9 relative, and the solvers are in fact
 //! designed to agree *bit for bit* (see the invariants in `fluid.rs`'s
-//! module docs), which is what these tests pin.
+//! module docs), which is what these tests pin, whichever solver runs. A
+//! bad input must panic at the same flow, with the same message.
 //!
 //! The step engine's arc solve (`aps_sim::fluid::simulate_circuit_step`)
 //! answers the same question for one step on a circuit configuration, where
 //! every path is a run of consecutive circuits. The properties at the end of
 //! this file pin it to the seed engine bit for bit, over the explicit
 //! successor paths the per-hop walk of earlier versions of the step engine
-//! built, and pin its unroutable-pair errors to that walk's. The
-//! explicit-path engine recognizes flows of that shape and solves them on
-//! arcs too; the same properties pin that it does, and that any other flow
-//! set falls back to the event engine.
+//! built, and pin its unroutable-pair errors to that walk's. They also pin
+//! that the explicit-path API recognizes flows of that shape and solves
+//! them on arcs, and that any other flow set falls back to the seed engine
+//! (`FluidScratch::reference_runs` says which ran).
 //!
 //! The randomized cases use the compat `proptest` shim: a failing case
 //! prints its base seed and replays with `PROPTEST_SEED=<seed>`.
@@ -100,19 +102,19 @@ fn arb_random() -> impl Strategy<Value = (Vec<f64>, Vec<FlowSpec>)> {
 }
 
 fn assert_engines_agree(caps: &[f64], specs: &[FlowSpec]) {
-    let event = simulate_flows(caps, specs);
+    let got = simulate_flows(caps, specs);
     let reference = simulate_flows_reference(caps, specs);
-    assert_eq!(event.len(), reference.len());
-    for (i, (e, r)) in event.iter().zip(&reference).enumerate() {
+    assert_eq!(got.len(), reference.len());
+    for (i, (e, r)) in got.iter().zip(&reference).enumerate() {
         let rel = (e - r).abs() / r.abs().max(1e-300);
         assert!(
             rel <= 1e-9,
-            "flow {i}: event {e} vs reference {r} (rel {rel})"
+            "flow {i}: simulate_flows {e} vs reference {r} (rel {rel})"
         );
         assert_eq!(
             e.to_bits(),
             r.to_bits(),
-            "flow {i}: event {e} and reference {r} differ in the last bit"
+            "flow {i}: simulate_flows {e} and reference {r} differ in the last bit"
         );
     }
 }
@@ -121,7 +123,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn event_engine_matches_reference_on_random_flow_sets((caps, specs) in arb_network()) {
+    fn simulate_flows_matches_reference_on_random_flow_sets((caps, specs) in arb_network()) {
         assert_engines_agree(&caps, &specs);
     }
 
@@ -178,7 +180,7 @@ proptest! {
         // call — no state leaks across steps of any shape sequence
         // (growing, shrinking, degenerate, hundreds of links then a few).
         // These networks mix volumes or capacities, so none is shaped like
-        // a circuit step and each builds the sharing index once.
+        // a circuit step and each runs the seed engine once.
         let mut recycled = FluidScratch::new();
         for (round, (caps, specs)) in nets.iter().enumerate() {
             recycled.load_specs(specs);
@@ -193,7 +195,7 @@ proptest! {
                     i
                 );
             }
-            prop_assert_eq!(recycled.index_builds(), round as u64 + 1);
+            prop_assert_eq!(recycled.reference_runs(), round as u64 + 1);
         }
     }
 
@@ -469,12 +471,12 @@ fn assert_circuit_step_agrees(
         .collect();
     let caps = vec![cap; config.len()];
     let want = simulate_flows_reference(&caps, &specs);
-    // The explicit-path engine recognizes the step and solves it on arcs,
-    // never building the event engine's sharing index.
+    // The explicit-path API recognizes the step and solves it on arcs,
+    // never running the seed engine (which takes a step with no links).
     let mut explicit = FluidScratch::new();
     explicit.load_specs(&specs);
     simulate_flows_scratch(&caps, &mut explicit);
-    assert_eq!(explicit.index_builds(), u64::from(caps.is_empty()));
+    assert_eq!(explicit.reference_runs(), u64::from(caps.is_empty()));
     assert_eq!(scratch.num_flows(), pairs.len());
     for (i, (w, spec)) in want.iter().zip(&specs).enumerate() {
         let f = scratch.finish_of(i);
@@ -506,7 +508,7 @@ fn circuit_step(n: usize, seed: u64) -> (Matching, Vec<(usize, usize)>, f64, f64
 }
 
 /// Explicit flows shaped like a circuit step on `n` ports from `seed`, as a
-/// caller of the explicit-path engine may load them: link ids relabelled at
+/// caller of the explicit-path API may load them: link ids relabelled at
 /// random, idle flows (no volume, or no path) mixed in, and some paths round
 /// a whole cycle. `spoil` then breaks the shape: 1 gives one flow another
 /// volume, 2 one link another capacity, and 3 sends one path back onto its
@@ -578,6 +580,18 @@ fn explicit_circuit_flows(n: usize, seed: u64, spoil: usize) -> (Vec<f64>, Vec<F
     (caps, specs, !spoiled)
 }
 
+/// The finish times' bits of `run`, or the message it panics with.
+fn outcome(run: impl FnOnce() -> Vec<f64>) -> Result<Vec<u64>, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .map(|finish| finish.iter().map(|f| f.to_bits()).collect())
+        .map_err(|payload| match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |s| s.to_string()),
+        })
+}
+
 /// A port count for a circuit case: small ports counts weigh as much as
 /// large ones, up to 300.
 fn ports(pick: u64) -> usize {
@@ -601,18 +615,18 @@ proptest! {
     fn explicit_circuit_flows_take_the_arc_solve_bit_for_bit(
         cases in proptest::collection::vec((any::<u64>(), any::<u64>(), 0usize..4), 1..6),
     ) {
-        // One recycled scratch across the cases: the explicit-path engine
+        // One recycled scratch across the cases: the explicit-path API
         // gives the seed engine's bits, solving flows of circuit shape on
-        // arcs (no sharing index built) and every other set by events (one).
+        // arcs and running the seed engine once on every other set.
         let mut recycled = FluidScratch::new();
         for (pick, seed, spoil) in cases {
             let (caps, specs, shaped) = explicit_circuit_flows(ports(pick), seed, spoil);
             let want = simulate_flows_reference(&caps, &specs);
-            let builds = recycled.index_builds();
+            let runs = recycled.reference_runs();
             recycled.load_specs(&specs);
             simulate_flows_scratch(&caps, &mut recycled);
-            let by_events = !shaped || caps.is_empty();
-            prop_assert_eq!(recycled.index_builds() - builds, u64::from(by_events));
+            let by_reference = !shaped || caps.is_empty();
+            prop_assert_eq!(recycled.reference_runs() - runs, u64::from(by_reference));
             for (i, w) in want.iter().enumerate() {
                 prop_assert_eq!(
                     recycled.finish_of(i).to_bits(),
@@ -624,6 +638,46 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn bad_flows_panic_as_the_reference_does(
+        pick in any::<u64>(),
+        seed in any::<u64>(),
+        spoil in 0usize..4,
+        defect in 0usize..7,
+        plant in any::<u64>(),
+    ) {
+        // Flows shaped like a circuit step, or spoiled, with one defect
+        // planted: a link id past the end inserted into a path, a volume of
+        // +∞ or NaN, every capacity 0, −1 or +∞, or one link's capacity 0
+        // or +∞. Whichever solver takes the flows, `simulate_flows` panics
+        // with the seed engine's message: the same check fails first.
+        let (mut caps, mut specs, _) = explicit_circuit_flows(ports(pick), seed, spoil);
+        let mut rng = Mix(plant);
+        if specs.is_empty() {
+            specs.push(FlowSpec { bytes: 1.0, path: Vec::new() });
+        }
+        let flow = rng.below(specs.len());
+        match defect {
+            0 => {
+                let path = &mut specs[flow].path;
+                path.insert(rng.below(path.len() + 1), caps.len() + rng.below(3));
+            }
+            1 => specs[flow].bytes = f64::INFINITY,
+            2 => specs[flow].bytes = f64::NAN,
+            3..=5 => caps.fill([0.0, -1.0, f64::INFINITY][defect - 3]),
+            _ => {
+                if !caps.is_empty() {
+                    let link = rng.below(caps.len());
+                    caps[link] = if rng.one_in(1, 2) { 0.0 } else { f64::INFINITY };
+                }
+            }
+        }
+        prop_assert_eq!(
+            outcome(|| simulate_flows(&caps, &specs)),
+            outcome(|| simulate_flows_reference(&caps, &specs))
+        );
     }
 
     #[test]

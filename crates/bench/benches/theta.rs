@@ -2,7 +2,7 @@
 //! congestion factor of eq. (3), and the component §4 wants cheap proxies
 //! for — and for the [`ThetaCache`] that memoizes them.
 
-use aps_collectives::allreduce;
+use aps_collectives::{allreduce, alltoall};
 use aps_core::sweep::SweepGrid;
 use aps_flow::solver::{step_throughput, ThetaCache, ThroughputSolver};
 use aps_flow::{forced, gk};
@@ -40,7 +40,9 @@ fn theta(c: &mut Criterion) {
         });
     }
 
-    // A cache hit: hash the matching, find its entry, compare the keys.
+    // A cache hit: read the digest the first lookup stored in the
+    // matching's buffer, find its entry, and match the key, which shares
+    // that buffer, by pointer. No port is read, whatever the port count.
     for ports in [1024, 4096] {
         let ring = builders::ring_unidirectional(ports).unwrap();
         let shift = Matching::shift(ports, 7).unwrap();
@@ -76,6 +78,30 @@ fn theta(c: &mut Criterion) {
                 steps(),
             );
             black_box(cache.unwrap().len())
+        })
+    });
+
+    // One build of each heavy plan-sweep family at 512 ports: a ring
+    // AllReduce repeats one shift in its 1,022 steps, so they share one
+    // matching; a linear shift's 511 steps are all distinct shifts.
+    c.bench_function("schedule_ring_allreduce_n512", |b| {
+        b.iter(|| {
+            black_box(
+                allreduce::ring::build(512, 1e6)
+                    .unwrap()
+                    .schedule
+                    .num_steps(),
+            )
+        })
+    });
+    c.bench_function("schedule_linear_shift_n512", |b| {
+        b.iter(|| {
+            black_box(
+                alltoall::linear_shift(512, 1e6)
+                    .unwrap()
+                    .schedule
+                    .num_steps(),
+            )
         })
     });
 

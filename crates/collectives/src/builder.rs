@@ -124,16 +124,27 @@ impl ScheduleSink {
     }
 
     /// Turns the open step into a [`Step`], failing in the order the
-    /// checks always ran: the matching first, then empty sends.
+    /// checks always ran: the matching first, then empty sends. A step
+    /// whose pairs repeat the previous step's, in order, shares that step's
+    /// matching (those pairs already passed the matching's checks), so a
+    /// ring holds one buffer for all its steps.
     fn close(&mut self) {
         if !std::mem::take(&mut self.open) || self.error.is_some() {
             return;
         }
-        let mut matching = Matching::empty(0);
-        if let Err(e) = matching.refill_from_pairs(self.n, &self.pairs, &mut self.has_src) {
-            self.error = Some(e.into());
-            return;
-        }
+        let matching = match self.steps.last() {
+            Some(prev) if prev.matching.pairs().eq(self.pairs.iter().copied()) => {
+                prev.matching.clone()
+            }
+            _ => {
+                let mut matching = Matching::empty(0);
+                if let Err(e) = matching.refill_from_pairs(self.n, &self.pairs, &mut self.has_src) {
+                    self.error = Some(e.into());
+                    return;
+                }
+                matching
+            }
+        };
         if self.empty_send {
             self.error = Some(CollectiveError::ConstructionInvariant(
                 "a send moved zero chunks",

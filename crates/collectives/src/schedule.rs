@@ -47,8 +47,10 @@ impl Step {
     }
 }
 
-/// Hand-written so [`Clone::clone_from`] reuses the matching's buffer —
-/// streaming executors pull steps into one long-lived `Step` via
+/// Hand-written so [`Clone::clone_from`] goes through
+/// [`Matching`]'s own: it copies into the matching's buffer when no other
+/// clone holds it and otherwise shares the source's, allocating in neither
+/// case — streaming executors pull steps into one long-lived `Step` via
 /// [`crate::workload::Workload::next_step_into`], which must not allocate
 /// in steady state.
 impl Clone for Step {

@@ -77,11 +77,13 @@ pub trait Workload: Send {
     /// stream is exhausted (and `out` is left untouched).
     ///
     /// The zero-allocation streaming hook: executors keep one long-lived
-    /// [`Step`] and recycle its matching buffer across pulls. The default
-    /// delegates to [`Workload::next_step`] and moves the result into
-    /// `out`; sources whose steps live in stable storage (e.g.
-    /// [`ScheduleStream`], `TrainingLoop`) override it with a
-    /// [`Clone::clone_from`] copy so a steady-state pull never allocates.
+    /// [`Step`] across pulls. The default delegates to
+    /// [`Workload::next_step`] and moves the result into `out`; sources
+    /// whose steps live in stable storage (e.g. [`ScheduleStream`],
+    /// `TrainingLoop`) override it with [`Clone::clone_from`], so a
+    /// steady-state pull never allocates: it copies into `out`'s matching
+    /// buffer only while no other clone holds that buffer, and otherwise
+    /// shares the source step's.
     fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
         match self.next_step(ctx) {
             Some(step) => {

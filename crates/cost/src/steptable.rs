@@ -18,7 +18,8 @@ use aps_topology::Topology;
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepCosts {
     /// The step's communication pattern (kept for per-port reconfiguration
-    /// accounting and for the simulator).
+    /// accounting and for the simulator): a clone of the schedule step's
+    /// matching, sharing its buffer rather than copying its ports.
     pub matching: Matching,
     /// Bytes per communicating pair (`mᵢ`).
     pub bytes: f64,

@@ -6,10 +6,14 @@
 //! appears `n-1` times per collective and in every sweep cell), so a
 //! [`ThetaCache`] keyed by the matching makes sweeps cheap.
 //!
-//! The cache hashes its keys with a private, deterministic FxHash-style
-//! hasher (one 64-bit multiply-rotate per 8-byte word, no random state):
-//! a matching is `4n` bytes of `u32` ports, and a keyed SipHash over them
-//! would cost as much as the O(n) solve a hit saves.
+//! A matching hashes as one word, the digest its shared port buffer
+//! computes the first time any of its clones is hashed, so a hit costs
+//! O(1), not a pass over `4n` bytes of ports; and when the key and the
+//! query share that buffer (a schedule's steps, their cost-table rows and
+//! the cache's keys are all clones of one matching) the equality check is
+//! a pointer comparison. The cache folds that word with a private,
+//! deterministic FxHash-style hasher (one multiply-rotate, no random
+//! state).
 
 use crate::error::FlowError;
 use crate::forced::{circuit_path_throughput, forced_path_throughput};
@@ -110,8 +114,8 @@ fn price(
 }
 
 /// FxHash (the rustc hasher): fold each 8-byte word into the state with a
-/// rotate, an xor and one multiply. Deterministic, and fast on the long
-/// `u32` port arrays a matching hashes as; collisions only cost an equality
+/// rotate, an xor and one multiply. Deterministic, and one multiply for
+/// the digest word a matching hashes as; collisions only cost an equality
 /// check, never a wrong answer.
 #[derive(Default)]
 struct FxHasher {
@@ -186,19 +190,22 @@ impl CacheStats {
 
 /// Memoizes [`step_throughput`] per `(topology, solver)` over matchings.
 ///
-/// Keys hash with a deterministic FxHash-style hasher: no random state, so
-/// a lookup costs one multiply-rotate per 8 bytes of the matching (two
-/// ports) plus the equality check. Without random state nothing stops keys
-/// crafted to collide: the keys are step matchings of the program's own
-/// schedules, not input from outside it.
+/// Keys hash as their matching's digest, computed once per port buffer, and
+/// fold it with a deterministic FxHash-style hasher: no random state, so a
+/// lookup costs one multiply plus the equality check, which is a pointer
+/// comparison when the query shares the key's buffer and a port-by-port
+/// comparison otherwise. Without random state nothing stops keys crafted
+/// to collide: the keys are step matchings of the program's own schedules,
+/// not input from outside it.
 ///
 /// A forced-path cache on a circuit topology lays the topology out once,
 /// at its first miss ([`Circuits`]), and prices every miss on that layout,
 /// as [`forced_path_throughput`] would after laying it out again.
 ///
-/// Cloning a cache clones its memo table — the cheap way to hand each
-/// worker of a parallel sweep a private, pre-warmed copy (see
-/// [`ThetaCache::warm`]).
+/// Cloning a cache clones its memo table, whose keys share their port
+/// buffers with the original's: a reference-count bump per entry, not a
+/// copy of its ports. That is the cheap way to hand each worker of a
+/// parallel sweep a private, pre-warmed copy (see [`ThetaCache::warm`]).
 #[derive(Debug, Clone)]
 pub struct ThetaCache {
     topology_name: String,
@@ -293,6 +300,10 @@ impl ThetaCache {
         matchings: impl IntoIterator<Item = &'a Matching>,
     ) -> Result<Self, FlowError> {
         let mut unique: Vec<&Matching> = Vec::new();
+        // A matching's one interior-mutable field is the digest its buffer
+        // memoizes, a pure function of ports that nothing writes while the
+        // buffer is shared: a key's hash and equality never change.
+        #[allow(clippy::mutable_key_type)]
         let mut seen: HashSet<&Matching, FxBuild> = HashSet::default();
         for m in matchings {
             if seen.insert(m) {

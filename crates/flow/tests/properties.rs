@@ -8,7 +8,7 @@ mod ring;
 use aps_flow::forced::{forced_path_throughput, reference};
 use aps_flow::gk::{matching_commodities, max_concurrent_flow};
 use aps_flow::proxy::degree_proxy_throughput;
-use aps_flow::solver::{ThetaCache, ThroughputSolver};
+use aps_flow::solver::{step_throughput, ThetaCache, ThroughputSolver};
 use aps_flow::FlowError;
 use aps_matrix::Matching;
 use aps_topology::{builders, Topology, TopologyError};
@@ -333,5 +333,44 @@ proptest! {
             .map(|s| (s.theta, s.max_hops));
             prop_assert_eq!(bits(warm), want);
         }
+    }
+
+    #[test]
+    fn a_refilled_matching_is_priced_as_its_new_pairs(
+        n in 3usize..130,
+        seed in any::<u64>(),
+        hit_first in any::<bool>(),
+    ) {
+        // A matching hashed as one set of pairs, then refilled with another,
+        // must be looked up by the new pairs: a miss priced like the direct
+        // solver, keyed so that a fresh copy of the new pairs then hits.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut random_pairs = || {
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.shuffle(&mut rng);
+            (0..n).filter(|&v| perm[v] != v).map(|v| (v, perm[v])).collect::<Vec<_>>()
+        };
+        let (old, new) = (random_pairs(), random_pairs());
+        if old == new {
+            return;
+        }
+        let t = builders::ring_unidirectional(n).unwrap();
+        let solver = ThroughputSolver::ForcedPath;
+        let mut cache = ThetaCache::new(&t, solver);
+        let mut m = Matching::from_pairs(n, &old).unwrap();
+        if hit_first {
+            // The cache keys a copy of its own, so `m` keeps its buffer
+            // unshared and the refill below writes into it.
+            cache.get(&t, &Matching::from_pairs(n, &old).unwrap()).unwrap();
+        }
+        cache.get(&t, &m).unwrap();
+        m.refill_from_pairs(n, &new, &mut Vec::new()).unwrap();
+        let before = cache.stats();
+        let fresh = Matching::from_pairs(n, &new).unwrap();
+        let second = cache.get(&t, &m).unwrap();
+        prop_assert_eq!(second, step_throughput(&t, &fresh, solver).unwrap());
+        prop_assert_eq!(cache.stats().misses, before.misses + 1);
+        prop_assert_eq!(cache.get(&t, &fresh).unwrap(), second);
+        prop_assert_eq!(cache.stats().hits, before.hits + 1);
     }
 }

@@ -19,9 +19,9 @@
 //! * [`BitSet`] — a small dense bit-set used by the collective-semantics
 //!   verifier in `aps-collectives` (contribution tracking).
 //!
-//! Everything here is deterministic and allocation-conscious: matchings are a
-//! single `Vec<u32>` (4 bytes per port, at most `u32::MAX` ports), matrices
-//! a single row-major `Vec<f64>`.
+//! Everything here is deterministic and allocation-conscious: a matching is
+//! a single `u32` buffer (4 bytes per port, at most `u32::MAX` ports) that
+//! its clones share copy-on-write, matrices a single row-major `Vec<f64>`.
 
 pub mod bipartite;
 pub mod bitset;

@@ -17,9 +17,23 @@
 //! fits): [`Matching::from_pairs`], [`Matching::refill_from_pairs`],
 //! [`Matching::shift`] and [`Matching::xor`] refuse a larger port count
 //! with [`MatrixError::TooManyPorts`] before allocating anything.
+//!
+//! The ports live in one reference-counted buffer that clones share, so a
+//! collective's steps, their cost-table rows and θ-cache keys hold one
+//! buffer per distinct matching however often they copy it (a ring
+//! AllReduce over `n` ports repeats one shift `2(n − 1)` times). The buffer
+//! is copy-on-write: [`Clone::clone_from`] and
+//! [`Matching::refill_from_pairs`] write in place only into a buffer no
+//! other clone holds, and otherwise never write through it. The buffer also
+//! keeps the matching's digest, computed the first time one of its clones
+//! is hashed: hashing writes that one word, so a θ-cache lookup costs O(1)
+//! once the buffer is hashed, instead of 4n bytes per lookup.
 
 use crate::error::MatrixError;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Marks a port that sends to nobody.
 const NONE: u32 = u32::MAX;
@@ -32,16 +46,64 @@ fn check_ports(n: usize) -> Result<(), MatrixError> {
     Ok(())
 }
 
-/// A partial permutation of `{0, …, n-1}`: an injective map from senders to
-/// receivers with no fixed points.
-///
-/// Takes 4 bytes per port; [`Matching::len`] and [`Matching::is_empty`] are
-/// O(1).
-#[derive(PartialEq, Eq, Hash)]
-pub struct Matching {
+/// The storage clones of one matching share.
+struct Ports {
+    /// [`Ports::digest`] of `dst` once something has hashed it; `0` until
+    /// then. Clones may compute it on several threads at once, but it is a
+    /// pure function of `dst`, which nothing writes while the buffer is
+    /// shared: every store writes the same value and publishes nothing else,
+    /// so relaxed ordering suffices.
+    digest: AtomicU64,
     /// `dst[i] = j` iff node `i` sends to node `j` in this step; `NONE`
     /// when it sends to nobody.
     dst: Vec<u32>,
+}
+
+impl Ports {
+    fn new(dst: Vec<u32>) -> Arc<Self> {
+        Arc::new(Self {
+            digest: AtomicU64::new(0),
+            dst,
+        })
+    }
+
+    /// A nonzero digest of the domain size and the ports: FxHash (one
+    /// rotate, xor and multiply per two ports), then the SplitMix64
+    /// finalizer so every bit of the word depends on every port.
+    fn digest(&self) -> u64 {
+        let known = self.digest.load(Ordering::Relaxed);
+        if known != 0 {
+            return known;
+        }
+        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let add = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(SEED);
+        let mut words = self.dst.chunks_exact(2);
+        let mut h = add(0, self.dst.len() as u64);
+        for w in &mut words {
+            h = add(h, u64::from(w[0]) | u64::from(w[1]) << 32);
+        }
+        if let [last] = words.remainder() {
+            h = add(h, u64::from(*last));
+        }
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let digest = (h ^ (h >> 31)).max(1);
+        self.digest.store(digest, Ordering::Relaxed);
+        digest
+    }
+}
+
+/// A partial permutation of `{0, …, n-1}`: an injective map from senders to
+/// receivers with no fixed points.
+///
+/// Takes 4 bytes per port in a buffer that clones share: cloning is a
+/// reference-count bump, and the buffer is copied only when a clone is
+/// rebuilt while another still holds it (see the [module docs](self)).
+/// [`Matching::len`] and [`Matching::is_empty`] are O(1), and so is hashing
+/// once any clone of the buffer has been hashed. Two matchings are equal
+/// when they share a buffer or hold the same ports.
+pub struct Matching {
+    ports: Arc<Ports>,
     /// Number of senders (entries other than `NONE`).
     pairs: usize,
 }
@@ -63,20 +125,45 @@ impl fmt::Debug for Matching {
     }
 }
 
-/// Hand-written so [`Clone::clone_from`] reuses the destination's `dst`
-/// buffer (the derive would drop and reallocate it) — the zero-allocation
-/// steady-state step leans on `clone_from` to recycle matchings in place.
+/// `clone` shares the buffer. `clone_from` copies the source's ports into
+/// the destination's buffer when no other clone holds it — the
+/// zero-allocation steady-state step leans on this to recycle matchings in
+/// place — and otherwise shares the source's buffer.
 impl Clone for Matching {
     fn clone(&self) -> Self {
         Self {
-            dst: self.dst.clone(),
+            ports: Arc::clone(&self.ports),
             pairs: self.pairs,
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.dst.clone_from(&source.dst);
+        match Arc::get_mut(&mut self.ports) {
+            Some(own) => {
+                own.dst.clone_from(&source.ports.dst);
+                *own.digest.get_mut() = source.ports.digest.load(Ordering::Relaxed);
+            }
+            None => self.ports = Arc::clone(&source.ports),
+        }
         self.pairs = source.pairs;
+    }
+}
+
+impl PartialEq for Matching {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.ports, &other.ports)
+            || (self.pairs == other.pairs && self.ports.dst == other.ports.dst)
+    }
+}
+
+impl Eq for Matching {}
+
+/// Writes the buffer's digest, a pure function of the domain size and the
+/// ports: equal matchings hash equal, and only the first hash of a buffer
+/// reads its ports.
+impl Hash for Matching {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.ports.digest());
     }
 }
 
@@ -84,7 +171,7 @@ impl Matching {
     /// The empty matching over `n` nodes (nobody communicates).
     pub fn empty(n: usize) -> Self {
         Self {
-            dst: vec![NONE; n],
+            ports: Ports::new(vec![NONE; n]),
             pairs: 0,
         }
     }
@@ -97,6 +184,7 @@ impl Matching {
     /// out of range, a sender or receiver appears twice, or a pair is a
     /// self-loop.
     pub fn from_pairs(n: usize, pairs: &[(usize, usize)]) -> Result<Self, MatrixError> {
+        check_ports(n)?;
         let mut m = Self::empty(0);
         m.refill_from_pairs(n, pairs, &mut Vec::new())?;
         Ok(m)
@@ -105,7 +193,8 @@ impl Matching {
     /// [`Matching::from_pairs`] in place: rebuilds `self` over `n` nodes
     /// from `pairs`, reusing its storage, with `has_src` as caller-owned
     /// scratch for the duplicate-receiver check. Once both buffers have
-    /// held `n` entries, a refill touches no heap.
+    /// held `n` entries, a refill touches no heap. A buffer another clone
+    /// still holds is left to it: `self` then takes a fresh one.
     ///
     /// # Errors
     ///
@@ -119,13 +208,18 @@ impl Matching {
         has_src: &mut Vec<bool>,
     ) -> Result<(), MatrixError> {
         check_ports(n)?;
-        self.dst.clear();
-        self.dst.resize(n, NONE);
+        if Arc::get_mut(&mut self.ports).is_none() {
+            self.ports = Ports::new(Vec::new());
+        }
+        let ports = Arc::get_mut(&mut self.ports).expect("a buffer no other clone holds");
+        *ports.digest.get_mut() = 0;
+        ports.dst.clear();
+        ports.dst.resize(n, NONE);
         self.pairs = 0;
         has_src.clear();
         has_src.resize(n, false);
         // Slices of length `n`, so the checks below also prove the indices.
-        let (dst, has_src) = (&mut self.dst[..n], &mut has_src[..n]);
+        let (dst, has_src) = (&mut ports.dst[..n], &mut has_src[..n]);
         for &(s, d) in pairs {
             if s >= n {
                 return Err(MatrixError::EndpointOutOfRange { endpoint: s, n });
@@ -155,7 +249,10 @@ impl Matching {
     fn full(n: usize, dsts: impl Iterator<Item = usize>) -> Self {
         let dst: Vec<u32> = dsts.map(|d| d as u32).collect();
         debug_assert_eq!(dst.len(), n);
-        Self { dst, pairs: n }
+        Self {
+            ports: Ports::new(dst),
+            pairs: n,
+        }
     }
 
     /// The cyclic shift `i → (i + k) mod n`, the building block of ring
@@ -195,7 +292,7 @@ impl Matching {
 
     /// Number of endpoints in the domain.
     pub fn n(&self) -> usize {
-        self.dst.len()
+        self.ports.dst.len()
     }
 
     /// Number of communicating pairs. O(1).
@@ -216,7 +313,7 @@ impl Matching {
 
     /// The receiver of node `i`, if any.
     pub fn dst_of(&self, i: usize) -> Option<usize> {
-        match self.dst.get(i) {
+        match self.ports.dst.get(i) {
             Some(&d) if d != NONE => Some(d as usize),
             _ => None,
         }
@@ -227,12 +324,13 @@ impl Matching {
         if j >= self.n() {
             return None;
         }
-        self.dst.iter().position(|&d| d as usize == j)
+        self.ports.dst.iter().position(|&d| d as usize == j)
     }
 
     /// Iterator over `(sender, receiver)` pairs in sender order.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.dst
+        self.ports
+            .dst
             .iter()
             .enumerate()
             .filter(|&(_, &d)| d != NONE)
@@ -246,7 +344,7 @@ impl Matching {
             dst[d] = s as u32;
         }
         Self {
-            dst,
+            ports: Ports::new(dst),
             pairs: self.pairs,
         }
     }
@@ -266,6 +364,7 @@ impl Matching {
             });
         }
         let dst: Vec<u32> = self
+            .ports
             .dst
             .iter()
             .enumerate()
@@ -282,7 +381,10 @@ impl Matching {
             })
             .collect();
         let pairs = dst.iter().filter(|&&d| d != NONE).count();
-        Ok(Self { dst, pairs })
+        Ok(Self {
+            ports: Ports::new(dst),
+            pairs,
+        })
     }
 
     /// `true` when the pair `i → j` is part of this matching.
@@ -306,9 +408,10 @@ impl Matching {
     /// within one fabric.
     pub fn tx_ports_changed(&self, other: &Self) -> usize {
         assert_eq!(self.n(), other.n(), "configuration diff across fabrics");
-        self.dst
+        self.ports
+            .dst
             .iter()
-            .zip(&other.dst)
+            .zip(&other.ports.dst)
             .filter(|(a, b)| a != b)
             .count()
     }

@@ -8,21 +8,22 @@ use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
-/// Counts the allocation-path calls of threads that opt in, so a test can
-/// show a constructor refuses before allocating.
+/// Counts the allocation-path calls of threads that opt in, each thread on
+/// its own counter, so a test can show a constructor refuses before
+/// allocating while other tests allocate on other threads.
 struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TRACK: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_if_tracked() {
     if TRACK.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // Not counted during thread teardown, once the counter is gone.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     }
 }
 
@@ -52,11 +53,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations `f` makes on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     TRACK.with(|t| t.set(true));
     let out = f();
     TRACK.with(|t| t.set(false));
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// `m`'s hash under one deterministic hasher (SipHash with fixed keys).
+fn hash_of(m: &Matching) -> u64 {
+    let mut h = DefaultHasher::new();
+    m.hash(&mut h);
+    h.finish()
 }
 
 /// The O(1) counters agree with the pairs a matching lists.
@@ -297,12 +305,55 @@ proptest! {
     }
 
     #[test]
+    fn rebuilding_a_clone_leaves_the_other_alone(
+        (n, pairs) in arb_pairs(),
+        (m, other) in arb_pairs(),
+        hashed in any::<bool>(),
+    ) {
+        let Ok(kept) = Matching::from_pairs(n, &pairs) else {
+            return;
+        };
+        let own: Vec<(usize, usize)> = kept.pairs().collect();
+        if hashed {
+            hash_of(&kept);
+        }
+        let want_hash = hash_of(&Matching::from_pairs(n, &own).unwrap());
+        // Refilled, validly or not, while `kept` shares its buffer.
+        let mut refilled = kept.clone();
+        let refill = refilled.refill_from_pairs(m, &other, &mut Vec::new());
+        let built = Matching::from_pairs(m, &other);
+        prop_assert_eq!(refill.is_ok(), built.is_ok());
+        if let Ok(built) = &built {
+            prop_assert_eq!(&refilled, built);
+            prop_assert_eq!(hash_of(&refilled), hash_of(built));
+        }
+        prop_assert_eq!(&kept, &Matching::from_pairs(n, &own).unwrap());
+        prop_assert_eq!(hash_of(&kept), want_hash);
+        // Copied over while `kept` shares its buffer.
+        if let Ok(built) = built {
+            let mut copied = kept.clone();
+            copied.clone_from(&built);
+            prop_assert_eq!(&copied, &built);
+            prop_assert_eq!(&kept, &Matching::from_pairs(n, &own).unwrap());
+            prop_assert_eq!(hash_of(&kept), want_hash);
+        }
+    }
+
+    #[test]
     fn equal_matchings_share_one_theta_entry(n in 3usize..48, k in 1usize..48, mask in 1usize..64) {
         let k = k % (n - 1) + 1;
         let shift = Matching::shift(n, k).unwrap();
         let shift_pairs: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + k) % n)).collect();
+        // Hashed before its refill, so the refill must forget that digest.
         let mut refilled = Matching::empty(3);
+        hash_of(&refilled);
         refilled.refill_from_pairs(n, &shift_pairs, &mut Vec::new()).unwrap();
+        // Copied into a hashed buffer of its own, so the copy must carry
+        // the source's digest, not keep its own.
+        let mut copied = Matching::empty(n);
+        hash_of(&copied);
+        hash_of(&shift);
+        copied.clone_from(&shift);
         // shift(k) as shift(j) then shift(k − j), for j ≠ k (mod n).
         let j = if k == 1 { n - 1 } else { 1 };
         let composed = Matching::shift(n, j)
@@ -315,12 +366,14 @@ proptest! {
         for (a, b) in [
             (&shift, &Matching::from_pairs(n, &shift_pairs).unwrap()),
             (&shift, &refilled),
+            (&shift, &copied),
             (&shift, &composed),
             (&shift, &shift.inverse().inverse()),
             (&xor, &Matching::from_pairs(pow2, &xor_pairs).unwrap()),
             (&xor, &xor.inverse()),
         ] {
             prop_assert_eq!(a, b);
+            prop_assert_eq!(hash_of(a), hash_of(b), "{:?}", a);
             let mut cache = ThetaCache::new(
                 &builders::ring_unidirectional(a.n()).unwrap(),
                 ThroughputSolver::ForcedPath,
@@ -331,6 +384,36 @@ proptest! {
             prop_assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
         }
     }
+}
+
+#[test]
+fn clones_and_in_place_copies_allocate_nothing() {
+    let n = 64;
+    let m = Matching::shift(n, 3).unwrap();
+    let (copy, allocs) = allocations(|| m.clone());
+    assert_eq!((&copy, allocs), (&m, 0));
+    // Into a buffer no other clone holds, `clone_from` copies in place...
+    let mut own = Matching::xor(n, 5).unwrap();
+    let ((), allocs) = allocations(|| own.clone_from(&m));
+    assert_eq!((&own, allocs), (&m, 0));
+    // ...so the buffer is still its own, and refilling it allocates nothing.
+    let pairs: Vec<(usize, usize)> = (0..n).map(|i| (i, i ^ 1)).collect();
+    let mut has_src = vec![false; n];
+    let (refill, allocs) = allocations(|| own.refill_from_pairs(n, &pairs, &mut has_src));
+    assert_eq!((refill, allocs), (Ok(()), 0));
+    assert_eq!(own, Matching::xor(n, 1).unwrap());
+    // Into a buffer another clone holds, it shares the source's buffer.
+    let held = own.clone();
+    let ((), allocs) = allocations(|| own.clone_from(&m));
+    assert_eq!((&own, allocs), (&m, 0));
+    assert_eq!(held, Matching::xor(n, 1).unwrap());
+    assert_eq!(
+        (m, copy),
+        (
+            Matching::shift(n, 3).unwrap(),
+            Matching::shift(n, 3).unwrap()
+        )
+    );
 }
 
 #[cfg(target_pointer_width = "64")]

@@ -81,13 +81,24 @@ fn theta(c: &mut Criterion) {
         })
     });
 
-    // One build of each heavy plan-sweep family at 512 ports: a ring
-    // AllReduce repeats one shift in its 1,022 steps, so they share one
-    // matching; a linear shift's 511 steps are all distinct shifts.
+    // One build of each plan-sweep family at 512 ports. Each step is one
+    // whole permutation, built once and shared wherever it repeats: a ring
+    // AllReduce holds one shift for its 1,022 steps, halving-doubling 9
+    // XOR exchanges for its 18, and a linear shift 511 distinct shifts.
     c.bench_function("schedule_ring_allreduce_n512", |b| {
         b.iter(|| {
             black_box(
                 allreduce::ring::build(512, 1e6)
+                    .unwrap()
+                    .schedule
+                    .num_steps(),
+            )
+        })
+    });
+    c.bench_function("schedule_halving_doubling_n512", |b| {
+        b.iter(|| {
+            black_box(
+                allreduce::halving_doubling::build(512, 1e6)
                     .unwrap()
                     .schedule
                     .num_steps(),

@@ -3,11 +3,12 @@
 //! `message_bytes` is the size of the *gathered result* `m`; each node
 //! contributes an `m/n`-byte chunk (chunk `i` originates at node `i`).
 
-use crate::builder::{check_message_bytes, exact_log2, Algo, Header, Sink};
+use crate::builder::{check_message_bytes, exact_log2, shift, xor, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use aps_matrix::Matching;
 use std::iter::once;
 
 /// Declares an AllGather over `n` nodes: node `i` holds chunk `i`.
@@ -40,18 +41,16 @@ pub fn ring(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError>
 
 pub(crate) fn describe_ring(n: usize, message_bytes: f64, out: &mut impl Sink) {
     header_and_inputs(n, "ring", message_bytes, out);
-    ring_steps(n, out);
+    ring_steps(&shift(n, 1), out);
 }
 
-/// The `n − 1` ring-allgather steps, also the second phase of the
+/// The `n − 1` ring-allgather steps on `ring`, the shift by 1 over `n`
+/// nodes; also the second phase of ring AllReduce and of the
 /// scatter-allgather broadcast.
-pub(crate) fn ring_steps(n: usize, out: &mut impl Sink) {
+pub(crate) fn ring_steps(ring: &Matching, out: &mut impl Sink) {
+    let n = ring.n();
     for t in 0..n - 1 {
-        out.step();
-        for i in 0..n {
-            let c = (i + n - t % n) % n;
-            out.send(i, (i + 1) % n, once(c), Combine::Replace);
-        }
+        out.permute(ring, 1, |i| once((i + n - t % n) % n), Combine::Replace);
     }
 }
 
@@ -73,11 +72,12 @@ pub fn recursive_doubling(n: usize, message_bytes: f64) -> Result<Collective, Co
 pub(crate) fn describe_recursive_doubling(n: usize, message_bytes: f64, out: &mut impl Sink) {
     header_and_inputs(n, "recursive-doubling", message_bytes, out);
     for t in 0..n.trailing_zeros() {
-        out.step();
-        for i in 0..n {
+        let count = 1usize << t;
+        let block = |i: usize| {
             let lo = (i >> t) << t;
-            out.send(i, i ^ (1 << t), lo..lo + (1 << t), Combine::Replace);
-        }
+            lo..lo + count
+        };
+        out.permute(&xor(n, count), count, block, Combine::Replace);
     }
 }
 

@@ -7,7 +7,7 @@
 //! "recursive doubling" AllReduce of the paper's evaluation (§3.4 calls it
 //! bandwidth-optimal, which singles out this variant of reference 30).
 
-use crate::builder::{check_message_bytes, exact_log2, Algo, Header, Sink};
+use crate::builder::{check_message_bytes, exact_log2, xor, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
@@ -50,24 +50,21 @@ pub(crate) fn describe(n: usize, message_bytes: f64, out: &mut impl Sink) {
     for i in 0..n {
         out.hold(i, 0..n);
     }
+    // Both phases run on the same exchanges: `exchanges[b]` pairs the
+    // nodes across bit b.
+    let exchanges: Vec<_> = (0..log).map(|b| xor(n, 1 << b)).collect();
     // Reduce-scatter: start with the farthest partner, halve the working
     // block each step. At step t node i sends the half belonging to its
     // partner's side.
-    for t in 0..log {
+    for (t, exchange) in exchanges.iter().rev().enumerate() {
         let mask = 1usize << (log - 1 - t);
-        out.step();
-        for i in 0..n {
-            let p = i ^ mask;
-            out.send(i, p, block(n, log, p, t + 1), Combine::Reduce);
-        }
+        let half = |i: usize| block(n, log, i ^ mask, t + 1);
+        out.permute(exchange, n >> (t + 1), half, Combine::Reduce);
     }
     // Allgather: nearest partner first, double the completed block.
-    for u in 0..log {
-        let mask = 1usize << u;
-        out.step();
-        for i in 0..n {
-            out.send(i, i ^ mask, block(n, log, i, log - u), Combine::Replace);
-        }
+    for (u, exchange) in exchanges.iter().enumerate() {
+        let done = |i: usize| block(n, log, i, log - u);
+        out.permute(exchange, 1 << u, done, Combine::Replace);
     }
 }
 

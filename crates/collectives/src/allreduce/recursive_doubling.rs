@@ -7,7 +7,7 @@
 //! ring suffer (which is exactly what makes it interesting for
 //! reconfiguration).
 
-use crate::builder::{check_message_bytes, exact_log2, Algo, Header, Sink};
+use crate::builder::{check_message_bytes, exact_log2, xor, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
@@ -41,11 +41,7 @@ pub(crate) fn describe(n: usize, message_bytes: f64, out: &mut impl Sink) {
         out.hold(i, once(0));
     }
     for t in 0..n.trailing_zeros() {
-        let mask = 1usize << t;
-        out.step();
-        for i in 0..n {
-            out.send(i, i ^ mask, once(0), Combine::Reduce);
-        }
+        out.permute(&xor(n, 1 << t), 1, |_| once(0), Combine::Reduce);
     }
 }
 

@@ -6,12 +6,12 @@
 //! algorithm stays optimal on static rings even for short messages when
 //! propagation delays dominate (§4).
 
-use crate::builder::{check_message_bytes, Algo, Header, Sink};
+use crate::builder::{check_message_bytes, shift, Algo, Header, Sink};
 use crate::collective::Collective;
-use crate::dataflow::{Combine, Semantics};
+use crate::dataflow::Semantics;
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
-use std::iter::once;
+use crate::{allgather, reduce_scatter};
 
 /// Builds ring AllReduce over `n ≥ 2` nodes for an `m`-byte vector.
 ///
@@ -43,22 +43,11 @@ pub(crate) fn describe(n: usize, message_bytes: f64, out: &mut impl Sink) {
     for i in 0..n {
         out.hold(i, 0..n);
     }
-    // Reduce-scatter phase.
-    for t in 0..n - 1 {
-        out.step();
-        for i in 0..n {
-            let chunk = (i + 2 * n - t - 1) % n;
-            out.send(i, (i + 1) % n, once(chunk), Combine::Reduce);
-        }
-    }
+    // Both phases run every step on one shift by 1.
+    let ring = shift(n, 1);
+    reduce_scatter::ring_steps(&ring, out);
     // Allgather phase: node i starts holding its fully-reduced slot i.
-    for t in 0..n - 1 {
-        out.step();
-        for i in 0..n {
-            let chunk = (i + n - t % n) % n;
-            out.send(i, (i + 1) % n, once(chunk), Combine::Replace);
-        }
-    }
+    allgather::ring_steps(&ring, out);
 }
 
 #[cfg(test)]

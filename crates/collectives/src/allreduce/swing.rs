@@ -19,7 +19,7 @@
 //! final state misses a contribution.
 
 use crate::builder::{check_message_bytes, exact_log2, Algo, Counted, Header, Sink};
-use crate::collective::Collective;
+use crate::collective::{check_ports, Collective};
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
@@ -65,6 +65,9 @@ pub fn build(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError
     }
     let log = exact_log2(n)?;
     check_message_bytes(message_bytes)?;
+    // Before the O(n log n) peer check: past the port limit no schedule can
+    // be built, whatever the peers.
+    check_ports(n)?;
 
     // Verify the peer relation is a valid pairwise exchange at every step.
     for t in 0..log as u32 {

@@ -13,7 +13,7 @@
 //!   store-and-forward relaying: fewer, fatter steps (`~m/2` per step);
 //!   latency-optimal for small messages.
 
-use crate::builder::{ceil_log2, check_message_bytes, exact_log2, Algo, Counted, Header, Sink};
+use crate::builder::{ceil_log2, check_message_bytes, exact_log2, shift, xor, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
@@ -57,11 +57,8 @@ pub fn linear_shift(n: usize, message_bytes: f64) -> Result<Collective, Collecti
 pub(crate) fn describe_linear_shift(n: usize, message_bytes: f64, out: &mut impl Sink) {
     header_and_blocks(n, "linear-shift", message_bytes, out);
     for k in 1..n {
-        out.step();
-        for i in 0..n {
-            let d = (i + k) % n;
-            out.send(i, d, once(chunk(n, i, d)), Combine::Replace);
-        }
+        let block = |i: usize| once(chunk(n, i, (i + k) % n));
+        out.permute(&shift(n, k), 1, block, Combine::Replace);
     }
 }
 
@@ -83,11 +80,8 @@ pub fn xor_exchange(n: usize, message_bytes: f64) -> Result<Collective, Collecti
 pub(crate) fn describe_xor_exchange(n: usize, message_bytes: f64, out: &mut impl Sink) {
     header_and_blocks(n, "xor-exchange", message_bytes, out);
     for k in 1..n {
-        out.step();
-        for i in 0..n {
-            let d = i ^ k;
-            out.send(i, d, once(chunk(n, i, d)), Combine::Replace);
-        }
+        let block = |i: usize| once(chunk(n, i, i ^ k));
+        out.permute(&xor(n, k), 1, block, Combine::Replace);
     }
 }
 
@@ -109,31 +103,26 @@ pub fn bruck(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError
 pub(crate) fn describe_bruck(n: usize, message_bytes: f64, out: &mut impl Sink) {
     header_and_blocks(n, "bruck", message_bytes, out);
     for t in 0..ceil_log2(n) {
+        // `hop < n`, since t < ⌈log₂ n⌉.
         let hop = 1usize << t;
         // Every node moves the blocks whose remaining distance r has bit t
-        // set: the same number at every node.
+        // set: the same number at every node, and at least r = hop.
         let moving = (1..n).filter(|r| r & hop != 0).count();
-        out.step();
-        if moving == 0 {
-            continue;
-        }
-        for v in 0..n {
+        let blocks = |v: usize| {
             // The block (s, d) with r = (d - s) mod n sits at
             // s + (r mod 2^t) after the earlier rounds, i.e.
             // v = s + (r & (hop - 1)).
-            let blocks = move || {
-                let mut ids: Vec<usize> = (1..n)
-                    .filter(|r| r & hop != 0)
-                    .map(|r| {
-                        let s = (v + n - (r & (hop - 1))) % n;
-                        chunk(n, s, (s + r) % n)
-                    })
-                    .collect();
-                ids.sort_unstable();
-                ids
-            };
-            out.send(v, (v + hop) % n, Counted(moving, blocks), Combine::Replace);
-        }
+            let mut ids: Vec<usize> = (1..n)
+                .filter(|r| r & hop != 0)
+                .map(|r| {
+                    let s = (v + n - (r & (hop - 1))) % n;
+                    chunk(n, s, (s + r) % n)
+                })
+                .collect();
+            ids.sort_unstable();
+            ids.into_iter()
+        };
+        out.permute(&shift(n, hop), moving, blocks, Combine::Replace);
     }
 }
 

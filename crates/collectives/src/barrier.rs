@@ -7,7 +7,7 @@
 //! latency, which makes barriers the extreme point of the paper's
 //! small-message regime (reconfiguration never pays off).
 
-use crate::builder::{ceil_log2, Algo, Header, Sink};
+use crate::builder::{ceil_log2, shift, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
@@ -45,11 +45,8 @@ pub(crate) fn describe(n: usize, out: &mut impl Sink) {
         // Tokens known to node i before round t: the window
         // {i, i-1, …, i-(2^t - 1)} (mod n).
         let window = (1usize << t).min(n);
-        out.step();
-        for i in 0..n {
-            let known = (0..window).map(|x| (i + n - x % n) % n);
-            out.send(i, (i + hop) % n, known, Combine::Reduce);
-        }
+        let known = |i: usize| (0..window).map(move |x| (i + n - x % n) % n);
+        out.permute(&shift(n, hop), window, known, Combine::Reduce);
     }
 }
 

@@ -9,7 +9,7 @@
 //!   ring-allgather them; `⌈log₂ n⌉ + n − 1` steps moving only
 //!   `~2m(n−1)/n` bytes per node.
 
-use crate::builder::{ceil_log2, check_message_bytes, Algo, Header, Sink};
+use crate::builder::{ceil_log2, check_message_bytes, shift, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
@@ -93,7 +93,7 @@ pub(crate) fn describe_scatter_allgather(
     // Phase 1: binomial scatter; afterwards node i holds chunk i.
     crate::scatter::binomial_scatter_steps(n, root, out);
     // Phase 2: ring allgather circulates the chunks.
-    crate::allgather::ring_steps(n, out);
+    crate::allgather::ring_steps(&shift(n, 1), out);
 }
 
 #[cfg(test)]

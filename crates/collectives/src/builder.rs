@@ -9,6 +9,22 @@
 //! [`Collective::dataflow`](crate::Collective::dataflow) reruns the same
 //! description into a [`FlowSink`], which lists every chunk for the
 //! semantic verifier.
+//!
+//! A step in which every sender of a whole matching sends the same number
+//! of chunks — each step of a ring, a linear shift, a recursive doubling
+//! or halving — is described at once by [`Sink::permute`]: the matching,
+//! the chunk count, and a closure that lists a sender's chunks. A
+//! [`ScheduleSink`] keeps a clone of the matching, which shares its
+//! buffer, and never calls the closure, so such a step costs O(1) to
+//! build; a [`FlowSink`] lists the closure's chunks for each pair in sender
+//! order, as a loop of `send`s would. A description builds each distinct
+//! matching once and passes it again wherever it repeats, so a ring holds
+//! one buffer for all its steps. Steps that are partial or irregular — the
+//! binomial trees, Swing, the any-`n` folding, the halo — keep `send`.
+//!
+//! [`Collective::build`](crate::Collective::build) refuses more than `u32::MAX`
+//! ports before it runs a description, so descriptions may `expect`
+//! [`Matching::shift`] and [`Matching::xor`] to succeed.
 
 use crate::dataflow::{Combine, DataFlow, DataFlowStep, Semantics, Transfer};
 use crate::error::CollectiveError;
@@ -87,6 +103,32 @@ pub(crate) trait Sink {
     /// `src` sends `chunks` to `dst` in the open step; `dst` combines them
     /// by `combine`.
     fn send(&mut self, src: usize, dst: usize, chunks: impl Chunks, combine: Combine);
+    /// A whole step: every pair `(src, dst)` of `matching` sends `count`
+    /// chunks, `chunks(src)`, and `dst` combines them by `combine`. Closes
+    /// the open step, if any; the next `send` needs a `step` first.
+    fn permute<C: Chunks>(
+        &mut self,
+        matching: &Matching,
+        count: usize,
+        chunks: impl FnMut(usize) -> C,
+        combine: Combine,
+    );
+}
+
+/// [`Matching::shift`] and [`Matching::xor`] fail only past the port limit,
+/// which [`Collective::build`](crate::Collective::build) refuses first, or
+/// on a trivial shift or mask, which no description asks for.
+const PORTS_CHECKED: &str = "a description's shift or mask over at most u32::MAX ports";
+
+/// The shift `i → (i + k) mod n` of a description, `k ≢ 0 (mod n)`.
+pub(crate) fn shift(n: usize, k: usize) -> Matching {
+    Matching::shift(n, k).expect(PORTS_CHECKED)
+}
+
+/// The exchange `i → i XOR mask` of a description, `0 < mask < n` and `n`
+/// a power of two.
+pub(crate) fn xor(n: usize, mask: usize) -> Matching {
+    Matching::xor(n, mask).expect(PORTS_CHECKED)
 }
 
 /// Builds the cost-model [`Schedule`] of a description: each step's
@@ -126,8 +168,8 @@ impl ScheduleSink {
     /// Turns the open step into a [`Step`], failing in the order the
     /// checks always ran: the matching first, then empty sends. A step
     /// whose pairs repeat the previous step's, in order, shares that step's
-    /// matching (those pairs already passed the matching's checks), so a
-    /// ring holds one buffer for all its steps.
+    /// matching (those pairs already passed the matching's checks), as
+    /// Swing's and the any-`n` folding's middle two steps do.
     fn close(&mut self) {
         if !std::mem::take(&mut self.open) || self.error.is_some() {
             return;
@@ -189,6 +231,31 @@ impl Sink for ScheduleSink {
         self.pairs.push((src, dst));
         self.max_chunks = self.max_chunks.max(count);
         self.empty_send |= count == 0;
+    }
+
+    /// Shares `matching`'s buffer and never lists a chunk: O(1) per step.
+    fn permute<C: Chunks>(
+        &mut self,
+        matching: &Matching,
+        count: usize,
+        _: impl FnMut(usize) -> C,
+        _: Combine,
+    ) {
+        self.close();
+        if self.error.is_some() {
+            return;
+        }
+        if count == 0 && !matching.is_empty() {
+            self.error = Some(CollectiveError::ConstructionInvariant(
+                "a send moved zero chunks",
+            ));
+            return;
+        }
+        let chunk_bytes = self.header.expect(HEADER_FIRST).chunk_bytes;
+        self.steps.push(Step {
+            matching: matching.clone(),
+            bytes_per_pair: count as f64 * chunk_bytes,
+        });
     }
 }
 
@@ -256,6 +323,21 @@ impl Sink for FlowSink {
             chunks.ids(),
             combine,
         ));
+    }
+
+    /// Lists `chunks(src)` for each pair, in sender order.
+    fn permute<C: Chunks>(
+        &mut self,
+        matching: &Matching,
+        _: usize,
+        mut chunks: impl FnMut(usize) -> C,
+        combine: Combine,
+    ) {
+        let sends = matching
+            .pairs()
+            .map(|(src, dst)| (src, dst, chunks(src).ids(), combine))
+            .collect();
+        self.steps.push(sends);
     }
 }
 
@@ -499,91 +581,173 @@ mod tests {
         }
     }
 
+    /// The one step of a two-node test description.
+    #[derive(Clone, Copy)]
+    enum TwoNodeStep<'a> {
+        /// `(src, dst, chunks)` sends, each listing chunks `0..chunks`.
+        Sends(&'a [(usize, usize, usize)]),
+        /// Node 0 declares two chunks but lists one; node 1 sends one.
+        Miscounted,
+        /// The exchange of both nodes, each declaring `count` chunks and
+        /// listing `listed`.
+        Permute { count: usize, listed: usize },
+    }
+
+    /// A two-node AllGather header, then `step`.
+    fn two_nodes(step: TwoNodeStep<'_>, out: &mut impl Sink) {
+        out.header(Header {
+            kind: CollectiveKind::AllGather,
+            algorithm: "two-node",
+            semantics: Semantics::AllGather,
+            num_chunks: 2,
+            chunk_bytes: 1.0,
+        });
+        out.hold(0, [0]);
+        out.hold(1, [1]);
+        match step {
+            TwoNodeStep::Sends(sends) => {
+                out.step();
+                for &(s, d, count) in sends {
+                    out.send(s, d, 0..count, Combine::Replace);
+                }
+            }
+            TwoNodeStep::Miscounted => {
+                out.step();
+                out.send(0, 1, Counted(2, || vec![0]), Combine::Replace);
+                out.send(1, 0, 1..2, Combine::Replace);
+            }
+            TwoNodeStep::Permute { count, listed } => {
+                let chunks = |_| Counted(count, move || (0..listed).collect());
+                out.permute(&shift(2, 1), count, chunks, Combine::Replace);
+            }
+        }
+    }
+
+    /// `step` through the [`ScheduleSink`] and through the [`FlowSink`].
+    fn two_node_views(step: TwoNodeStep<'_>) -> (Result<Schedule, CollectiveError>, FlowSink) {
+        let mut schedule = ScheduleSink::new(2);
+        two_nodes(step, &mut schedule);
+        let mut flow = FlowSink::new(2);
+        two_nodes(step, &mut flow);
+        (schedule.finish(), flow)
+    }
+
     #[test]
     fn a_miscounted_send_fails_the_check() {
-        // Node 0 declares two chunks but lists one: the schedule builds with
-        // the declared volume, and the consistency check refuses it.
-        fn miscounted(out: &mut impl Sink) {
-            out.header(Header {
-                kind: CollectiveKind::AllGather,
-                algorithm: "miscounted",
-                semantics: Semantics::AllGather,
-                num_chunks: 2,
-                chunk_bytes: 1.0,
-            });
-            out.hold(0, [0]);
-            out.hold(1, [1]);
-            out.step();
-            out.send(0, 1, Counted(2, || vec![0]), Combine::Replace);
-            out.send(1, 0, 1..2, Combine::Replace);
+        // A send, or a whole permutation, declares two chunks but lists
+        // one: the schedule builds with the declared volume, and the
+        // consistency check refuses it.
+        for step in [
+            TwoNodeStep::Miscounted,
+            TwoNodeStep::Permute {
+                count: 2,
+                listed: 1,
+            },
+        ] {
+            let (schedule, flow) = two_node_views(step);
+            assert_eq!(
+                crate::collective::consistency(&schedule.unwrap(), &flow.into_dataflow()),
+                Err(crate::VerifyError::VolumeMismatch {
+                    step: 0,
+                    schedule_bytes: 2.0,
+                    dataflow_bytes: 1.0
+                })
+            );
         }
-        let mut schedule = ScheduleSink::new(2);
-        miscounted(&mut schedule);
-        let schedule = schedule.finish().unwrap();
-        let mut flow = FlowSink::new(2);
-        miscounted(&mut flow);
-        assert_eq!(
-            crate::collective::consistency(&schedule, &flow.into_dataflow()),
-            Err(crate::VerifyError::VolumeMismatch {
-                step: 0,
-                schedule_bytes: 2.0,
-                dataflow_bytes: 1.0
-            })
-        );
     }
 
     #[test]
     fn schedule_sink_fails_like_the_eager_assembly() {
         // Bad pairs fail on the matching, before any empty send is seen.
-        let header = Header {
-            kind: CollectiveKind::AllGather,
-            algorithm: "bad",
-            semantics: Semantics::AllGather,
-            num_chunks: 2,
-            chunk_bytes: 1.0,
-        };
-        let run = |sends: &[(usize, usize, usize)]| {
-            let mut sink = ScheduleSink::new(2);
-            sink.header(header);
-            sink.step();
-            for &(s, d, count) in sends {
-                sink.send(s, d, 0..count, Combine::Replace);
-            }
-            let new = sink.finish();
-            let step: StepSends = sends
-                .iter()
-                .map(|&(s, d, count)| (s, d, (0..count).collect(), Combine::Replace))
-                .collect();
+        let run = |step: TwoNodeStep<'_>| {
+            let (new, flow) = two_node_views(step);
+            let h = flow.header.expect(HEADER_FIRST);
             let old = assemble(
                 2,
-                header.kind,
-                "bad",
-                header.semantics,
-                2,
-                1.0,
-                vec![vec![0], vec![1]],
-                vec![step],
+                h.kind,
+                h.algorithm,
+                h.semantics,
+                h.num_chunks,
+                h.chunk_bytes,
+                flow.initial,
+                flow.steps,
             )
             .map(|(s, _)| s);
             assert_eq!(new, old);
             new
         };
         assert!(matches!(
-            run(&[(0, 0, 0)]),
+            run(TwoNodeStep::Sends(&[(0, 0, 0)])),
             Err(CollectiveError::Matrix(aps_matrix::MatrixError::SelfLoop(
                 0
             )))
         ));
+        let empty = Err(CollectiveError::ConstructionInvariant(
+            "a send moved zero chunks",
+        ));
+        assert_eq!(run(TwoNodeStep::Sends(&[(0, 1, 1), (1, 0, 0)])), empty);
         assert_eq!(
-            run(&[(0, 1, 1), (1, 0, 0)]),
-            Err(CollectiveError::ConstructionInvariant(
-                "a send moved zero chunks"
-            ))
+            run(TwoNodeStep::Permute {
+                count: 0,
+                listed: 0
+            }),
+            empty
         );
         assert_eq!(
-            run(&[(0, 1, 2), (1, 0, 1)]).unwrap().steps()[0].bytes_per_pair,
+            run(TwoNodeStep::Sends(&[(0, 1, 2), (1, 0, 1)]))
+                .unwrap()
+                .steps()[0]
+                .bytes_per_pair,
             2.0
         );
+        let exchange = run(TwoNodeStep::Permute {
+            count: 2,
+            listed: 2,
+        })
+        .unwrap();
+        assert_eq!(exchange.steps()[0].bytes_per_pair, 2.0);
+    }
+
+    #[test]
+    fn schedule_sink_never_lists_a_permute_steps_chunks() {
+        let mut sink = ScheduleSink::new(4);
+        sink.header(Header {
+            kind: CollectiveKind::AllToAll,
+            algorithm: "unlisted",
+            semantics: Semantics::AllToAll,
+            num_chunks: 16,
+            chunk_bytes: 0.5,
+        });
+        let ring = shift(4, 1);
+        let unlisted =
+            |_: usize| -> std::iter::Once<usize> { panic!("a chunk list was asked for") };
+        sink.permute(&ring, 3, unlisted, Combine::Replace);
+        sink.permute(&ring, 1, unlisted, Combine::Replace);
+        let schedule = sink.finish().unwrap();
+        let volumes: Vec<f64> = schedule.steps().iter().map(|s| s.bytes_per_pair).collect();
+        assert_eq!(volumes, [1.5, 0.5]);
+        assert!(schedule.steps().iter().all(|s| s.matching == ring));
+    }
+
+    /// The builders whose steps are whole permutations, and the
+    /// scatter-allgather broadcast that ends in one, at plan-sweep's 512
+    /// ports and the next power of two. Slow in a debug build, so it runs
+    /// with `--ignored` (nightly, in release).
+    #[test]
+    #[ignore = "lists up to 2M transfers per collective; run it in release"]
+    fn plan_sweep_sizes_match_the_eager_oracle() {
+        for n in [512, 1024] {
+            for c in [
+                allreduce::ring::build(n, SIZES[1]),
+                allreduce::halving_doubling::build(n, SIZES[1]),
+                alltoall::linear_shift(n, SIZES[1]),
+                allgather::ring(n, SIZES[2]),
+                reduce_scatter::ring(n, SIZES[2]),
+                broadcast::scatter_allgather(n, n / 3, SIZES[0]),
+            ] {
+                assert_matches_oracle(&c.unwrap());
+            }
+        }
     }
 
     #[test]

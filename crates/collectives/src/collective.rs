@@ -6,6 +6,7 @@ use crate::dataflow::DataFlow;
 use crate::error::{CollectiveError, VerifyError};
 use crate::schedule::Schedule;
 use crate::verify::verify_dataflow;
+use aps_matrix::MatrixError;
 
 /// A fully-specified collective algorithm instance.
 ///
@@ -28,7 +29,14 @@ pub struct Collective {
 
 impl Collective {
     /// Runs a validated builder call's description into its schedule.
+    ///
+    /// # Errors
+    ///
+    /// [`MatrixError::TooManyPorts`] when `n` exceeds the `u32` port limit
+    /// of a [`Matching`](aps_matrix::Matching), before the description runs;
+    /// otherwise whatever the description's steps fail with.
     pub(crate) fn build(algo: Algo, n: usize, bytes: f64) -> Result<Self, CollectiveError> {
+        check_ports(n)?;
         let recipe = Recipe { algo, n, bytes };
         Ok(Self {
             schedule: recipe.schedule()?,
@@ -73,6 +81,16 @@ impl Collective {
     pub fn n(&self) -> usize {
         self.schedule.n()
     }
+}
+
+/// Refuses a node count past the `u32` port limit of a matching, as
+/// building the first step's matching would, but before anything is
+/// described.
+pub(crate) fn check_ports(n: usize) -> Result<(), CollectiveError> {
+    if u32::try_from(n).is_err() {
+        return Err(CollectiveError::Matrix(MatrixError::TooManyPorts { n }));
+    }
+    Ok(())
 }
 
 /// Step counts, per-step transfer pairs and volumes of `f` against `s`.
@@ -202,6 +220,66 @@ mod tests {
             c.check_consistency(),
             Err(VerifyError::VolumeMismatch { step: 0, .. })
         ));
+    }
+
+    /// Every builder, past its own checks, refuses more ports than a
+    /// matching can hold before its description lists a single pair.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn every_builder_refuses_too_many_ports_before_describing() {
+        use crate::{allreduce, alltoall, barrier, broadcast, gather};
+        use crate::{reduce_scatter, scatter, stencil};
+        let n = 1usize << 32;
+        let m = 1e6;
+        let too_many = |n| Err(CollectiveError::Matrix(MatrixError::TooManyPorts { n }));
+        for (name, built) in [
+            ("ring allreduce", allreduce::ring::build(n, m)),
+            (
+                "recursive-doubling allreduce",
+                allreduce::recursive_doubling::build(n, m),
+            ),
+            (
+                "halving-doubling allreduce",
+                allreduce::halving_doubling::build(n, m),
+            ),
+            ("swing allreduce", allreduce::swing::build(n, m)),
+            ("any-n allreduce", allreduce::any_n::build(n, m)),
+            ("linear shift", alltoall::linear_shift(n, m)),
+            ("xor exchange", alltoall::xor_exchange(n, m)),
+            ("bruck", alltoall::bruck(n, m)),
+            ("ring allgather", allgather::ring(n, m)),
+            (
+                "recursive-doubling allgather",
+                allgather::recursive_doubling(n, m),
+            ),
+            ("ring reduce-scatter", reduce_scatter::ring(n, m)),
+            (
+                "recursive-halving reduce-scatter",
+                reduce_scatter::recursive_halving(n, m),
+            ),
+            ("binomial broadcast", broadcast::binomial(n, n - 1, m)),
+            (
+                "scatter-allgather broadcast",
+                broadcast::scatter_allgather(n, 1, m),
+            ),
+            ("dissemination barrier", barrier::dissemination(n)),
+            ("binomial scatter", scatter::binomial(n, 0, m)),
+            ("binomial gather", gather::binomial(n, n / 2, m)),
+            ("halo 2-D", stencil::halo_2d(1 << 16, 1 << 16, m)),
+        ] {
+            assert_eq!(built, too_many(n), "{name}");
+        }
+        // Off a power of two, any-n folds surplus nodes itself.
+        assert_eq!(allreduce::any_n::build(n + 3, m), too_many(n + 3));
+        // The builder's own checks still come first.
+        assert_eq!(
+            allreduce::halving_doubling::build(n + 2, m),
+            Err(CollectiveError::NotPowerOfTwo(n + 2))
+        );
+        assert_eq!(
+            alltoall::linear_shift(n, -1.0),
+            Err(CollectiveError::BadMessageSize(-1.0))
+        );
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! model consumes (matchings + volumes; Observation 1: these *are* a BvN
 //! decomposition of the aggregate demand). Each builder describes its
 //! algorithm once — who sends which chunks to whom at each step — and
-//! building keeps only the matchings and per-step volumes, so it costs the
-//! size of the schedule, O(n) per step. The chunk-level [`DataFlow`] that
+//! building keeps only the matchings and per-step volumes: O(n) per
+//! distinct matching, and O(1) for each step that is a whole shift or XOR
+//! exchange, so a ring AllReduce builds one shift for all its `2(n − 1)`
+//! steps. The chunk-level [`DataFlow`] that
 //! records exactly which data moves where is listed from the same
 //! description on demand, by [`Collective::check`] and
 //! [`Collective::dataflow`]. Beyond materialized

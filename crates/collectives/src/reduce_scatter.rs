@@ -3,11 +3,12 @@
 //! `message_bytes` is the input vector size `m`; each of the `n` slots is
 //! `m/n` bytes.
 
-use crate::builder::{check_message_bytes, exact_log2, Algo, Header, Sink};
+use crate::builder::{check_message_bytes, exact_log2, shift, xor, Algo, Header, Sink};
 use crate::collective::Collective;
 use crate::dataflow::{Combine, Semantics};
 use crate::error::CollectiveError;
 use crate::schedule::CollectiveKind;
+use aps_matrix::Matching;
 use std::iter::once;
 
 /// Declares a ReduceScatter over `n` nodes: every node holds every slot.
@@ -40,12 +41,16 @@ pub fn ring(n: usize, message_bytes: f64) -> Result<Collective, CollectiveError>
 
 pub(crate) fn describe_ring(n: usize, message_bytes: f64, out: &mut impl Sink) {
     header_and_slots(n, "ring", message_bytes, out);
+    ring_steps(&shift(n, 1), out);
+}
+
+/// The `n − 1` ring reduce-scatter steps on `ring`, the shift by 1 over `n`
+/// nodes; also the first phase of ring AllReduce. At step `t` node `i`
+/// forwards slot `(i − t − 1) mod n`.
+pub(crate) fn ring_steps(ring: &Matching, out: &mut impl Sink) {
+    let n = ring.n();
     for t in 0..n - 1 {
-        out.step();
-        for i in 0..n {
-            let c = (i + 2 * n - t - 1) % n;
-            out.send(i, (i + 1) % n, once(c), Combine::Reduce);
-        }
+        out.permute(ring, 1, |i| once((i + 2 * n - t - 1) % n), Combine::Reduce);
     }
 }
 
@@ -69,14 +74,14 @@ pub(crate) fn describe_recursive_halving(n: usize, message_bytes: f64, out: &mut
     header_and_slots(n, "recursive-halving", message_bytes, out);
     let log = n.trailing_zeros() as usize;
     for t in 0..log {
-        let mask = 1usize << (log - 1 - t);
-        out.step();
-        for i in 0..n {
-            let p = i ^ mask;
-            let width = log - t - 1;
-            let lo = (p >> width) << width;
-            out.send(i, p, lo..lo + (n >> (t + 1)), Combine::Reduce);
-        }
+        let width = log - t - 1;
+        let mask = 1usize << width;
+        let count = n >> (t + 1);
+        let block = |i: usize| {
+            let lo = ((i ^ mask) >> width) << width;
+            lo..lo + count
+        };
+        out.permute(&xor(n, mask), count, block, Combine::Reduce);
     }
 }
 

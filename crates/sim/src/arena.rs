@@ -23,9 +23,11 @@
 //!   themselves (their capacity only ratchets up, never shrinks), and
 //!   [`FluidScratch::reference_runs`], a monotone counter.
 //! * **Per-step** — rebuilt from scratch each step by `clear()` + push:
-//!   the [`CircuitScratch`] layout (refilled in place, and skipped on a
-//!   step of direct circuits), each flow's first slot, hop count and
-//!   finish time; for [`FluidScratch`], the CSR flow table
+//!   the [`CircuitScratch`] layout (refilled in place, skipped on a step
+//!   of direct circuits, and kept when the configuration equals the one
+//!   it was laid out from, which it copies into a buffer of its own), each
+//!   flow's first slot, hop count and finish time; for [`FluidScratch`],
+//!   the CSR flow table
 //!   ([`FluidScratch::start`] / [`FluidScratch::push_link`] /
 //!   [`FluidScratch::seal_flow`]), the finish times, and the circuit-shape
 //!   check's active list and per-link `seen_at` and `fed_link`, which
@@ -54,6 +56,7 @@
 //! allocations per steady-state step, and the differential suites pin the
 //! arc solve, through either face, to the seed oracle bit for bit.
 
+use aps_matrix::Matching;
 use aps_topology::Circuits;
 
 /// Scratch for one explicit-path fluid simulation: the CSR flow table, the
@@ -188,6 +191,10 @@ pub struct CircuitScratch {
     // --- layout and arcs (per-step) ---
     /// The step's configuration, laid out in slots.
     pub(crate) layout: Circuits,
+    /// The configuration `layout` was laid out from, in a buffer of its
+    /// own; `None` once the layout came from anything else. A step on the
+    /// same configuration keeps the layout.
+    pub(crate) laid_out: Option<Matching>,
     /// Per flow: the slot of its first link.
     pub(crate) first: Vec<usize>,
     /// Per flow: its hop count, the length of its arc.

@@ -32,8 +32,10 @@
 //!   as on every matched step, each flow crosses one link alone. Its rate
 //!   is `cap / 1` and the step ends in one completion round at
 //!   `0 + m / cap`, so such a step needs no layout and costs O(pairs).
-//! * **routing** — otherwise each pair becomes an arc (first slot, hop
-//!   count), checked in pair order. A sender with no circuit, or a
+//! * **routing** — otherwise the configuration is laid out, unless it
+//!   equals the one the scratch laid out last (a step on an unchanged
+//!   fabric keeps its layout), and each pair becomes an arc (first slot,
+//!   hop count), checked in pair order. A sender with no circuit, or a
 //!   receiver on another chain or cycle or upstream on a chain, is the
 //!   first unroutable pair, the one the hop-by-hop walk names.
 //! * **sharing components** — a difference array over the arcs gives each
@@ -274,6 +276,7 @@ fn simulate_as_arcs(caps: &[f64], s: &mut FluidScratch) -> bool {
     let tails = s.seen_at.iter().filter(|&&(at, _)| at == NO_LINK).count();
     let mut end = num_links;
     let (seen_at, path_data) = (&s.seen_at, &s.path_data);
+    s.arcs.laid_out = None;
     s.arcs.layout.refill(
         num_links + tails,
         seen_at.iter().enumerate().map(|(l, &(at, _))| {
@@ -466,7 +469,14 @@ pub fn simulate_circuit_step(
         s.finish.resize(pairs.len(), done);
         return Ok(());
     }
-    s.layout.refill(config.n(), config.pairs());
+    if s.laid_out.as_ref() != Some(config) {
+        s.layout.refill(config.n(), config.pairs());
+        // Copied into the memo's own buffer, never shared, so the caller
+        // keeps rebuilding its configuration in place.
+        s.laid_out
+            .get_or_insert_with(|| Matching::empty(0))
+            .clone_from(config);
+    }
     for &(src, dst) in pairs {
         let (first, hops) = s.layout.route(src, dst).ok_or((src, dst))?;
         s.first.push(first);

@@ -740,6 +740,61 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn a_recycled_circuit_scratch_matches_a_fresh_one_on_repeated_configurations(
+        pick in any::<u64>(),
+        steps in proptest::collection::vec((any::<u64>(), 0usize..4), 2..10),
+    ) {
+        // Steps on one port count whose configuration is, in turn, the
+        // previous step's buffer (0), an equal copy of it in a buffer of its
+        // own (1), another configuration rebuilt in place in the previous
+        // step's buffer (2), or another one in a new buffer (3). One step in
+        // four draws its pairs on some other configuration, so most of those
+        // fail to route. The recycled scratch, which keeps its layout while
+        // the configuration repeats, gives the bits, hop counts and errors
+        // a fresh scratch gives.
+        let n = ports(pick);
+        let mut c = circuits(n, &mut Mix(pick), false);
+        let mut has_src = Vec::new();
+        let mut recycled = CircuitScratch::new();
+        for (seed, repeat) in steps {
+            let mut rng = Mix(seed);
+            match repeat {
+                0 => {}
+                1 => {
+                    let pairs: Vec<(usize, usize)> = c.config.pairs().collect();
+                    c.config = Matching::from_pairs(n, &pairs).unwrap();
+                }
+                2 => {
+                    let other = circuits(n, &mut rng, false);
+                    let pairs: Vec<(usize, usize)> = other.config.pairs().collect();
+                    c.config.refill_from_pairs(n, &pairs, &mut has_src).unwrap();
+                    c.runs = other.runs;
+                }
+                _ => c = circuits(n, &mut rng, false),
+            }
+            let pairs = if rng.one_in(1, 4) {
+                step_pairs(&circuits(n, &mut rng, false), &mut rng, 2)
+            } else {
+                let kind = [0, 1, 2, 2][rng.below(4)];
+                step_pairs(&c, &mut rng, kind)
+            };
+            let bytes = VOLUMES[rng.below(VOLUMES.len())];
+            let cap = CAPS[rng.below(CAPS.len())];
+            let mut fresh = CircuitScratch::new();
+            let a = simulate_circuit_step(&c.config, &pairs, bytes, cap, &mut recycled);
+            let b = simulate_circuit_step(&c.config, &pairs, bytes, cap, &mut fresh);
+            prop_assert_eq!(a, b);
+            if a.is_ok() {
+                prop_assert_eq!(recycled.num_flows(), fresh.num_flows());
+                for i in 0..fresh.num_flows() {
+                    prop_assert_eq!(recycled.finish_of(i).to_bits(), fresh.finish_of(i).to_bits());
+                    prop_assert_eq!(recycled.hops_of(i), fresh.hops_of(i));
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -2,16 +2,19 @@
 //! collective executions per second, the metric that bounds how large a
 //! parameter study the simulator-side validation (ablation A6) can afford.
 
-use aps_collectives::workload::generators::RandomPermutations;
+use aps_collectives::workload::generators::{RandomPermutations, TrainingLoop};
 use aps_collectives::workload::materialize;
 use aps_collectives::{allreduce, alltoall, CollectiveKind, Schedule, Step};
+use aps_core::controller::Greedy;
 use aps_core::SwitchSchedule;
 use aps_cost::units::MIB;
 use aps_cost::ReconfigModel;
 use aps_fabric::CircuitSwitch;
 use aps_matrix::Matching;
 use aps_sim::fluid::simulate_flows_scratch;
+use aps_sim::stream::{run_workload_totals, StreamPricing};
 use aps_sim::{run_scheduled, FluidScratch, RunConfig};
+use aps_topology::builders;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -123,6 +126,36 @@ fn sim(c: &mut Criterion) {
             })
         });
     }
+
+    // The benchmark's stream-train call: ten 28-step epochs of a training
+    // loop (4 microbatches, 1 MiB activations, 4 MiB gradients) on the
+    // 1,024-port unidirectional ring under `Greedy`, α_r = 10 µs, from a
+    // fresh fabric and stream. Once θ hits, a step costs the decision,
+    // the fabric request and the step engine.
+    let n = 1024;
+    let base = builders::ring_unidirectional(n).unwrap();
+    let ring = Matching::shift(n, 1).unwrap();
+    let reconfig = ReconfigModel::constant(10e-6).unwrap();
+    let train = TrainingLoop::new(n, 4, MIB, 4.0 * MIB, None).unwrap();
+    c.bench_function("stream_training_loop_n1024", |b| {
+        b.iter(|| {
+            let mut fab = CircuitSwitch::new(ring.clone(), reconfig);
+            let mut workload = train.clone();
+            black_box(
+                run_workload_totals(
+                    &mut fab,
+                    &base,
+                    &mut workload,
+                    &Greedy,
+                    StreamPricing::new(reconfig),
+                    &cfg,
+                    280,
+                )
+                .unwrap()
+                .total_ps,
+            )
+        })
+    });
 
     // The explicit-path fluid solve of one matched step at 4096 ports:
     // 4096 disjoint one-hop circuits in a recycled scratch, the entry the

@@ -25,12 +25,15 @@
 //! * **Per-step** — rebuilt from scratch each step by `clear()` + push:
 //!   the [`CircuitScratch`] layout (refilled in place, skipped on a step
 //!   of direct circuits, and kept when the configuration equals the one
-//!   it was laid out from, which it copies into a buffer of its own), each
-//!   flow's first slot, hop count and finish time; for [`FluidScratch`],
-//!   the CSR flow table
+//!   it was laid out from, which it copies into a buffer of its own), and
+//!   each routed flow's first slot, hop count and finish time. A step of
+//!   direct circuits overwrites `direct` alone, with its flow count and
+//!   the finish time every flow shares, and writes no per-flow buffer; a
+//!   routed step clears `direct`. For [`FluidScratch`]: the CSR flow table
 //!   ([`FluidScratch::start`] / [`FluidScratch::push_link`] /
 //!   [`FluidScratch::seal_flow`]), the finish times, and the circuit-shape
-//!   check's active list and per-link `seen_at` and `fed_link`, which
+//!   checks' active list and per-link `seen_at` and `fed_link` (the
+//!   one-pass check for direct circuits marks links there too), which
 //!   every simulation resets before it reads them. Its `arcs`, the circuit
 //!   scratch of flows that have the shape, follows [`CircuitScratch`]'s
 //!   classes.
@@ -81,7 +84,8 @@ pub struct FluidScratch {
     /// so, as (position in `path_data`, end of that path); unset while no
     /// path has.
     pub(crate) seen_at: Vec<(usize, usize)>,
-    /// Per link: some path crosses another link right before it.
+    /// Per link: some path crosses another link right before it; in the
+    /// one-pass check for direct circuits, some one-link path crosses it.
     pub(crate) fed_link: Vec<bool>,
     /// The arc solve's scratch, with the links laid out as circuits.
     pub(crate) arcs: CircuitScratch,
@@ -201,6 +205,10 @@ pub struct CircuitScratch {
     pub(crate) hops: Vec<usize>,
     /// Per flow: finish time in seconds, the solve's output.
     pub(crate) finish: Vec<f64>,
+    /// `Some((flows, done))` when the step was all direct circuits: that
+    /// many flows of one hop each, every one finishing at `done`. The
+    /// per-flow buffers then hold nothing of the step.
+    pub(crate) direct: Option<(usize, f64)>,
 
     // --- completion rounds (per-round) ---
     /// Current max-min rate per flow.
@@ -255,17 +263,55 @@ impl CircuitScratch {
 
     /// Number of flows of the last step.
     pub fn num_flows(&self) -> usize {
-        self.hops.len()
+        self.direct.map_or(self.hops.len(), |(flows, _)| flows)
     }
 
     /// Finish time of flow `i` in seconds (transmission only), valid after
     /// a step ran.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below [`num_flows`](Self::num_flows).
     pub fn finish_of(&self, i: usize) -> f64 {
-        self.finish[i]
+        match self.direct {
+            Some((flows, done)) => {
+                assert!(i < flows, "flow {i} of a step of {flows}");
+                done
+            }
+            None => self.finish[i],
+        }
     }
 
     /// Hop count of flow `i`.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below [`num_flows`](Self::num_flows).
     pub fn hops_of(&self, i: usize) -> usize {
-        self.hops[i]
+        match self.direct {
+            Some((flows, _)) => {
+                assert!(i < flows, "flow {i} of a step of {flows}");
+                1
+            }
+            None => self.hops[i],
+        }
+    }
+
+    /// The last step's largest hop count and latest `finish + delta_s ·
+    /// hops` over its flows, `(0, 0.0)` for a step with none: what the
+    /// step's transfer takes with propagation. O(1) on direct circuits.
+    pub(crate) fn slowest(&self, delta_s: f64) -> (usize, f64) {
+        match self.direct {
+            Some((0, _)) => (0, 0.0),
+            // `done + delta_s · 1`, the same for every flow.
+            Some((_, done)) => (1, 0.0f64.max(done + delta_s)),
+            None => self
+                .hops
+                .iter()
+                .zip(&self.finish)
+                .fold((0, 0.0f64), |(hops, worst), (&h, &f)| {
+                    (hops.max(h), worst.max(f + delta_s * h as f64))
+                }),
+        }
     }
 }

@@ -2,9 +2,14 @@
 //! the single-collective entry points.
 //!
 //! `execute_step` (crate-private) runs one step's timeline; the only
-//! caller is [`crate::service::ServiceExecutor::execute_next`]. The
-//! entry points here admit one job that owns every fabric port and drain
-//! it through that executor:
+//! caller is [`crate::service::ServiceExecutor::execute_next`]. A step of
+//! a job that owns every port, whose matching is the fabric's
+//! configuration once the request is served, is all direct circuits and
+//! costs O(1): no pair is translated or routed and no per-flow time is
+//! written. Every other step translates its pairs to fabric ports and
+//! routes them through [`crate::fluid::simulate_circuit_step`]. The entry
+//! points here admit one job that owns every fabric port and drain it
+//! through that executor:
 //!
 //! * [`run_scheduled`] executes a *precomputed* [`SwitchSchedule`] (e.g.
 //!   a controller's plan, or a hand-written decision vector) over a
@@ -17,7 +22,7 @@
 
 use crate::arena::CircuitScratch;
 use crate::error::SimError;
-use crate::fluid::simulate_circuit_step;
+use crate::fluid::{direct_circuits, simulate_circuit_step};
 use crate::report::{SimReport, StepReport};
 use crate::service::{Decider, Demand, Job, ServiceExecutor, ServiceSwitching};
 use crate::trace::{TraceEvent, TraceKind};
@@ -78,8 +83,8 @@ impl From<CostParams> for RunConfig {
     }
 }
 
-/// One step's worth of work for [`execute_step`]: the communication
-/// pattern already resolved to global fabric ports.
+/// One step's worth of work for [`execute_step`]: the job's communication
+/// pattern, how its ranks sit on the fabric, and its clocks.
 pub(crate) struct StepInput<'a> {
     /// Step index (for traces and errors).
     pub step: usize,
@@ -87,15 +92,21 @@ pub(crate) struct StepInput<'a> {
     pub matched: bool,
     /// Fabric configuration the step asks for.
     pub target: &'a Matching,
-    /// Communicating `(src, dst)` port pairs — borrowed from the caller's
-    /// reusable buffer so assembling a step allocates nothing.
-    pub pairs: &'a [(usize, usize)],
+    /// The step's communicating pairs, in the job's local ranks.
+    pub demand: &'a Matching,
+    /// The fabric port of each local rank; `None` when the job owns every
+    /// port and rank `i` is port `i`, so `demand` is already in ports.
+    pub ports: Option<&'a [usize]>,
     /// Bytes each pair exchanges.
     pub bytes_per_pair: f64,
     /// Nodes synchronizing at the step's barrier.
     pub barrier_n: usize,
     /// `true` for the first step of its collective (no overlap window yet).
     pub first: bool,
+    /// When the job's previous step's flows drained.
+    pub comm_end: Picos,
+    /// When the job's GPUs finished the previous step's compute.
+    pub gpu_free: Picos,
 }
 
 /// When the step's reconfiguration request would reach the fabric: with
@@ -139,6 +150,10 @@ pub(crate) fn checked_picos(secs: f64) -> Option<Picos> {
 /// [`Fabric::request_when_free`], and the wait is recorded as
 /// `arbitration_ps`.
 ///
+/// A step of a job that owns every port, whose pairs are the achieved
+/// configuration itself, runs on direct circuits in O(1); any other step
+/// translates its pairs to ports into `pairs` and routes them.
+///
 /// Every clock addition is checked, the fabric's reconfiguration included,
 /// and so is the conversion of the transfer and compute times: a step that
 /// would run past the end of the picosecond clock, or whose time is not
@@ -147,11 +162,11 @@ pub(crate) fn execute_step(
     fabric: &mut dyn Fabric,
     input: &StepInput<'_>,
     cfg: &RunConfig,
-    comm_end: Picos,
-    gpu_free: Picos,
     report: &mut SimReport,
     scratch: &mut CircuitScratch,
+    pairs: &mut Vec<(usize, usize)>,
 ) -> Result<(Picos, Picos), SimError> {
+    let (comm_end, gpu_free) = (input.comm_end, input.gpu_free);
     let clock = |t: Option<Picos>| t.ok_or(SimError::ClockOverflow { step: input.step });
     let bandwidth = cfg.params.bandwidth_bytes_per_sec();
     let barrier_ps = secs_to_picos(cfg.barrier.latency_s(input.barrier_n));
@@ -226,34 +241,36 @@ pub(crate) fn execute_step(
     // path from `src` is its arc: the run of circuits from `src` along its
     // chain or cycle up to `dst`. Links are numbered by ascending sender
     // port, `from_matching`'s convention, so bottleneck ties break as in
-    // `fluid::reference`. The arc solve works in the long-lived scratch, so
-    // a steady-state step performs zero heap allocation.
-    simulate_circuit_step(
-        fabric.current(),
-        input.pairs,
-        input.bytes_per_pair,
-        bandwidth,
-        scratch,
-    )
-    .map_err(|(src, dst)| SimError::Unroutable {
-        step: input.step,
-        src,
-        dst,
-    })?;
-    let mut max_hops = 0usize;
-    let mut worst_s = 0.0f64;
-    for i in 0..scratch.num_flows() {
-        max_hops = max_hops.max(scratch.hops_of(i));
-        let total = scratch.finish_of(i) + cfg.params.delta_s * scratch.hops_of(i) as f64;
-        worst_s = worst_s.max(total);
+    // `fluid::reference`. When a job on every port sends on the
+    // configuration itself (a pointer comparison when the two share a
+    // buffer), every arc is one circuit of its own. The arc solve works in
+    // the long-lived scratch, so a steady-state step performs zero heap
+    // allocation.
+    let current = fabric.current();
+    if input.ports.is_none() && input.demand == current {
+        direct_circuits(input.demand.len(), input.bytes_per_pair, bandwidth, scratch);
+    } else {
+        pairs.clear();
+        match input.ports {
+            Some(ports) => pairs.extend(input.demand.pairs().map(|(s, d)| (ports[s], ports[d]))),
+            None => pairs.extend(input.demand.pairs()),
+        }
+        simulate_circuit_step(current, pairs, input.bytes_per_pair, bandwidth, scratch).map_err(
+            |(src, dst)| SimError::Unroutable {
+                step: input.step,
+                src,
+                dst,
+            },
+        )?;
     }
-    let transfer_ps = if input.pairs.is_empty() {
+    let (max_hops, worst_s) = scratch.slowest(cfg.params.delta_s);
+    let transfer_ps = if input.demand.is_empty() {
         0
     } else {
         report.trace.push(TraceEvent {
             at: flows_start,
             kind: TraceKind::FlowsStart {
-                count: input.pairs.len(),
+                count: input.demand.len(),
             },
         });
         clock(checked_picos(worst_s))?
@@ -266,7 +283,7 @@ pub(crate) fn execute_step(
 
     // Compute phase on the received data.
     let compute_ps = match cfg.compute {
-        Some(c) if !input.pairs.is_empty() => {
+        Some(c) if !input.demand.is_empty() => {
             clock(checked_picos(c.per_byte_s * input.bytes_per_pair))?
         }
         _ => 0,

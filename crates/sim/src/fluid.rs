@@ -12,12 +12,14 @@
 //! One solve runs this model, and it is bit-identical to the seed engine
 //! kept as [`mod@reference`], the differential oracle. The arc solve
 //! ([`simulate_circuit_step`]) takes one step on a circuit configuration,
-//! and the step engine (`exec.rs`) runs every step through it. The
-//! explicit-path API ([`simulate_flows_scratch`], [`simulate_flows`]) takes
-//! any flows over any links: it hands flows shaped like a circuit step to
-//! the arc solve (see [Explicit flows on arcs](#explicit-flows-on-arcs))
-//! and every other flow set to the seed engine, so replaying a step's
-//! explicit paths times the solve the step engine runs.
+//! and the step engine (`exec.rs`) runs every step through it, except a
+//! step it already knows to be direct circuits, which it records in O(1)
+//! as the arc solve would. The explicit-path API
+//! ([`simulate_flows_scratch`], [`simulate_flows`]) takes any flows over
+//! any links: it hands flows shaped like a circuit step to the arc solve
+//! (see [Explicit flows on arcs](#explicit-flows-on-arcs)) and every other
+//! flow set to the seed engine, so replaying a step's explicit paths runs
+//! the solve the step engine runs.
 //!
 //! ## The circuit solve
 //!
@@ -31,7 +33,11 @@
 //! * **direct circuits** — when every pair `(s, d)` is itself a circuit,
 //!   as on every matched step, each flow crosses one link alone. Its rate
 //!   is `cap / 1` and the step ends in one completion round at
-//!   `0 + m / cap`, so such a step needs no layout and costs O(pairs).
+//!   `0 + m / cap`, so such a step needs no layout: the check costs
+//!   O(pairs), and the scratch records the step as its pair count and
+//!   `m / cap` without writing a per-flow time. The step engine skips the
+//!   check too for a job on every port whose step's matching *is* the
+//!   fabric's configuration.
 //! * **routing** — otherwise the configuration is laid out, unless it
 //!   equals the one the scratch laid out last (a step on an unchanged
 //!   fabric keeps its layout), and each pair becomes an arc (first slot,
@@ -65,13 +71,21 @@
 //! [`simulate_flows_scratch`] first checks whether its flows are shaped
 //! like one circuit step: every link has one capacity, every active flow
 //! carries one volume, and the link pairs its paths cross in succession
-//! give each link at most one successor and one predecessor. Then the links
-//! form chains and cycles of their own: link `l` leaves node `l` of a
-//! layout and reaches the node of the link that follows it, so each slot's
-//! link is the flow's own link id and ties break as in the oracle. Every
-//! path is an arc there, and one that rounds its cycle more than once
-//! (crossing a link twice) spoils the shape. The circuit solve then runs on
-//! those arcs, direct circuits included, and writes each flow's finish.
+//! give each link at most one successor and one predecessor.
+//!
+//! Direct circuits, which the replay of a matched step loads, take a
+//! single pass over the flows: when every active flow crosses one link and
+//! no two cross the same one, each finishes at `0 + m / cap`, as on the
+//! circuit solve's direct circuits, and the pass writes that time as it
+//! checks each flow. It stops at the first active flow of another shape,
+//! and the check below starts again from the first flow.
+//!
+//! Otherwise the links form chains and cycles of their own: link `l`
+//! leaves node `l` of a layout and reaches the node of the link that
+//! follows it, so each slot's link is the flow's own link id and ties break
+//! as in the oracle. Every path is an arc there, and one that rounds its
+//! cycle more than once (crossing a link twice) spoils the shape. The
+//! circuit solve then runs on those arcs and writes each flow's finish.
 //!
 //! The check records each link's successor once, at the first path that
 //! crosses it and goes on, and compares a later path reaching that link
@@ -257,18 +271,12 @@ fn simulate_as_arcs(caps: &[f64], s: &mut FluidScratch) -> bool {
     if !(cap > 0.0 && cap.is_finite()) || caps.iter().any(|&c| c != cap) {
         return false;
     }
-    let Some((bytes, longest)) = trace_arcs(caps, s) else {
-        return false;
-    };
-    if longest <= 1 && single_users(s) {
-        // Direct circuits: each flow crosses its own link alone, as in
-        // `simulate_circuit_step`.
-        let done = bytes / cap;
-        for idx in 0..s.active.len() {
-            s.finish[s.active[idx]] = done;
-        }
+    if direct_links(caps, s) {
         return true;
     }
+    let Some(bytes) = trace_arcs(caps, s) else {
+        return false;
+    };
     // Link `l` runs from node `l` to the node of the link that follows it,
     // or, when no path continues it, to a node of its own numbered past the
     // links. Node ids are link ids, so each slot's link is its node.
@@ -314,19 +322,72 @@ fn simulate_as_arcs(caps: &[f64], s: &mut FluidScratch) -> bool {
     true
 }
 
+/// Solves the flows of `s` in one pass when every active flow crosses one
+/// link, no two of them the same link, and all carry one volume: direct
+/// circuits, as [`direct_circuits`] solves them, each finishing at
+/// `0 + bytes / caps[0]`. Checks every flow on the way as [`check_flow`]
+/// does on links of the valid capacity `caps[0]`, and marks the links taken
+/// in `s.fed_link`. Returns `false` at the first active flow of any other
+/// shape; the finish times written before it are the earlier active
+/// flows', which the arc solve or the seed engine then writes again.
+///
+/// A replay of matched steps spends its time here, so the loop indexes
+/// plain slices: it stays cheap in debug builds too.
+fn direct_links(caps: &[f64], s: &mut FluidScratch) -> bool {
+    let FluidScratch {
+        path_off,
+        path_data,
+        bytes: volumes,
+        finish,
+        fed_link: taken,
+        ..
+    } = s;
+    taken.clear();
+    taken.resize(caps.len(), false);
+    let (path_off, path_data, finish, taken) = (
+        &path_off[..],
+        &path_data[..],
+        &mut finish[..],
+        &mut taken[..],
+    );
+    // The first active flow's volume; 0 before it, as active volumes are
+    // positive.
+    let mut bytes = 0.0;
+    for (i, &volume) in volumes.iter().enumerate() {
+        let (lo, hi) = (path_off[i], path_off[i + 1]);
+        if !(volume > 0.0 && hi > lo) {
+            check_flow(caps, i, volume, &path_data[lo..hi]);
+            continue;
+        }
+        assert!(volume.is_finite(), "flow {i} has non-finite volume");
+        if hi - lo > 1 {
+            return false;
+        }
+        let l = path_data[lo];
+        check_link(caps.len(), l);
+        if taken[l] || (bytes > 0.0 && volume != bytes) {
+            return false;
+        }
+        taken[l] = true;
+        bytes = volume;
+        finish[i] = volume / caps[0];
+    }
+    true
+}
+
 /// Checks the flows of `s` in order, as [`check_flow`] does on links of
 /// the valid capacity `caps[0]`, lists the active ones in `s.active`, and
 /// traces which link follows which on their paths into `s.seen_at` and
-/// `s.fed_link`. Returns the volume of every active flow and the longest
-/// active path, or `None` as soon as two active flows differ in volume or a
-/// link is seen with two successors or two predecessors.
+/// `s.fed_link`. Returns the volume of every active flow, or `None` as soon
+/// as two active flows differ in volume or a link is seen with two
+/// successors or two predecessors.
 ///
 /// Each link's successor is recorded once, at the first path that crosses
 /// it and goes on. A later path reaching that link is compared with the
 /// recording path's rest in one slice comparison, so paths that run along
 /// each other cost about one comparison per path they overlap, not one
 /// lookup per hop.
-fn trace_arcs(caps: &[f64], s: &mut FluidScratch) -> Option<(f64, usize)> {
+fn trace_arcs(caps: &[f64], s: &mut FluidScratch) -> Option<f64> {
     let num_links = caps.len();
     let FluidScratch {
         path_off,
@@ -343,7 +404,7 @@ fn trace_arcs(caps: &[f64], s: &mut FluidScratch) -> Option<(f64, usize)> {
     fed_link.resize(num_links, false);
     active.clear();
     let (path_data, seen_at, fed_link) = (&path_data[..], &mut seen_at[..], &mut fed_link[..]);
-    let (mut bytes, mut longest) = (0.0, 0);
+    let mut bytes = 0.0;
     for (i, (&volume, bounds)) in volumes.iter().zip(path_off.windows(2)).enumerate() {
         let (lo, hi) = (bounds[0], bounds[1]);
         if !(volume > 0.0 && hi > lo) {
@@ -357,7 +418,6 @@ fn trace_arcs(caps: &[f64], s: &mut FluidScratch) -> Option<(f64, usize)> {
             return None;
         }
         active.push(i);
-        longest = longest.max(hi - lo);
         check_link(num_links, path_data[lo]);
         let mut g = lo;
         while g + 1 < hi {
@@ -382,26 +442,12 @@ fn trace_arcs(caps: &[f64], s: &mut FluidScratch) -> Option<(f64, usize)> {
             }
         }
     }
-    Some((bytes, longest))
+    Some(bytes)
 }
 
 /// The link check of [`check_flow`].
 fn check_link(num_links: usize, l: usize) {
     assert!(l < num_links, "path references unknown link {l}");
-}
-
-/// Whether no two active flows of `s`, each on a one-link path, share
-/// their link. Marks the links in `s.fed_link`, which no path of one link
-/// has written.
-fn single_users(s: &mut FluidScratch) -> bool {
-    for idx in 0..s.active.len() {
-        let l = s.path_data[s.path_off[s.active[idx]]];
-        if s.fed_link[l] {
-            return false;
-        }
-        s.fed_link[l] = true;
-    }
-    true
 }
 
 /// Simulates the flows to completion; returns per-flow finish times in
@@ -450,25 +496,18 @@ pub fn simulate_circuit_step(
     cap: f64,
     s: &mut CircuitScratch,
 ) -> Result<(), (usize, usize)> {
-    s.first.clear();
-    s.hops.clear();
-    s.finish.clear();
-    s.comp_of.clear();
     if pairs
         .iter()
         .all(|&(src, dst)| config.dst_of(src) == Some(dst))
     {
-        // Direct circuits: each flow crosses its own link alone at
-        // `cap / 1`, so every flow drains in the first completion round,
-        // at `0 + bytes / cap`.
-        if !pairs.is_empty() {
-            check_step(bytes, cap);
-        }
-        let done = if bytes > 0.0 { bytes / cap } else { 0.0 };
-        s.hops.resize(pairs.len(), 1);
-        s.finish.resize(pairs.len(), done);
+        direct_circuits(pairs.len(), bytes, cap, s);
         return Ok(());
     }
+    s.direct = None;
+    s.first.clear();
+    s.hops.clear();
+    s.finish.clear();
+    s.comp_of.clear();
     if s.laid_out.as_ref() != Some(config) {
         s.layout.refill(config.n(), config.pairs());
         // Copied into the memo's own buffer, never shared, so the caller
@@ -489,6 +528,22 @@ pub fn simulate_circuit_step(
         drain(s, bytes, cap);
     }
     Ok(())
+}
+
+/// Records in `s` a step of `flows` direct circuits, each carrying `bytes`
+/// over a link of capacity `cap` that no other flow crosses: every flow
+/// drains alone at `cap / 1` and finishes in the first completion round, at
+/// `0 + bytes / cap`. O(1): no per-flow buffer is written.
+///
+/// # Panics
+///
+/// As [`simulate_circuit_step`], when `flows > 0`.
+pub(crate) fn direct_circuits(flows: usize, bytes: f64, cap: f64, s: &mut CircuitScratch) {
+    if flows > 0 {
+        check_step(bytes, cap);
+    }
+    let done = if bytes > 0.0 { bytes / cap } else { 0.0 };
+    s.direct = Some((flows, done));
 }
 
 /// The input checks of [`check_flow`], for a step whose flows all carry

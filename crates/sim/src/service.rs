@@ -34,6 +34,18 @@
 //! [`TraceKind::Decision`] event, rationale attached, whenever the
 //! executor keeps full reports or a [`RecordSink`] is attached.
 //!
+//! ## Jobs on the whole fabric
+//!
+//! Admission marks a job that owns every fabric port in port order (rank
+//! `i` on port `i`), as every lone run's job does. Its local matchings are
+//! fabric configurations already: it hands the fabric its local target as
+//! it is instead of assembling one with `tenant_target`, and its step's
+//! pairs are translated to ports only when the step has to be routed. A
+//! step whose matching is the fabric's configuration after the request
+//! runs on direct circuits in O(1) (see `exec::execute_step`). Any other
+//! job keeps the circuits of the ports it does not own, so it assembles
+//! its target and translates every step.
+//!
 //! ## Steady-state allocation behavior
 //!
 //! A steady-state step performs no heap allocation. The executor reuses
@@ -407,6 +419,9 @@ pub(crate) struct LoneRun {
 struct JobState<'a> {
     id: u64,
     job: Job<'a>,
+    /// The job owns every fabric port in port order (rank `i` on port
+    /// `i`), so its local matchings are already fabric configurations.
+    whole: bool,
     /// The next step to execute, pulled in place; valid only when
     /// `has_pending`.
     pending: Step,
@@ -621,9 +636,11 @@ impl<'a> ServiceExecutor<'a> {
         if let Some(cp) = job.resume {
             self.summary = self.summary.merge(cp.summary);
         }
+        let whole = n_j == self.n && job.ports.iter().enumerate().all(|(i, &p)| i == p);
         let state = JobState {
             id,
             job,
+            whole,
             pending,
             has_pending,
             executed,
@@ -709,29 +726,31 @@ impl<'a> ServiceExecutor<'a> {
         } else {
             &st.job.base_config
         };
-        self.pairs.clear();
-        self.pairs.extend(
-            st.pending
-                .matching
-                .pairs()
-                .map(|(s, d)| (st.job.ports[s], st.job.ports[d])),
-        );
-        let target = tenant_target(
-            fabric.current(),
-            &st.job.ports,
-            local_target,
-            &self.owner,
-            slot,
-            &mut self.targets,
-        );
+        // A job on every port asks for its local configuration as it is;
+        // any other keeps the circuits of the ports it does not own.
+        let target = if st.whole {
+            local_target
+        } else {
+            tenant_target(
+                fabric.current(),
+                &st.job.ports,
+                local_target,
+                &self.owner,
+                slot,
+                &mut self.targets,
+            )
+        };
         let input = StepInput {
             step: i,
             matched,
             target,
-            pairs: &self.pairs,
+            demand: &st.pending.matching,
+            ports: (!st.whole).then_some(&st.job.ports[..]),
             bytes_per_pair: st.pending.bytes_per_pair,
             barrier_n: st.job.ports.len(),
             first: i == 0,
+            comm_end: st.comm_end,
+            gpu_free: st.gpu_free,
         };
         let dest: &mut SimReport = if self.keep_reports {
             &mut st.report
@@ -760,10 +779,9 @@ impl<'a> ServiceExecutor<'a> {
             fabric,
             &input,
             &self.cfg,
-            st.comm_end,
-            st.gpu_free,
             dest,
             &mut self.scratch,
+            &mut self.pairs,
         ) {
             Ok(clocks) => clocks,
             Err(e) => return Some(st.fail(slot, e, fail_ps)),
@@ -971,6 +989,151 @@ mod tests {
             assert_eq!(got.finish_ps, want.finish_ps, "job {i} finish");
             assert_eq!(got.report.as_ref().unwrap(), &want.report, "job {i} report");
         }
+    }
+
+    #[test]
+    fn a_lone_run_matches_one_tenant_beside_a_dark_port() {
+        // A lone run on n ports asks for its local configurations as they
+        // are and runs steps on direct circuits in O(1). One tenant on
+        // ports 0..n of an (n + 1)-port fabric whose port n is dark takes
+        // the translated path instead: `tenant_target`, pairs mapped
+        // through its ports, every step routed. Both must give the same
+        // reports bit for bit, or the same error. With port 3 stuck on its
+        // ring circuit 3 → 4 the fabric achieves something other than a
+        // matched step's target, so the lone run must route that step too.
+        use crate::exec::{run_scheduled, ComputeModel};
+        use aps_collectives::workload::generators::RandomPermutations;
+        use aps_collectives::workload::materialize;
+        use aps_collectives::{CollectiveKind, Schedule};
+        use aps_fabric::BarrierModel;
+        let n = 16;
+        let (stuck, stuck_dst) = (3, 4);
+        let ring = Matching::shift(n, 1).unwrap();
+        let ring_pairs: Vec<(usize, usize)> = ring.pairs().collect();
+        let dark = Matching::from_pairs(n + 1, &ring_pairs).unwrap();
+        let model = ReconfigModel::constant(5e-6).unwrap();
+        let mut permutations = RandomPermutations::new(n, 64.0 * 1024.0, Some(6), 7).unwrap();
+        let permutations = materialize(&mut permutations, 6).unwrap();
+        // The permutations without the stuck port's send and the send into
+        // its circuit's receiver: matched, the fabric achieves each step
+        // plus the stuck circuit, and every pair still routes.
+        let partial: Vec<Step> = permutations
+            .steps()
+            .iter()
+            .map(|s| {
+                let pairs: Vec<(usize, usize)> = s
+                    .matching
+                    .pairs()
+                    .filter(|&(src, dst)| src != stuck && dst != stuck_dst)
+                    .collect();
+                Step {
+                    matching: Matching::from_pairs(n, &pairs).unwrap(),
+                    bytes_per_pair: s.bytes_per_pair,
+                }
+            })
+            .collect();
+        let schedules = [
+            allreduce::ring::build(n, MIB).unwrap().schedule,
+            allreduce::halving_doubling::build(n, MIB).unwrap().schedule,
+            permutations,
+            Schedule::new(n, CollectiveKind::AllToAll, "partial", partial).unwrap(),
+        ];
+        let configs = [
+            RunConfig::paper_defaults(),
+            RunConfig {
+                barrier: BarrierModel::Constant { latency_s: 1e-6 },
+                compute: Some(ComputeModel { per_byte_s: 1e-9 }),
+                overlap_reconfig_with_compute: true,
+                ..RunConfig::paper_defaults()
+            },
+        ];
+        let mut partial_on_a_stuck_fabric = 0;
+        for (k, schedule) in schedules.iter().enumerate() {
+            let s = schedule.num_steps();
+            let mixed = SwitchSchedule::new(
+                (0..s)
+                    .map(|i| match i % 3 {
+                        1 => ConfigChoice::Base,
+                        _ => ConfigChoice::Matched,
+                    })
+                    .collect(),
+            );
+            for switches in [
+                SwitchSchedule::all_base(s),
+                SwitchSchedule::all_matched(s),
+                mixed,
+            ] {
+                for cfg in &configs {
+                    for stick in [false, true] {
+                        let mut lone_fab = CircuitSwitch::new(ring.clone(), model);
+                        let mut tenant_fab = CircuitSwitch::new(dark.clone(), model);
+                        if stick {
+                            lone_fab.stick_port(stuck).unwrap();
+                            tenant_fab.stick_port(stuck).unwrap();
+                        }
+                        let lone = run_scheduled(&mut lone_fab, &ring, schedule, &switches, cfg);
+                        let spec = TenantSpec {
+                            name: "t".into(),
+                            ports: (0..n).collect(),
+                            base_config: ring.clone(),
+                            schedule: schedule.clone(),
+                            switch_schedule: switches.clone(),
+                            arrival_s: 0.0,
+                        };
+                        let mut tenant = execute_tenants(&mut tenant_fab, &[spec], cfg, None)
+                            .unwrap()
+                            .remove(0);
+                        let case = format!("schedule {k}, {switches:?}, {cfg:?}, stuck {stick}");
+                        match (&lone, &mut tenant) {
+                            (Ok(a), Ok(b)) => {
+                                assert_eq!(a, &b.report, "{case}");
+                                assert_eq!(a.total_ps, b.finish_ps, "{case}");
+                                if k == 3
+                                    && stick
+                                    && switches.choices().contains(&ConfigChoice::Matched)
+                                {
+                                    partial_on_a_stuck_fabric += 1;
+                                }
+                            }
+                            (Err(a), Err(SimError::Tenant { source, .. })) => {
+                                assert_eq!(a, source.as_ref(), "{case}");
+                            }
+                            (a, b) => panic!("{case}: lone {a:?}, tenant {b:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        // Every matched run of the partial permutations completed on the
+        // stuck fabric: two switch schedules under two configurations.
+        assert_eq!(partial_on_a_stuck_fabric, 4);
+    }
+
+    #[test]
+    fn a_tenant_on_every_port_in_another_order_still_translates() {
+        // Owning every port is not enough to skip the translation: rank i
+        // must sit on port i. A tenant on all 8 ports in shuffled order runs
+        // as it does beside a dark ninth port. Its first step runs on its
+        // base ring, which the fabric already holds in global ports: an
+        // untranslated local ring would be a reconfiguration. (Later steps
+        // would not show it: a run in local ports throughout is the same
+        // run relabelled.)
+        let mut t = tenant("shuffled", vec![5, 2, 7, 0, 3, 6, 1, 4], MIB, true);
+        let s = t.schedule.num_steps();
+        t.switch_schedule = SwitchSchedule::new(
+            (0..s)
+                .map(|i| match i % 2 {
+                    0 => ConfigChoice::Base,
+                    _ => ConfigChoice::Matched,
+                })
+                .collect(),
+        );
+        let cfg = RunConfig::paper_defaults();
+        let tenants = std::slice::from_ref(&t);
+        let alone = execute_tenants(&mut fabric_for(8, tenants), tenants, &cfg, None).unwrap();
+        let beside = execute_tenants(&mut fabric_for(9, tenants), tenants, &cfg, None).unwrap();
+        assert_eq!(alone, beside);
+        assert!(alone[0].is_ok());
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! successor paths the per-hop walk of earlier versions of the step engine
 //! built, and pin its unroutable-pair errors to that walk's. They also pin
 //! that the explicit-path API recognizes flows of that shape and solves
-//! them on arcs, and that any other flow set falls back to the seed engine
+//! them on arcs, one-hop flows on distinct links (a matched step's replay)
+//! included, and that any other flow set falls back to the seed engine
 //! (`FluidScratch::reference_runs` says which ran).
 //!
 //! The randomized cases use the compat `proptest` shim: a failing case
@@ -592,6 +593,84 @@ fn outcome(run: impl FnOnce() -> Vec<f64>) -> Result<Vec<u64>, String> {
         })
 }
 
+/// One-hop flows on distinct links of one capacity from `seed`, as the
+/// replay of a matched step loads them, over `links` links: link ids
+/// relabelled at random, and idle flows (no path) and zero-byte flows mixed
+/// in. `spoil` then breaks the shape: 1 puts one flow on another's link, 2
+/// gives one flow a second hop, 3 gives one flow another volume, 4 inserts
+/// a link id past the end into a path and 5 makes a volume non-finite.
+/// Returns the capacities, the flows and whether the seed engine solves
+/// them, or `None` when they must panic.
+fn one_hop_flows(links: usize, seed: u64, spoil: usize) -> (Vec<f64>, Vec<FlowSpec>, Option<bool>) {
+    let mut rng = Mix(seed);
+    let mut relabel: Vec<usize> = (0..links).collect();
+    rng.shuffle(&mut relabel);
+    let bytes = VOLUMES[1 + rng.below(VOLUMES.len() - 1)];
+    let caps = vec![CAPS[rng.below(CAPS.len())]; links];
+    let mut specs: Vec<FlowSpec> = Vec::new();
+    for &l in &relabel {
+        if rng.one_in(3, 4) {
+            specs.push(FlowSpec {
+                bytes,
+                path: vec![l],
+            });
+        }
+    }
+    for _ in 0..rng.below(4) {
+        let idle = if links > 0 && rng.one_in(1, 2) {
+            FlowSpec {
+                bytes: 0.0,
+                path: vec![rng.below(links)],
+            }
+        } else {
+            FlowSpec {
+                bytes,
+                path: Vec::new(),
+            }
+        };
+        specs.insert(rng.below(specs.len() + 1), idle);
+    }
+    let active: Vec<usize> = (0..specs.len())
+        .filter(|&i| specs[i].bytes > 0.0 && !specs[i].path.is_empty())
+        .collect();
+    let by_reference = match spoil {
+        1 if active.len() >= 2 => {
+            let a = rng.below(active.len());
+            let b = (a + 1 + rng.below(active.len() - 1)) % active.len();
+            specs[active[a]].path = specs[active[b]].path.clone();
+            Some(false)
+        }
+        2 if !active.is_empty() && links >= 2 => {
+            let path = &mut specs[active[rng.below(active.len())]].path;
+            path.push((path[0] + 1 + rng.below(links - 1)) % links);
+            Some(false)
+        }
+        3 if active.len() >= 2 => {
+            specs[active[rng.below(active.len())]].bytes *= 2.0;
+            Some(true)
+        }
+        4 | 5 => {
+            if specs.is_empty() {
+                specs.push(FlowSpec {
+                    bytes,
+                    path: Vec::new(),
+                });
+            }
+            let flow = rng.below(specs.len());
+            if spoil == 4 {
+                let path = &mut specs[flow].path;
+                path.insert(rng.below(path.len() + 1), links + rng.below(3));
+            } else {
+                specs[flow].bytes = [f64::INFINITY, f64::NAN][rng.below(2)];
+            }
+            None
+        }
+        _ => Some(false),
+    };
+    // The seed engine also takes every flow set over no links at all.
+    (caps, specs, by_reference.map(|r| r || links == 0))
+}
+
 /// A port count for a circuit case: small ports counts weigh as much as
 /// large ones, up to 300.
 fn ports(pick: u64) -> usize {
@@ -637,6 +716,33 @@ proptest! {
                     caps
                 );
             }
+        }
+    }
+
+    #[test]
+    fn one_hop_flows_on_distinct_links_take_the_arc_solve_bit_for_bit(
+        cases in proptest::collection::vec((any::<u64>(), any::<u64>(), 0usize..6), 1..8),
+    ) {
+        // One recycled scratch across the cases, as the benchmark's replay
+        // of matched steps uses it: one-hop flows on distinct links, and
+        // the same spoiled, give the seed engine's bits; the seed engine
+        // runs only on a second volume, and a bad input panics with the
+        // seed engine's message.
+        let mut recycled = FluidScratch::new();
+        for (pick, seed, spoil) in cases {
+            let (caps, specs, by_reference) = one_hop_flows(ports(pick) - 2, seed, spoil);
+            let want = outcome(|| simulate_flows_reference(&caps, &specs));
+            let Some(by_reference) = by_reference else {
+                prop_assert!(want.is_err(), "{:?} on {:?} did not panic", specs, caps);
+                prop_assert_eq!(outcome(|| simulate_flows(&caps, &specs)), want);
+                continue;
+            };
+            let runs = recycled.reference_runs();
+            recycled.load_specs(&specs);
+            simulate_flows_scratch(&caps, &mut recycled);
+            prop_assert_eq!(recycled.reference_runs() - runs, u64::from(by_reference));
+            let got: Vec<u64> = (0..specs.len()).map(|i| recycled.finish_of(i).to_bits()).collect();
+            prop_assert_eq!(Ok(got), want, "{:?} on {:?}", specs, caps);
         }
     }
 

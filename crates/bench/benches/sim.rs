@@ -4,11 +4,16 @@
 
 use aps_collectives::workload::generators::{RandomPermutations, TrainingLoop};
 use aps_collectives::workload::materialize;
-use aps_collectives::{allreduce, alltoall, CollectiveKind, Schedule, Step};
+use aps_collectives::{
+    allreduce, alltoall, CollectiveKind, Schedule, ScheduleStream, Step, Workload,
+};
 use aps_core::controller::Greedy;
-use aps_core::SwitchSchedule;
-use aps_cost::units::MIB;
+use aps_core::{ConfigChoice, SwitchSchedule};
+use aps_cost::units::{KIB, MIB};
 use aps_cost::ReconfigModel;
+use aps_faas::{
+    run_service, AdmissionPolicy, PoissonArrivals, ServiceConfig, ServiceSwitching, TenantClass,
+};
 use aps_fabric::CircuitSwitch;
 use aps_matrix::Matching;
 use aps_sim::fluid::simulate_flows_scratch;
@@ -154,6 +159,43 @@ fn sim(c: &mut Criterion) {
                 .unwrap()
                 .total_ps,
             )
+        })
+    });
+
+    // One service run of the benchmark's inference class alone: 1,000 jobs
+    // of a 16-port halving-doubling AllReduce at 256 KiB on their base
+    // rings, Poisson arrivals at 40 kHz (seed 1), queued four deep, on a
+    // 64-port optical fabric (800 Gbps, α_r = 10 µs). Every job runs the
+    // same steps on whichever partition it gets, so the executor's step
+    // memo answers nearly all of them.
+    let hd16 = allreduce::halving_doubling::build(16, 256.0 * KIB)
+        .unwrap()
+        .schedule;
+    let service = ServiceConfig {
+        run: cfg,
+        admission: AdmissionPolicy::Queue { capacity: 4 },
+        max_jobs: Some(1000),
+        keep_job_reports: false,
+    };
+    c.bench_function("service_inference_n64", |b| {
+        b.iter(|| {
+            let schedule = hd16.clone();
+            let mut classes = [TenantClass::new(
+                "inference",
+                16,
+                Matching::shift(16, 1).unwrap(),
+                ServiceSwitching::Uniform(ConfigChoice::Base),
+                Box::new(PoissonArrivals::new(40_000.0, None, 1).unwrap()),
+                Box::new(move |_id: u64| -> Box<dyn Workload> {
+                    Box::new(ScheduleStream::new(schedule.clone()))
+                }),
+            )];
+            let mut fab = CircuitSwitch::new(
+                Matching::shift(64, 1).unwrap(),
+                ReconfigModel::constant(10e-6).unwrap(),
+            );
+            let report = run_service(&mut fab, &mut classes, &service).unwrap();
+            black_box(report.summary.completed())
         })
     });
 

@@ -6,22 +6,29 @@
 //! active sets, the sharing components and the max-min solver scratch —
 //! lives in one long-lived [`CircuitScratch`] owned by the executor and
 //! recycled across steps (the executor keeps its pair and
-//! reconfiguration-target buffers next to it). Buffers are dense
-//! index-based SoA (a flow is a first slot and a hop count, not a `Vec`,
-//! and there is no `Box<dyn>` anywhere per flow or per link), so a step is
-//! a handful of `clear()`s plus in-place pushes into capacity that already
-//! exists after warm-up. [`FluidScratch`], the explicit-path API's
-//! scratch, follows the same rules for flows shaped like a circuit step;
-//! the seed engine it runs every other flow set on allocates.
+//! reconfiguration-target buffers and its `StepMemo` next to it). Buffers
+//! are dense index-based SoA (a flow is a first slot and a hop count, not
+//! a `Vec`, and there is no `Box<dyn>` anywhere per flow or per link), so
+//! a step is a handful of `clear()`s plus in-place pushes into capacity
+//! that already exists after warm-up. [`FluidScratch`], the explicit-path
+//! API's scratch, follows the same rules for flows shaped like a circuit
+//! step; the seed engine it runs every other flow set on allocates.
 //!
 //! ## Mutability classes
 //!
 //! Following the `murk-arena` exemplar, every buffer here belongs to one
-//! of four classes, which is what makes the recycling sound:
+//! of five classes, which is what makes the recycling sound:
 //!
 //! * **Static** — fixed for the scratch's lifetime: the buffers
 //!   themselves (their capacity only ratchets up, never shrinks), and
 //!   [`FluidScratch::reference_runs`], a monotone counter.
+//! * **Per-executor** — the `StepMemo`: kept across the steps and jobs
+//!   of one executor, whose bandwidth and δ its answers assume. Each
+//!   entry's key lives in buffers of its own, copied in with `clone_from`
+//!   and never handed out, so a job rebuilding its matchings in place never
+//!   finds a buffer the memo shares. A full memo overwrites its oldest
+//!   entry in place, so once each entry's buffers have held the largest
+//!   key, remembering a step allocates nothing.
 //! * **Per-step** — rebuilt from scratch each step by `clear()` + push:
 //!   the [`CircuitScratch`] layout (refilled in place, skipped on a step
 //!   of direct circuits, and kept when the configuration equals the one
@@ -54,7 +61,8 @@
 //!
 //! The invariant is regression-tested: a counting `#[global_allocator]`
 //! test (`crates/sim/tests/zero_alloc.rs`) proves that a 100k-step endless
-//! `TrainingLoop`, two such jobs on a `ServiceExecutor`, and a recycled
+//! `TrainingLoop`, two such jobs on a `ServiceExecutor` (matched, and on
+//! their base rings, where the memo hits and evicts), and a recycled
 //! [`FluidScratch`] replaying circuit-shaped explicit flows perform zero
 //! allocations per steady-state step, and the differential suites pin the
 //! arc solve, through either face, to the seed oracle bit for bit.
@@ -313,5 +321,139 @@ impl CircuitScratch {
                     (hops.max(h), worst.max(f + delta_s * h as f64))
                 }),
         }
+    }
+}
+
+/// How many steps a [`StepMemo`] remembers.
+const STEP_MEMO_ENTRIES: usize = 16;
+
+/// One remembered step: its key, in buffers of the memo's own, and its
+/// [`CircuitScratch::slowest`].
+#[derive(Debug)]
+struct Remembered {
+    /// The step's volume per pair, by its bits.
+    bytes: u64,
+    /// The job's local target.
+    target: Matching,
+    /// The step's matching, in the job's local ranks.
+    demand: Matching,
+    /// Largest hop count and latest `finish + δ · hops`.
+    slowest: (usize, f64),
+}
+
+/// The slowest flow of recent routed steps, by job-local key: the job's
+/// local target, the step's matching in local ranks, and the volume's bits.
+/// One executor owns it, so bandwidth and δ are fixed; `exec::execute_step`
+/// asks it only where the key determines the step. Holds 16 steps and
+/// replaces the oldest; see the [module docs](self) for its class.
+#[derive(Debug, Default)]
+pub(crate) struct StepMemo {
+    /// The remembered steps, at most `STEP_MEMO_ENTRIES`.
+    entries: Vec<Remembered>,
+    /// The entry the next insertion replaces once the memo is full.
+    oldest: usize,
+}
+
+impl StepMemo {
+    /// How many steps the memo holds.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The remembered slowest flow of the step keyed `(target, demand,
+    /// bytes)`. An entry is rejected on the volume and the pair count
+    /// before any port is compared.
+    pub(crate) fn get(
+        &self,
+        target: &Matching,
+        demand: &Matching,
+        bytes: f64,
+    ) -> Option<(usize, f64)> {
+        let bits = bytes.to_bits();
+        self.entries
+            .iter()
+            .find(|e| {
+                e.bytes == bits
+                    && e.demand.len() == demand.len()
+                    && e.demand == *demand
+                    && e.target == *target
+            })
+            .map(|e| e.slowest)
+    }
+
+    /// Remembers the step keyed `(target, demand, bytes)`, in place of the
+    /// oldest entry once the memo is full. The key is copied into the
+    /// entry's own buffers (`clone_from` into a buffer no clone shares), so
+    /// the caller keeps rebuilding its matchings in place and a warm memo
+    /// allocates nothing.
+    pub(crate) fn insert(
+        &mut self,
+        target: &Matching,
+        demand: &Matching,
+        bytes: f64,
+        slowest: (usize, f64),
+    ) {
+        let at = if self.entries.len() < STEP_MEMO_ENTRIES {
+            self.entries.push(Remembered {
+                bytes: 0,
+                target: Matching::empty(0),
+                demand: Matching::empty(0),
+                slowest,
+            });
+            self.entries.len() - 1
+        } else {
+            let at = self.oldest;
+            self.oldest = (at + 1) % STEP_MEMO_ENTRIES;
+            at
+        };
+        let e = &mut self.entries[at];
+        e.bytes = bytes.to_bits();
+        e.target.clone_from(target);
+        e.demand.clone_from(demand);
+        e.slowest = slowest;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_step_memo_answers_its_own_keys_and_replaces_the_oldest() {
+        let shift = |k| Matching::shift(16, k).unwrap();
+        let ring = shift(1);
+        let mut memo = StepMemo::default();
+        let mut demand = shift(2);
+        memo.insert(&ring, &demand, 1024.0, (2, 1.5));
+        assert_eq!(memo.get(&ring, &shift(2), 1024.0), Some((2, 1.5)));
+        // Another volume, even one bit away, another demand and another
+        // target are other keys.
+        assert_eq!(memo.get(&ring, &shift(2), 1024.0f64.next_up()), None);
+        assert_eq!(memo.get(&ring, &shift(3), 1024.0), None);
+        assert_eq!(memo.get(&shift(3), &shift(2), 1024.0), None);
+        let fewer = Matching::from_pairs(16, &[(0, 2), (1, 3)]).unwrap();
+        assert_eq!(memo.get(&ring, &fewer, 1024.0), None);
+        // The key was copied: rebuilding the caller's matching in place
+        // leaves it.
+        let pairs: Vec<(usize, usize)> = shift(5).pairs().collect();
+        demand
+            .refill_from_pairs(16, &pairs, &mut Vec::new())
+            .unwrap();
+        assert_eq!(memo.get(&ring, &shift(2), 1024.0), Some((2, 1.5)));
+        assert_eq!(memo.get(&ring, &demand, 1024.0), None);
+        // Sixteen entries; each further step replaces the oldest.
+        for v in 1..STEP_MEMO_ENTRIES {
+            memo.insert(&ring, &shift(2), v as f64, (v, v as f64));
+        }
+        assert_eq!(memo.len(), STEP_MEMO_ENTRIES);
+        memo.insert(&ring, &shift(7), 1024.0, (7, 7.0));
+        assert_eq!(memo.get(&ring, &shift(2), 1024.0), None);
+        assert_eq!(memo.get(&ring, &shift(2), 1.0), Some((1, 1.0)));
+        memo.insert(&ring, &shift(8), 1024.0, (8, 8.0));
+        assert_eq!(memo.get(&ring, &shift(2), 1.0), None);
+        assert_eq!(memo.get(&ring, &shift(2), 2.0), Some((2, 2.0)));
+        assert_eq!(memo.get(&ring, &shift(7), 1024.0), Some((7, 7.0)));
+        assert_eq!(memo.len(), STEP_MEMO_ENTRIES);
     }
 }

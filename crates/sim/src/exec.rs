@@ -2,14 +2,36 @@
 //! the single-collective entry points.
 //!
 //! `execute_step` (crate-private) runs one step's timeline; the only
-//! caller is [`crate::service::ServiceExecutor::execute_next`]. A step of
-//! a job that owns every port, whose matching is the fabric's
-//! configuration once the request is served, is all direct circuits and
-//! costs O(1): no pair is translated or routed and no per-flow time is
-//! written. Every other step translates its pairs to fabric ports and
-//! routes them through [`crate::fluid::simulate_circuit_step`]. The entry
-//! points here admit one job that owns every fabric port and drain it
-//! through that executor:
+//! caller is [`crate::service::ServiceExecutor::execute_next`]. A step
+//! translates its pairs to fabric ports and routes them through
+//! [`crate::fluid::simulate_circuit_step`], unless its transfer is a
+//! function of its job-local key: the job's local target, the step's
+//! matching in local ranks and the bits of its volume (the executor fixes
+//! bandwidth and δ). That holds under two conditions:
+//!
+//! 1. the job's ports ascend, which admission decides once;
+//! 2. once the request is served, the fabric holds the job's local target
+//!    on the job's ports: `current.dst_of(ports[r]) ==
+//!    local.dst_of(r).map(|d| ports[d])` for every rank `r`. For a job on
+//!    every port that is `current == local`, a pointer comparison when the
+//!    two share a buffer.
+//!
+//! Under (2) each of the job's ports sends exactly where its rank does, so
+//! every arc of the step's pairs lies on the job's own circuits, routes or
+//! fails as in ranks, and shares links with no flow of another job; a
+//! foreign circuit can only feed a chain's head, and no flow crosses it.
+//! Under (1) the job's links keep the relative order of its ranks, so the
+//! lowest-link-id tie-breaks pick the same links, and the arc solve's
+//! arithmetic reads nothing but the arcs. So the step's slowest flow has
+//! the same bits wherever the job sits. A step whose matching is the local
+//! target is then all direct circuits and costs O(1), and any other step
+//! that ran before is answered by the executor's step memo (the last 16
+//! routed steps); neither translates, routes or writes a per-flow time. A
+//! memo miss, a job whose ports do not ascend, a fabric that does not hold
+//! the target (a stuck port) and an unroutable pair all route as before,
+//! and only a routed step that succeeded under both conditions is
+//! remembered. The entry points here admit one job that owns every fabric
+//! port and drain it through that executor:
 //!
 //! * [`run_scheduled`] executes a *precomputed* [`SwitchSchedule`] (e.g.
 //!   a controller's plan, or a hand-written decision vector) over a
@@ -20,7 +42,7 @@
 //!   [`TraceKind::Decision`] events — the simulator face of the paper's
 //!   adaptive vision, and what `adaptive_photonics::Experiment` runs.
 
-use crate::arena::CircuitScratch;
+use crate::arena::{CircuitScratch, StepMemo};
 use crate::error::SimError;
 use crate::fluid::{direct_circuits, simulate_circuit_step};
 use crate::report::{SimReport, StepReport};
@@ -92,11 +114,16 @@ pub(crate) struct StepInput<'a> {
     pub matched: bool,
     /// Fabric configuration the step asks for.
     pub target: &'a Matching,
+    /// The configuration the step asks for on the job's ports, in its
+    /// local ranks.
+    pub local_target: &'a Matching,
     /// The step's communicating pairs, in the job's local ranks.
     pub demand: &'a Matching,
     /// The fabric port of each local rank; `None` when the job owns every
     /// port and rank `i` is port `i`, so `demand` is already in ports.
     pub ports: Option<&'a [usize]>,
+    /// The job's ports ascend, so its links keep the order of its ranks.
+    pub ascending: bool,
     /// Bytes each pair exchanges.
     pub bytes_per_pair: f64,
     /// Nodes synchronizing at the step's barrier.
@@ -150,9 +177,12 @@ pub(crate) fn checked_picos(secs: f64) -> Option<Picos> {
 /// [`Fabric::request_when_free`], and the wait is recorded as
 /// `arbitration_ps`.
 ///
-/// A step of a job that owns every port, whose pairs are the achieved
-/// configuration itself, runs on direct circuits in O(1); any other step
-/// translates its pairs to ports into `pairs` and routes them.
+/// Where the fabric holds the job's local target on the job's ascending
+/// ports (see the [module docs](self)), a step whose pairs are that target
+/// runs on direct circuits in O(1), and any other step is answered by
+/// `memo` when it ran before. Every other step translates its pairs to
+/// ports into `pairs` and routes them, and a routed step of such a job is
+/// remembered.
 ///
 /// Every clock addition is checked, the fabric's reconfiguration included,
 /// and so is the conversion of the transfer and compute times: a step that
@@ -164,6 +194,7 @@ pub(crate) fn execute_step(
     cfg: &RunConfig,
     report: &mut SimReport,
     scratch: &mut CircuitScratch,
+    memo: &mut StepMemo,
     pairs: &mut Vec<(usize, usize)>,
 ) -> Result<(Picos, Picos), SimError> {
     let (comm_end, gpu_free) = (input.comm_end, input.gpu_free);
@@ -241,29 +272,51 @@ pub(crate) fn execute_step(
     // path from `src` is its arc: the run of circuits from `src` along its
     // chain or cycle up to `dst`. Links are numbered by ascending sender
     // port, `from_matching`'s convention, so bottleneck ties break as in
-    // `fluid::reference`. When a job on every port sends on the
-    // configuration itself (a pointer comparison when the two share a
-    // buffer), every arc is one circuit of its own. The arc solve works in
-    // the long-lived scratch, so a steady-state step performs zero heap
+    // `fluid::reference`. Where the fabric holds the job's local target on
+    // its ascending ports, the step is a function of its job-local key:
+    // its pairs on the target itself are direct circuits, and a step that
+    // ran before is answered by the memo. The arc solve works in the
+    // long-lived scratch, so a steady-state step performs zero heap
     // allocation.
     let current = fabric.current();
-    if input.ports.is_none() && input.demand == current {
+    let delta_s = cfg.params.delta_s;
+    let keyed = input.ascending && holds_local_target(current, input);
+    let known = if !keyed {
+        None
+    } else if input.demand == input.local_target {
         direct_circuits(input.demand.len(), input.bytes_per_pair, bandwidth, scratch);
+        Some(scratch.slowest(delta_s))
     } else {
-        pairs.clear();
-        match input.ports {
-            Some(ports) => pairs.extend(input.demand.pairs().map(|(s, d)| (ports[s], ports[d]))),
-            None => pairs.extend(input.demand.pairs()),
+        memo.get(input.local_target, input.demand, input.bytes_per_pair)
+    };
+    let (max_hops, worst_s) = match known {
+        Some(slowest) => slowest,
+        None => {
+            pairs.clear();
+            match input.ports {
+                Some(ports) => {
+                    pairs.extend(input.demand.pairs().map(|(s, d)| (ports[s], ports[d])))
+                }
+                None => pairs.extend(input.demand.pairs()),
+            }
+            simulate_circuit_step(current, pairs, input.bytes_per_pair, bandwidth, scratch)
+                .map_err(|(src, dst)| SimError::Unroutable {
+                    step: input.step,
+                    src,
+                    dst,
+                })?;
+            let slowest = scratch.slowest(delta_s);
+            if keyed {
+                memo.insert(
+                    input.local_target,
+                    input.demand,
+                    input.bytes_per_pair,
+                    slowest,
+                );
+            }
+            slowest
         }
-        simulate_circuit_step(current, pairs, input.bytes_per_pair, bandwidth, scratch).map_err(
-            |(src, dst)| SimError::Unroutable {
-                step: input.step,
-                src,
-                dst,
-            },
-        )?;
-    }
-    let (max_hops, worst_s) = scratch.slowest(cfg.params.delta_s);
+    };
     let transfer_ps = if input.demand.is_empty() {
         0
     } else {
@@ -311,6 +364,21 @@ pub(crate) fn execute_step(
         max_hops,
     });
     Ok((comm_end, gpu_free))
+}
+
+/// Whether `current` holds the job's local target on the job's ports:
+/// every rank's port sends where the target sends that rank, mapped to
+/// ports. For a job on every port that is `current == local_target`, a
+/// pointer comparison when the two share a buffer.
+fn holds_local_target(current: &Matching, input: &StepInput<'_>) -> bool {
+    let local = input.local_target;
+    match input.ports {
+        None => current == local,
+        Some(ports) => ports
+            .iter()
+            .enumerate()
+            .all(|(r, &p)| current.dst_of(p) == local.dst_of(r).map(|d| ports[d])),
+    }
 }
 
 /// Executes `schedule` under a precomputed `switch_schedule` against the

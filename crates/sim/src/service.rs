@@ -40,22 +40,33 @@
 //! `i` on port `i`), as every lone run's job does. Its local matchings are
 //! fabric configurations already: it hands the fabric its local target as
 //! it is instead of assembling one with `tenant_target`, and its step's
-//! pairs are translated to ports only when the step has to be routed. A
-//! step whose matching is the fabric's configuration after the request
-//! runs on direct circuits in O(1) (see `exec::execute_step`). Any other
-//! job keeps the circuits of the ports it does not own, so it assembles
-//! its target and translates every step.
+//! pairs are translated to ports only when the step has to be routed. Any
+//! other job keeps the circuits of the ports it does not own, so it
+//! assembles its target and translates every step it routes.
+//!
+//! ## Recurring steps
+//!
+//! Admission also marks a job whose ports ascend, as the whole fabric's
+//! and every `aps-faas` partition's do. While the fabric holds such a
+//! job's local target on its ports, a step's transfer depends only on the
+//! target, the step's matching in local ranks and its volume (see
+//! [`crate::exec`]): a step whose matching is the target runs on direct
+//! circuits in O(1), and a step that ran before, by this job or by
+//! another on a different partition, is answered by the executor's step
+//! memo without routing. A service runs the same few collectives again and
+//! again, so most of its steps hit.
 //!
 //! ## Steady-state allocation behavior
 //!
 //! A steady-state step performs no heap allocation. The executor reuses
-//! its arenas: one [`CircuitScratch`] for the fluid solve, one recycled
-//! scratch [`SimReport`] in totals mode (`keep_reports = false`), owned
+//! its arenas: one [`CircuitScratch`] for the fluid solve, the step memo
+//! (whose entries it overwrites in place), one recycled scratch
+//! [`SimReport`] in totals mode (`keep_reports = false`), owned
 //! `pairs` and global-target buffers, and demand pulled through
 //! [`Workload::next_step_into`] into a per-job [`Step`] slot that is
 //! overwritten in place. `crates/sim/tests/zero_alloc.rs` pins it.
 
-use crate::arena::CircuitScratch;
+use crate::arena::{CircuitScratch, StepMemo};
 use crate::error::SimError;
 use crate::exec::{execute_step, natural_request_at, RunConfig, StepInput};
 use crate::record::{RecordSink, StepRecord};
@@ -422,6 +433,8 @@ struct JobState<'a> {
     /// The job owns every fabric port in port order (rank `i` on port
     /// `i`), so its local matchings are already fabric configurations.
     whole: bool,
+    /// The job's ports ascend, so the step memo may answer its steps.
+    ascending: bool,
     /// The next step to execute, pulled in place; valid only when
     /// `has_pending`.
     pending: Step,
@@ -475,6 +488,7 @@ pub struct ServiceExecutor<'a> {
     owner: Vec<Option<usize>>,
     live: usize,
     scratch: CircuitScratch,
+    memo: StepMemo,
     pairs: Vec<(usize, usize)>,
     targets: TargetScratch,
     owned: Vec<bool>,
@@ -498,6 +512,7 @@ impl<'a> ServiceExecutor<'a> {
             owner: vec![None; n],
             live: 0,
             scratch: CircuitScratch::new(),
+            memo: StepMemo::default(),
             pairs: Vec::new(),
             targets: TargetScratch::default(),
             owned: Vec::new(),
@@ -637,10 +652,12 @@ impl<'a> ServiceExecutor<'a> {
             self.summary = self.summary.merge(cp.summary);
         }
         let whole = n_j == self.n && job.ports.iter().enumerate().all(|(i, &p)| i == p);
+        let ascending = job.ports.windows(2).all(|w| w[0] < w[1]);
         let state = JobState {
             id,
             job,
             whole,
+            ascending,
             pending,
             has_pending,
             executed,
@@ -744,8 +761,10 @@ impl<'a> ServiceExecutor<'a> {
             step: i,
             matched,
             target,
+            local_target,
             demand: &st.pending.matching,
             ports: (!st.whole).then_some(&st.job.ports[..]),
+            ascending: st.ascending,
             bytes_per_pair: st.pending.bytes_per_pair,
             barrier_n: st.job.ports.len(),
             first: i == 0,
@@ -781,6 +800,7 @@ impl<'a> ServiceExecutor<'a> {
             &self.cfg,
             dest,
             &mut self.scratch,
+            &mut self.memo,
             &mut self.pairs,
         ) {
             Ok(clocks) => clocks,
@@ -1134,6 +1154,70 @@ mod tests {
         let beside = execute_tenants(&mut fabric_for(9, tenants), tenants, &cfg, None).unwrap();
         assert_eq!(alone, beside);
         assert!(alone[0].is_ok());
+    }
+
+    #[test]
+    fn the_step_memo_remembers_only_steps_it_may_answer() {
+        // A job may leave its routed steps in the memo only on ascending
+        // ports, on a fabric that holds its target: every distinct routed
+        // step of a job on ports 4..12, none on the same ports shuffled,
+        // and none of matched steps whose fabric keeps port 0 stuck on a
+        // circuit the target lacks, though every pair routes. On its base
+        // ring, which holds that circuit, the same job remembers its steps.
+        use aps_collectives::workload::generators::RandomPermutations;
+        use aps_collectives::workload::materialize;
+        use aps_collectives::{CollectiveKind, Schedule};
+        let cfg = RunConfig::paper_defaults();
+        let distinct = |t: &TenantSpec| {
+            let mut keys: Vec<(&Matching, u64)> = Vec::new();
+            for s in t.schedule.steps() {
+                let key = (&s.matching, s.bytes_per_pair.to_bits());
+                if s.matching != t.base_config && !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+            keys.len()
+        };
+        let remembered = |t: &TenantSpec, stuck: Option<usize>| {
+            let mut fab = fabric_for(16, std::slice::from_ref(t));
+            if let Some(p) = stuck {
+                fab.stick_port(p).unwrap();
+            }
+            let mut exec = ServiceExecutor::new(16, cfg, false);
+            let slot = exec.admit(0, spec_of(t), 0).unwrap().slot;
+            exec.drain(&mut fab, None);
+            assert_eq!(exec.remove(slot).unwrap().error, None, "{}", t.name);
+            exec.memo.len()
+        };
+        let in_order = tenant("in order", (4..12).collect(), MIB, false);
+        assert!(distinct(&in_order) > 0);
+        assert_eq!(remembered(&in_order, None), distinct(&in_order));
+        let shuffled = tenant("shuffled", vec![9, 4, 11, 5, 7, 10, 6, 8], MIB, false);
+        assert_eq!(remembered(&shuffled, None), 0);
+        let mut permutations = RandomPermutations::new(8, 64.0 * 1024.0, Some(4), 7).unwrap();
+        let partial: Vec<Step> = materialize(&mut permutations, 4)
+            .unwrap()
+            .steps()
+            .iter()
+            .map(|s| {
+                let pairs: Vec<(usize, usize)> = s
+                    .matching
+                    .pairs()
+                    .filter(|&(s, d)| s != 0 && d != 1)
+                    .collect();
+                Step {
+                    matching: Matching::from_pairs(8, &pairs).unwrap(),
+                    bytes_per_pair: s.bytes_per_pair,
+                }
+            })
+            .collect();
+        let mut stuck = tenant("stuck", (0..8).collect(), MIB, true);
+        stuck.schedule = Schedule::new(8, CollectiveKind::AllToAll, "partial", partial).unwrap();
+        stuck.switch_schedule = SwitchSchedule::all_matched(4);
+        assert_eq!(remembered(&stuck, Some(0)), 0);
+        stuck.switch_schedule = SwitchSchedule::all_base(4);
+        assert!(distinct(&stuck) > 0);
+        assert_eq!(remembered(&stuck, Some(0)), distinct(&stuck));
     }
 
     #[test]

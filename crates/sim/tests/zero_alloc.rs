@@ -13,7 +13,10 @@
 //! The open-system [`ServiceExecutor`] is measured the same way: two
 //! endless training jobs admitted side by side, stepped `K` and
 //! `K + EXTRA` times, once on an all-photonic [`CircuitSwitch`] and once
-//! on a switch whose first job sits on the electrical crossbar. So is the
+//! on a switch whose first job sits on the electrical crossbar. Both run
+//! matched steps; a third case runs two endless jobs on their base rings,
+//! whose routed steps recur, so the executor's step memo both answers
+//! steps and evicts them on the counted path. So is the
 //! explicit-path API on flows shaped like a circuit step: one recycled
 //! [`FluidScratch`] replays a ring shift and direct circuits in turn.
 //!
@@ -28,6 +31,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aps_collectives::workload::generators::TrainingLoop;
+use aps_collectives::{alltoall, ScheduleStream, Step, Workload, WorkloadCtx};
 use aps_core::controller::{AlwaysReconfigure, Controller, Greedy, Static};
 use aps_core::ConfigChoice;
 use aps_cost::units::MIB;
@@ -153,6 +157,78 @@ fn run_service(steps: usize, crossbar_below: usize) -> (StreamSummary, u64) {
     (exec.stream_summary(), allocs() - before)
 }
 
+/// A service case: steps its jobs that many times and returns the summary
+/// and the allocation count the steps spent.
+type ServiceRun = fn(usize) -> (StreamSummary, u64);
+
+/// A schedule streamed over and over.
+struct Endless(ScheduleStream);
+
+impl Workload for Endless {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step> {
+        self.0.next_step(ctx).or_else(|| {
+            self.0.reset();
+            self.0.next_step(ctx)
+        })
+    }
+
+    fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
+        self.0.next_step_into(ctx, out) || {
+            self.0.reset();
+            self.0.next_step_into(ctx, out)
+        }
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// Executes `steps` service steps of two endless jobs on their base rings,
+/// each on its own `2N`-port half of a `4N`-port switch, returning the
+/// summary and the allocation count the steps spent. A training loop's
+/// routed steps recur within each epoch, so the step memo answers them; a
+/// linear-shift All-to-All streamed over and over adds `2N − 2` routed
+/// shifts, more than the memo holds beside the loop's, so it evicts.
+fn run_service_on_base_rings(steps: usize) -> (StreamSummary, u64) {
+    let m = 2 * N;
+    let rings: Vec<(usize, usize)> = (0..2 * m).map(|p| (p, p - p % m + (p + 1) % m)).collect();
+    let base = Matching::from_pairs(2 * m, &rings).unwrap();
+    let mut fabric = CircuitSwitch::new(base, ReconfigModel::constant(5e-6).unwrap());
+    let mut exec = ServiceExecutor::new(2 * m, RunConfig::paper_defaults(), false);
+    let shifts = alltoall::linear_shift(m, MIB).unwrap().schedule;
+    let workloads: [Box<dyn Workload>; 2] = [
+        Box::new(TrainingLoop::new(m, 4, MIB, 4.0 * MIB, None).unwrap()),
+        Box::new(Endless(shifts.into_workload())),
+    ];
+    for (job, workload) in workloads.into_iter().enumerate() {
+        let spec = ServiceJobSpec {
+            name: format!("base-{job}"),
+            ports: (job * m..(job + 1) * m).collect(),
+            base_config: Matching::shift(m, 1).unwrap(),
+            workload,
+            switching: ServiceSwitching::Uniform(ConfigChoice::Base),
+        };
+        exec.admit(job as u64, spec, 0).unwrap();
+    }
+    let before = allocs();
+    for _ in 0..steps {
+        assert!(
+            exec.execute_next(&mut fabric, None).is_none(),
+            "endless jobs never depart"
+        );
+    }
+    (exec.stream_summary(), allocs() - before)
+}
+
 /// Replays `steps` explicit-path solves in one fresh, recycled scratch,
 /// alternating an `N`-link ring shift by 3 and `N` direct circuits, and
 /// returns the summed finish times and the allocation count the steps
@@ -200,9 +276,14 @@ fn steady_state_step_allocates_nothing() {
              allocations (want 0); warm-up spent {allocs_short}"
         );
     }
-    for (name, crossbar_below) in [("service", 0), ("service, half crossbar", N)] {
-        let (short, allocs_short) = run_service(WARMUP, crossbar_below);
-        let (long, allocs_long) = run_service(WARMUP + EXTRA, crossbar_below);
+    let service: [(&str, ServiceRun); 3] = [
+        ("service", |steps| run_service(steps, 0)),
+        ("service, half crossbar", |steps| run_service(steps, N)),
+        ("service on base rings", run_service_on_base_rings),
+    ];
+    for (name, run_service) in service {
+        let (short, allocs_short) = run_service(WARMUP);
+        let (long, allocs_long) = run_service(WARMUP + EXTRA);
         assert_eq!(short.steps, WARMUP, "{name}: short run executed");
         assert_eq!(long.steps, WARMUP + EXTRA, "{name}: long run executed");
         assert!(long.total_ps > short.total_ps, "{name}: clocks advanced");

@@ -20,7 +20,10 @@
 //! that the explicit-path API recognizes flows of that shape and solves
 //! them on arcs, one-hop flows on distinct links (a matched step's replay)
 //! included, and that any other flow set falls back to the seed engine
-//! (`FluidScratch::reference_runs` says which ran).
+//! (`FluidScratch::reference_runs` says which ran). One more pins what the
+//! step engine's step memo rests on: a job's step on ascending ports, where
+//! the fabric holds the job's circuits, solves to the same bits wherever
+//! the job sits and whatever circuits the other ports hold.
 //!
 //! The randomized cases use the compat `proptest` shim: a failing case
 //! prints its base seed and replays with `PROPTEST_SEED=<seed>`.
@@ -671,6 +674,70 @@ fn one_hop_flows(links: usize, seed: u64, spoil: usize) -> (Vec<f64>, Vec<FlowSp
     (caps, specs, by_reference.map(|r| r || links == 0))
 }
 
+/// Places a job whose local circuits are `local` on `n ≥ local.config.n()`
+/// fabric ports from `seed`, as a service places a tenant: ascending ports
+/// with gaps, the fabric holding the job's circuits on them, and foreign
+/// chains and cycles on the other ports. The tail of a foreign chain may
+/// feed a chain head of the job (a rank no rank sends to); no circuit leaves
+/// the job. Returns the fabric's configuration and the port of each rank.
+fn place(local: &Circuits, n: usize, seed: u64) -> (Matching, Vec<usize>) {
+    let k = local.config.n();
+    let mut rng = Mix(seed);
+    let mut shuffled: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut shuffled);
+    let mut ports = shuffled[..k].to_vec();
+    ports.sort_unstable();
+    let foreign = &shuffled[k..];
+    let mut pairs: Vec<(usize, usize)> = local
+        .config
+        .pairs()
+        .map(|(s, d)| (ports[s], ports[d]))
+        .collect();
+    let mut fed = vec![false; k];
+    for (_, d) in local.config.pairs() {
+        fed[d] = true;
+    }
+    let mut heads: Vec<usize> = (0..k).filter(|&r| !fed[r]).collect();
+    rng.shuffle(&mut heads);
+    let cut = [2, 6, 40][rng.below(3)];
+    let mut start = 0;
+    while start < foreign.len() {
+        let mut end = start + 1;
+        while end < foreign.len() && !rng.one_in(1, cut) {
+            end += 1;
+        }
+        let run = &foreign[start..end];
+        let tail = run[run.len() - 1];
+        pairs.extend(run.windows(2).map(|w| (w[0], w[1])));
+        if run.len() >= 2 && rng.one_in(1, 3) {
+            pairs.push((tail, run[0]));
+        } else if !heads.is_empty() && rng.one_in(2, 3) {
+            pairs.push((tail, ports[heads.pop().unwrap()]));
+        }
+        start = end;
+    }
+    (Matching::from_pairs(n, &pairs).unwrap(), ports)
+}
+
+/// The slowest flow of a step on `config`, as the step engine folds it: the
+/// largest hop count and the bits of the latest `finish + delta_s · hops`;
+/// or the first pair `config` cannot route.
+fn slowest_flow(
+    config: &Matching,
+    pairs: &[(usize, usize)],
+    bytes: f64,
+    cap: f64,
+    delta_s: f64,
+) -> Result<(usize, u64), (usize, usize)> {
+    let mut s = CircuitScratch::new();
+    simulate_circuit_step(config, pairs, bytes, cap, &mut s)?;
+    let (hops, worst) = (0..s.num_flows()).fold((0, 0.0f64), |(hops, worst), i| {
+        let h = s.hops_of(i);
+        (hops.max(h), worst.max(s.finish_of(i) + delta_s * h as f64))
+    });
+    Ok((hops, worst.to_bits()))
+}
+
 /// A port count for a circuit case: small ports counts weigh as much as
 /// large ones, up to 300.
 fn ports(pick: u64) -> usize {
@@ -822,6 +889,63 @@ proptest! {
         let got = simulate_circuit_step(&c.config, &pairs, bytes, 1e11, &mut CircuitScratch::new());
         prop_assert_eq!(got, Err(first));
         prop_assert_eq!(successor_paths(&c.config, &pairs).map(|_| ()), Err(first));
+    }
+
+    #[test]
+    fn a_step_solves_alike_wherever_its_job_sits(
+        pick in any::<u64>(),
+        seed in any::<u64>(),
+        placements in (any::<u64>(), any::<u64>()),
+    ) {
+        // A job of 3 to 40 ranks with local circuits of chains and cycles
+        // (one lone rank, one chain), and a step of distinct senders on
+        // them, one case in four with an unroutable pair planted: a receiver
+        // on another chain or cycle, one upstream on a chain, a sender at a
+        // chain's end, or a sender with no circuit. Placed twice on up to 80
+        // fabric ports, each time on ascending ports with the job's circuits
+        // and foreign ones elsewhere, the step's slowest flow has the bits
+        // and hop count it has in ranks, or the same first unroutable pair
+        // mapped to ports. The step memo answers by this.
+        let k = 3 + ports(pick) % 38;
+        let mut rng = Mix(seed);
+        let local = circuits(k, &mut rng, true);
+        let kind = [0, 1, 2, 2][rng.below(4)];
+        let mut pairs = step_pairs(&local, &mut rng, kind);
+        if rng.one_in(1, 4) {
+            let lone = local.runs[0].0[0];
+            let chain = &local.runs[1].0;
+            let (src, dst) = match rng.below(4) {
+                0 => (chain[0], lone),
+                1 => {
+                    let at = 1 + rng.below(chain.len() - 1);
+                    (chain[at], chain[rng.below(at)])
+                }
+                2 => (chain[chain.len() - 1], chain[rng.below(chain.len() - 1)]),
+                _ => (lone, chain[rng.below(chain.len())]),
+            };
+            pairs.retain(|&(s, d)| s != src && d != dst);
+            pairs.insert(rng.below(pairs.len() + 1), (src, dst));
+        }
+        let bytes = VOLUMES[rng.below(VOLUMES.len())];
+        let cap = CAPS[rng.below(CAPS.len())];
+        let delta_s = [0.0, DELTA_S, 3.3e-7, 1e-3][rng.below(4)];
+        let in_ranks = slowest_flow(&local.config, &pairs, bytes, cap, delta_s);
+        for placement in [placements.0, placements.1] {
+            let n = k + rng.below(81 - k);
+            let (config, ports) = place(&local, n, placement);
+            let placed: Vec<(usize, usize)> =
+                pairs.iter().map(|&(s, d)| (ports[s], ports[d])).collect();
+            prop_assert_eq!(
+                slowest_flow(&config, &placed, bytes, cap, delta_s),
+                in_ranks.map_err(|(s, d)| (ports[s], ports[d])),
+                "{:?} on ports {:?} of {:?}; in ranks {:?} on {:?}",
+                placed,
+                ports,
+                config,
+                pairs,
+                local.config
+            );
+        }
     }
 
     #[test]

@@ -30,13 +30,10 @@
 //!   entry in place, so once each entry's buffers have held the largest
 //!   key, remembering a step allocates nothing.
 //! * **Per-step** — rebuilt from scratch each step by `clear()` + push:
-//!   the [`CircuitScratch`] layout (refilled in place, skipped on a step
-//!   of direct circuits, and kept when the configuration equals the one
-//!   it was laid out from, which it copies into a buffer of its own), and
-//!   each routed flow's first slot, hop count and finish time. A step of
-//!   direct circuits overwrites `direct` alone, with its flow count and
-//!   the finish time every flow shares, and writes no per-flow buffer; a
-//!   routed step clears `direct`. For [`FluidScratch`]: the CSR flow table
+//!   the [`CircuitScratch`] layout (refilled in place, and kept when the
+//!   configuration equals the one it was laid out from, which it copies
+//!   into a buffer of its own), and each flow's first slot, hop count and
+//!   finish time. For [`FluidScratch`]: the CSR flow table
 //!   ([`FluidScratch::start`] / [`FluidScratch::push_link`] /
 //!   [`FluidScratch::seal_flow`]), the finish times, and the circuit-shape
 //!   checks' active list and per-link `seen_at` and `fed_link` (the
@@ -61,8 +58,9 @@
 //!
 //! The invariant is regression-tested: a counting `#[global_allocator]`
 //! test (`crates/sim/tests/zero_alloc.rs`) proves that a 100k-step endless
-//! `TrainingLoop`, two such jobs on a `ServiceExecutor` (matched, and on
-//! their base rings, where the memo hits and evicts), and a recycled
+//! `TrainingLoop`, two such jobs on a `ServiceExecutor` (matched, matched
+//! with one on ports out of order, and on their base rings, where the memo
+//! hits and evicts), and a recycled
 //! [`FluidScratch`] replaying circuit-shaped explicit flows perform zero
 //! allocations per steady-state step, and the differential suites pin the
 //! arc solve, through either face, to the seed oracle bit for bit.
@@ -213,10 +211,6 @@ pub struct CircuitScratch {
     pub(crate) hops: Vec<usize>,
     /// Per flow: finish time in seconds, the solve's output.
     pub(crate) finish: Vec<f64>,
-    /// `Some((flows, done))` when the step was all direct circuits: that
-    /// many flows of one hop each, every one finishing at `done`. The
-    /// per-flow buffers then hold nothing of the step.
-    pub(crate) direct: Option<(usize, f64)>,
 
     // --- completion rounds (per-round) ---
     /// Current max-min rate per flow.
@@ -271,7 +265,7 @@ impl CircuitScratch {
 
     /// Number of flows of the last step.
     pub fn num_flows(&self) -> usize {
-        self.direct.map_or(self.hops.len(), |(flows, _)| flows)
+        self.hops.len()
     }
 
     /// Finish time of flow `i` in seconds (transmission only), valid after
@@ -281,13 +275,7 @@ impl CircuitScratch {
     ///
     /// When `i` is not below [`num_flows`](Self::num_flows).
     pub fn finish_of(&self, i: usize) -> f64 {
-        match self.direct {
-            Some((flows, done)) => {
-                assert!(i < flows, "flow {i} of a step of {flows}");
-                done
-            }
-            None => self.finish[i],
-        }
+        self.finish[i]
     }
 
     /// Hop count of flow `i`.
@@ -296,31 +284,19 @@ impl CircuitScratch {
     ///
     /// When `i` is not below [`num_flows`](Self::num_flows).
     pub fn hops_of(&self, i: usize) -> usize {
-        match self.direct {
-            Some((flows, _)) => {
-                assert!(i < flows, "flow {i} of a step of {flows}");
-                1
-            }
-            None => self.hops[i],
-        }
+        self.hops[i]
     }
 
     /// The last step's largest hop count and latest `finish + delta_s ·
     /// hops` over its flows, `(0, 0.0)` for a step with none: what the
-    /// step's transfer takes with propagation. O(1) on direct circuits.
+    /// step's transfer takes with propagation.
     pub(crate) fn slowest(&self, delta_s: f64) -> (usize, f64) {
-        match self.direct {
-            Some((0, _)) => (0, 0.0),
-            // `done + delta_s · 1`, the same for every flow.
-            Some((_, done)) => (1, 0.0f64.max(done + delta_s)),
-            None => self
-                .hops
-                .iter()
-                .zip(&self.finish)
-                .fold((0, 0.0f64), |(hops, worst), (&h, &f)| {
-                    (hops.max(h), worst.max(f + delta_s * h as f64))
-                }),
-        }
+        self.hops
+            .iter()
+            .zip(&self.finish)
+            .fold((0, 0.0f64), |(hops, worst), (&h, &f)| {
+                (hops.max(h), worst.max(f + delta_s * h as f64))
+            })
     }
 }
 

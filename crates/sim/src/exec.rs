@@ -4,34 +4,29 @@
 //! `execute_step` (crate-private) runs one step's timeline; the only
 //! caller is [`crate::service::ServiceExecutor::execute_next`]. A step
 //! translates its pairs to fabric ports and routes them through
-//! [`crate::fluid::simulate_circuit_step`], unless its transfer is a
-//! function of its job-local key: the job's local target, the step's
-//! matching in local ranks and the bits of its volume (the executor fixes
-//! bandwidth and δ). That holds under two conditions:
+//! [`crate::fluid::simulate_circuit_step`], unless the job's ports ascend
+//! (admission decides that once) and, once the request is served, the
+//! fabric's configuration is the step's target: `current == target`, a
+//! pointer comparison when the two share a buffer. The target holds the
+//! job's local target on its ports and no other circuit from them, so then
+//! each of the job's ports sends exactly where its rank does: every arc of
+//! the step's pairs lies on the job's own circuits, routes or fails as in
+//! ranks, and shares links with no flow of another job (a foreign circuit
+//! can only feed a chain's head). Ascending ports keep the order of the
+//! job's ranks on its links, so the lowest-link-id tie-breaks pick the
+//! same links, and the arc solve's arithmetic reads nothing but the arcs.
+//! So the step's slowest flow is a function of its job-local key, the
+//! local target, the step's matching in local ranks and the bits of its
+//! volume (the executor fixes bandwidth and δ), wherever the job sits. A
+//! step whose matching is the local target is all direct circuits,
+//! answered in O(1) (`fluid::direct_circuits`), and any other step that ran
+//! before is answered by the executor's step memo (the last 16 routed
+//! steps). Every other step routes (a memo miss, ports out of order, a
+//! stuck port, an unroutable pair), and only a routed step that succeeded
+//! under the condition is remembered.
 //!
-//! 1. the job's ports ascend, which admission decides once;
-//! 2. once the request is served, the fabric holds the job's local target
-//!    on the job's ports: `current.dst_of(ports[r]) ==
-//!    local.dst_of(r).map(|d| ports[d])` for every rank `r`. For a job on
-//!    every port that is `current == local`, a pointer comparison when the
-//!    two share a buffer.
-//!
-//! Under (2) each of the job's ports sends exactly where its rank does, so
-//! every arc of the step's pairs lies on the job's own circuits, routes or
-//! fails as in ranks, and shares links with no flow of another job; a
-//! foreign circuit can only feed a chain's head, and no flow crosses it.
-//! Under (1) the job's links keep the relative order of its ranks, so the
-//! lowest-link-id tie-breaks pick the same links, and the arc solve's
-//! arithmetic reads nothing but the arcs. So the step's slowest flow has
-//! the same bits wherever the job sits. A step whose matching is the local
-//! target is then all direct circuits and costs O(1), and any other step
-//! that ran before is answered by the executor's step memo (the last 16
-//! routed steps); neither translates, routes or writes a per-flow time. A
-//! memo miss, a job whose ports do not ascend, a fabric that does not hold
-//! the target (a stuck port) and an unroutable pair all route as before,
-//! and only a routed step that succeeded under both conditions is
-//! remembered. The entry points here admit one job that owns every fabric
-//! port and drain it through that executor:
+//! The entry points here admit one job that owns every fabric port and
+//! drain it through that executor:
 //!
 //! * [`run_scheduled`] executes a *precomputed* [`SwitchSchedule`] (e.g.
 //!   a controller's plan, or a hand-written decision vector) over a
@@ -119,9 +114,8 @@ pub(crate) struct StepInput<'a> {
     pub local_target: &'a Matching,
     /// The step's communicating pairs, in the job's local ranks.
     pub demand: &'a Matching,
-    /// The fabric port of each local rank; `None` when the job owns every
-    /// port and rank `i` is port `i`, so `demand` is already in ports.
-    pub ports: Option<&'a [usize]>,
+    /// The fabric port of each local rank.
+    pub ports: &'a [usize],
     /// The job's ports ascend, so its links keep the order of its ranks.
     pub ascending: bool,
     /// Bytes each pair exchanges.
@@ -177,12 +171,12 @@ pub(crate) fn checked_picos(secs: f64) -> Option<Picos> {
 /// [`Fabric::request_when_free`], and the wait is recorded as
 /// `arbitration_ps`.
 ///
-/// Where the fabric holds the job's local target on the job's ascending
-/// ports (see the [module docs](self)), a step whose pairs are that target
-/// runs on direct circuits in O(1), and any other step is answered by
-/// `memo` when it ran before. Every other step translates its pairs to
-/// ports into `pairs` and routes them, and a routed step of such a job is
-/// remembered.
+/// Where the job's ports ascend and the fabric's configuration after the
+/// request is the step's target (see the [module docs](self)), a step
+/// whose pairs are the job's local target runs on direct circuits in O(1),
+/// and any other step is answered by `memo` when it ran before. Every other
+/// step translates its pairs to ports into `pairs` and routes them, and a
+/// routed step under that condition is remembered.
 ///
 /// Every clock addition is checked, the fabric's reconfiguration included,
 /// and so is the conversion of the transfer and compute times: a step that
@@ -272,33 +266,33 @@ pub(crate) fn execute_step(
     // path from `src` is its arc: the run of circuits from `src` along its
     // chain or cycle up to `dst`. Links are numbered by ascending sender
     // port, `from_matching`'s convention, so bottleneck ties break as in
-    // `fluid::reference`. Where the fabric holds the job's local target on
-    // its ascending ports, the step is a function of its job-local key:
-    // its pairs on the target itself are direct circuits, and a step that
+    // `fluid::reference`. Where the job's ports ascend and the fabric holds
+    // the step's target, the step is a function of its job-local key: its
+    // pairs on the local target itself are direct circuits, and a step that
     // ran before is answered by the memo. The arc solve works in the
     // long-lived scratch, so a steady-state step performs zero heap
     // allocation.
     let current = fabric.current();
     let delta_s = cfg.params.delta_s;
-    let keyed = input.ascending && holds_local_target(current, input);
+    let keyed = input.ascending && current == input.target;
     let known = if !keyed {
         None
     } else if input.demand == input.local_target {
-        direct_circuits(input.demand.len(), input.bytes_per_pair, bandwidth, scratch);
-        Some(scratch.slowest(delta_s))
+        Some(direct_circuits(
+            input.demand.len(),
+            input.bytes_per_pair,
+            bandwidth,
+            delta_s,
+        ))
     } else {
         memo.get(input.local_target, input.demand, input.bytes_per_pair)
     };
     let (max_hops, worst_s) = match known {
         Some(slowest) => slowest,
         None => {
+            let ports = input.ports;
             pairs.clear();
-            match input.ports {
-                Some(ports) => {
-                    pairs.extend(input.demand.pairs().map(|(s, d)| (ports[s], ports[d])))
-                }
-                None => pairs.extend(input.demand.pairs()),
-            }
+            pairs.extend(input.demand.pairs().map(|(s, d)| (ports[s], ports[d])));
             simulate_circuit_step(current, pairs, input.bytes_per_pair, bandwidth, scratch)
                 .map_err(|(src, dst)| SimError::Unroutable {
                     step: input.step,
@@ -364,21 +358,6 @@ pub(crate) fn execute_step(
         max_hops,
     });
     Ok((comm_end, gpu_free))
-}
-
-/// Whether `current` holds the job's local target on the job's ports:
-/// every rank's port sends where the target sends that rank, mapped to
-/// ports. For a job on every port that is `current == local_target`, a
-/// pointer comparison when the two share a buffer.
-fn holds_local_target(current: &Matching, input: &StepInput<'_>) -> bool {
-    let local = input.local_target;
-    match input.ports {
-        None => current == local,
-        Some(ports) => ports
-            .iter()
-            .enumerate()
-            .all(|(r, &p)| current.dst_of(p) == local.dst_of(r).map(|d| ports[d])),
-    }
 }
 
 /// Executes `schedule` under a precomputed `switch_schedule` against the

@@ -11,10 +11,9 @@
 //!
 //! One solve runs this model, and it is bit-identical to the seed engine
 //! kept as [`mod@reference`], the differential oracle. The arc solve
-//! ([`simulate_circuit_step`]) takes one step on a circuit configuration,
-//! and the step engine (`exec.rs`) runs every step through it, except a
-//! step it already knows to be direct circuits, which it records in O(1)
-//! as the arc solve would. The explicit-path API
+//! ([`simulate_circuit_step`]) routes every pair of one step on a circuit
+//! configuration; the step engine runs through it every step it does not
+//! answer without routing (see [`crate::exec`]). The explicit-path API
 //! ([`simulate_flows_scratch`], [`simulate_flows`]) takes any flows over
 //! any links: it hands flows shaped like a circuit step to the arc solve
 //! (see [Explicit flows on arcs](#explicit-flows-on-arcs)) and every other
@@ -30,20 +29,12 @@
 //! configuration out as [`aps_topology::Circuits`] does (chains from their
 //! heads, then cycles) and never writes a per-hop path:
 //!
-//! * **direct circuits** — when every pair `(s, d)` is itself a circuit,
-//!   as on every matched step, each flow crosses one link alone. Its rate
-//!   is `cap / 1` and the step ends in one completion round at
-//!   `0 + m / cap`, so such a step needs no layout: the check costs
-//!   O(pairs), and the scratch records the step as its pair count and
-//!   `m / cap` without writing a per-flow time. The step engine skips the
-//!   check too for a job on every port whose step's matching *is* the
-//!   fabric's configuration.
-//! * **routing** — otherwise the configuration is laid out, unless it
-//!   equals the one the scratch laid out last (a step on an unchanged
-//!   fabric keeps its layout), and each pair becomes an arc (first slot,
-//!   hop count), checked in pair order. A sender with no circuit, or a
-//!   receiver on another chain or cycle or upstream on a chain, is the
-//!   first unroutable pair, the one the hop-by-hop walk names.
+//! * **routing** — the configuration is laid out, unless it equals the one
+//!   the scratch laid out last (a step on an unchanged fabric keeps its
+//!   layout), and each pair becomes an arc (first slot, hop count), checked
+//!   in pair order. A sender with no circuit, or a receiver on another
+//!   chain or cycle or upstream on a chain, is the first unroutable pair,
+//!   the one the hop-by-hop walk names.
 //! * **sharing components** — a difference array over the arcs gives each
 //!   link's user count, and a second one over adjacent slot pairs counts
 //!   the flows crossing each boundary. Two adjacent links share a
@@ -65,6 +56,11 @@
 //!   same `remaining -= rate·dt` update and the same ε test. After a round
 //!   only the components that lost a flow are split again from their
 //!   survivors and re-solved.
+//!
+//! On **direct circuits**, every pair a circuit, each link is a component
+//! of its own: every flow drains alone at `cap / 1`, and the step ends in
+//! the first completion round at `0 + m / cap`, the bits the step engine's
+//! O(1) answer (`direct_circuits`) gives without calling the solve.
 //!
 //! ## Explicit flows on arcs
 //!
@@ -324,8 +320,8 @@ fn simulate_as_arcs(caps: &[f64], s: &mut FluidScratch) -> bool {
 
 /// Solves the flows of `s` in one pass when every active flow crosses one
 /// link, no two of them the same link, and all carry one volume: direct
-/// circuits, as [`direct_circuits`] solves them, each finishing at
-/// `0 + bytes / caps[0]`. Checks every flow on the way as [`check_flow`]
+/// circuits, each finishing at `0 + bytes / caps[0]` as in the arc solve
+/// (see [`direct_circuits`]). Checks every flow on the way as [`check_flow`]
 /// does on links of the valid capacity `caps[0]`, and marks the links taken
 /// in `s.fed_link`. Returns `false` at the first active flow of any other
 /// shape; the finish times written before it are the earlier active
@@ -496,14 +492,6 @@ pub fn simulate_circuit_step(
     cap: f64,
     s: &mut CircuitScratch,
 ) -> Result<(), (usize, usize)> {
-    if pairs
-        .iter()
-        .all(|&(src, dst)| config.dst_of(src) == Some(dst))
-    {
-        direct_circuits(pairs.len(), bytes, cap, s);
-        return Ok(());
-    }
-    s.direct = None;
     s.first.clear();
     s.hops.clear();
     s.finish.clear();
@@ -522,28 +510,33 @@ pub fn simulate_circuit_step(
         s.hops.push(hops);
         s.comp_of.push(s.layout.component_index(src));
     }
-    check_step(bytes, cap);
     s.finish.resize(pairs.len(), 0.0);
-    if bytes > 0.0 {
-        drain(s, bytes, cap);
+    if !pairs.is_empty() {
+        check_step(bytes, cap);
+        if bytes > 0.0 {
+            drain(s, bytes, cap);
+        }
     }
     Ok(())
 }
 
-/// Records in `s` a step of `flows` direct circuits, each carrying `bytes`
-/// over a link of capacity `cap` that no other flow crosses: every flow
-/// drains alone at `cap / 1` and finishes in the first completion round, at
-/// `0 + bytes / cap`. O(1): no per-flow buffer is written.
+/// The largest hop count and latest `finish + delta_s · hops` of a step of
+/// `flows` direct circuits, each carrying `bytes` over a link of capacity
+/// `cap` that no other flow crosses, in O(1): `(0, 0.0)` with no flow,
+/// else every flow drains alone at `cap / 1` and finishes in the first
+/// completion round, at `0 + bytes / cap`, as [`simulate_circuit_step`]
+/// solves the same pairs.
 ///
 /// # Panics
 ///
 /// As [`simulate_circuit_step`], when `flows > 0`.
-pub(crate) fn direct_circuits(flows: usize, bytes: f64, cap: f64, s: &mut CircuitScratch) {
-    if flows > 0 {
-        check_step(bytes, cap);
+pub(crate) fn direct_circuits(flows: usize, bytes: f64, cap: f64, delta_s: f64) -> (usize, f64) {
+    if flows == 0 {
+        return (0, 0.0);
     }
+    check_step(bytes, cap);
     let done = if bytes > 0.0 { bytes / cap } else { 0.0 };
-    s.direct = Some((flows, done));
+    (1, 0.0f64.max(done + delta_s))
 }
 
 /// The input checks of [`check_flow`], for a step whose flows all carry

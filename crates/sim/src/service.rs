@@ -34,27 +34,21 @@
 //! [`TraceKind::Decision`] event, rationale attached, whenever the
 //! executor keeps full reports or a [`RecordSink`] is attached.
 //!
-//! ## Jobs on the whole fabric
+//! ## Steps answered without routing
 //!
-//! Admission marks a job that owns every fabric port in port order (rank
-//! `i` on port `i`), as every lone run's job does. Its local matchings are
-//! fabric configurations already: it hands the fabric its local target as
-//! it is instead of assembling one with `tenant_target`, and its step's
-//! pairs are translated to ports only when the step has to be routed. Any
-//! other job keeps the circuits of the ports it does not own, so it
-//! assembles its target and translates every step it routes.
-//!
-//! ## Recurring steps
-//!
-//! Admission also marks a job whose ports ascend, as the whole fabric's
-//! and every `aps-faas` partition's do. While the fabric holds such a
-//! job's local target on its ports, a step's transfer depends only on the
-//! target, the step's matching in local ranks and its volume (see
-//! [`crate::exec`]): a step whose matching is the target runs on direct
-//! circuits in O(1), and a step that ran before, by this job or by
+//! Admission marks a job whose ports ascend, as every lone run's and every
+//! `aps-faas` partition's do. With as many ports as the fabric, such a job
+//! sits in port order, rank `i` on port `i`, and hands the fabric its local
+//! target as it is; any other job assembles its target with
+//! `tenant_target`, keeping the circuits of the ports it does not own.
+//! While the fabric holds the target, an ascending job's step depends only
+//! on its local target, its matching in local ranks and its volume (see
+//! [`crate::exec`]): a step whose matching is the local target runs on
+//! direct circuits in O(1), and a step that ran before, by this job or by
 //! another on a different partition, is answered by the executor's step
-//! memo without routing. A service runs the same few collectives again and
-//! again, so most of its steps hit.
+//! memo. Every other step translates its pairs to ports and routes. A
+//! service runs the same few collectives again and again, so most of its
+//! steps hit.
 //!
 //! ## Steady-state allocation behavior
 //!
@@ -430,10 +424,8 @@ pub(crate) struct LoneRun {
 struct JobState<'a> {
     id: u64,
     job: Job<'a>,
-    /// The job owns every fabric port in port order (rank `i` on port
-    /// `i`), so its local matchings are already fabric configurations.
-    whole: bool,
-    /// The job's ports ascend, so the step memo may answer its steps.
+    /// The job's ports ascend, so the step memo may answer its steps; with
+    /// as many ports as the fabric they are `0..n`, rank `i` on port `i`.
     ascending: bool,
     /// The next step to execute, pulled in place; valid only when
     /// `has_pending`.
@@ -651,12 +643,10 @@ impl<'a> ServiceExecutor<'a> {
         if let Some(cp) = job.resume {
             self.summary = self.summary.merge(cp.summary);
         }
-        let whole = n_j == self.n && job.ports.iter().enumerate().all(|(i, &p)| i == p);
         let ascending = job.ports.windows(2).all(|w| w[0] < w[1]);
         let state = JobState {
             id,
             job,
-            whole,
             ascending,
             pending,
             has_pending,
@@ -743,9 +733,10 @@ impl<'a> ServiceExecutor<'a> {
         } else {
             &st.job.base_config
         };
-        // A job on every port asks for its local configuration as it is;
+        // A job on every port in order (distinct ports that ascend and
+        // number `n` are `0..n`) asks for its local configuration as it is;
         // any other keeps the circuits of the ports it does not own.
-        let target = if st.whole {
+        let target = if st.ascending && st.job.ports.len() == self.n {
             local_target
         } else {
             tenant_target(
@@ -763,7 +754,7 @@ impl<'a> ServiceExecutor<'a> {
             target,
             local_target,
             demand: &st.pending.matching,
-            ports: (!st.whole).then_some(&st.job.ports[..]),
+            ports: &st.job.ports,
             ascending: st.ascending,
             bytes_per_pair: st.pending.bytes_per_pair,
             barrier_n: st.job.ports.len(),
@@ -1014,13 +1005,13 @@ mod tests {
     #[test]
     fn a_lone_run_matches_one_tenant_beside_a_dark_port() {
         // A lone run on n ports asks for its local configurations as they
-        // are and runs steps on direct circuits in O(1). One tenant on
-        // ports 0..n of an (n + 1)-port fabric whose port n is dark takes
-        // the translated path instead: `tenant_target`, pairs mapped
-        // through its ports, every step routed. Both must give the same
-        // reports bit for bit, or the same error. With port 3 stuck on its
-        // ring circuit 3 → 4 the fabric achieves something other than a
-        // matched step's target, so the lone run must route that step too.
+        // are; one tenant on ports 0..n of an (n + 1)-port fabric whose
+        // port n is dark assembles each target with `tenant_target`. Both
+        // jobs' ports ascend, so both answer their matched steps in O(1)
+        // and their recurring steps from the memo, and both must give the
+        // same reports bit for bit, or the same error. With port 3 stuck on
+        // its ring circuit 3 → 4 the fabric achieves something other than a
+        // matched step's target, so both runs route that step.
         use crate::exec::{run_scheduled, ComputeModel};
         use aps_collectives::workload::generators::RandomPermutations;
         use aps_collectives::workload::materialize;

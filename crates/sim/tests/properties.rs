@@ -1,7 +1,8 @@
 //! Property-based tests for the simulator: determinism, monotonicity in
 //! every cost parameter, and lower bounds from conservation. The last
 //! tests re-solve every step of multi-tenant runs from scratch, the oracle
-//! of the step engine's step memo.
+//! of the step engine's step memo and of its O(1) answer on direct
+//! circuits.
 
 use aps_collectives::workload::generators::RandomPermutations;
 use aps_collectives::workload::materialize;
@@ -433,4 +434,82 @@ fn faults_shuffled_ports_and_unroutable_pairs_resolve_from_scratch() {
     // Every step but the three failed ones was recorded.
     let steps: usize = jobs.iter().map(|(_, s)| s.num_steps()).sum();
     assert_eq!(recorded.steps.len(), steps - 3);
+}
+
+#[test]
+fn direct_steps_of_any_volume_resolve_from_scratch() {
+    // Every step is matched, so on a fabric that holds its target the
+    // executor answers it in O(1), without routing: an XOR exchange and a
+    // shift by 3 on 8 ranks, and the empty matching, each at volumes from
+    // zero through a subnormal and one byte to 1e15 bytes. The answer must
+    // be what the arc solve gives when it routes the same pairs, with and
+    // without propagation, for one job on every port and for two jobs side
+    // by side; each flow crosses one circuit.
+    let n = 8;
+    let volumes = [0.0, 5e-324, 1.0, MIB, 1e15];
+    let steps: Vec<Step> = volumes
+        .iter()
+        .flat_map(|&bytes| {
+            [
+                Matching::xor(n, 1).unwrap(),
+                Matching::shift(n, 3).unwrap(),
+                Matching::empty(n),
+            ]
+            .map(|matching| Step {
+                matching,
+                bytes_per_pair: bytes,
+            })
+        })
+        .collect();
+    let schedule = Schedule::new(n, CollectiveKind::Composite, "direct", steps).unwrap();
+    let paper = CostParams::paper_defaults();
+    for params in [
+        paper,
+        CostParams {
+            delta_s: 0.0,
+            ..paper
+        },
+    ] {
+        let cfg = RunConfig::with_params(params);
+        for jobs in 1..=2 {
+            let tenants: Vec<TenantSpec> = (0..jobs)
+                .map(|j| TenantSpec {
+                    name: format!("job {j}"),
+                    ports: (j * n..(j + 1) * n).collect(),
+                    base_config: Matching::shift(n, 1).unwrap(),
+                    schedule: schedule.clone(),
+                    switch_schedule: SwitchSchedule::all_matched(schedule.num_steps()),
+                    arrival_s: 0.0,
+                })
+                .collect();
+            let mut rings: Vec<(usize, usize)> = Vec::new();
+            for t in &tenants {
+                rings.extend(t.global_base().unwrap().pairs());
+            }
+            let mut fabric = CircuitSwitch::new(
+                Matching::from_pairs(jobs * n, &rings).unwrap(),
+                ReconfigModel::constant(5e-6).unwrap(),
+            );
+            let mut recorded = Recorded {
+                job_of_slot: (0..jobs).collect(),
+                ..Recorded::default()
+            };
+            let results =
+                execute_tenants(&mut fabric, &tenants, &cfg, Some(&mut recorded)).unwrap();
+            let case = format!("{jobs} jobs, delta {} s", params.delta_s);
+            for r in &results {
+                assert!(r.is_ok(), "{case}: {r:?}");
+            }
+            assert_eq!(recorded.steps.len(), jobs * schedule.num_steps(), "{case}");
+            let jobs: Vec<(Vec<usize>, Schedule)> = tenants
+                .iter()
+                .map(|t| (t.ports.clone(), t.schedule.clone()))
+                .collect();
+            assert_eq!(
+                assert_resolved_from_scratch(&recorded, &jobs, &cfg),
+                0,
+                "{case}: no step relays"
+            );
+        }
+    }
 }

@@ -12,9 +12,12 @@
 //!
 //! The open-system [`ServiceExecutor`] is measured the same way: two
 //! endless training jobs admitted side by side, stepped `K` and
-//! `K + EXTRA` times, once on an all-photonic [`CircuitSwitch`] and once
-//! on a switch whose first job sits on the electrical crossbar. Both run
-//! matched steps; a third case runs two endless jobs on their base rings,
+//! `K + EXTRA` times, once on an all-photonic [`CircuitSwitch`], once
+//! on a switch whose first job sits on the electrical crossbar, and once
+//! with the second job's ranks on its ports out of order, so that every
+//! one of its steps assembles its target, translates its pairs, lays the
+//! configuration out and routes. All three run matched steps; a fourth
+//! case runs two endless jobs on their base rings,
 //! whose routed steps recur, so the executor's step memo both answers
 //! steps and evicts them on the counted path. So is the
 //! explicit-path API on flows shaped like a circuit step: one recycled
@@ -129,9 +132,11 @@ fn run(steps: usize, controller: &dyn Controller) -> (StreamSummary, u64) {
 /// Executes `steps` service steps of two endless matched training jobs,
 /// each on its own `N`-port half of a `2N`-port switch whose ports
 /// `0..crossbar_below` hang off the electrical crossbar, returning the
-/// summary and the allocation count the steps spent. Set-up and admission
-/// stay outside the counted region.
-fn run_service(steps: usize, crossbar_below: usize) -> (StreamSummary, u64) {
+/// summary and the allocation count the steps spent. With `shuffled` the
+/// second job's ranks sit on its ports out of order, so the step memo and
+/// the O(1) answer on direct circuits never take its steps. Set-up and
+/// admission stay outside the counted region.
+fn run_service(steps: usize, crossbar_below: usize, shuffled: bool) -> (StreamSummary, u64) {
     let rings: Vec<(usize, usize)> = (0..2 * N).map(|p| (p, p - p % N + (p + 1) % N)).collect();
     let base = Matching::from_pairs(2 * N, &rings).unwrap();
     let reconfig = ReconfigModel::constant(5e-6).unwrap();
@@ -140,7 +145,11 @@ fn run_service(steps: usize, crossbar_below: usize) -> (StreamSummary, u64) {
     for job in 0..2 {
         let spec = ServiceJobSpec {
             name: format!("train-{job}"),
-            ports: (job * N..(job + 1) * N).collect(),
+            ports: if shuffled && job == 1 {
+                vec![13, 9, 15, 8, 11, 14, 10, 12]
+            } else {
+                (job * N..(job + 1) * N).collect()
+            },
             base_config: Matching::shift(N, 1).unwrap(),
             workload: Box::new(TrainingLoop::new(N, 4, MIB, 4.0 * MIB, None).unwrap()),
             switching: ServiceSwitching::Uniform(ConfigChoice::Matched),
@@ -276,9 +285,14 @@ fn steady_state_step_allocates_nothing() {
              allocations (want 0); warm-up spent {allocs_short}"
         );
     }
-    let service: [(&str, ServiceRun); 3] = [
-        ("service", |steps| run_service(steps, 0)),
-        ("service, half crossbar", |steps| run_service(steps, N)),
+    let service: [(&str, ServiceRun); 4] = [
+        ("service", |steps| run_service(steps, 0, false)),
+        ("service, half crossbar", |steps| {
+            run_service(steps, N, false)
+        }),
+        ("service, shuffled ports", |steps| {
+            run_service(steps, 0, true)
+        }),
         ("service on base rings", run_service_on_base_rings),
     ];
     for (name, run_service) in service {

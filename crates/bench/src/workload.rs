@@ -8,23 +8,12 @@
 //! the textbook collectives.
 
 use aps_collectives::{CollectiveError, CollectiveKind, Schedule, Step};
-use aps_matrix::Matching;
 use rand::prelude::*;
 
 /// A random full permutation without fixed points (derangement) — the
 /// single implementation lives with the streaming generators in
 /// `aps-collectives` ([`aps_collectives::workload::generators`]).
 pub use aps_collectives::workload::generators::random_derangement;
-
-/// A random partial matching covering roughly `density` of the nodes.
-pub fn random_partial_matching(n: usize, density: f64, rng: &mut StdRng) -> Matching {
-    let full = random_derangement(n, rng);
-    let pairs: Vec<(usize, usize)> = full
-        .pairs()
-        .filter(|_| rng.random_bool(density.clamp(0.0, 1.0)))
-        .collect();
-    Matching::from_pairs(n, &pairs).expect("subset of a matching is a matching")
-}
 
 /// A custom collective: `steps` random derangements with volumes drawn
 /// log-uniformly from `[min_bytes, max_bytes]`.
@@ -123,15 +112,5 @@ mod tests {
         // No MoE layers at all.
         let dense = training_iteration(16, 3, 1e6, 0, 0.0);
         assert!(dense.is_err() || dense.unwrap().num_steps() == 24);
-    }
-
-    #[test]
-    fn partial_matching_density() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let m = random_partial_matching(64, 0.5, &mut rng);
-        assert!(m.len() < 64);
-        assert!(!m.is_empty());
-        let empty = random_partial_matching(64, 0.0, &mut rng);
-        assert!(empty.is_empty());
     }
 }

@@ -121,15 +121,6 @@ impl DataFlow {
             })
             .unwrap_or(0)
     }
-
-    /// Total chunk-transfers across all steps (a proxy for total traffic).
-    pub fn total_chunk_transfers(&self) -> usize {
-        self.steps
-            .iter()
-            .flat_map(|s| s.transfers.iter())
-            .map(|t| t.chunks.len())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -163,6 +154,5 @@ mod tests {
         };
         assert_eq!(flow.max_chunks_in_step(0), 2);
         assert_eq!(flow.max_chunks_in_step(7), 0);
-        assert_eq!(flow.total_chunk_transfers(), 3);
     }
 }

@@ -27,7 +27,7 @@
 use crate::assignment::{ConfigChoice, SwitchSchedule};
 use crate::dp;
 use crate::error::CoreError;
-use crate::objective::{reconfig_charge, step_run_cost, ReconfigAccounting};
+use crate::objective::{reconfig_charge, standalone_gain, step_run_cost, ReconfigAccounting};
 use crate::problem::SwitchingProblem;
 use aps_cost::steptable::StepCosts;
 
@@ -225,10 +225,8 @@ pub struct Threshold;
 impl Threshold {
     /// The step's standalone reconfiguration gain in seconds.
     fn gain(obs: &StepObservation<'_>) -> f64 {
-        let p = &obs.problem.params;
-        let s = obs.costs();
-        p.beta_s_per_byte * s.bytes * (1.0 / s.theta_base - 1.0)
-            + p.delta_s * (s.ell_base as f64 - 1.0).max(0.0)
+        let (congestion, propagation) = standalone_gain(&obs.problem.params, obs.costs());
+        congestion + propagation
     }
 
     /// The worst-case delay the gain is compared against.

@@ -8,7 +8,7 @@
 
 use crate::assignment::{ConfigChoice, SwitchSchedule};
 use crate::error::CoreError;
-use crate::objective::{reconfig_charge, step_run_cost, ReconfigAccounting};
+use crate::objective::{reconfig_charge, standalone_gain, step_run_cost, ReconfigAccounting};
 use crate::problem::SwitchingProblem;
 use aps_cost::units::{format_bytes, format_time};
 use std::fmt;
@@ -95,9 +95,7 @@ pub fn explain(
         let base_cost_s = step_run_cost(problem, i, ConfigChoice::Base);
         let matched_cost_s = step_run_cost(problem, i, ConfigChoice::Matched);
         let reconfig_paid_s = reconfig_charge(problem, accounting, prev, choice, i);
-        let p = &problem.params;
-        let congestion_gain = p.beta_s_per_byte * s.bytes * (1.0 / s.theta_base - 1.0);
-        let propagation_gain = p.delta_s * (s.ell_base as f64 - 1.0).max(0.0);
+        let (congestion_gain, propagation_gain) = standalone_gain(&problem.params, s);
         let reason = match choice {
             ConfigChoice::Base => {
                 if s.theta_base >= 1.0 - 1e-12 && s.ell_base <= 1 {

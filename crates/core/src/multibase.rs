@@ -4,30 +4,23 @@
 //! pool of base topologies instead of a single base topology G … e.g.,
 //! using multiple co-prime rings as base topologies." The DP state simply
 //! grows from `{base, matched}` to `{base₁, …, base_k, matched}`: still a
-//! trellis shortest path, `O(s·(k+1)²)`. Every base is priced with the
-//! exact forced-path θ, and every reconfiguration with the paper's
-//! conservative accounting: a move between configurations costs the
-//! delay model applied to at least one changed port.
+//! trellis shortest path, `O(s·(k+1)²)`. Each base of the pool is one
+//! [`SwitchingProblem`] over the shared schedule, built with the exact
+//! forced-path θ, so a step costs what [`crate::objective`] charges it on
+//! that base: eq. (3) at the base's `(θ, ℓ)`, or at `(1, 1)` matched. Every
+//! reconfiguration is priced with the paper's conservative accounting: a
+//! move between configurations costs the delay model applied to at least
+//! one changed port.
 
+use crate::assignment::ConfigChoice;
 use crate::error::CoreError;
-use crate::problem::config_of_topology;
+use crate::objective::{ports_changed, step_run_cost};
+use crate::problem::SwitchingProblem;
 use aps_collectives::Schedule;
-use aps_cost::steptable::step_cost_table;
 use aps_cost::{CostParams, ReconfigModel};
 use aps_flow::solver::{ThetaCache, ThroughputSolver};
 use aps_matrix::Matching;
 use aps_topology::Topology;
-
-/// One base topology's per-step figures.
-#[derive(Debug, Clone)]
-pub struct BaseOption {
-    /// Topology name (for reports).
-    pub name: String,
-    /// Physical circuit configuration, when the base is one.
-    pub config: Option<Matching>,
-    /// `(θ, ℓ)` per collective step on this base.
-    pub per_step: Vec<(f64, usize)>,
-}
 
 /// Per-step choice in a multi-base schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,18 +34,10 @@ pub enum MultiChoice {
 /// A multi-base instance of the switching problem.
 #[derive(Debug, Clone)]
 pub struct MultiBaseProblem {
-    /// Number of fabric ports.
-    pub n: usize,
-    /// α, β, δ.
-    pub params: CostParams,
-    /// Reconfiguration pricing.
-    pub reconfig: ReconfigModel,
-    /// The pool of base topologies.
-    pub bases: Vec<BaseOption>,
-    /// Step volumes `mᵢ`.
-    pub volumes: Vec<f64>,
-    /// Step matchings (for per-port diffs and matched-state configs).
-    pub matchings: Vec<Matching>,
+    /// One eq. (7) instance per base topology of the pool, in pool order,
+    /// all over the same schedule, cost parameters and reconfiguration
+    /// model.
+    pub bases: Vec<SwitchingProblem>,
     /// Index of the base the fabric holds before step 0.
     pub start_base: usize,
 }
@@ -80,83 +65,58 @@ pub fn build_multibase(
             bases: pool.len(),
         });
     }
-    let mut bases = Vec::with_capacity(pool.len());
-    for topo in pool {
-        let mut cache = ThetaCache::new(topo, ThroughputSolver::ForcedPath);
-        let table = step_cost_table(topo, schedule, &mut cache)?;
-        bases.push(BaseOption {
-            name: topo.name().to_string(),
-            config: config_of_topology(topo),
-            per_step: table.iter().map(|s| (s.theta_base, s.ell_base)).collect(),
-        });
-    }
-    Ok(MultiBaseProblem {
-        n: pool[0].n(),
-        params,
-        reconfig,
-        bases,
-        volumes: schedule.steps().iter().map(|s| s.bytes_per_pair).collect(),
-        matchings: schedule
-            .steps()
-            .iter()
-            .map(|s| s.matching.clone())
-            .collect(),
-        start_base,
-    })
+    let bases = pool
+        .iter()
+        .map(|topo| {
+            let mut cache = ThetaCache::new(topo, ThroughputSolver::ForcedPath);
+            SwitchingProblem::build(topo, schedule, &mut cache, params, reconfig)
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(MultiBaseProblem { bases, start_base })
 }
 
 impl MultiBaseProblem {
     /// Number of steps.
     pub fn num_steps(&self) -> usize {
-        self.volumes.len()
+        self.bases[0].num_steps()
     }
 
-    fn config_of(&self, i: Option<usize>, choice: MultiChoice) -> Option<&Matching> {
+    /// The two-state instance and choice that price `choice`: base `k`'s
+    /// own instance, or the first one for a matched step, whose cost and
+    /// configuration no base changes.
+    fn instance(&self, choice: MultiChoice) -> (&SwitchingProblem, ConfigChoice) {
         match choice {
-            MultiChoice::Base(k) => self.bases[k].config.as_ref(),
-            MultiChoice::Matched => i.map(|i| &self.matchings[i]),
+            MultiChoice::Base(k) => (&self.bases[k], ConfigChoice::Base),
+            MultiChoice::Matched => (&self.bases[0], ConfigChoice::Matched),
         }
+    }
+
+    /// The configuration the fabric holds while step `i` runs under
+    /// `choice`.
+    fn config_at(&self, i: usize, choice: MultiChoice) -> Option<&Matching> {
+        let (problem, c) = self.instance(choice);
+        problem.config_at(i, c == ConfigChoice::Matched)
     }
 
     fn run_cost(&self, i: usize, choice: MultiChoice) -> f64 {
-        let p = &self.params;
-        let m = self.volumes[i];
-        match choice {
-            MultiChoice::Base(k) => {
-                let (theta, ell) = self.bases[k].per_step[i];
-                p.alpha_s + p.delta_s * ell as f64 + p.beta_s_per_byte * m / theta
-            }
-            MultiChoice::Matched => {
-                let ell = if self.matchings[i].is_empty() {
-                    0.0
-                } else {
-                    1.0
-                };
-                p.alpha_s + p.delta_s * ell + p.beta_s_per_byte * m
-            }
-        }
+        let (problem, c) = self.instance(choice);
+        step_run_cost(problem, i, c)
     }
 
-    fn transition_cost(
-        &self,
-        prev_step: Option<usize>,
-        prev: MultiChoice,
-        i: usize,
-        cur: MultiChoice,
-    ) -> f64 {
+    /// The charge for entering step `i` under `cur` from `prev`: the start
+    /// base before step 0, step `i − 1`'s choice after it.
+    fn transition_cost(&self, prev: MultiChoice, i: usize, cur: MultiChoice) -> f64 {
         // Staying on the *same* base never reconfigures (generalized z).
         if let (MultiChoice::Base(a), MultiChoice::Base(b)) = (prev, cur) {
             if a == b {
                 return 0.0;
             }
         }
-        let prev_cfg = self.config_of(prev_step, prev);
-        let cur_cfg = self.config_of(Some(i), cur);
-        let diff = match (prev_cfg, cur_cfg) {
-            (Some(a), Some(b)) => a.tx_ports_changed(b),
-            _ => self.n,
-        };
-        self.reconfig.delay_s(diff.max(1))
+        // Before step 0 `prev` is a base, whose configuration no step index
+        // changes.
+        let prev_cfg = self.config_at(i.saturating_sub(1), prev);
+        let diff = ports_changed(&self.bases[0], prev_cfg, self.config_at(i, cur));
+        self.bases[0].reconfig.delay_s(diff.max(1))
     }
 
     /// Prices an explicit multi-base schedule.
@@ -173,11 +133,9 @@ impl MultiBaseProblem {
         }
         let mut total = 0.0;
         let mut prev = MultiChoice::Base(self.start_base);
-        let mut prev_step = None;
         for (i, &cur) in choices.iter().enumerate() {
-            total += self.run_cost(i, cur) + self.transition_cost(prev_step, prev, i, cur);
+            total += self.run_cost(i, cur) + self.transition_cost(prev, i, cur);
             prev = cur;
-            prev_step = Some(i);
         }
         Ok(total)
     }
@@ -201,14 +159,13 @@ impl MultiBaseProblem {
         let mut parent = vec![vec![0usize; states.len()]; s];
         for (ci, &cur) in states.iter().enumerate() {
             best[0][ci] = self.run_cost(0, cur)
-                + self.transition_cost(None, MultiChoice::Base(self.start_base), 0, cur);
+                + self.transition_cost(MultiChoice::Base(self.start_base), 0, cur);
         }
         for i in 1..s {
             for (ci, &cur) in states.iter().enumerate() {
                 let run = self.run_cost(i, cur);
                 for (pi, &prev) in states.iter().enumerate() {
-                    let cand =
-                        best[i - 1][pi] + run + self.transition_cost(Some(i - 1), prev, i, cur);
+                    let cand = best[i - 1][pi] + run + self.transition_cost(prev, i, cur);
                     if cand < best[i][ci] {
                         best[i][ci] = cand;
                         parent[i][ci] = pi;
@@ -236,7 +193,6 @@ impl MultiBaseProblem {
 mod tests {
     use super::*;
     use crate::dp;
-    use crate::problem::SwitchingProblem;
     use aps_collectives::alltoall;
     use aps_topology::builders;
 

@@ -2,12 +2,18 @@
 //!
 //! This module is the single source of truth for what a schedule costs; the
 //! DP solver, the exhaustive solver and all policies are validated against
-//! [`evaluate`].
+//! [`evaluate`]. A step runs at the `(θ, ℓ)` its choice gives it and costs
+//! eq. (3), [`aps_cost::dct::dct`]; a reconfiguration costs the delay model
+//! applied to the ports that change. The same two terms price the
+//! multi-base pool ([`crate::multibase`]). On a schedule that never leaves
+//! the base, [`evaluate`] is the static completion time of eq. (4).
 
 use crate::assignment::{ConfigChoice, SwitchSchedule};
 use crate::error::CoreError;
 use crate::problem::SwitchingProblem;
-use aps_cost::ReconfigModel;
+use aps_cost::dct::{dct, DctBreakdown};
+use aps_cost::steptable::StepCosts;
+use aps_cost::{CostParams, ReconfigModel};
 
 /// How reconfiguration events are priced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,7 +55,7 @@ impl CostReport {
 /// Number of ports whose circuits change when the fabric moves between two
 /// (possibly unknown) configurations. Unknown (multi-circuit base) counts as
 /// a full-fabric change.
-fn ports_changed(
+pub(crate) fn ports_changed(
     problem: &SwitchingProblem,
     prev: Option<&aps_matrix::Matching>,
     next: Option<&aps_matrix::Matching>,
@@ -95,22 +101,35 @@ pub(crate) fn reconfig_charge(
     }
 }
 
+/// Eq. (3) for step `s` under `choice`, without the reconfiguration term.
+/// On the base the step runs at the base topology's `(θ, ℓ)`. Matched,
+/// every pair has a direct circuit (§3.3: "congestion and path lengths can
+/// be reduced to 1"): θ = 1 and ℓ = 1, or ℓ = 0 for an empty step.
+#[inline]
+fn step_dct(params: &CostParams, s: &StepCosts, choice: ConfigChoice) -> DctBreakdown {
+    let (theta, ell) = match choice {
+        ConfigChoice::Base => (s.theta_base, s.ell_base),
+        ConfigChoice::Matched => (1.0, usize::from(!s.matching.is_empty())),
+    };
+    dct(params, s.bytes, theta, ell)
+}
+
 /// Per-step cost of running step `i` under `choice` (latency + propagation +
 /// transmission, without the reconfiguration term).
+#[inline]
 pub(crate) fn step_run_cost(problem: &SwitchingProblem, i: usize, choice: ConfigChoice) -> f64 {
-    let s = &problem.steps[i];
-    let p = &problem.params;
-    match choice {
-        ConfigChoice::Base => {
-            p.alpha_s + p.delta_s * s.ell_base as f64 + p.beta_s_per_byte * s.bytes / s.theta_base
-        }
-        ConfigChoice::Matched => {
-            // Direct circuits: θ = 1, ℓ = 1 (§3.3: "congestion and path
-            // lengths can be reduced to 1"). Empty steps keep ℓ = 0.
-            let ell = if s.matching.is_empty() { 0.0 } else { 1.0 };
-            p.alpha_s + p.delta_s * ell + p.beta_s_per_byte * s.bytes
-        }
-    }
+    step_dct(&problem.params, &problem.steps[i], choice).total_s()
+}
+
+/// What running step `s` matched instead of on the base saves before any
+/// reconfiguration charge, in seconds: the congestion term
+/// `β·m·(1/θ − 1)` and the propagation term `δ·(ℓ − 1)⁺`. The §4
+/// threshold heuristic compares their sum with `α_r`.
+pub(crate) fn standalone_gain(params: &CostParams, s: &StepCosts) -> (f64, f64) {
+    (
+        params.beta_s_per_byte * s.bytes * (1.0 / s.theta_base - 1.0),
+        params.delta_s * (s.ell_base as f64 - 1.0).max(0.0),
+    )
 }
 
 /// Prices `schedule` on `problem` under the given accounting — the
@@ -131,23 +150,14 @@ pub fn evaluate(
             got: schedule.len(),
         });
     }
-    let p = &problem.params;
     let mut report = CostReport::default();
     let mut prev = ConfigChoice::Base; // x₀ = 1.
     for (i, s) in problem.steps.iter().enumerate() {
         let cur = schedule.choice(i);
-        report.latency_s += p.alpha_s;
-        match cur {
-            ConfigChoice::Base => {
-                report.propagation_s += p.delta_s * s.ell_base as f64;
-                report.transmission_s += p.beta_s_per_byte * s.bytes / s.theta_base;
-            }
-            ConfigChoice::Matched => {
-                let ell = if s.matching.is_empty() { 0.0 } else { 1.0 };
-                report.propagation_s += p.delta_s * ell;
-                report.transmission_s += p.beta_s_per_byte * s.bytes;
-            }
-        }
+        let d = step_dct(&problem.params, s, cur);
+        report.latency_s += d.latency_s;
+        report.propagation_s += d.propagation_s;
+        report.transmission_s += d.transmission_s;
         // An event is counted whenever z_i = 0, even if the charge is 0
         // under PhysicalDiff (a no-op "reconfiguration").
         if !(prev == ConfigChoice::Base && cur == ConfigChoice::Base) {
@@ -194,6 +204,57 @@ mod tests {
         assert_eq!(r.reconfig_events, 0);
         // Latency term is s·α.
         assert!((r.latency_s - 6.0 * 100e-9).abs() < 1e-15);
+    }
+
+    #[test]
+    fn ring_allreduce_on_uni_ring_is_congestion_free() {
+        // Eq. (4) in closed form: every ring step is one hop at θ = 1.
+        let n = 8;
+        let topo = builders::ring_unidirectional(n).unwrap();
+        let c = allreduce::ring::build(n, 1e6).unwrap();
+        let mut cache = ThetaCache::new(&topo, ThroughputSolver::ForcedPath);
+        let p = SwitchingProblem::build(
+            &topo,
+            &c.schedule,
+            &mut cache,
+            CostParams::paper_defaults(),
+            ReconfigModel::constant(1e-5).unwrap(),
+        )
+        .unwrap();
+        let t = evaluate(
+            &p,
+            &SwitchSchedule::all_base(p.num_steps()),
+            Default::default(),
+        )
+        .unwrap();
+        // 14 steps × (α + δ) + β·2·(7/8)·1e6.
+        let expect = 14.0 * 200e-9 + 1.75e6 / 8.0 * 8.0 / 1e11;
+        assert!((t.total_s() - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn static_time_is_monotone_in_message_size() {
+        let n = 8;
+        let topo = builders::ring_unidirectional(n).unwrap();
+        let mut cache = ThetaCache::new(&topo, ThroughputSolver::ForcedPath);
+        let mut last = 0.0;
+        for m in [1e3, 1e5, 1e7] {
+            let c = allreduce::swing::build(n, m).unwrap();
+            let p = SwitchingProblem::build(
+                &topo,
+                &c.schedule,
+                &mut cache,
+                CostParams::paper_defaults(),
+                ReconfigModel::constant(1e-5).unwrap(),
+            )
+            .unwrap();
+            let all_base = SwitchSchedule::all_base(p.num_steps());
+            let t = evaluate(&p, &all_base, Default::default())
+                .unwrap()
+                .total_s();
+            assert!(t > last);
+            last = t;
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Demand completion time (eq. (3)) with its three-way breakdown.
+//! Demand completion time (eq. (3)) with its three-way breakdown: the
+//! formula `aps-core` prices every step of a plan with.
 
 use crate::params::CostParams;
 
@@ -14,18 +15,10 @@ pub struct DctBreakdown {
 }
 
 impl DctBreakdown {
-    /// Total step time.
+    /// Total step time, summed in the order `(α + δ·ℓ) + β·m/θ`.
+    #[inline]
     pub fn total_s(&self) -> f64 {
         self.latency_s + self.propagation_s + self.transmission_s
-    }
-
-    /// Component-wise sum.
-    pub fn add(&self, other: &Self) -> Self {
-        Self {
-            latency_s: self.latency_s + other.latency_s,
-            propagation_s: self.propagation_s + other.propagation_s,
-            transmission_s: self.transmission_s + other.transmission_s,
-        }
     }
 }
 
@@ -38,6 +31,7 @@ impl DctBreakdown {
 /// Panics (debug) on non-positive `theta` — a non-empty step always has
 /// positive throughput; zero would mean an unroutable step, which the step
 /// table rejects earlier.
+#[inline]
 pub fn dct(params: &CostParams, bytes: f64, theta: f64, ell: usize) -> DctBreakdown {
     debug_assert!(theta > 0.0, "non-positive concurrent flow {theta}");
     DctBreakdown {
@@ -70,16 +64,6 @@ mod tests {
         let d = dct(&p, 1e6, 1.0, 1);
         assert!((d.transmission_s - 1e6 / 1e11).abs() < 1e-18);
         assert_eq!(d.propagation_s, 100.0 * NANOS);
-    }
-
-    #[test]
-    fn breakdown_addition() {
-        let p = CostParams::paper_defaults();
-        let a = dct(&p, 100.0, 1.0, 1);
-        let b = dct(&p, 200.0, 0.5, 2);
-        let s = a.add(&b);
-        assert!((s.total_s() - (a.total_s() + b.total_s())).abs() < 1e-18);
-        assert_eq!(s.latency_s, 2.0 * p.alpha_s);
     }
 
     #[test]

@@ -10,8 +10,13 @@
 //!           latency  propagation  bandwidth × congestion
 //! ```
 //!
-//! with `β = 1/b` (`b` = transceiver bandwidth) and total collective
-//! completion time `t_c = s·α + Σ δ·ℓᵢ + β·Σ mᵢ/θᵢ` (eq. 4).
+//! with `β = 1/b` (`b` = transceiver bandwidth). Eq. (3) is what the
+//! planner prices with: `aps-core`'s objective, its DP and its multi-base
+//! pool all cost a step through [`dct::dct`], on the base topology at the
+//! step's `(θᵢ, ℓᵢ)` or matched at `(1, 1)`. The static completion time
+//! `t_c = s·α + Σ δ·ℓᵢ + β·Σ mᵢ/θᵢ` (eq. 4) is that objective on a
+//! schedule that never leaves the base (`aps_core::evaluate` on
+//! `SwitchSchedule::all_base`).
 //!
 //! This crate provides:
 //!
@@ -34,4 +39,4 @@ pub mod units;
 pub use dct::DctBreakdown;
 pub use params::CostParams;
 pub use reconfig::ReconfigModel;
-pub use steptable::{completion_time_static, step_cost_table, StepCosts};
+pub use steptable::{step_cost_table, StepCosts};

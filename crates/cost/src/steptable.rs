@@ -1,13 +1,12 @@
 //! Per-step cost tables: `θ(G, Mᵢ)`, `ℓᵢ` and `mᵢ` for a whole schedule.
 //!
 //! This is the precomputation shared by every policy: the optimizer, the
-//! static baseline (eq. (4)) and the per-step-BvN baseline all read the same
-//! table. θ values are memoized per matching via
+//! static baseline and the per-step-BvN baseline all read the same table,
+//! and `aps-core` prices each of its steps with eq. (3),
+//! [`crate::dct::dct`]. θ values are memoized per matching via
 //! [`aps_flow::solver::ThetaCache`] — collectives reuse the same few
 //! matchings across steps, message sizes and sweep cells.
 
-use crate::dct::{dct, DctBreakdown};
-use crate::params::CostParams;
 use aps_collectives::Schedule;
 use aps_flow::solver::ThetaCache;
 use aps_flow::FlowError;
@@ -55,14 +54,6 @@ pub fn step_cost_table(
         .collect()
 }
 
-/// Total completion time on the static base topology (eq. (4)):
-/// `t_c = s·α + Σ δ·ℓᵢ + β·Σ mᵢ/θᵢ`. Returns the component breakdown.
-pub fn completion_time_static(params: &CostParams, table: &[StepCosts]) -> DctBreakdown {
-    table.iter().fold(DctBreakdown::default(), |acc, s| {
-        acc.add(&dct(params, s.bytes, s.theta_base, s.ell_base))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,10 +75,6 @@ mod tests {
         }
         // All steps share one matching: the cache holds a single entry.
         assert_eq!(cache.len(), 1);
-        let t = completion_time_static(&CostParams::paper_defaults(), &table);
-        // 14 steps × (α + δ) + β·2·(7/8)·1e6.
-        let expect = 14.0 * 200e-9 + 1.75e6 / 8.0 * 8.0 / 1e11;
-        assert!((t.total_s() - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -104,21 +91,5 @@ mod tests {
         // xor masks repeat between the RS and AG phases: 3 distinct
         // matchings for log2(8) = 3 masks.
         assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn static_time_is_monotone_in_message_size() {
-        let n = 8;
-        let topo = builders::ring_unidirectional(n).unwrap();
-        let params = CostParams::paper_defaults();
-        let mut cache = ThetaCache::new(&topo, ThroughputSolver::ForcedPath);
-        let mut last = 0.0;
-        for m in [1e3, 1e5, 1e7] {
-            let c = allreduce::swing::build(n, m).unwrap();
-            let table = step_cost_table(&topo, &c.schedule, &mut cache).unwrap();
-            let t = completion_time_static(&params, &table).total_s();
-            assert!(t > last);
-            last = t;
-        }
     }
 }

@@ -284,6 +284,7 @@ mod tests {
     use aps_cost::units::{secs_to_picos, MIB};
     use aps_cost::ReconfigModel;
     use aps_fabric::CircuitSwitch;
+    use proptest::prelude::*;
 
     fn tenant(name: &str, ports: Vec<usize>, bytes: f64, matched: bool) -> TenantSpec {
         let n = ports.len();
@@ -501,6 +502,83 @@ mod tests {
                 assert!(matches!(**source, SimError::ScheduleLengthMismatch { .. }));
             }
             other => panic!("expected tenant-tagged error, got {other}"),
+        }
+    }
+
+    /// A partial matching over `keys.len()` ports: port `i` sends to the
+    /// `i`-th port in ascending key order when `keep[i]` and that port is
+    /// not `i`.
+    fn keyed_matching(keys: &[u64], keep: &[bool]) -> Matching {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let pairs: Vec<(usize, usize)> = (0..keys.len())
+            .filter(|&i| keep[i] && order[i] != i)
+            .map(|i| (i, order[i]))
+            .collect();
+        Matching::from_pairs(keys.len(), &pairs).unwrap()
+    }
+
+    /// Draws of `n` sort keys and keep flags: the stuff of one
+    /// [`keyed_matching`].
+    fn arb_keyed(n: usize) -> impl Strategy<Value = (Vec<u64>, Vec<bool>)> {
+        (
+            prop::collection::vec(any::<u64>(), n),
+            prop::collection::vec(any::<bool>(), n),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A matching has one sender per receiver. Once the job's own ports
+        /// feed every RX port its local target claims, no foreign circuit
+        /// can reach those ports, so comparing each rank's circuit with its
+        /// local target decides whether the fabric holds the job's target.
+        #[test]
+        fn circuits_are_in_place_iff_every_rank_sends_where_its_target_says(
+            (picked, (shuffled, order), (local_keys, local_keep), (keys, keep), (mode, cut)) in
+                (2usize..16).prop_flat_map(|n| (
+                    prop::sample::subsequence((0..n).collect::<Vec<_>>(), 1..=n),
+                    (any::<bool>(), prop::collection::vec(any::<u64>(), n)),
+                    arb_keyed(n),
+                    arb_keyed(n),
+                    (0usize..3, any::<usize>()),
+                ))
+        ) {
+            let n = keys.len();
+            let mut ports = picked;
+            if shuffled {
+                ports.sort_by_key(|&p| order[p]);
+            }
+            let k = ports.len();
+            let local = keyed_matching(&local_keys[..k], &local_keep[..k]);
+            let mut owner = vec![None; n];
+            for &p in &ports {
+                owner[p] = Some(0);
+            }
+            let mut buf = TargetScratch::default();
+            // Circuits from anywhere to anywhere, foreign ones into the
+            // job's RX ports included.
+            let random = keyed_matching(&keys, &keep);
+            let target = tenant_target(&random, &ports, &local, &owner, 0, &mut buf).clone();
+            let current = match mode {
+                // The job's target, beside the foreign circuits it keeps.
+                0 => target,
+                // The same less one circuit, the job's or a foreign one.
+                1 if !target.is_empty() => {
+                    let mut pairs: Vec<(usize, usize)> = target.pairs().collect();
+                    pairs.remove(cut % pairs.len());
+                    Matching::from_pairs(n, &pairs).unwrap()
+                }
+                _ => random,
+            };
+            let in_place = *tenant_target(&current, &ports, &local, &owner, 0, &mut buf) == current;
+            let ranks_agree = (0..k)
+                .all(|r| current.dst_of(ports[r]) == local.dst_of(r).map(|d| ports[d]));
+            prop_assert_eq!(in_place, ranks_agree, "ports {:?}, local {:?}", ports, local);
+            if mode == 0 {
+                prop_assert!(in_place);
+            }
         }
     }
 }

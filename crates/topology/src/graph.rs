@@ -180,14 +180,6 @@ impl Topology {
             .map(|&l| self.links[l].capacity)
             .sum()
     }
-
-    /// Smallest link capacity (useful as a scale for tolerances).
-    pub fn min_capacity(&self) -> f64 {
-        self.links
-            .iter()
-            .map(|l| l.capacity)
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +200,6 @@ mod tests {
         assert!((t.ingress_capacity(2) - 0.75).abs() < 1e-12);
         assert_eq!(t.num_links(), 3);
         assert_eq!(t.link(b).capacity, 0.5);
-        assert_eq!(t.min_capacity(), 0.25);
     }
 
     #[test]

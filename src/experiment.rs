@@ -455,11 +455,6 @@ impl Experiment<Single> {
 }
 
 impl Experiment<Streaming> {
-    /// The bound workload's name.
-    pub fn workload_name(&self) -> &str {
-        self.workload.workload.name()
-    }
-
     /// Attaches a deterministic-replay recorder to subsequent simulation
     /// runs ([`simulate`](Experiment::<Streaming>::simulate),
     /// [`simulate_on`](Experiment::<Streaming>::simulate_on),

@@ -17,7 +17,7 @@
 //! | [`Static`] | `static` | never reconfigure (the §3.4 static-base baseline) |
 //! | [`AlwaysReconfigure`] | `bvn` | reconfigure every step (the naive BvN schedule) |
 //! | [`Threshold`] | `threshold` | per-step standalone gain vs worst-case `α_r` (§4 heuristic) |
-//! | [`DpPlanned`] | `opt` | the exact eq. (7) optimum via [`crate::dp::optimize`] |
+//! | [`DpPlanned`] | `opt` | the exact eq. (7) optimum: the trellis of [`crate::dp`] |
 //! | [`Greedy`] | `greedy` | online myopic rule: cheapest next step given the fabric's state |
 //!
 //! The trait is object-safe: harnesses hold `&dyn Controller` (or
@@ -25,16 +25,11 @@
 //! instance can serve a whole [`aps_par::Pool`].
 
 use crate::assignment::{ConfigChoice, SwitchSchedule};
-use crate::dp;
+use crate::dp::{self, STATES};
 use crate::error::CoreError;
 use crate::objective::{reconfig_charge, standalone_gain, step_run_cost, ReconfigAccounting};
 use crate::problem::SwitchingProblem;
 use aps_cost::steptable::StepCosts;
-
-/// Decision order shared with the DP trellis: `Base` first, so strict
-/// `<`-improvement tie-breaks toward staying on the base topology exactly
-/// like [`crate::dp::optimize`] does.
-const STATES: [ConfigChoice; 2] = [ConfigChoice::Base, ConfigChoice::Matched];
 
 /// What a controller sees before deciding step `step`: the observable
 /// problem window (demand and pricing), the accounting rule in force, and
@@ -259,12 +254,12 @@ impl Controller for Threshold {
     }
 }
 
-/// The exact eq. (7) optimum. [`Controller::plan`] delegates to the
-/// `O(s)` dynamic program ([`crate::dp::optimize`]) — bit-identical to the
-/// pre-trait planning path. [`Controller::decide`] answers online by
-/// solving the *suffix* of the trellis from the observed fabric state
-/// (principle of optimality), so stepping the decisions forward also
-/// realizes an optimal-cost schedule.
+/// The exact eq. (7) optimum. [`Controller::plan`] walks the `O(s)`
+/// two-state trellis of [`crate::dp`] and returns its path without pricing
+/// it: [`crate::dp::optimize`] is the same path with its cost report.
+/// [`Controller::decide`] answers online by solving the *suffix* of the
+/// trellis from the observed fabric state (principle of optimality), so
+/// stepping the decisions forward also realizes an optimal-cost schedule.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DpPlanned;
 
@@ -307,7 +302,7 @@ impl Controller for DpPlanned {
         problem: &SwitchingProblem,
         accounting: ReconfigAccounting,
     ) -> Result<SwitchSchedule, CoreError> {
-        dp::optimize(problem, accounting).map(|(schedule, _)| schedule)
+        Ok(dp::plan(problem, accounting).0)
     }
 
     fn explain(&self, obs: &StepObservation<'_>, choice: ConfigChoice) -> String {

@@ -6,17 +6,86 @@
 //! configurations. The optimum is therefore a shortest path through a
 //! `2 × s` trellis with `x₀ = 1` (base) as the source — the "efficient
 //! dynamic programming solution … polynomial-time solvable due to the
-//! principle of optimality" of §3.3. [`crate::brute`] and proptest pin this
-//! solver to exhaustive enumeration.
+//! principle of optimality" of §3.3. The crate-private `shortest_path`
+//! walks it over any state list, so the multi-base pool
+//! ([`crate::multibase`]) runs the same trellis over its `k + 1` states.
+//! [`crate::brute`] and proptest pin this solver to exhaustive enumeration.
 
 use crate::assignment::{ConfigChoice, SwitchSchedule};
 use crate::error::CoreError;
 use crate::objective::{evaluate, reconfig_charge, step_run_cost, CostReport, ReconfigAccounting};
 use crate::problem::SwitchingProblem;
 
-const STATES: [ConfigChoice; 2] = [ConfigChoice::Base, ConfigChoice::Matched];
+/// The two-state trellis's states, `Base` first so that ties stay on the
+/// base topology; the online controllers iterate the same order.
+pub(crate) const STATES: [ConfigChoice; 2] = [ConfigChoice::Base, ConfigChoice::Matched];
 
-/// Computes an optimal switch schedule and its cost report.
+/// The trellis shortest path over `steps` steps, each run in one of
+/// `states` (not empty) and entered from `start` before step 0: running
+/// step `i` in `cur` costs `run(i, cur)`, arriving from `prev` costs
+/// `enter(prev, i, cur)`. A state's cost is the least `(best + run) + enter`
+/// over its predecessors, a later one winning only when strictly cheaper,
+/// and the path ends in the first cheapest state. Returns the path and its
+/// cost.
+pub(crate) fn shortest_path<S: Copy>(
+    steps: usize,
+    states: &[S],
+    start: S,
+    run: impl Fn(usize, S) -> f64,
+    enter: impl Fn(S, usize, S) -> f64,
+) -> (Vec<S>, f64) {
+    if steps == 0 {
+        return (Vec::new(), 0.0);
+    }
+    let k = states.len();
+    // best[i·k + c]: the least cost of steps 0..=i ending in state c, and
+    // parent[i·k + c]: the state step i − 1 ran in on that path.
+    let mut best = vec![f64::INFINITY; steps * k];
+    let mut parent = vec![0usize; steps * k];
+    for (c, &cur) in states.iter().enumerate() {
+        best[c] = run(0, cur) + enter(start, 0, cur);
+    }
+    for i in 1..steps {
+        for (c, &cur) in states.iter().enumerate() {
+            let r = run(i, cur);
+            for (p, &prev) in states.iter().enumerate() {
+                let cand = best[(i - 1) * k + p] + r + enter(prev, i, cur);
+                if cand < best[i * k + c] {
+                    best[i * k + c] = cand;
+                    parent[i * k + c] = p;
+                }
+            }
+        }
+    }
+    let last = &best[(steps - 1) * k..];
+    let mut state = (0..k).fold(0, |m, c| if last[c] < last[m] { c } else { m });
+    let cost = last[state];
+    let mut path = vec![states[state]; steps];
+    for i in (0..steps).rev() {
+        path[i] = states[state];
+        state = parent[i * k + state];
+    }
+    (path, cost)
+}
+
+/// The two-state trellis for `problem`: an optimal schedule and the cost
+/// the trellis summed for it, without pricing the schedule.
+pub(crate) fn plan(
+    problem: &SwitchingProblem,
+    accounting: ReconfigAccounting,
+) -> (SwitchSchedule, f64) {
+    let (choices, cost) = shortest_path(
+        problem.num_steps(),
+        &STATES,
+        ConfigChoice::Base, // x₀ = 1.
+        |i, cur| step_run_cost(problem, i, cur),
+        |prev, i, cur| reconfig_charge(problem, accounting, prev, cur, i),
+    );
+    (SwitchSchedule::new(choices), cost)
+}
+
+/// Computes an optimal switch schedule and its cost report: the two-state
+/// trellis's path, priced by [`evaluate`].
 ///
 /// ```
 /// use aps_core::{dp, SwitchingProblem, ReconfigAccounting};
@@ -48,51 +117,10 @@ pub fn optimize(
     problem: &SwitchingProblem,
     accounting: ReconfigAccounting,
 ) -> Result<(SwitchSchedule, CostReport), CoreError> {
-    let s = problem.num_steps();
-    if s == 0 {
-        let schedule = SwitchSchedule::new(vec![]);
-        let report = evaluate(problem, &schedule, accounting)?;
-        return Ok((schedule, report));
-    }
-    // best[i][state]: minimal cost of steps 0..=i ending in `state`.
-    let mut best = vec![[f64::INFINITY; 2]; s];
-    let mut parent = vec![[0usize; 2]; s];
-
-    for (cur_idx, &cur) in STATES.iter().enumerate() {
-        best[0][cur_idx] = step_run_cost(problem, 0, cur)
-            + reconfig_charge(problem, accounting, ConfigChoice::Base, cur, 0);
-    }
-    for i in 1..s {
-        for (cur_idx, &cur) in STATES.iter().enumerate() {
-            let run = step_run_cost(problem, i, cur);
-            for (prev_idx, &prev) in STATES.iter().enumerate() {
-                let cand = best[i - 1][prev_idx]
-                    + run
-                    + reconfig_charge(problem, accounting, prev, cur, i);
-                if cand < best[i][cur_idx] {
-                    best[i][cur_idx] = cand;
-                    parent[i][cur_idx] = prev_idx;
-                }
-            }
-        }
-    }
-
-    // Reconstruct.
-    let mut state = if best[s - 1][0] <= best[s - 1][1] {
-        0
-    } else {
-        1
-    };
-    let mut choices = vec![ConfigChoice::Base; s];
-    for i in (0..s).rev() {
-        choices[i] = STATES[state];
-        state = parent[i][state];
-    }
-    let schedule = SwitchSchedule::new(choices);
+    let (schedule, cost) = plan(problem, accounting);
     let report = evaluate(problem, &schedule, accounting)?;
     debug_assert!(
-        (report.total_s() - best[s - 1][0].min(best[s - 1][1])).abs()
-            <= 1e-12 * (1.0 + report.total_s()),
+        (report.total_s() - cost).abs() <= 1e-12 * (1.0 + report.total_s()),
         "DP value disagrees with objective evaluation"
     );
     Ok((schedule, report))

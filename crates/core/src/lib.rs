@@ -34,7 +34,8 @@
 //! eq. (7) instance with [`SwitchingProblem::build`], let a controller
 //! choose with [`Controller::plan`], and price the choice with
 //! [`evaluate`]; [`sweep::plan_jobs_on`] and the simulator's adaptive
-//! executor accept any `&dyn Controller`. Multi-base-topology pools and
+//! executor accept any `&dyn Controller`. Multi-base-topology pools, whose
+//! optimum is the same trellis over one state per base plus matched, and
 //! the `α_r × message-size` sweep that regenerates the paper's heatmaps
 //! complete the picture.
 

@@ -3,18 +3,19 @@
 //! The paper: "Our formulation can even be extended to account for a fixed
 //! pool of base topologies instead of a single base topology G … e.g.,
 //! using multiple co-prime rings as base topologies." The DP state simply
-//! grows from `{base, matched}` to `{base₁, …, base_k, matched}`: still a
-//! trellis shortest path, `O(s·(k+1)²)`. Each base of the pool is one
+//! grows from `{base, matched}` to `{base₁, …, base_k, matched}`: the same
+//! trellis as [`crate::dp`], `O(s·(k+1)²)`. Each base of the pool is one
 //! [`SwitchingProblem`] over the shared schedule, built with the exact
 //! forced-path θ, so a step costs what [`crate::objective`] charges it on
-//! that base: eq. (3) at the base's `(θ, ℓ)`, or at `(1, 1)` matched. Every
-//! reconfiguration is priced with the paper's conservative accounting: a
-//! move between configurations costs the delay model applied to at least
-//! one changed port.
+//! that base: eq. (3) at the base's `(θ, ℓ)`, or at `(1, 1)` matched.
+//! Staying on one base is free, and every other move is charged as the
+//! two-state DP charges it under the paper's conservative accounting: the
+//! delay model applied to at least one changed port.
 
 use crate::assignment::ConfigChoice;
+use crate::dp::shortest_path;
 use crate::error::CoreError;
-use crate::objective::{ports_changed, step_run_cost};
+use crate::objective::{move_charge, step_run_cost, ReconfigAccounting::PaperConservative};
 use crate::problem::SwitchingProblem;
 use aps_collectives::Schedule;
 use aps_cost::{CostParams, ReconfigModel};
@@ -31,15 +32,16 @@ pub enum MultiChoice {
     Matched,
 }
 
-/// A multi-base instance of the switching problem.
+/// A multi-base instance of the switching problem, built by
+/// [`build_multibase`].
 #[derive(Debug, Clone)]
 pub struct MultiBaseProblem {
     /// One eq. (7) instance per base topology of the pool, in pool order,
     /// all over the same schedule, cost parameters and reconfiguration
-    /// model.
-    pub bases: Vec<SwitchingProblem>,
-    /// Index of the base the fabric holds before step 0.
-    pub start_base: usize,
+    /// model. Never empty.
+    bases: Vec<SwitchingProblem>,
+    /// Index of the base the fabric holds before step 0; within `bases`.
+    start_base: usize,
 }
 
 /// Evaluates every base in `pool` against `schedule` and assembles the
@@ -112,11 +114,11 @@ impl MultiBaseProblem {
                 return 0.0;
             }
         }
-        // Before step 0 `prev` is a base, whose configuration no step index
-        // changes.
-        let prev_cfg = self.config_at(i.saturating_sub(1), prev);
-        let diff = ports_changed(&self.bases[0], prev_cfg, self.config_at(i, cur));
-        self.bases[0].reconfig.delay_s(diff.max(1))
+        // Every other move pays the paper's conservative charge. Before
+        // step 0 `prev` is a base, whose configuration no step index changes.
+        let last = i.saturating_sub(1);
+        let configs = || (self.config_at(last, prev), self.config_at(i, cur));
+        move_charge(&self.bases[0], PaperConservative, configs)
     }
 
     /// Prices an explicit multi-base schedule.
@@ -144,48 +146,19 @@ impl MultiBaseProblem {
     ///
     /// # Errors
     ///
-    /// Propagates evaluation errors (none for well-formed problems).
+    /// None: [`build_multibase`] refuses the pools it could not solve.
     pub fn optimize(&self) -> Result<(Vec<MultiChoice>, f64), CoreError> {
-        let s = self.num_steps();
-        let k = self.bases.len();
-        let states: Vec<MultiChoice> = (0..k)
+        let states: Vec<MultiChoice> = (0..self.bases.len())
             .map(MultiChoice::Base)
-            .chain(std::iter::once(MultiChoice::Matched))
+            .chain([MultiChoice::Matched])
             .collect();
-        if s == 0 {
-            return Ok((vec![], 0.0));
-        }
-        let mut best = vec![vec![f64::INFINITY; states.len()]; s];
-        let mut parent = vec![vec![0usize; states.len()]; s];
-        for (ci, &cur) in states.iter().enumerate() {
-            best[0][ci] = self.run_cost(0, cur)
-                + self.transition_cost(MultiChoice::Base(self.start_base), 0, cur);
-        }
-        for i in 1..s {
-            for (ci, &cur) in states.iter().enumerate() {
-                let run = self.run_cost(i, cur);
-                for (pi, &prev) in states.iter().enumerate() {
-                    let cand = best[i - 1][pi] + run + self.transition_cost(prev, i, cur);
-                    if cand < best[i][ci] {
-                        best[i][ci] = cand;
-                        parent[i][ci] = pi;
-                    }
-                }
-            }
-        }
-        let mut state = best[s - 1]
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty state set");
-        let total = best[s - 1][state];
-        let mut choices = vec![MultiChoice::Matched; s];
-        for i in (0..s).rev() {
-            choices[i] = states[state];
-            state = parent[i][state];
-        }
-        Ok((choices, total))
+        Ok(shortest_path(
+            self.num_steps(),
+            &states,
+            MultiChoice::Base(self.start_base),
+            |i, cur| self.run_cost(i, cur),
+            |prev, i, cur| self.transition_cost(prev, i, cur),
+        ))
     }
 }
 
@@ -205,14 +178,30 @@ mod tests {
         let n = 16;
         let topo = builders::ring_unidirectional(n).unwrap();
         let c = alltoall::linear_shift(n, 1e6).unwrap();
-        let reconfig = ReconfigModel::constant(2e-6).unwrap();
-        let mb = build_multibase(&[&topo], &c.schedule, params(), reconfig, 0).unwrap();
-        let (_, mb_cost) = mb.optimize().unwrap();
-        let mut cache = ThetaCache::new(&topo, ThroughputSolver::ForcedPath);
-        let p =
-            SwitchingProblem::build(&topo, &c.schedule, &mut cache, params(), reconfig).unwrap();
-        let (_, report) = dp::optimize(&p, Default::default()).unwrap();
-        assert!((mb_cost - report.total_s()).abs() < 1e-12 * (1.0 + mb_cost));
+        for reconfig in [
+            ReconfigModel::constant(2e-6).unwrap(),
+            ReconfigModel::per_port(1e-6, 1e-7).unwrap(),
+        ] {
+            let mb = build_multibase(&[&topo], &c.schedule, params(), reconfig, 0).unwrap();
+            let (mb_choices, mb_cost) = mb.optimize().unwrap();
+            let mut cache = ThetaCache::new(&topo, ThroughputSolver::ForcedPath);
+            let p = SwitchingProblem::build(&topo, &c.schedule, &mut cache, params(), reconfig)
+                .unwrap();
+            let (schedule, report) = dp::optimize(&p, Default::default()).unwrap();
+            assert!(
+                (mb_cost - report.total_s()).abs() < 1e-12 * (1.0 + mb_cost),
+                "{reconfig:?}"
+            );
+            let two_state: Vec<MultiChoice> = schedule
+                .choices()
+                .iter()
+                .map(|&c| match c {
+                    ConfigChoice::Base => MultiChoice::Base(0),
+                    ConfigChoice::Matched => MultiChoice::Matched,
+                })
+                .collect();
+            assert_eq!(mb_choices, two_state, "{reconfig:?}");
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! DP solver, the exhaustive solver and all policies are validated against
 //! [`evaluate`]. A step runs at the `(θ, ℓ)` its choice gives it and costs
 //! eq. (3), [`aps_cost::dct::dct`]; a reconfiguration costs the delay model
-//! applied to the ports that change. The same two terms price the
-//! multi-base pool ([`crate::multibase`]). On a schedule that never leaves
-//! the base, [`evaluate`] is the static completion time of eq. (4).
+//! applied to the ports that change, by one charge rule for every move.
+//! The same two terms price the multi-base pool ([`crate::multibase`]).
+//! On a schedule that never leaves the base, [`evaluate`] is the static
+//! completion time of eq. (4).
 
 use crate::assignment::{ConfigChoice, SwitchSchedule};
 use crate::error::CoreError;
@@ -14,6 +15,7 @@ use crate::problem::SwitchingProblem;
 use aps_cost::dct::{dct, DctBreakdown};
 use aps_cost::steptable::StepCosts;
 use aps_cost::{CostParams, ReconfigModel};
+use aps_matrix::Matching;
 
 /// How reconfiguration events are priced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,17 +54,30 @@ impl CostReport {
     }
 }
 
-/// Number of ports whose circuits change when the fabric moves between two
-/// (possibly unknown) configurations. Unknown (multi-circuit base) counts as
-/// a full-fabric change.
-pub(crate) fn ports_changed(
+/// The charge for moving the fabric between two configurations, which
+/// `configs` names as (before, after). An unknown (multi-circuit) side
+/// counts as a full-fabric change. Under the paper's accounting the move
+/// costs at least a one-port event, even between identical
+/// configurations: eq. (7) prices `zᵢ = 0` unconditionally.
+pub(crate) fn move_charge<'a>(
     problem: &SwitchingProblem,
-    prev: Option<&aps_matrix::Matching>,
-    next: Option<&aps_matrix::Matching>,
-) -> usize {
-    match (prev, next) {
+    accounting: ReconfigAccounting,
+    configs: impl FnOnce() -> (Option<&'a Matching>, Option<&'a Matching>),
+) -> f64 {
+    // The paper's constant α_r is one charge whatever changes: skip the
+    // O(n) port diff it would ignore, and the lookups that feed it.
+    if accounting == ReconfigAccounting::PaperConservative
+        && matches!(problem.reconfig, ReconfigModel::Constant { .. })
+    {
+        return problem.reconfig.delay_s(1);
+    }
+    let diff = match configs() {
         (Some(a), Some(b)) => a.tx_ports_changed(b),
         _ => problem.n,
+    };
+    match accounting {
+        ReconfigAccounting::PaperConservative => problem.reconfig.delay_s(diff.max(1)),
+        ReconfigAccounting::PhysicalDiff => problem.reconfig.delay_s(diff),
     }
 }
 
@@ -79,26 +94,14 @@ pub(crate) fn reconfig_charge(
     if prev == ConfigChoice::Base && cur == ConfigChoice::Base {
         return 0.0;
     }
-    // The paper's constant α_r is one charge whatever changes: skip the
-    // O(n) port diff it would ignore.
-    if accounting == ReconfigAccounting::PaperConservative
-        && matches!(problem.reconfig, ReconfigModel::Constant { .. })
-    {
-        return problem.reconfig.delay_s(1);
-    }
-    let prev_cfg = if i == 0 {
-        problem.base_config.as_ref()
-    } else {
-        problem.config_at(i - 1, prev == ConfigChoice::Matched)
-    };
-    let cur_cfg = problem.config_at(i, cur == ConfigChoice::Matched);
-    let diff = ports_changed(problem, prev_cfg, cur_cfg);
-    match accounting {
-        // Charge at least a one-port event even for a coincidentally
-        // identical configuration: eq. (7) prices z_i = 0 unconditionally.
-        ReconfigAccounting::PaperConservative => problem.reconfig.delay_s(diff.max(1)),
-        ReconfigAccounting::PhysicalDiff => problem.reconfig.delay_s(diff),
-    }
+    move_charge(problem, accounting, || {
+        let prev_cfg = if i == 0 {
+            problem.base_config.as_ref()
+        } else {
+            problem.config_at(i - 1, prev == ConfigChoice::Matched)
+        };
+        (prev_cfg, problem.config_at(i, cur == ConfigChoice::Matched))
+    })
 }
 
 /// Eq. (3) for step `s` under `choice`, without the reconfiguration term.

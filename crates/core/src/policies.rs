@@ -54,12 +54,7 @@ impl Policy {
 
     /// Stable name for tables (the backing controller's name).
     pub fn name(self) -> &'static str {
-        match self {
-            Policy::StaticBase => "static",
-            Policy::AlwaysMatched => "bvn",
-            Policy::Optimal => "opt",
-            Policy::Threshold => "threshold",
-        }
+        self.controller().name()
     }
 }
 
@@ -155,8 +150,5 @@ mod tests {
             Policy::ALL.map(|p| p.name()),
             ["static", "bvn", "opt", "threshold"]
         );
-        for p in Policy::ALL {
-            assert_eq!(p.name(), p.controller().name());
-        }
     }
 }

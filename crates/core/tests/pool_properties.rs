@@ -1,6 +1,6 @@
 //! Property-based tests for the multi-base extension.
 
-use aps_core::multibase::build_multibase;
+use aps_core::multibase::{build_multibase, MultiChoice};
 use aps_cost::{CostParams, ReconfigModel};
 use aps_matrix::Matching;
 use aps_topology::builders;
@@ -52,5 +52,60 @@ proptest! {
             prop_assert!((priced - cost).abs() < 1e-12 * (1.0 + cost));
             last = cost;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The pool's trellis against every choice vector, priced one by one,
+    /// from every start base and under both delay models.
+    #[test]
+    fn pool_dp_equals_exhaustive_enumeration(
+        shifts in proptest::collection::vec(1usize..15, 1..7),
+        bytes in proptest::collection::vec(1e2f64..1e8, 6),
+        (strides, start) in prop::sample::subsequence(vec![1usize, 3, 5, 7], 1..4)
+            .prop_flat_map(|strides| {
+                let k = strides.len();
+                (Just(strides), 0..k)
+            }),
+        alpha_r in 1e-7f64..1e-4,
+        per_port in any::<bool>(),
+    ) {
+        let n = 16;
+        let schedule = random_shift_schedule(n, &shifts, &bytes[..shifts.len()]);
+        let rings: Vec<_> = strides
+            .iter()
+            .map(|&s| builders::coprime_rings(n, &[s]).unwrap())
+            .collect();
+        let pool: Vec<_> = rings.iter().collect();
+        let reconfig = if per_port {
+            ReconfigModel::per_port(alpha_r, alpha_r / 8.0).unwrap()
+        } else {
+            ReconfigModel::constant(alpha_r).unwrap()
+        };
+        let mb = build_multibase(&pool, &schedule, CostParams::paper_defaults(), reconfig, start)
+            .unwrap();
+        let states: Vec<MultiChoice> = (0..pool.len())
+            .map(MultiChoice::Base)
+            .chain([MultiChoice::Matched])
+            .collect();
+        let s = shifts.len();
+        let mut cheapest = f64::INFINITY;
+        for code in 0..states.len().pow(s as u32) {
+            let choices: Vec<MultiChoice> = (0..s)
+                .map(|i| states[code / states.len().pow(i as u32) % states.len()])
+                .collect();
+            cheapest = cheapest.min(mb.evaluate(&choices).unwrap());
+        }
+        // `evaluate` adds each step's run and charge as one term, while the
+        // trellis adds them one at a time: compare within rounding.
+        let (choices, cost) = mb.optimize().unwrap();
+        prop_assert!(
+            (cost - cheapest).abs() <= 1e-12 * cheapest,
+            "strides {strides:?} from base {start}, {reconfig:?}: dp {cost} vs cheapest {cheapest}"
+        );
+        let priced = mb.evaluate(&choices).unwrap();
+        prop_assert!((priced - cost).abs() <= 1e-12 * cost, "{choices:?}: {priced} vs {cost}");
     }
 }
